@@ -155,6 +155,8 @@ type CongestionControl interface {
 	Init(c Conn)
 	// OnAck is called for every processed ACK after scoreboard and rate
 	// sample updates — it merges cong_control/cong_avoid/pkts_acked.
+	// rs points at scratch the transport reuses for the next ACK: a
+	// module must not retain it past the call (copy the fields it needs).
 	OnAck(c Conn, rs *RateSample)
 	// OnEvent is called on loss-recovery transitions.
 	OnEvent(c Conn, ev Event)

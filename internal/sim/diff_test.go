@@ -341,6 +341,10 @@ func TestCheckQueueDetectsCorruption(t *testing.T) {
 	if err := eng.CheckQueue(); err != nil {
 		t.Fatalf("healthy queue reported %v", err)
 	}
+	// The audit runs every checker tick: its visit counters are reused.
+	if allocs := testing.AllocsPerRun(10, func() { eng.CheckQueue() }); allocs != 0 {
+		t.Errorf("CheckQueue allocates %.0f objects per pass, want 0", allocs)
+	}
 	eng.livePending++ // corrupt the counter
 	if err := eng.CheckQueue(); err == nil {
 		t.Fatal("CheckQueue missed a corrupted live-pending counter")

@@ -328,6 +328,10 @@ type Engine struct {
 	lastScheduled time.Duration
 	limitErr      *LimitError
 	stallRun      uint64
+
+	// auditSeen is CheckQueue's per-item visit counter, kept so the
+	// periodic audit reuses one buffer instead of allocating per pass.
+	auditSeen []uint8
 }
 
 // New returns an Engine whose random source is seeded with seed. The source
@@ -683,12 +687,17 @@ func (e *Engine) nextReady() bool {
 // Once the engine's budget (SetLimits) has tripped, Step runs nothing and
 // returns false; inspect LimitErr.
 func (e *Engine) Step() bool {
-	if e.overBudget() {
+	if e.overBudget() || !e.nextReady() {
 		return false
 	}
-	if !e.nextReady() {
-		return false
-	}
+	e.fire()
+	return true
+}
+
+// fire pops and executes the heap top. The caller has already established,
+// with nextReady, that the top is the globally next live event, and checked
+// the budget — Run and RunUntil probe the queue once per event, not twice.
+func (e *Engine) fire() {
 	idx := e.heapPop()
 	e.queued--
 	it := &e.items[idx]
@@ -716,7 +725,6 @@ func (e *Engine) Step() bool {
 	if e.items[idx].where == wFiring {
 		e.recycle(idx)
 	}
-	return true
 }
 
 // Run executes events until the virtual clock reaches end or no events
@@ -728,11 +736,12 @@ func (e *Engine) Run(end time.Duration) {
 		if e.items[e.heap[0]].at > end {
 			break
 		}
-		if !e.Step() {
+		if e.overBudget() {
 			// Budget tripped; stop without advancing the clock so the
 			// diagnostic reflects where the run actually got to.
 			return
 		}
+		e.fire()
 	}
 	if e.now < end {
 		e.now = end
@@ -746,12 +755,10 @@ func (e *Engine) Run(end time.Duration) {
 // window loop is built on exactly this contract.
 func (e *Engine) RunUntil(before time.Duration) {
 	for e.nextReady() {
-		if e.items[e.heap[0]].at >= before {
+		if e.items[e.heap[0]].at >= before || e.overBudget() {
 			return
 		}
-		if !e.Step() {
-			return
-		}
+		e.fire()
 	}
 }
 
@@ -805,7 +812,11 @@ func (e *Engine) CorruptQueueForTest() { e.livePending++ }
 // counters match a full walk. The invariant checker calls this each audit
 // tick; it returns nil when the queue is consistent.
 func (e *Engine) CheckQueue() error {
-	seen := make([]uint8, len(e.items))
+	if cap(e.auditSeen) < len(e.items) {
+		e.auditSeen = make([]uint8, cap(e.items))
+	}
+	seen := e.auditSeen[:len(e.items)]
+	clear(seen)
 	for pos, idx := range e.heap {
 		it := &e.items[idx]
 		if it.where != wHeap {

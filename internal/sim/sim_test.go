@@ -277,3 +277,55 @@ func TestStallWatchdogAllowsSameInstantBursts(t *testing.T) {
 		t.Fatalf("bursty but advancing run tripped the watchdog: %v", err)
 	}
 }
+
+// TestEventBudgetSameThroughEveryLoop pins the limit semantics Run and
+// RunUntil share with Step now that the loops fire the event they located
+// themselves: exactly MaxEvents events run, the clock stays at the last one
+// instead of jumping to the horizon, and an exhausted budget is only
+// reported when there was still an event inside the horizon to refuse.
+func TestEventBudgetSameThroughEveryLoop(t *testing.T) {
+	loops := map[string]func(e *Engine){
+		"Run":      func(e *Engine) { e.Run(time.Second) },
+		"RunUntil": func(e *Engine) { e.RunUntil(time.Second) },
+		"Step": func(e *Engine) {
+			for e.Step() {
+			}
+		},
+	}
+	for name, loop := range loops {
+		t.Run(name, func(t *testing.T) {
+			e := New(1)
+			fired := 0
+			for ms := 1; ms <= 10; ms++ {
+				e.Schedule(time.Duration(ms)*time.Millisecond, func() { fired++ })
+			}
+			e.SetLimits(Limits{MaxEvents: 4})
+			loop(e)
+			if fired != 4 || e.Processed() != 4 {
+				t.Fatalf("fired %d, Processed %d, want 4 and 4", fired, e.Processed())
+			}
+			if e.Now() != 4*time.Millisecond {
+				t.Errorf("clock at %v after the budget tripped, want 4ms", e.Now())
+			}
+			le, ok := e.LimitErr().(*LimitError)
+			if !ok || le.Reason != "max-events" || le.Pending != 6 {
+				t.Errorf("LimitErr = %v, want max-events with 6 pending", e.LimitErr())
+			}
+			if e.Step() {
+				t.Error("Step ran an event past a tripped budget")
+			}
+		})
+	}
+
+	// Budget spent exactly at the horizon: the next event lies beyond it, so
+	// Run ends normally (clock at end, no limit error).
+	e := New(1)
+	e.Schedule(time.Millisecond, func() {})
+	e.Schedule(time.Hour, func() {})
+	e.SetLimits(Limits{MaxEvents: 1})
+	e.Run(time.Second)
+	if e.LimitErr() != nil || e.Now() != time.Second || e.Processed() != 1 {
+		t.Errorf("Run to a horizon the budget just covers: err %v, now %v, processed %d",
+			e.LimitErr(), e.Now(), e.Processed())
+	}
+}

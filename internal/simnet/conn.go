@@ -161,7 +161,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 			if p.upErr != nil {
 				return 0, p.upErr
 			}
-			w := &waiter{p: n.running}
+			w := n.running.arm()
 			p.srvRead = w
 			err := n.wait(w, c.rdl)
 			p.srvRead = nil
@@ -187,7 +187,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 		if p.upErr != nil {
 			return 0, p.upErr
 		}
-		w := &waiter{p: n.running}
+		w := n.running.arm()
 		p.cliRead = w
 		err := n.wait(w, c.rdl)
 		p.cliRead = nil
@@ -255,7 +255,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 		if nn > 0 {
 			continue
 		}
-		w := &waiter{p: n.running}
+		w := n.running.arm()
 		p.cliWrite = w
 		err = n.wait(w, c.wdl)
 		p.cliWrite = nil
@@ -386,7 +386,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 			l.queue = l.queue[1:]
 			return c, nil
 		}
-		w := &waiter{p: n.running}
+		w := n.running.arm()
 		l.accW = w
 		err := n.wait(w, -1)
 		l.accW = nil

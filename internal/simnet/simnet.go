@@ -67,7 +67,18 @@ type Proc struct {
 	id     int
 	wake   chan struct{}
 	exited bool
-	w      *waiter // park reason (nil while running or exited)
+	parked bool // inside park: w is the live park reason
+
+	// w is the proc's one waiter, re-armed by every blocking operation: a
+	// proc blocks in at most one operation at a time, and the operation
+	// unregisters w and stops its timer before the proc can block again,
+	// so nothing stale can reach the next use. The callbacks are cached
+	// for the same reason the transport caches its timer callbacks — a
+	// blocking op then allocates nothing.
+	w          waiter
+	resumeFn   func() // resume this proc (engine context)
+	deadlineFn func() // fire w with os.ErrDeadlineExceeded
+	sleepFn    func() // fire w with nil
 }
 
 // waiter is one parked blocking operation. fired guards against double
@@ -84,6 +95,10 @@ type waiter struct {
 // Accept); returning ends the proc.
 func (n *Net) Go(start time.Duration, fn func(p *Proc)) *Proc {
 	p := &Proc{n: n, id: len(n.procs), wake: make(chan struct{})}
+	p.w.p = p
+	p.resumeFn = func() { n.resume(p) }
+	p.deadlineFn = func() { n.fire(&p.w, os.ErrDeadlineExceeded) }
+	p.sleepFn = func() { n.fire(&p.w, nil) }
 	n.procs = append(n.procs, p)
 	go func() {
 		<-p.wake
@@ -91,7 +106,7 @@ func (n *Net) Go(start time.Duration, fn func(p *Proc)) *Proc {
 		p.exited = true
 		n.parked <- struct{}{}
 	}()
-	n.eng.Schedule(start, func() { n.resume(p) })
+	n.eng.Schedule(start, p.resumeFn)
 	return p
 }
 
@@ -108,14 +123,21 @@ func (n *Net) resume(p *Proc) {
 	n.running = nil
 }
 
+// arm readies the proc's waiter for its next blocking operation.
+func (p *Proc) arm() *waiter {
+	w := &p.w
+	w.err, w.fired, w.timer = nil, false, sim.Timer{}
+	return w
+}
+
 // park blocks the calling proc until its waiter is fired, handing the
 // baton back to whoever resumed it. Returns the waiter's error.
-func (p *Proc) park(w *waiter) error {
-	p.w = w
+func (p *Proc) park() error {
+	p.parked = true
 	p.n.parked <- struct{}{}
 	<-p.wake
-	p.w = nil
-	return w.err
+	p.parked = false
+	return p.w.err
 }
 
 // fire wakes w's proc with err. From engine context the proc runs
@@ -129,7 +151,7 @@ func (n *Net) fire(w *waiter, err error) {
 	w.fired = true
 	w.err = err
 	if n.running != nil {
-		n.eng.Schedule(0, func() { n.resume(w.p) })
+		n.eng.Schedule(0, w.p.resumeFn)
 	} else {
 		n.resume(w.p)
 	}
@@ -144,9 +166,9 @@ func (n *Net) wait(w *waiter, deadline time.Duration) error {
 		if d < 0 {
 			d = 0
 		}
-		w.timer = n.eng.Schedule(d, func() { n.fire(w, os.ErrDeadlineExceeded) })
+		w.timer = n.eng.Schedule(d, w.p.deadlineFn)
 	}
-	err := w.p.park(w)
+	err := w.p.park()
 	w.timer.Stop()
 	return err
 }
@@ -160,9 +182,9 @@ func (n *Net) Sleep(p *Proc, d time.Duration) error {
 	if d < 0 {
 		d = 0
 	}
-	w := &waiter{p: p}
-	w.timer = n.eng.Schedule(d, func() { n.fire(w, nil) })
-	err := p.park(w)
+	w := p.arm()
+	w.timer = n.eng.Schedule(d, p.sleepFn)
+	err := p.park()
 	w.timer.Stop()
 	return err
 }
@@ -188,7 +210,7 @@ func (n *Net) Shutdown() {
 		if live == nil {
 			return
 		}
-		if w := live.w; w != nil && !w.fired {
+		if w := &live.w; live.parked && !w.fired {
 			w.fired = true
 			w.err = ErrClosed
 		}

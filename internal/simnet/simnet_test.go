@@ -274,3 +274,106 @@ func TestSleepOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestWaiterReuseSameInstant guards the per-proc waiter's reuse. A response
+// and the read deadline land on the same virtual instant, in either order;
+// whichever loses must not reach the proc's next blocking operation, which
+// re-arms the same waiter inside the winner's event: the follow-up Sleep has
+// to last its full duration and return nil.
+func TestWaiterReuseSameInstant(t *testing.T) {
+	const (
+		writeAt = 50 * time.Millisecond
+		nap     = 10 * time.Millisecond
+		resp    = 512
+	)
+	for _, dataFirst := range []bool{false, true} {
+		name := "deadline first"
+		if dataFirst {
+			name = "data first"
+		}
+		t.Run(name, func(t *testing.T) {
+			n, eng := newTestNet(t, tcp.Config{}, fastTC())
+			land := writeAt + n.stack.Pair.DownDelay // response arrival = read deadline
+			var (
+				srvErr, readErr, napErr, lateErr error
+				readN, lateN                     int
+				readAt, napAt                    time.Duration
+			)
+			n.Go(0, func(p *Proc) {
+				c, err := n.Listen().Accept()
+				if err != nil {
+					srvErr = err
+					return
+				}
+				if srvErr = n.Sleep(p, writeAt-eng.Now()); srvErr != nil {
+					return
+				}
+				_, srvErr = c.Write(make([]byte, resp))
+			})
+			n.Go(0, func(p *Proc) {
+				c, err := n.Dial()
+				if err != nil {
+					readErr = err
+					return
+				}
+				if dataFirst {
+					// Arm the deadline after the server has scheduled the
+					// response, so the delivery holds the lower sequence.
+					if readErr = n.Sleep(p, writeAt+time.Millisecond-eng.Now()); readErr != nil {
+						return
+					}
+				}
+				buf := make([]byte, resp)
+				c.SetReadDeadline(epoch.Add(land))
+				readN, readErr = c.Read(buf)
+				readAt = eng.Now()
+				napErr = n.Sleep(p, nap)
+				napAt = eng.Now()
+				if !dataFirst {
+					c.SetReadDeadline(time.Time{})
+					lateN, lateErr = c.Read(buf)
+				}
+			})
+			eng.Run(time.Second)
+			n.Shutdown()
+			if srvErr != nil {
+				t.Fatalf("server: %v", srvErr)
+			}
+			if readAt != land {
+				t.Fatalf("read returned at %v, want the shared instant %v", readAt, land)
+			}
+			if dataFirst {
+				if readErr != nil || readN != resp {
+					t.Errorf("read = %d, %v; want %d, nil (data won the tie)", readN, readErr, resp)
+				}
+			} else {
+				if !errors.Is(readErr, os.ErrDeadlineExceeded) {
+					t.Errorf("read err = %v, want ErrDeadlineExceeded (deadline won the tie)", readErr)
+				}
+				if lateErr != nil || lateN != resp {
+					t.Errorf("read after the nap = %d, %v; want %d, nil", lateN, lateErr, resp)
+				}
+			}
+			if napErr != nil || napAt != land+nap {
+				t.Errorf("follow-up Sleep woke at %v with %v, want %v with nil: the tie's loser reached the reused waiter",
+					napAt, napErr, land+nap)
+			}
+		})
+	}
+}
+
+// TestBlockingOpsDoNotAllocate pins the steady-state cost of parking: one
+// reused waiter and cached callbacks per proc, so a Sleep allocates nothing.
+func TestBlockingOpsDoNotAllocate(t *testing.T) {
+	n, eng := newTestNet(t, tcp.Config{}, fastTC())
+	var allocs float64
+	n.Go(0, func(p *Proc) {
+		n.Sleep(p, time.Millisecond) // grow the engine's event arena once
+		allocs = testing.AllocsPerRun(200, func() { n.Sleep(p, time.Millisecond) })
+	})
+	eng.Run(time.Second)
+	n.Shutdown()
+	if allocs != 0 {
+		t.Errorf("Sleep allocates %.1f objects per call, want 0", allocs)
+	}
+}

@@ -35,6 +35,44 @@ func (c *Conn) OnAckArrival(a *seg.Ack) {
 	c.cpu.SubmitP(cpumodel.OpCCUpdate, c.ccMod.AckCost(), c.processAckFn, a)
 }
 
+// ackScratch is processAck's per-ACK working state: the rate sample handed
+// to the congestion module (deliver counts into rs.AckedSacked) and the
+// snapshots of the newest packet this ACK delivered. It is parked on the
+// connection, reset at the top of every processAck and valid only within
+// that call, so the ACK path puts nothing on the heap.
+type ackScratch struct {
+	rs           cc.RateSample
+	bestSnap     int64 // newest snapDelivered among delivered packets, -1 = none
+	priorTime    time.Duration
+	sendInterval time.Duration
+}
+
+// deliver marks p delivered (cumulatively acked or SACKed) and folds it into
+// the current ACK's scratch.
+func (c *Conn) deliver(p *pktInfo) {
+	if p.acked {
+		return
+	}
+	p.acked = true
+	if p.inFlite {
+		p.inFlite = false
+		c.inflight--
+	}
+	k := &c.ack
+	k.rs.AckedSacked++
+	c.delivered++
+	// tcp_rate_skb_delivered: adopt the newest acked packet's
+	// snapshots and move the send-window origin to its send time.
+	if p.snapDelivered >= k.bestSnap {
+		k.bestSnap = p.snapDelivered
+		k.priorTime = p.snapDeliveredTime
+		k.sendInterval = p.sentAt - p.snapFirstTx
+		k.rs.IsAppLimited = p.snapAppLimited
+		k.rs.IsRetrans = p.retx
+		c.firstTx = p.sentAt
+	}
+}
+
 // processAck runs once the CPU has finished the ACK's protocol work. It is
 // the ACK's sink point: on every return path the ACK goes back to the pool.
 // The SACK blocks in a.Sacks are therefore only valid within this call —
@@ -53,35 +91,13 @@ func (c *Conn) processAck(a *seg.Ack) {
 	priorInflight := c.inflight
 	priorUna := c.sndUna
 
-	rs := cc.RateSample{Delivered: -1, Interval: -1, RTT: -1}
-	var (
-		bestSnap     int64 = -1
-		priorTime    time.Duration
-		sendInterval time.Duration
-		deliveredPkt int64
-	)
-	deliver := func(p *pktInfo) {
-		if p.acked {
-			return
-		}
-		p.acked = true
-		if p.inFlite {
-			p.inFlite = false
-			c.inflight--
-		}
-		deliveredPkt++
-		c.delivered++
-		// tcp_rate_skb_delivered: adopt the newest acked packet's
-		// snapshots and move the send-window origin to its send time.
-		if p.snapDelivered >= bestSnap {
-			bestSnap = p.snapDelivered
-			priorTime = p.snapDeliveredTime
-			sendInterval = p.sentAt - p.snapFirstTx
-			rs.IsAppLimited = p.snapAppLimited
-			rs.IsRetrans = p.retx
-			c.firstTx = p.sentAt
-		}
+	// The per-ACK working state lives on the connection (see ackScratch):
+	// reset here, valid until this call returns.
+	c.ack = ackScratch{
+		rs:       cc.RateSample{Delivered: -1, Interval: -1, RTT: -1},
+		bestSnap: -1,
 	}
+	rs := &c.ack.rs
 
 	// Cumulative ACK. Popped entries leave the scoreboard for good, so
 	// each is recycled onto the pktInfo freelist once delivered.
@@ -91,7 +107,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 				// Already delivered when SACKed; just retire.
 				p.acked = true
 			} else {
-				deliver(p)
+				c.deliver(p)
 			}
 			c.freeInfo(p)
 		}
@@ -102,10 +118,11 @@ func (c *Conn) processAck(a *seg.Ack) {
 	// SACK blocks.
 	for _, b := range a.Sacks {
 		for _, p := range c.board.markSacked(b.Start, b.End) {
-			deliver(p)
+			c.deliver(p)
 		}
 	}
 
+	deliveredPkt := rs.AckedSacked
 	if deliveredPkt > 0 {
 		c.deliveredTime = now
 		c.lastProgress = now
@@ -182,13 +199,12 @@ func (c *Conn) processAck(a *seg.Ack) {
 	}
 
 	// Rate sample generation (tcp_rate_gen).
-	rs.AckedSacked = deliveredPkt
 	rs.PriorInFlight = priorInflight
-	if bestSnap >= 0 {
+	if bestSnap := c.ack.bestSnap; bestSnap >= 0 {
 		rs.PriorDelivered = bestSnap
 		rs.Delivered = c.delivered - bestSnap
-		ackInterval := now - priorTime
-		iv := sendInterval
+		ackInterval := now - c.ack.priorTime
+		iv := c.ack.sendInterval
 		if ackInterval > iv {
 			iv = ackInterval
 		}
@@ -211,7 +227,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 		}
 	}
 
-	c.ccMod.OnAck(c, &rs)
+	c.ccMod.OnAck(c, rs)
 	if !c.ccMod.WantsPacing() {
 		c.updatePacingRateFromCwnd()
 	}

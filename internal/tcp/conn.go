@@ -113,6 +113,7 @@ type Conn struct {
 	buffered  units.DataSize // copied into the sndbuf, not yet sent
 	appCopied int64          // total bytes ever copied
 	appBusy   bool
+	appChunk  units.DataSize // size of the copy in progress (appBusy guards it)
 
 	maxBufOcc units.DataSize
 	rttSample stats.Online
@@ -135,13 +136,17 @@ type Conn struct {
 	// released connection is safe to recycle.
 	onQuiet func()
 
-	// Timer callbacks cached at construction so the hot re-arm paths
-	// (pacing gate, RTO, TSQ retry, watchdog) never allocate a closure or
-	// method value per event.
+	// Callbacks cached at construction (appCopiedFn: when the app core is
+	// attached) so the hot re-arm paths — pacing gate, RTO and its CPU job,
+	// TSQ retry, watchdog, app-copy completion — and a pooled connection's
+	// start kick never allocate a closure or method value per event.
 	trySendFn    func()
 	pacingFire   func()
 	rtoFire      func()
+	enterLossFn  func()
 	watchdogFire func()
+	appCopiedFn  func()
+	kickFn       func()
 
 	// pool is the run's packet/ACK recycler (nil in unit tests — every
 	// acquire then heap-allocates). infoFree is the connection-private
@@ -157,6 +162,7 @@ type Conn struct {
 	// processAckFn is the shared CPU-completion callback for ACK
 	// processing; the ACK rides along as the SubmitP argument.
 	processAckFn func(any)
+	ack          ackScratch
 
 	// Transmit-job state parked on the connection while the CPU model
 	// serializes the batch (xmitBusy guards a single outstanding job):
@@ -193,7 +199,9 @@ func NewConn(id int, eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg C
 	c.trySendFn = c.trySend
 	c.pacingFire = c.pacingExpired
 	c.rtoFire = c.onRTOTimer
+	c.enterLossFn = c.enterLoss
 	c.watchdogFire = c.watchdogCheck
+	c.kickFn = c.kick
 	c.processAckFn = func(v any) { c.processAck(v.(*seg.Ack)) }
 	c.emitFn = func() { c.emit(c.xmitPaceFrom, c.xmitRetx, c.xmitNew) }
 	return c
@@ -235,7 +243,10 @@ func (c *Conn) Pacer() *pacing.Pacer { return c.pacer }
 
 // SetAppCPU attaches the application core that pays the per-byte sendmsg
 // copy cost. Call before Start.
-func (c *Conn) SetAppCPU(cpu *cpumodel.CPU) { c.appCPU = cpu }
+func (c *Conn) SetAppCPU(cpu *cpumodel.CPU) {
+	c.appCPU = cpu
+	c.appCopiedFn = c.appCopyDone
+}
 
 // SetTelemetry attaches the event bus and per-connection instruments. Call
 // before Start. Either argument may be nil (that subsystem stays off). The
@@ -279,13 +290,16 @@ func (c *Conn) Start() {
 		return
 	}
 	c.started = true
-	c.eng.Schedule(c.cfg.StartDelay, func() {
-		c.kicked = true
-		c.lastProgress = c.eng.Now()
-		c.armWatchdog()
-		c.appPump()
-		c.trySend()
-	})
+	c.eng.Schedule(c.cfg.StartDelay, c.kickFn)
+}
+
+// kick is Start's deferred first transmission (cached in kickFn).
+func (c *Conn) kick() {
+	c.kicked = true
+	c.lastProgress = c.eng.Now()
+	c.armWatchdog()
+	c.appPump()
+	c.trySend()
 }
 
 // appCopyChunk is how much one iperf write copies into the socket buffer.
@@ -293,7 +307,9 @@ const appCopyChunk = 16 * units.KB
 
 // appPump keeps the socket buffer filled: whenever there is room (and the
 // application still has data), it charges one chunk's copy to the app core
-// and re-arms itself on completion.
+// and re-arms itself on completion. The chunk in flight is parked on the
+// connection (appBusy guarantees a single outstanding copy), so the
+// completion callback is the shared appCopiedFn, not a closure per chunk.
 func (c *Conn) appPump() {
 	if c.appCPU == nil || c.appBusy || c.done {
 		return
@@ -338,18 +354,23 @@ func (c *Conn) appPump() {
 		}
 	}
 	c.appBusy = true
+	c.appChunk = chunk
 	cost := float64(chunk) * c.cpu.Costs().CopyPerByte
-	c.appCPU.Submit(cpumodel.OpDataCopy, cost, func() {
-		c.appBusy = false
-		if c.done {
-			c.maybeQuiet()
-			return
-		}
-		c.buffered += chunk
-		c.appCopied += int64(chunk)
-		c.appPump()
-		c.trySend()
-	})
+	c.appCPU.Submit(cpumodel.OpDataCopy, cost, c.appCopiedFn)
+}
+
+// appCopyDone runs at the app core's completion of one chunk copy (cached in
+// appCopiedFn).
+func (c *Conn) appCopyDone() {
+	c.appBusy = false
+	if c.done {
+		c.maybeQuiet()
+		return
+	}
+	c.buffered += c.appChunk
+	c.appCopied += int64(c.appChunk)
+	c.appPump()
+	c.trySend()
 }
 
 // Stop halts transmission and cancels timers.
@@ -972,7 +993,7 @@ func (c *Conn) onRTOTimer() {
 	if c.done || c.inflight == 0 && c.board.firstLost() == nil {
 		return
 	}
-	c.cpu.SubmitOp(cpumodel.OpRTO, c.enterLoss)
+	c.cpu.SubmitOp(cpumodel.OpRTO, c.enterLossFn)
 }
 
 // enterLoss is tcp_enter_loss: everything unsacked is marked lost, the

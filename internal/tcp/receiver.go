@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"sort"
 	"time"
 
 	"mobbr/internal/netem"
@@ -153,33 +152,47 @@ func (r *Receiver) covered(pkt *seg.Packet) bool {
 	return false
 }
 
+// insertOOO adds nb to the out-of-order list, keeping it sorted by Start and
+// disjoint. The list is edited in place: nb is opened into its sorted
+// position, then everything it touches (overlapping or adjacent) is folded
+// into one block and the tail copied down.
 func (r *Receiver) insertOOO(nb seg.SackBlock) {
-	r.ooo = append(r.ooo, nb)
-	sort.Slice(r.ooo, func(i, j int) bool { return r.ooo[i].Start < r.ooo[j].Start })
-	// Merge overlapping/adjacent blocks.
-	merged := r.ooo[:1]
-	for _, b := range r.ooo[1:] {
-		last := &merged[len(merged)-1]
-		if b.Start <= last.End {
-			if b.End > last.End {
-				last.End = b.End
-			}
-		} else {
-			merged = append(merged, b)
+	ooo := r.ooo
+	i := len(ooo)
+	for i > 0 && ooo[i-1].Start > nb.Start {
+		i--
+	}
+	ooo = append(ooo, seg.SackBlock{})
+	copy(ooo[i+1:], ooo[i:])
+	ooo[i] = nb
+	// Only the predecessor can reach nb from the left; fold from there.
+	if i > 0 && ooo[i-1].End >= nb.Start {
+		i--
+	}
+	j := i + 1
+	for ; j < len(ooo) && ooo[j].Start <= ooo[i].End; j++ {
+		if ooo[j].End > ooo[i].End {
+			ooo[i].End = ooo[j].End
 		}
 	}
-	r.ooo = merged
+	kept := copy(ooo[i+1:], ooo[j:])
+	r.ooo = ooo[:i+1+kept]
 }
 
 // mergeContiguous absorbs out-of-order blocks that now start at or below
-// rcvNxt.
+// rcvNxt. Survivors are copied down rather than re-sliced off the front, so
+// the backing array keeps its capacity for the next loss episode.
 func (r *Receiver) mergeContiguous() {
-	for len(r.ooo) > 0 && r.ooo[0].Start <= r.rcvNxt {
-		if r.ooo[0].End > r.rcvNxt {
-			r.goodBytes += units.DataSize(r.ooo[0].End - r.rcvNxt)
-			r.rcvNxt = r.ooo[0].End
+	n := 0
+	for n < len(r.ooo) && r.ooo[n].Start <= r.rcvNxt {
+		if r.ooo[n].End > r.rcvNxt {
+			r.goodBytes += units.DataSize(r.ooo[n].End - r.rcvNxt)
+			r.rcvNxt = r.ooo[n].End
 		}
-		r.ooo = r.ooo[1:]
+		n++
+	}
+	if n > 0 {
+		r.ooo = r.ooo[:copy(r.ooo, r.ooo[n:])]
 	}
 }
 

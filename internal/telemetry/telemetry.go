@@ -19,6 +19,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -165,27 +166,46 @@ type jsonEvent struct {
 	V4   float64 `json:"v4,omitempty"`
 }
 
+// jsonlFlushBytes is how much encoded output WriteJSONL gathers before it
+// hands the writer a chunk.
+const jsonlFlushBytes = 32 << 10
+
 // WriteJSONL writes one JSON object per line for every recorded event. The
 // output is deterministic: same seed, same spec → byte-identical bytes.
+// Events are encoded through one reused record and buffer (Encoder.Encode
+// is Marshal plus the newline), and reach w in chunks rather than a Write
+// per event.
 func (b *Bus) WriteJSONL(w io.Writer) error {
 	if b == nil {
 		return nil
 	}
+	var (
+		buf bytes.Buffer
+		je  jsonEvent
+	)
+	enc := json.NewEncoder(&buf)
 	for i := range b.events {
 		e := &b.events[i]
-		line, err := json.Marshal(jsonEvent{
+		je = jsonEvent{
 			TNs: int64(e.At), Kind: e.Kind.String(), Conn: e.Conn,
 			Old: e.Old, New: e.New,
 			V: e.Value, V2: e.V2, V3: e.V3, V4: e.V4,
-		})
-		if err != nil {
+		}
+		if err := enc.Encode(&je); err != nil {
 			return fmt.Errorf("telemetry: marshal event %d: %w", i, err)
 		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return err
+		if buf.Len() >= jsonlFlushBytes {
+			if _, err := w.Write(buf.Bytes()); err != nil {
+				return err
+			}
+			buf.Reset()
 		}
 	}
-	return nil
+	if buf.Len() == 0 {
+		return nil
+	}
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
 // Filter returns the events of one kind, in order.

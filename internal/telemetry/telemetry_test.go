@@ -94,6 +94,62 @@ func TestNilReceiversZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestWriteJSONLMatchesMarshal holds the buffered encoder to the wire form
+// it replaced — json.Marshal of each event plus a newline — over enough
+// events to cross several flush chunks, with strings that need escaping and
+// floats at both ends of the formatter, and checks the writer sees chunks,
+// not one Write per event. (The allocation side is budgeted in
+// core.TestSteadyStateAllocsJSONL, which can skip itself under -race.)
+func TestWriteJSONLMatchesMarshal(t *testing.T) {
+	eng := sim.New(1)
+	bus := NewBus(eng, 0)
+	labels := []string{"", "STARTUP", `<a href="x">&</a>`, "tab\there", "µs/é\u2028"}
+	const events = 5000
+	for i := 0; i < events; i++ {
+		i := i
+		eng.Schedule(time.Duration(i)*time.Microsecond, func() {
+			bus.Emit(Event{Kind: Kind(i % int(numKinds)), Conn: i%9 - 1,
+				Old: labels[i%len(labels)], New: labels[(i/3)%len(labels)],
+				Value: float64(i) / 7, V2: 1e21 * float64(i%2), V3: 1e-7 * float64(i%3), V4: float64(i % 4)})
+		})
+	}
+	eng.Run(time.Second)
+
+	var want bytes.Buffer
+	for _, e := range bus.Events() {
+		line, err := json.Marshal(jsonEvent{
+			TNs: int64(e.At), Kind: e.Kind.String(), Conn: e.Conn, Old: e.Old, New: e.New,
+			V: e.Value, V2: e.V2, V3: e.V3, V4: e.V4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(line)
+		want.WriteByte('\n')
+	}
+	var got countingWriter
+	if err := bus.WriteJSONL(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.buf.Bytes(), want.Bytes()) {
+		t.Fatal("buffered JSONL differs from json.Marshal + newline per event")
+	}
+	if got.writes < 2 || got.writes > events/50 {
+		t.Errorf("%d events reached the writer in %d writes, want a few chunks", events, got.writes)
+	}
+}
+
+// countingWriter records what it is given and in how many Write calls.
+type countingWriter struct {
+	buf    bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
+}
+
 func TestWriteJSONLDeterministicAndParseable(t *testing.T) {
 	mk := func() *bytes.Buffer {
 		eng := sim.New(7)

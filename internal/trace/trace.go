@@ -47,6 +47,7 @@ type Recorder struct {
 	conns  []*tcp.Conn
 	period time.Duration
 	bus    *telemetry.Bus
+	tickFn func() // cached tick callback: re-arming allocates nothing
 }
 
 // New returns a recorder for conns sampling every period (default 50 ms).
@@ -55,7 +56,9 @@ func New(eng *sim.Engine, conns []*tcp.Conn, period time.Duration) *Recorder {
 	if period <= 0 {
 		period = 50 * time.Millisecond
 	}
-	return &Recorder{eng: eng, conns: conns, period: period}
+	r := &Recorder{eng: eng, conns: conns, period: period}
+	r.tickFn = r.tick
+	return r
 }
 
 // SetBus directs samples onto a shared telemetry bus instead of a private
@@ -69,7 +72,7 @@ func (r *Recorder) Start() {
 	if r.bus == nil {
 		r.bus = telemetry.NewBus(r.eng, telemetry.DefaultMaxEvents)
 	}
-	r.eng.Schedule(0, r.tick)
+	r.eng.Schedule(0, r.tickFn)
 }
 
 func (r *Recorder) tick() {
@@ -85,7 +88,7 @@ func (r *Recorder) tick() {
 			V4:    float64(st.SRTT) / 1e6,
 		})
 	}
-	r.eng.Schedule(r.period, r.tick)
+	r.eng.Schedule(r.period, r.tickFn)
 }
 
 // ccMode extracts the state-machine mode from BBR-family modules.
