@@ -14,7 +14,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"time"
 
@@ -38,10 +40,9 @@ func main() {
 	profile := flag.Bool("profile", false, "profile CPU cycles and add the pace% column; prints the last point's table")
 	jobs := flag.Int("j", 0, "experiment points run in parallel (0 = one per CPU); results are identical at any -j")
 	shards := flag.Int("shards", 1, "engine shards per run: split sender and receiver hosts across cores (conservative lookahead sync); results are identical at any -shards")
-	journal := flag.String("journal", "", "checkpoint each finished point to this JSONL file (implies fault-tolerant per-point execution)")
+	journal := flag.String("journal", "", "checkpoint each finished point to this JSONL file")
 	resume := flag.Bool("resume", false, "with -journal: skip points already checkpointed; resumed output is byte-identical")
 	retries := flag.Int("retries", 0, "retry attempts for infra-class failures (wall deadline); deterministic failures never retry")
-	keepGoing := flag.Bool("keep-going", false, "contain per-point failures as FAILED rows and run the rest of the grid")
 	cpuProf := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole grid to FILE")
 	memProf := flag.String("memprofile", "", "write a pprof heap profile at exit to FILE")
 	archiveDir := flag.String("archive", "", "write a run archive (manifest + per-point artifacts) under DIR/<exp-id>/; compare archives with mobbr-diff")
@@ -53,217 +54,161 @@ func main() {
 		*exp = "" // alias: -exp all ≡ run everything
 	}
 	if warn, err := checkParallelism(*shards, *jobs); err != nil {
-		fmt.Fprintln(os.Stderr, "mobbr-repro:", err)
-		os.Exit(1)
+		fatal(err)
 	} else if warn != "" {
 		fmt.Fprintln(os.Stderr, "mobbr-repro: warning:", warn)
 	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
 	defer stopProf()
 
-	tel := telemetry.Config{Trace: *traceTo != "", Metrics: *metrics, Profile: *profile}
-
-	var archFlags map[string]string
-	if *forceStride > 0 {
-		archFlags = map[string]string{"force-stride": fmt.Sprint(*forceStride)}
-	}
-	archOpts := func(wall time.Duration) repro.ArchiveOpts {
-		return repro.ArchiveOpts{
-			Dir: *archiveDir, Dur: *dur, Seeds: *seeds,
-			Telemetry: tel, Flags: archFlags, Wall: wall,
-		}
-	}
-	// printRollup renders the per-cell view of one assembled run; fatal is
-	// reserved for archive I/O, not aggregation.
-	printRollup := func(run *obs.Run) {
-		if err := obs.WriteRollup(os.Stdout, run, obs.Rollup(run)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
-	rec := repro.Recovery()
-	if *forceStride > 0 {
-		for i := range rec.Points {
-			rec.Points[i].Spec.Stride = *forceStride
-		}
-	}
 	if *list {
-		for _, e := range repro.All() {
+		for _, e := range append(repro.All(), repro.Scale(), repro.Recovery()) {
 			fmt.Printf("%-10s %s\n", e.ID, e.Title)
 		}
-		sc := repro.Scale()
-		fmt.Printf("%-10s %s\n", sc.ID, sc.Title)
-		fmt.Printf("%-10s %s\n", rec.ID, rec.Title)
 		fmt.Printf("%-10s %s\n", "trace", "Trace replay: BBR vs BBRv2 vs Cubic over a measured or synthesized commute (-trace-file / -trace-preset)")
 		return
 	}
 
-	// The recovery experiment has its own runner: its metric comes from the
-	// interval series and its duration is fixed by the fault timeline.
-	runRecovery := func() {
-		recStart := time.Now()
-		rows, err := repro.RunRecoveryPool(rec, *seeds, *jobs)
+	// Every grid — the paper's, scale, recovery, a replayed trace — is an
+	// Experiment and takes the same path from here on.
+	var exps []repro.Experiment
+	switch *exp {
+	case "":
+		exps = append(repro.All(), repro.Recovery())
+	case "trace":
+		tr, err := repro.LoadTrace(*trFile, *trPre, *dur, *trTick, *trSeed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
-		repro.PrintRecovery(os.Stdout, rec, rows)
-		if *archiveDir != "" {
-			if err := repro.ArchiveRecovery(rec, rows, archOpts(time.Since(recStart))); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		e, err := repro.NewTraceExperiment(tr)
+		if err != nil {
+			fatal(err)
 		}
-		if *rollup {
-			run, err := repro.BuildRecoveryRun(rec, rows, archOpts(0))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			printRollup(run)
-		}
-	}
-
-	start := time.Now()
-	exps := repro.All()
-	if *exp != "" {
-		if *exp == "trace" {
-			tr, err := repro.LoadTrace(*trFile, *trPre, *dur, *trTick, *trSeed)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			e, err := repro.NewTraceExperiment(tr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if *forceStride > 0 {
-				for i := range e.Points {
-					e.Points[i].Spec.Stride = *forceStride
-				}
-			}
-			rows, err := repro.RunTracePool(e, *seeds, *jobs)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			repro.PrintTrace(os.Stdout, e, rows)
-			if *archiveDir != "" {
-				if err := repro.ArchiveTrace(e, rows, archOpts(time.Since(start))); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-			}
-			if *rollup {
-				run, err := repro.BuildTraceRun(e, rows, archOpts(0))
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				printRollup(run)
-			}
-			fmt.Printf("(wall time %v)\n", time.Since(start).Round(time.Millisecond))
-			return
-		}
-		if *exp == rec.ID {
-			runRecovery()
-			fmt.Printf("(wall time %v)\n", time.Since(start).Round(time.Millisecond))
-			return
-		}
+		exps = []repro.Experiment{e}
+	default:
 		e, err := repro.ByID(*exp)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 		exps = []repro.Experiment{e}
 	}
-
-	resilient := *journal != "" || *resume || *retries > 0 || *keepGoing
 	if *resume && *journal == "" {
-		fmt.Fprintln(os.Stderr, "-resume needs -journal")
-		os.Exit(1)
+		fatal("-resume needs -journal")
 	}
-	if resilient && len(exps) > 1 && *journal != "" {
-		fmt.Fprintln(os.Stderr, "-journal covers one experiment; pick it with -exp")
-		os.Exit(1)
+	if *journal != "" && len(exps) > 1 {
+		fatal("-journal covers one experiment; pick it with -exp")
 	}
 
-	failed := 0
-	var lastRows []repro.Row
-	for _, e := range exps {
-		if *forceStride > 0 {
-			for i := range e.Points {
-				e.Points[i].Spec.Stride = *forceStride
-			}
-		}
-		expStart := time.Now()
-		var prog *obs.Progress
-		var observer repro.Observer
-		if *progress {
-			prog = obs.NewProgress(os.Stderr, 0)
-			observer = prog
-		}
-		var rows []repro.Row
-		var err error
-		if resilient {
-			rows, err = repro.RunExperimentResilient(e, repro.RunOpts{
-				Dur: *dur, Seeds: *seeds, Telemetry: tel, Workers: *jobs,
-				Journal: *journal, Resume: *resume, Retries: *retries,
-				Progress: observer, Shards: *shards,
-			})
-			failed += repro.FailedRows(rows)
-		} else {
-			rows, err = repro.RunExperimentPoolShards(e, *dur, *seeds, tel, *jobs, *shards, observer)
-		}
-		if prog != nil {
-			prog.Stop()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		repro.Print(os.Stdout, e, rows)
-		if *archiveDir != "" {
-			if err := repro.ArchiveExperiment(e, rows, archOpts(time.Since(expStart))); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if *rollup {
-			run, err := repro.BuildExperimentRun(e, rows, archOpts(0))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			printRollup(run)
-		}
-		lastRows = rows
+	g := grid{
+		opts: repro.RunOpts{
+			Dur: *dur, Seeds: *seeds, Workers: *jobs, Shards: *shards,
+			Telemetry: telemetry.Config{Trace: *traceTo != "", Metrics: *metrics, Profile: *profile},
+			Journal:   *journal, Resume: *resume, Retries: *retries,
+		},
+		archiveDir: *archiveDir, rollup: *rollup, progress: *progress,
+		forceStride: *forceStride, traceTo: *traceTo,
 	}
-	if failed > 0 {
-		if *journal != "" {
-			fmt.Fprintf(os.Stderr, "%d point(s) failed; repro lines are in %s\n", failed, *journal)
-		} else {
-			fmt.Fprintf(os.Stderr, "%d point(s) failed; add -journal to keep their repro lines\n", failed)
-		}
-	}
-	if *exp == "" {
-		runRecovery()
-	}
-	if tel.Any() && len(lastRows) > 0 {
-		writeTelemetry(lastRows[len(lastRows)-1], *traceTo, *metrics, *profile)
-	}
-	fmt.Printf("(wall time %v)\n", time.Since(start).Round(time.Millisecond))
-	if failed > 0 {
+	if status := g.runAll(exps, os.Stdout, os.Stderr); status != 0 {
 		stopProf() // os.Exit skips the deferred call
-		os.Exit(1)
+		os.Exit(status)
 	}
+}
+
+// grid is one invocation's settings for running, printing and archiving
+// experiments.
+type grid struct {
+	opts        repro.RunOpts
+	archiveDir  string
+	rollup      bool
+	progress    bool
+	forceStride float64
+	traceTo     string
+}
+
+// runAll runs the experiments in order and returns the process exit status:
+// 1 when any point failed (each one reported on stderr) or on journal or
+// archive I/O errors.
+func (g grid) runAll(exps []repro.Experiment, stdout, stderr io.Writer) int {
+	start := time.Now()
+	failed := 0
+	var last repro.Row
+	for _, e := range exps {
+		rows, n, err := g.run(e, stdout, stderr)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		failed += n
+		last = rows[len(rows)-1]
+	}
+	if tel := g.opts.Telemetry; tel.Any() {
+		writeTelemetry(last, g.traceTo, tel.Metrics, tel.Profile)
+	}
+	fmt.Fprintf(stdout, "(wall time %v)\n", time.Since(start).Round(time.Millisecond))
+	if failed > 0 {
+		fmt.Fprintf(stderr, "%d point(s) failed\n", failed)
+		return 1
+	}
+	return 0
+}
+
+// run takes one experiment through the grid runner and writes its table
+// (and rollup) to stdout, its archive to disk, and every failed point's
+// class, message and repro line to stderr. It returns the rows and how many
+// failed; the error is journal or archive I/O only.
+func (g grid) run(e repro.Experiment, stdout, stderr io.Writer) ([]repro.Row, int, error) {
+	if g.forceStride > 0 {
+		for i := range e.Points {
+			e.Points[i].Spec.Stride = g.forceStride
+		}
+	}
+	opts := g.opts
+	var prog *obs.Progress
+	if g.progress {
+		prog = obs.NewProgress(stderr, 0)
+		opts.Progress = prog
+	}
+	start := time.Now()
+	rows, err := repro.RunExperimentResilient(e, opts)
+	if prog != nil {
+		prog.Stop()
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	repro.Print(stdout, e, rows)
+	failed := repro.WriteFailures(stderr, e, rows)
+	if g.archiveDir == "" && !g.rollup {
+		return rows, failed, nil
+	}
+	ao := repro.ArchiveOpts{Dur: opts.Dur, Seeds: opts.Seeds, Telemetry: opts.Telemetry, Wall: time.Since(start)}
+	if g.forceStride > 0 {
+		ao.Flags = map[string]string{"force-stride": fmt.Sprint(g.forceStride)}
+	}
+	run, err := repro.BuildExperimentRun(e, rows, ao)
+	if err != nil {
+		return nil, 0, err
+	}
+	if g.archiveDir != "" {
+		if err := obs.WriteRun(filepath.Join(g.archiveDir, e.ID), run.Manifest, run.Points); err != nil {
+			return nil, 0, err
+		}
+	}
+	if g.rollup {
+		if err := obs.WriteRollup(stdout, run, obs.Rollup(run)); err != nil {
+			return nil, 0, err
+		}
+	}
+	return rows, failed, nil
+}
+
+func fatal(v any) {
+	fmt.Fprintln(os.Stderr, v)
+	os.Exit(1)
 }
 
 // writeTelemetry emits the enabled observability outputs from one row's

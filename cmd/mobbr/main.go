@@ -123,11 +123,15 @@ func main() {
 	}
 
 	if *expName != "" {
-		if strings.EqualFold(*expName, "trace") {
-			runTraceExperiment(*trFile, *trPre, *dur, *trTick, *trSeed, *seeds, *jobs)
-			return
+		e, err := resolveExperiment(strings.ToLower(*expName), *trFile, *trPre, *dur, *trTick, *trSeed)
+		if err != nil {
+			fatalf("%v", err)
 		}
-		runExperiment(*expName, *dur, *seeds, *jobs, *shards, tel, *traceTo, *metrics, *profile, *folded, *showProg)
+		opts := repro.RunOpts{Dur: *dur, Seeds: *seeds, Workers: *jobs, Shards: *shards, Telemetry: tel}
+		if !runExperiment(e, opts, *showProg, *traceTo, *metrics, *profile, *folded) {
+			stopProf()
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -383,24 +387,6 @@ func writeTelemetry(res *core.Result, traceTo string, metrics, profile bool, fol
 	}
 }
 
-// runTraceExperiment replays a dataset file or synthesized preset commute
-// (-exp trace) through the BBR/BBRv2/Cubic × Low-End/Default grid.
-func runTraceExperiment(file, preset string, dur, tick time.Duration, traceSeed int64, seeds, jobs int) {
-	tr, err := repro.LoadTrace(file, preset, dur, tick, traceSeed)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	e, err := repro.NewTraceExperiment(tr)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rows, err := repro.RunTracePool(e, seeds, jobs)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	repro.PrintTrace(os.Stdout, e, rows)
-}
-
 // checkParallelism validates the -shards/-j pair. Both knobs multiply:
 // every in-flight grid point drives its own shard set, so asking for more
 // shard goroutines than the scheduler has processors oversubscribes and the
@@ -424,27 +410,30 @@ func checkParallelism(shards, jobs int) (warn string, err error) {
 	return "", nil
 }
 
-// runExperiment runs one repro experiment by id, like mobbr-repro -exp.
-func runExperiment(id string, dur time.Duration, seeds, jobs, shards int, tel telemetry.Config, traceTo string, metrics, profile bool, folded string, showProg bool) {
-	if rec := repro.Recovery(); strings.EqualFold(id, rec.ID) {
-		rows, err := repro.RunRecoveryPool(rec, seeds, jobs)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		repro.PrintRecovery(os.Stdout, rec, rows)
-		return
+// resolveExperiment maps an -exp id to its grid: "trace" compiles the
+// dataset file or synthesized preset commute, every other id is a registry
+// lookup (see mobbr-repro -list).
+func resolveExperiment(id, file, preset string, dur, tick time.Duration, traceSeed int64) (repro.Experiment, error) {
+	if id != "trace" {
+		return repro.ByID(id)
 	}
-	e, err := repro.ByID(id)
+	tr, err := repro.LoadTrace(file, preset, dur, tick, traceSeed)
 	if err != nil {
-		fatalf("%v", err)
+		return repro.Experiment{}, err
 	}
-	var observer repro.Observer
+	return repro.NewTraceExperiment(tr)
+}
+
+// runExperiment runs one repro experiment like mobbr-repro -exp and prints
+// its table. A false return means some point failed; each is reported on
+// stderr with its repro line.
+func runExperiment(e repro.Experiment, opts repro.RunOpts, showProg bool, traceTo string, metrics, profile bool, folded string) bool {
 	var prog *obs.Progress
 	if showProg {
 		prog = obs.NewProgress(os.Stderr, 0)
-		observer = prog
+		opts.Progress = prog
 	}
-	rows, err := repro.RunExperimentPoolShards(e, dur, seeds, tel, jobs, shards, observer)
+	rows, err := repro.RunExperimentResilient(e, opts)
 	if prog != nil {
 		prog.Stop()
 	}
@@ -452,9 +441,8 @@ func runExperiment(id string, dur time.Duration, seeds, jobs, shards int, tel te
 		fatalf("%v", err)
 	}
 	repro.Print(os.Stdout, e, rows)
-	if len(rows) > 0 {
-		writeTelemetry(rows[len(rows)-1].Sample, traceTo, metrics, profile, folded)
-	}
+	writeTelemetry(rows[len(rows)-1].Sample, traceTo, metrics, profile, folded)
+	return repro.WriteFailures(os.Stderr, e, rows) == 0
 }
 
 // runSpecCmd replays one exact spec from a failure's repro line and prints

@@ -34,6 +34,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"mobbr/internal/telemetry"
 )
@@ -77,24 +78,44 @@ type Manifest struct {
 
 // Metrics is the measured outcome of one grid point — the union of the
 // fields the standard, recovery and trace experiments report, with
-// omitempty on the experiment-specific ones.
+// omitempty on the experiment-specific ones. repro.Row embeds it, so the
+// table printers, the checkpoint journal and the archive all read one
+// struct. All fields are JSON numbers; Go's float64 round-trips exactly
+// through encoding/json, so a journal-resumed row prints byte-identically
+// to the original.
 type Metrics struct {
-	GoodputMbps  float64 `json:"goodput_mbps"`
-	GoodputCI    float64 `json:"goodput_ci,omitempty"`
-	RTTms        float64 `json:"rtt_ms,omitempty"`
-	MinRTTms     float64 `json:"min_rtt_ms,omitempty"`
-	Retransmits  float64 `json:"retransmits,omitempty"`
+	// GoodputMbps and GoodputCI are the seed-mean and 95% CI half-width
+	// (recovery points: of the pre-fault goodput over [warmup, fault start)).
+	GoodputMbps float64 `json:"goodput_mbps"`
+	GoodputCI   float64 `json:"goodput_ci,omitempty"`
+	// RTTms is the mean sampled smoothed RTT; MinRTTms the mean minimum RTT.
+	RTTms    float64 `json:"rtt_ms,omitempty"`
+	MinRTTms float64 `json:"min_rtt_ms,omitempty"`
+	// Retransmits is the seed-mean total retransmissions.
+	Retransmits float64 `json:"retransmits,omitempty"`
+	// SKBKbits is the mean socket-buffer (skb) length per pacing period in
+	// kilobits, as Table 2 reports it; IdleMs the mean pacing idle time per
+	// period; ExpectedMbps Table 2's expected throughput skb×conns/idle.
 	SKBKbits     float64 `json:"skb_kbits,omitempty"`
 	IdleMs       float64 `json:"idle_ms,omitempty"`
 	ExpectedMbps float64 `json:"expected_mbps,omitempty"`
-	MaxBufKB     float64 `json:"max_buf_kb,omitempty"`
-	CPUUtil      float64 `json:"cpu_util,omitempty"`
-	Jain         float64 `json:"jain,omitempty"`
-	PacingShare  float64 `json:"pacing_share,omitempty"`
-	Profiled     bool    `json:"profiled,omitempty"`
+	// MaxBufKB is the peak total socket-buffer occupancy in KB (§7.1.1).
+	MaxBufKB float64 `json:"max_buf_kb,omitempty"`
+	// CPUUtil is the netstack CPU busy fraction.
+	CPUUtil float64 `json:"cpu_util,omitempty"`
+	// Jain is the mean Jain fairness index of per-connection goodputs.
+	Jain float64 `json:"jain,omitempty"`
+	// PacingShare is the pacing-timer fraction of netstack-core cycles from
+	// the cycle profiler — the §6.1 per-event-overhead signal. Profiled
+	// records whether the point's runs carried a cycle profile at all, so a
+	// resumed or reloaded grid renders the same columns.
+	PacingShare float64 `json:"pacing_share,omitempty"`
+	Profiled    bool    `json:"profiled,omitempty"`
 	// AppKind through RebufferPct are the application-workload grid's
-	// metrics ("apps"): completed operations, request-latency percentiles
-	// and the streaming rebuffer share. Bulk points omit them all.
+	// metrics ("apps"): the workload name ("" for bulk iperf points),
+	// operations completed across the point's seeds, request-latency
+	// percentiles over every completed operation, and the streaming
+	// workload's stall share of playback time. Bulk points omit them all.
 	AppKind     string  `json:"app_kind,omitempty"`
 	Requests    int64   `json:"requests,omitempty"`
 	LatP50ms    float64 `json:"lat_p50_ms,omitempty"`
@@ -102,31 +123,45 @@ type Metrics struct {
 	LatP99ms    float64 `json:"lat_p99_ms,omitempty"`
 	RebufferPct float64 `json:"rebuffer_pct,omitempty"`
 	// FlowsStarted through FastPathShare are the flow-churn grid's metrics
-	// ("scale"): flows admitted/completed, peak concurrency,
-	// flow-completion-time percentiles and the flow-table fast-path share.
-	// Non-churn points omit them all.
+	// ("scale", Spec.Flows): flows admitted and completed across the
+	// point's seeds, peak concurrency, flow-completion-time percentiles
+	// pooled over every completed flow, and the fast-path share of
+	// flow-table lookups. FlowsStarted > 0 marks a flows point; non-churn
+	// points omit them all.
 	FlowsStarted   int64   `json:"flows_started,omitempty"`
 	FlowsCompleted int64   `json:"flows_completed,omitempty"`
 	FlowsPeakLive  int     `json:"flows_peak_live,omitempty"`
 	FCTP50ms       float64 `json:"fct_p50_ms,omitempty"`
 	FCTP99ms       float64 `json:"fct_p99_ms,omitempty"`
 	FastPathShare  float64 `json:"fast_path_share,omitempty"`
-	// RecoveryMs / RecoveryCI / Recovered are the recovery experiment's
-	// metrics.
+	// RecoveryMs is the recovery experiment's seed-mean time from link
+	// return to the first reporting interval at ≥ 90% of the pre-fault
+	// goodput (censored at run end for seeds that never recover),
+	// RecoveryCI its 95% CI half-width, and Recovered how many of the seeds
+	// regained 90% before run end.
 	RecoveryMs float64 `json:"recovery_ms,omitempty"`
 	RecoveryCI float64 `json:"recovery_ci,omitempty"`
 	Recovered  int     `json:"recovered,omitempty"`
-	// SpuriousRTOs is recovery's F-RTO signal.
+	// SpuriousRTOs is the seed-mean count of F-RTO-detected spurious
+	// timeouts (expected after a blackout's first ACK returns).
 	SpuriousRTOs float64 `json:"spurious_rtos,omitempty"`
 }
 
-// Failure mirrors the resilient runner's contained-failure record.
+// Failure records one contained point failure of the grid runner.
 type Failure struct {
-	Class    string `json:"class"`
-	Rule     string `json:"rule,omitempty"`
-	Msg      string `json:"msg"`
-	Repro    string `json:"repro,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
+	// Class is the core failure class (core.FailPanic, core.FailViolation,
+	// core.FailMaxEvents, core.FailWallClock, core.FailStall,
+	// core.FailError).
+	Class string `json:"class"`
+	// Rule is the first violated invariant rule (violation class only).
+	Rule string `json:"rule,omitempty"`
+	// Msg is the failure text.
+	Msg string `json:"msg"`
+	// Repro is the one-command reproduction line (spec JSON + seed).
+	Repro string `json:"repro,omitempty"`
+	// Attempts is how many times the point ran (>1 only after infra
+	// retries).
+	Attempts int `json:"attempts,omitempty"`
 }
 
 // HistDigest is one instrument's merged histogram across the point's
@@ -343,14 +378,17 @@ func strictUnmarshal(data []byte, v any) error {
 
 // GitDescribe returns `git describe --always --dirty` of the working tree,
 // or "" when git or the repository is unavailable. Archive metadata only —
-// never part of point identity.
-func GitDescribe() string {
+// never part of point identity. Resolved once per process: a grid run
+// stamps one manifest per experiment and must not fork git for each.
+func GitDescribe() string { return gitDescribe() }
+
+var gitDescribe = sync.OnceValue(func() string {
 	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
 	if err != nil {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
-}
+})
 
 // DigestSnapshot converts a run's telemetry registry snapshot into the
 // archive digest: per-connection histograms merged by instrument with the

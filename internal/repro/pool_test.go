@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"mobbr/internal/telemetry"
 )
 
 func TestForEachRunsEveryIndex(t *testing.T) {
@@ -70,9 +68,12 @@ func TestForEachZeroAndNegative(t *testing.T) {
 	}
 }
 
-// stripNondeterministic clears the per-row fields that legitimately differ
-// across processes or scheduling: Sample carries wall-clock engine
-// self-metrics. The virtual-time Report inside it is checked separately.
+// stripSample clears the per-row field that legitimately differs across
+// processes, scheduling and execution strategies: Sample carries wall-clock
+// engine self-metrics and the pool's allocation-strategy counters (News,
+// per-arena MaxOutstanding, which differ under per-shard arenas). The
+// virtual-time Report inside it is checked separately; every measured
+// column and the exact engine event count must match to the last bit.
 func stripSample(rows []Row) []Row {
 	out := make([]Row, len(rows))
 	copy(out, rows)
@@ -93,14 +94,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	dur := 300 * time.Millisecond
 	const seeds = 1
 	for _, e := range All() {
-		serial, err := RunExperimentPool(e, dur, seeds, telemetry.Config{}, 1)
-		if err != nil {
-			t.Fatalf("%s serial: %v", e.ID, err)
-		}
-		par, err := RunExperimentPool(e, dur, seeds, telemetry.Config{}, 8)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", e.ID, err)
-		}
+		serial := runGrid(t, e, RunOpts{Dur: dur, Seeds: seeds, Workers: 1})
+		par := runGrid(t, e, RunOpts{Dur: dur, Seeds: seeds, Workers: 8})
 		if !reflect.DeepEqual(stripSample(serial), stripSample(par)) {
 			t.Errorf("%s: rows differ between -j 1 and -j 8", e.ID)
 		}
@@ -112,23 +107,17 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelRecoveryMatchesSerial covers the recovery runner's pool path
-// (interval-series metric, checker armed) the same way.
+// TestParallelRecoveryMatchesSerial covers the recovery grid (interval-series
+// metric, checker armed) the same way.
 func TestParallelRecoveryMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the recovery grid twice")
 	}
 	e := Recovery()
 	e.Points = e.Points[:3] // one CPU config's worth is plenty
-	serial, err := RunRecoveryPool(e, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunRecoveryPool(e, 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
+	serial := runGrid(t, e, RunOpts{Seeds: 1, Workers: 1})
+	par := runGrid(t, e, RunOpts{Seeds: 1, Workers: 8})
+	if !reflect.DeepEqual(stripSample(serial), stripSample(par)) {
 		t.Error("recovery rows differ between -j 1 and -j 8")
 	}
 }

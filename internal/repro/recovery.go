@@ -3,13 +3,13 @@ package repro
 import (
 	"fmt"
 	"io"
-	"runtime/debug"
 	"time"
 
 	"mobbr/internal/core"
 	"mobbr/internal/device"
 	"mobbr/internal/faults"
 	"mobbr/internal/iperf"
+	"mobbr/internal/obs"
 	"mobbr/internal/stats"
 	"mobbr/internal/units"
 )
@@ -54,30 +54,6 @@ const (
 // "recovered" (90%).
 const recoveryThreshold = 0.9
 
-// RecoveryPoint is one cell of the recovery experiment.
-type RecoveryPoint struct {
-	// Label names the cell, e.g. "bbr blackout Low-End".
-	Label string
-	// CC is the congestion control under test.
-	CC string
-	// Fault is the injected pattern.
-	Fault RecoveryFault
-	// FaultEnd is when the link is back (recovery time is counted from
-	// here).
-	FaultEnd time.Duration
-	// Spec is the ready-to-run experiment (faults installed, checker on).
-	Spec core.Spec
-}
-
-// RecoveryExperiment is the fault-recovery counterpart of Experiment; it
-// needs its own runner because the metric (time back to 90% of pre-fault
-// goodput) comes from the interval series, not the whole-run means.
-type RecoveryExperiment struct {
-	ID     string
-	Title  string
-	Points []RecoveryPoint
-}
-
 // recoverySchedule builds the fault schedule for one pattern on the LTE
 // radio hop (hop 0).
 func recoverySchedule(f RecoveryFault) (faults.Schedule, time.Duration) {
@@ -101,8 +77,8 @@ func recoverySchedule(f RecoveryFault) (faults.Schedule, time.Duration) {
 // Recovery returns the fault-recovery experiment: BBR vs BBRv2 vs Cubic
 // through a 2 s blackout and an LTE→WiFi handover, on the Low-End and
 // Default CPU configurations, single connection over the LTE uplink.
-func Recovery() RecoveryExperiment {
-	var pts []RecoveryPoint
+func Recovery() Experiment {
+	var pts []Point
 	for _, cfg := range []device.Config{device.LowEnd, device.Default} {
 		for _, fault := range []RecoveryFault{FaultBlackout, FaultHandover} {
 			for _, ccName := range []string{"bbr", "bbr2", "cubic"} {
@@ -119,43 +95,19 @@ func Recovery() RecoveryExperiment {
 					Faults:   sched,
 					Check:    true,
 				}
-				pts = append(pts, RecoveryPoint{
+				pts = append(pts, Point{
 					Label:    fmt.Sprintf("%s %s %s", ccName, fault, cfg),
-					CC:       ccName,
-					Fault:    fault,
-					FaultEnd: end,
 					Spec:     s,
+					FaultEnd: end,
 				})
 			}
 		}
 	}
-	return RecoveryExperiment{
+	return Experiment{
 		ID:     "recovery",
 		Title:  "Goodput recovery after blackout and LTE→WiFi handover (§7.2 extension)",
 		Points: pts,
 	}
-}
-
-// RecoveryRow is the measured outcome of one recovery point.
-type RecoveryRow struct {
-	Point RecoveryPoint
-	// PreFaultMbps is the seed-mean goodput over [warmup, fault start).
-	PreFaultMbps float64
-	// RecoveryMs is the seed-mean time from link return to the first
-	// reporting interval at ≥ 90% of the pre-fault goodput. Censored at
-	// run end for seeds that never recover.
-	RecoveryMs float64
-	// RecoveryCI is the 95% confidence half-width of RecoveryMs.
-	RecoveryCI float64
-	// Recovered is how many of the seeds regained 90% before run end.
-	Recovered int
-	// Seeds is the number of seeds run.
-	Seeds int
-	// SpuriousRTOs is the seed-mean count of F-RTO-detected spurious
-	// timeouts (expected after the blackout's first ACK returns).
-	SpuriousRTOs float64
-	// Retransmits is the seed-mean total retransmissions.
-	Retransmits float64
 }
 
 // recoveryTime extracts (pre-fault goodput, recovery time, recovered) from
@@ -182,84 +134,40 @@ func recoveryTime(ivals []iperf.Interval, warmup, faultStart, faultEnd, dur time
 	return pre, dur - faultEnd, false
 }
 
-// RecoveryTime extracts (pre-fault goodput in bit/s, recovery time,
-// recovered before run end) for this point from one run's interval series.
-func (p RecoveryPoint) RecoveryTime(ivals []iperf.Interval) (pre float64, rec time.Duration, ok bool) {
-	return recoveryTime(ivals, p.Spec.Warmup, recoveryFaultStart, p.FaultEnd, p.Spec.Duration)
-}
-
-// RunRecovery executes every point across seeds and computes the rows.
-// Runs are deterministic per seed: same seeds, same rows.
-func RunRecovery(e RecoveryExperiment, seeds int) ([]RecoveryRow, error) {
-	return RunRecoveryPool(e, seeds, 1)
-}
-
-// RunRecoveryPool is RunRecovery fanned across up to workers OS threads,
-// one point per task; rows come back in point order, identical to a serial
-// run's.
-func RunRecoveryPool(e RecoveryExperiment, seeds, workers int) ([]RecoveryRow, error) {
-	if seeds <= 0 {
-		seeds = 1
-	}
-	rows := make([]RecoveryRow, len(e.Points))
-	err := ForEach(len(e.Points), workers, func(i int) (err error) {
-		p := e.Points[i]
-		last := p.Spec
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("repro %s/%s: panic: %v\nrepro: %s\n%s",
-					e.ID, p.Label, r, core.ReproLine(last), debug.Stack())
-			}
-		}()
-		var (
-			pre, spurious, retx stats.Online
-			recMs               stats.Online
-			recovered           int
-		)
-		for s := 0; s < seeds; s++ {
-			spec := p.Spec
-			spec.Seed = int64(1 + s)
-			last = spec
-			res, err := core.Run(spec)
-			if err != nil {
-				return fmt.Errorf("repro %s/%s seed %d: %w", e.ID, p.Label, spec.Seed, err)
-			}
-			preG, rec, ok := recoveryTime(res.Report.Intervals,
-				spec.Warmup, recoveryFaultStart, p.FaultEnd, spec.Duration)
-			pre.Add(preG)
-			recMs.Add(float64(rec) / 1e6)
-			if ok {
-				recovered++
-			}
-			spurious.Add(float64(res.Report.SpuriousRTOs))
-			retx.Add(float64(res.Report.Retransmits))
+// foldRecovery adds the recovery columns to m from the per-seed interval
+// series: pre-fault goodput (replacing the whole-run mean, which the fault
+// itself drags down) and the time from faultEnd back to 90% of it.
+func foldRecovery(m *obs.Metrics, faultEnd time.Duration, agg *core.Aggregate) {
+	var pre, recMs, spurious stats.Online
+	for _, run := range agg.Runs {
+		preG, rec, ok := recoveryTime(run.Report.Intervals,
+			agg.Spec.Warmup, recoveryFaultStart, faultEnd, agg.Spec.Duration)
+		pre.Add(preG)
+		recMs.Add(float64(rec) / 1e6)
+		if ok {
+			m.Recovered++
 		}
-		rows[i] = RecoveryRow{
-			Point:        p,
-			PreFaultMbps: pre.Mean() / 1e6,
-			RecoveryMs:   recMs.Mean(),
-			RecoveryCI:   recMs.CI95(),
-			Recovered:    recovered,
-			Seeds:        seeds,
-			SpuriousRTOs: spurious.Mean(),
-			Retransmits:  retx.Mean(),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		spurious.Add(float64(run.Report.SpuriousRTOs))
 	}
-	return rows, nil
+	m.GoodputMbps = pre.Mean() / 1e6
+	m.GoodputCI = pre.CI95() / 1e6
+	m.RecoveryMs = recMs.Mean()
+	m.RecoveryCI = recMs.CI95()
+	m.SpuriousRTOs = spurious.Mean()
 }
 
 // PrintRecovery writes the rows as an aligned table.
-func PrintRecovery(w io.Writer, e RecoveryExperiment, rows []RecoveryRow) {
+func PrintRecovery(w io.Writer, e Experiment, rows []Row) {
 	fmt.Fprintf(w, "== %s: %s\n", e.ID, e.Title)
 	fmt.Fprintf(w, "%-28s %10s %12s %7s %10s %9s %9s\n",
 		"point", "pre Mbps", "recovery ms", "±CI", "recovered", "spurious", "retx")
 	for _, r := range rows {
+		if r.Failure != nil {
+			printFailed(w, 28, r)
+			continue
+		}
 		fmt.Fprintf(w, "%-28s %10.1f %12.0f %7.0f %7d/%-2d %9.1f %9.0f\n",
-			r.Point.Label, r.PreFaultMbps, r.RecoveryMs, r.RecoveryCI,
+			r.Point.Label, r.GoodputMbps, r.RecoveryMs, r.RecoveryCI,
 			r.Recovered, r.Seeds, r.SpuriousRTOs, r.Retransmits)
 	}
 	fmt.Fprintln(w)

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -12,18 +13,28 @@ import (
 const recoverySeeds = 2
 
 // runRecoveryOnce memoises one full experiment run for the package tests.
-var recoveryRows []RecoveryRow
+var recoveryRows []Row
 
-func runRecoveryOnce(t *testing.T) []RecoveryRow {
+func runRecoveryOnce(t *testing.T) []Row {
 	t.Helper()
-	if recoveryRows != nil {
-		return recoveryRows
+	if recoveryRows == nil {
+		recoveryRows = runGrid(t, Recovery(), RunOpts{Seeds: recoverySeeds, Workers: 1})
 	}
-	rows, err := RunRecovery(Recovery(), recoverySeeds)
+	return recoveryRows
+}
+
+// runGrid runs e through the one runner and requires every point to succeed.
+func runGrid(t *testing.T, e Experiment, opts RunOpts) []Row {
+	t.Helper()
+	rows, err := RunExperimentResilient(e, opts)
 	if err != nil {
-		t.Fatalf("RunRecovery: %v", err)
+		t.Fatalf("%s: %v", e.ID, err)
 	}
-	recoveryRows = rows
+	for _, r := range rows {
+		if r.Failure != nil {
+			t.Fatalf("%s/%s: %s: %s", e.ID, r.Point.Label, r.Failure.Class, r.Failure.Msg)
+		}
+	}
 	return rows
 }
 
@@ -39,7 +50,7 @@ func TestRecoveryAllPointsRecover(t *testing.T) {
 		if r.Recovered != r.Seeds {
 			t.Errorf("%s: only %d/%d seeds recovered", r.Point.Label, r.Recovered, r.Seeds)
 		}
-		if r.PreFaultMbps <= 0 {
+		if r.GoodputMbps <= 0 {
 			t.Errorf("%s: no pre-fault goodput", r.Point.Label)
 		}
 		if r.RecoveryMs <= 0 {
@@ -66,7 +77,7 @@ func TestRecoveryWithinOneRTOOfLinkReturn(t *testing.T) {
 // cell BBR must not recover faster than Cubic.
 func TestRecoveryBBRNotFasterThanCubic(t *testing.T) {
 	rows := runRecoveryOnce(t)
-	byLabel := map[string]RecoveryRow{}
+	byLabel := map[string]Row{}
 	for _, r := range rows {
 		byLabel[r.Point.Label] = r
 	}
@@ -86,7 +97,7 @@ func TestRecoveryBBRNotFasterThanCubic(t *testing.T) {
 // transmission sent before the RTO — F-RTO must detect and undo it.
 func TestRecoverySpuriousRTOAfterBlackout(t *testing.T) {
 	for _, r := range runRecoveryOnce(t) {
-		if r.Point.Fault != FaultBlackout {
+		if !strings.Contains(r.Point.Label, string(FaultBlackout)) {
 			continue
 		}
 		if r.SpuriousRTOs < 1 {

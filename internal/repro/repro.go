@@ -1,7 +1,8 @@
 // Package repro defines one constructor per table and figure of the paper's
 // evaluation, returning ready-to-run core.Specs together with the values the
-// paper reports. cmd/mobbr-repro and the top-level benchmarks drive these to
-// regenerate every experiment; EXPERIMENTS.md records paper-vs-measured.
+// paper reports. cmd/mobbr-repro and the benchmark's grid_paper workload
+// (go run ./bench) drive these to regenerate every experiment;
+// EXPERIMENTS.md records paper-vs-measured.
 package repro
 
 import (
@@ -12,6 +13,7 @@ import (
 	"mobbr/internal/core"
 	"mobbr/internal/device"
 	"mobbr/internal/flows"
+	"mobbr/internal/mobility"
 	"mobbr/internal/netem"
 	"mobbr/internal/units"
 )
@@ -28,6 +30,10 @@ type Point struct {
 	PaperMbps float64
 	// PaperRTTms is the RTT the paper reports, when stated.
 	PaperRTTms float64
+	// FaultEnd is when an injected fault releases the link (recovery grid
+	// only). A point that sets it reports pre-fault goodput and the time
+	// from here back to 90% of it.
+	FaultEnd time.Duration
 }
 
 // Experiment is a named set of points reproducing one table or figure.
@@ -38,6 +44,9 @@ type Experiment struct {
 	Title string
 	// Points are the cells, in presentation order.
 	Points []Point
+	// Compiled is the replayed trace every point's Spec.Mobility shares
+	// (trace grid only); its segments head the per-segment table.
+	Compiled *mobility.Compiled
 }
 
 // Conns is the connection sweep the paper uses throughout.
@@ -446,10 +455,14 @@ func All() []Experiment {
 
 // ByID returns the experiment with the given id.
 func ByID(id string) (Experiment, error) {
-	// The scale grid resolves by id only: keeping it out of All() keeps
-	// -exp all output byte-identical to before the flows data path existed.
-	if id == "scale" {
+	// The scale and recovery grids resolve by id only: keeping them out of
+	// All() keeps its 19 paper-and-extension grids (and the benchmark that
+	// runs them) unchanged. The trace grid needs a trace: NewTraceExperiment.
+	switch id {
+	case "scale":
 		return Scale(), nil
+	case "recovery":
+		return Recovery(), nil
 	}
 	for _, e := range All() {
 		if e.ID == id {

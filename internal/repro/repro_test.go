@@ -89,10 +89,7 @@ func TestRunExperimentSmoke(t *testing.T) {
 		t.Skip("runs a simulation")
 	}
 	e, _ := ByID("modeloff")
-	rows, err := RunExperiment(e, time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runGrid(t, e, RunOpts{Dur: time.Second, Seeds: 1})
 	if len(rows) != len(e.Points) {
 		t.Fatalf("rows = %d, want %d", len(rows), len(e.Points))
 	}

@@ -8,16 +8,19 @@
 package repro
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"time"
 
 	"mobbr/internal/core"
+	"mobbr/internal/obs"
 	"mobbr/internal/telemetry"
 )
 
@@ -70,30 +73,19 @@ func (o RunOpts) withDefaults() RunOpts {
 	return o
 }
 
-// Failure records one contained point failure.
-type Failure struct {
-	// Class is the core failure class (core.FailPanic, core.FailViolation,
-	// core.FailMaxEvents, core.FailWallClock, core.FailStall,
-	// core.FailError).
-	Class string `json:"class"`
-	// Rule is the first violated invariant rule (violation class only).
-	Rule string `json:"rule,omitempty"`
-	// Msg is the failure text.
-	Msg string `json:"msg"`
-	// Repro is the one-command reproduction line (spec JSON + seed).
-	Repro string `json:"repro,omitempty"`
-	// Attempts is how many times the point ran (>1 only after infra
-	// retries).
-	Attempts int `json:"attempts"`
-}
-
-// FailedRows counts rows carrying a contained failure.
-func FailedRows(rows []Row) int {
+// WriteFailures prints every failed row — class, first message line and the
+// one-command repro line — and returns how many there were. Containment is
+// the runner's only behaviour, so this is what keeps a broken point loud.
+func WriteFailures(w io.Writer, e Experiment, rows []Row) int {
 	n := 0
 	for _, r := range rows {
-		if r.Failure != nil {
-			n++
+		if r.Failure == nil {
+			continue
 		}
+		n++
+		msg, _, _ := strings.Cut(r.Failure.Msg, "\n")
+		fmt.Fprintf(w, "FAILED %s/%s: %s: %s\n  repro: %s\n",
+			e.ID, r.Point.Label, r.Failure.Class, msg, r.Failure.Repro)
 	}
 	return n
 }
@@ -109,21 +101,21 @@ func RunExperimentResilient(e Experiment, opts RunOpts) ([]Row, error) {
 	done := make([]bool, len(e.Points))
 	var jw *journalWriter
 	if opts.Journal != "" {
-		var entries []journalEntry
-		existed := false
+		var keep int64
 		if opts.Resume {
-			var err error
-			entries, existed, err = readJournal(opts.Journal, e, opts)
+			entries, n, err := readJournal(opts.Journal, e, opts)
 			if err != nil {
 				return nil, err
 			}
+			keep = n
 			for _, ent := range entries {
-				rows[ent.I] = ent.row(e.Points[ent.I])
+				rows[ent.I] = ent.Row
+				rows[ent.I].Point = e.Points[ent.I]
 				done[ent.I] = true
 			}
 		}
 		var err error
-		jw, err = openJournal(opts.Journal, e, opts, existed)
+		jw, err = openJournal(opts.Journal, e, opts, keep)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +141,7 @@ func RunExperimentResilient(e Experiment, opts RunOpts) ([]Row, error) {
 			opts.Progress.PointDone(w, i, rows[i].Events, rows[i].Failure != nil)
 		}
 		if jw != nil {
-			return jw.append(entryFromRow(i, rows[i]))
+			return jw.append(journalEntry{I: i, Label: e.Points[i].Label, Row: rows[i]})
 		}
 		return nil
 	})
@@ -182,7 +174,7 @@ func runPointResilient(p Point, opts RunOpts) Row {
 			// enough to know it.
 			repro = core.ReproLine(re.Spec)
 		}
-		return Row{Point: p, Failure: &Failure{
+		return Row{Point: p, Failure: &obs.Failure{
 			Class:    class,
 			Rule:     rule,
 			Msg:      err.Error(),
@@ -226,15 +218,17 @@ func classifyPointFailure(err error) (class, rule string) {
 	return core.ClassifyFailure(err)
 }
 
-// journalVersion guards the checkpoint format.
-const journalVersion = 1
+// journalVersion guards the checkpoint format (2: entries embed Row).
+const journalVersion = 2
 
 // journalHeader is the journal's first line: enough of the run
 // configuration to refuse resuming under different settings (different
-// duration or seeds would silently mix incompatible rows).
+// duration or seeds would silently mix incompatible rows; the title tells
+// one replayed trace from another).
 type journalHeader struct {
 	V       int    `json:"v"`
 	Exp     string `json:"exp"`
+	Title   string `json:"title"`
 	Dur     string `json:"dur"`
 	Seeds   int    `json:"seeds"`
 	Points  int    `json:"points"`
@@ -247,6 +241,7 @@ func headerFor(e Experiment, opts RunOpts) journalHeader {
 	return journalHeader{
 		V:       journalVersion,
 		Exp:     e.ID,
+		Title:   e.Title,
 		Dur:     opts.Dur.String(),
 		Seeds:   opts.Seeds,
 		Points:  len(e.Points),
@@ -256,162 +251,61 @@ func headerFor(e Experiment, opts RunOpts) journalHeader {
 	}
 }
 
-// journalEntry is one finished point. All measured fields are JSON numbers;
-// Go's float64 round-trips exactly through encoding/json, so a resumed row
-// prints byte-identically to the original.
+// journalEntry is one finished point: its grid index and label (checked
+// against the grid on resume) around the row's own JSON form.
 type journalEntry struct {
-	I              int      `json:"i"`
-	Label          string   `json:"label"`
-	GoodputMbps    float64  `json:"goodput_mbps"`
-	GoodputCI      float64  `json:"goodput_ci"`
-	RTTms          float64  `json:"rtt_ms"`
-	MinRTTms       float64  `json:"min_rtt_ms"`
-	Retransmits    float64  `json:"retransmits"`
-	SKBKbits       float64  `json:"skb_kbits"`
-	IdleMs         float64  `json:"idle_ms"`
-	ExpectedMbps   float64  `json:"expected_mbps"`
-	MaxBufKB       float64  `json:"max_buf_kb"`
-	CPUUtil        float64  `json:"cpu_util"`
-	Jain           float64  `json:"jain"`
-	PacingShare    float64  `json:"pacing_share"`
-	AppKind        string   `json:"app_kind,omitempty"`
-	Requests       int64    `json:"requests,omitempty"`
-	LatP50ms       float64  `json:"lat_p50_ms,omitempty"`
-	LatP90ms       float64  `json:"lat_p90_ms,omitempty"`
-	LatP99ms       float64  `json:"lat_p99_ms,omitempty"`
-	RebufferPct    float64  `json:"rebuffer_pct,omitempty"`
-	FlowsStarted   int64    `json:"flows_started,omitempty"`
-	FlowsCompleted int64    `json:"flows_completed,omitempty"`
-	FlowsPeakLive  int      `json:"flows_peak_live,omitempty"`
-	FCTP50ms       float64  `json:"fct_p50_ms,omitempty"`
-	FCTP99ms       float64  `json:"fct_p99_ms,omitempty"`
-	FastPathShare  float64  `json:"fast_path_share,omitempty"`
-	Events         uint64   `json:"events,omitempty"`
-	Profiled       bool     `json:"profiled,omitempty"`
-	Failure        *Failure `json:"failure,omitempty"`
+	I     int    `json:"i"`
+	Label string `json:"label"`
+	Row
 }
 
-func entryFromRow(i int, r Row) journalEntry {
-	return journalEntry{
-		I:              i,
-		Label:          r.Point.Label,
-		GoodputMbps:    r.GoodputMbps,
-		GoodputCI:      r.GoodputCI,
-		RTTms:          r.RTTms,
-		MinRTTms:       r.MinRTTms,
-		Retransmits:    r.Retransmits,
-		SKBKbits:       r.SKBKbits,
-		IdleMs:         r.IdleMs,
-		ExpectedMbps:   r.ExpectedMbps,
-		MaxBufKB:       r.MaxBufKB,
-		CPUUtil:        r.CPUUtil,
-		Jain:           r.Jain,
-		PacingShare:    r.PacingShare,
-		AppKind:        r.AppKind,
-		Requests:       r.Requests,
-		LatP50ms:       r.LatP50ms,
-		LatP90ms:       r.LatP90ms,
-		LatP99ms:       r.LatP99ms,
-		RebufferPct:    r.RebufferPct,
-		FlowsStarted:   r.FlowsStarted,
-		FlowsCompleted: r.FlowsCompleted,
-		FlowsPeakLive:  r.FlowsPeakLive,
-		FCTP50ms:       r.FCTP50ms,
-		FCTP99ms:       r.FCTP99ms,
-		FastPathShare:  r.FastPathShare,
-		Events:         r.Events,
-		Profiled:       r.Profiled,
-		Failure:        r.Failure,
-	}
-}
-
-// row reconstructs the Row for point p. Sample is nil — the in-memory
-// result is gone — but every printed field survives.
-func (ent journalEntry) row(p Point) Row {
-	return Row{
-		Point:          p,
-		GoodputMbps:    ent.GoodputMbps,
-		GoodputCI:      ent.GoodputCI,
-		RTTms:          ent.RTTms,
-		MinRTTms:       ent.MinRTTms,
-		Retransmits:    ent.Retransmits,
-		SKBKbits:       ent.SKBKbits,
-		IdleMs:         ent.IdleMs,
-		ExpectedMbps:   ent.ExpectedMbps,
-		MaxBufKB:       ent.MaxBufKB,
-		CPUUtil:        ent.CPUUtil,
-		Jain:           ent.Jain,
-		PacingShare:    ent.PacingShare,
-		AppKind:        ent.AppKind,
-		Requests:       ent.Requests,
-		LatP50ms:       ent.LatP50ms,
-		LatP90ms:       ent.LatP90ms,
-		LatP99ms:       ent.LatP99ms,
-		RebufferPct:    ent.RebufferPct,
-		FlowsStarted:   ent.FlowsStarted,
-		FlowsCompleted: ent.FlowsCompleted,
-		FlowsPeakLive:  ent.FlowsPeakLive,
-		FCTP50ms:       ent.FCTP50ms,
-		FCTP99ms:       ent.FCTP99ms,
-		FastPathShare:  ent.FastPathShare,
-		Events:         ent.Events,
-		Profiled:       ent.Profiled,
-		Failure:        ent.Failure,
-	}
-}
-
-// readJournal loads and validates an existing journal. A missing file is a
-// fresh start (nil entries, existed false). A trailing line that does not
-// parse is tolerated — the writer died mid-entry — but a malformed line
-// followed by valid ones means corruption and fails.
-func readJournal(path string, e Experiment, opts RunOpts) ([]journalEntry, bool, error) {
-	f, err := os.Open(path)
+// readJournal loads and validates an existing journal, returning its
+// entries and the byte length of its valid prefix — where the resumed run
+// appends. A missing or empty file is a fresh start (length 0). Only
+// newline-terminated lines count, so a torn tail (the writer died
+// mid-entry) is dropped and that point re-runs; a malformed line followed
+// by further ones means corruption and fails.
+func readJournal(path string, e Experiment, opts RunOpts) ([]journalEntry, int64, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, false, nil
+			return nil, 0, nil
 		}
-		return nil, false, fmt.Errorf("repro: journal %s: %w", path, err)
+		return nil, 0, fmt.Errorf("repro: journal %s: %w", path, err)
 	}
-	defer f.Close()
-	var lines []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		if len(sc.Text()) > 0 {
-			lines = append(lines, sc.Text())
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, false, fmt.Errorf("repro: journal %s: %w", path, err)
-	}
+	data = data[:bytes.LastIndexByte(data, '\n')+1]
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	lines = lines[:len(lines)-1] // SplitAfter leaves an empty tail after the final newline
 	if len(lines) == 0 {
-		return nil, false, nil
+		return nil, 0, nil
 	}
 	var hdr journalHeader
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
-		return nil, false, fmt.Errorf("repro: journal %s: bad header: %w", path, err)
+	if err := json.Unmarshal(lines[0], &hdr); err != nil {
+		return nil, 0, fmt.Errorf("repro: journal %s: bad header: %w", path, err)
 	}
 	if want := headerFor(e, opts); hdr != want {
-		return nil, false, fmt.Errorf("repro: journal %s was written by a different run configuration (journal %+v, this run %+v)", path, hdr, want)
+		return nil, 0, fmt.Errorf("repro: journal %s was written by a different run configuration (journal %+v, this run %+v)", path, hdr, want)
 	}
+	keep := int64(len(lines[0]))
 	var entries []journalEntry
 	for n, line := range lines[1:] {
 		var ent journalEntry
-		if err := json.Unmarshal([]byte(line), &ent); err != nil {
+		if err := json.Unmarshal(line, &ent); err != nil {
 			if n == len(lines)-2 {
 				break // torn final write: re-run that point
 			}
-			return nil, false, fmt.Errorf("repro: journal %s: entry %d: %w", path, n, err)
+			return nil, 0, fmt.Errorf("repro: journal %s: entry %d: %w", path, n, err)
 		}
 		if ent.I < 0 || ent.I >= len(e.Points) {
-			return nil, false, fmt.Errorf("repro: journal %s: entry %d: point index %d out of range", path, n, ent.I)
+			return nil, 0, fmt.Errorf("repro: journal %s: entry %d: point index %d out of range", path, n, ent.I)
 		}
 		if ent.Label != e.Points[ent.I].Label {
-			return nil, false, fmt.Errorf("repro: journal %s: entry %d: label %q does not match point %d (%q)", path, n, ent.Label, ent.I, e.Points[ent.I].Label)
+			return nil, 0, fmt.Errorf("repro: journal %s: entry %d: label %q does not match point %d (%q)", path, n, ent.Label, ent.I, e.Points[ent.I].Label)
 		}
 		entries = append(entries, ent)
+		keep += int64(len(line))
 	}
-	return entries, true, nil
+	return entries, keep, nil
 }
 
 // journalWriter appends entries under a lock (grid points finish on
@@ -422,20 +316,21 @@ type journalWriter struct {
 	f  *os.File
 }
 
-// openJournal opens the checkpoint for appending. When the file was not a
-// valid prior journal for this run, it is truncated and a fresh header
-// written.
-func openJournal(path string, e Experiment, opts RunOpts, existed bool) (*journalWriter, error) {
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	if !existed {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+// openJournal opens the checkpoint for appending after its first keep
+// bytes (readJournal's valid prefix), cutting off a torn tail so the next
+// entry starts on its own line. keep == 0 starts a fresh journal: the file
+// is emptied and a header written.
+func openJournal(path string, e Experiment, opts RunOpts, keep int64) (*journalWriter, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("repro: journal %s: %w", path, err)
 	}
+	if err := f.Truncate(keep); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("repro: journal %s: %w", path, err)
+	}
 	jw := &journalWriter{f: f}
-	if !existed {
+	if keep == 0 {
 		data, err := json.Marshal(headerFor(e, opts))
 		if err != nil {
 			f.Close()

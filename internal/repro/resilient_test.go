@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"mobbr/internal/core"
+	"mobbr/internal/mobility"
+	"mobbr/internal/obs"
 )
 
 // chaosGrid is a small grid with two healthy points and two that fail in
@@ -82,64 +84,113 @@ func TestResilientContainsFailures(t *testing.T) {
 
 // TestResilientResumeByteIdentical is the checkpoint gate: kill a grid
 // after two points, resume from the journal, and the printed table must be
-// byte-identical to an uninterrupted run's — including the failure rows.
+// byte-identical to an uninterrupted run's — including the failure rows of
+// the chaos grid and the recovery columns and per-segment breakdown of the
+// recovery and trace grids, which ride the same journal.
 func TestResilientResumeByteIdentical(t *testing.T) {
-	e := chaosGrid()
-	dir := t.TempDir()
+	for _, e := range append([]Experiment{chaosGrid()}, mobileGrids(t)...) {
+		dir := t.TempDir()
+		full := chaosOpts
+		full.Journal = filepath.Join(dir, "full.jsonl")
+		fullRows, err := RunExperimentResilient(e, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		Print(&want, e, fullRows)
 
-	full := chaosOpts
-	full.Journal = filepath.Join(dir, "full.jsonl")
-	fullRows, err := RunExperimentResilient(e, full)
+		// Simulate a mid-grid kill: keep the header and the first two entries.
+		data, err := os.ReadFile(full.Journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+		if len(lines) != 1+len(e.Points) {
+			t.Fatalf("%s: journal has %d lines, want %d", e.ID, len(lines), 1+len(e.Points))
+		}
+		torn := filepath.Join(dir, "torn.jsonl")
+		if err := os.WriteFile(torn, []byte(strings.Join(lines[:3], "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		resume := chaosOpts
+		resume.Journal = torn
+		resume.Resume = true
+		resumedRows, err := RunExperimentResilient(e, resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		Print(&got, e, resumedRows)
+		if got.String() != want.String() {
+			t.Fatalf("%s: resumed output diverged:\n--- full\n%s--- resumed\n%s", e.ID, want.String(), got.String())
+		}
+
+		// Only the missing points may have been re-run and appended.
+		after, err := os.ReadFile(torn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(strings.Split(strings.TrimRight(string(after), "\n"), "\n")); n != 1+len(e.Points) {
+			t.Fatalf("%s: resumed journal has %d lines, want %d (completed points must be skipped)", e.ID, n, 1+len(e.Points))
+		}
+	}
+}
+
+// TestResilientResumeTornEntry: a torn final line (writer died mid-entry)
+// re-runs that point instead of failing the resume, and is cut off before
+// the re-run point is appended. Appending straight after the fragment glued
+// the new entry onto it, which the first resume tolerated (it was the final
+// line) and the second refused as mid-file corruption.
+func TestResilientResumeTornEntry(t *testing.T) {
+	e := chaosGrid()
+	opts := chaosOpts
+	opts.Workers = 1 // entries land in point order, so the last two lines are points 2 and 3
+	opts.Journal = filepath.Join(t.TempDir(), "j.jsonl")
+	fullRows, err := RunExperimentResilient(e, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
 	Print(&want, e, fullRows)
-
-	// Simulate a mid-grid kill: keep the header and the first two entries.
-	data, err := os.ReadFile(full.Journal)
+	data, err := os.ReadFile(opts.Journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) != 1+len(e.Points) {
-		t.Fatalf("journal has %d lines, want %d", len(lines), 1+len(e.Points))
-	}
-	torn := filepath.Join(dir, "torn.jsonl")
-	if err := os.WriteFile(torn, []byte(strings.Join(lines[:3], "\n")+"\n"), 0o644); err != nil {
+	// Drop the last entry and tear the one before it: two points to re-run,
+	// so a valid entry follows whatever the first resume does with the tear.
+	lines := strings.SplitAfter(string(data), "\n")
+	torn := strings.Join(lines[:len(lines)-2], "")
+	if err := os.WriteFile(opts.Journal, []byte(torn[:len(torn)-17]), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	resume := chaosOpts
-	resume.Journal = torn
-	resume.Resume = true
-	resumedRows, err := RunExperimentResilient(e, resume)
+	opts.Resume = true
+	for _, pass := range []string{"first", "second"} {
+		rows, err := RunExperimentResilient(e, opts)
+		if err != nil {
+			t.Fatalf("%s resume: %v", pass, err)
+		}
+		var got bytes.Buffer
+		Print(&got, e, rows)
+		if got.String() != want.String() {
+			t.Fatalf("%s resume diverged:\n--- full\n%s--- resumed\n%s", pass, want.String(), got.String())
+		}
+	}
+	after, err := os.ReadFile(opts.Journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	Print(&got, e, resumedRows)
-	if got.String() != want.String() {
-		t.Fatalf("resumed output diverged:\n--- full\n%s--- resumed\n%s", want.String(), got.String())
-	}
-
-	// Only the two missing points may have been re-run and appended.
-	after, err := os.ReadFile(torn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(strings.Split(strings.TrimRight(string(after), "\n"), "\n")); n != 1+len(e.Points) {
-		t.Fatalf("resumed journal has %d lines, want %d (completed points must be skipped)", n, 1+len(e.Points))
+	if n := strings.Count(string(after), "\n"); n != 1+len(e.Points) {
+		t.Fatalf("journal has %d lines after two resumes, want %d:\n%s", n, 1+len(e.Points), after)
 	}
 }
 
-// TestResilientResumeTornEntry: a torn final line (writer died mid-entry)
-// re-runs that point instead of failing the resume.
-func TestResilientResumeTornEntry(t *testing.T) {
+// TestResilientMalformedMiddleEntry: only a torn *tail* is forgiven. A
+// malformed line with entries after it is corruption and must fail loudly.
+func TestResilientMalformedMiddleEntry(t *testing.T) {
 	e := chaosGrid()
-	dir := t.TempDir()
 	opts := chaosOpts
-	opts.Journal = filepath.Join(dir, "j.jsonl")
+	opts.Journal = filepath.Join(t.TempDir(), "j.jsonl")
 	if _, err := RunExperimentResilient(e, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -147,22 +198,73 @@ func TestResilientResumeTornEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chop the file mid-way through its final entry.
-	chopped := data[:len(data)-17]
-	if err := os.WriteFile(opts.Journal, chopped, 0o644); err != nil {
+	lines := strings.SplitAfter(string(data), "\n")
+	lines[2] = lines[2][:len(lines[2])/2] + "\n"
+	if err := os.WriteFile(opts.Journal, []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	opts.Resume = true
-	rows, err := RunExperimentResilient(e, opts)
+	if _, err := RunExperimentResilient(e, opts); err == nil || !strings.Contains(err.Error(), "entry 1") {
+		t.Fatalf("malformed middle entry accepted: %v", err)
+	}
+}
+
+// mobileGrids are the two grids whose points pin their own timeline and add
+// interval-series metrics: trimmed recovery and a short synthesized trace.
+func mobileGrids(t *testing.T) []Experiment {
+	t.Helper()
+	rec := Recovery()
+	rec.Points = rec.Points[:4] // bbr/bbr2/cubic blackout + bbr handover
+	tr, err := mobility.Synthesize(mobility.Train, 2*time.Second, mobility.DefaultTick, 7)
 	if err != nil {
-		t.Fatalf("torn journal not tolerated: %v", err)
+		t.Fatal(err)
 	}
-	if len(rows) != len(e.Points) {
-		t.Fatalf("got %d rows", len(rows))
+	trace, err := NewTraceExperiment(tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range rows {
-		if r.GoodputMbps == 0 && r.Failure == nil {
-			t.Errorf("point %d neither measured nor failed after torn resume", i)
+	trace.Points = trace.Points[:4]
+	return []Experiment{rec, trace}
+}
+
+// TestMobileGridsContainPanic: one panicking recovery or trace point becomes
+// a FAILED row whose repro line decodes back to a valid spec, while every
+// other point of the grid completes.
+func TestMobileGridsContainPanic(t *testing.T) {
+	for _, e := range mobileGrids(t) {
+		e.Points[1].Spec.Inject = core.Inject{Kind: core.InjectPanic, At: 100 * time.Millisecond}
+		rows, err := RunExperimentResilient(e, RunOpts{Seeds: 1, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rows {
+			if i != 1 && (r.Failure != nil || r.GoodputMbps <= 0) {
+				t.Errorf("%s/%s: healthy point did not complete: %+v", e.ID, r.Point.Label, r.Failure)
+			}
+		}
+		f := rows[1].Failure
+		if f == nil || f.Class != core.FailPanic {
+			t.Fatalf("%s: panic point failure = %+v, want class %q", e.ID, f, core.FailPanic)
+		}
+		const marker = "-run-spec '"
+		i := strings.Index(f.Repro, marker)
+		if i < 0 {
+			t.Fatalf("%s: repro line %q has no -run-spec payload", e.ID, f.Repro)
+		}
+		spec, err := core.DecodeSpec([]byte(strings.TrimSuffix(f.Repro[i+len(marker):], "'")))
+		if err != nil {
+			t.Fatalf("%s: repro payload does not decode: %v", e.ID, err)
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%s: repro payload does not validate: %v", e.ID, err)
+		}
+		if spec.Inject.Kind != core.InjectPanic || spec.Duration != e.Points[1].Spec.Duration {
+			t.Errorf("%s: repro payload is not the failing spec: inject %q, duration %v", e.ID, spec.Inject.Kind, spec.Duration)
+		}
+		var out bytes.Buffer
+		Print(&out, e, rows)
+		if !strings.Contains(out.String(), " FAILED panic\n") {
+			t.Errorf("%s: table lacks the FAILED row:\n%s", e.ID, out.String())
 		}
 	}
 }
@@ -181,11 +283,18 @@ func TestResumeArchiveInterplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aopts := ArchiveOpts{Dur: chaosOpts.Dur, Seeds: chaosOpts.Seeds}
-	aopts.Dir = filepath.Join(dir, "runFull")
-	if err := ArchiveExperiment(e, fullRows, aopts); err != nil {
-		t.Fatal(err)
+	archive := func(root string, e Experiment, rows []Row) {
+		t.Helper()
+		run, err := BuildExperimentRun(e, rows, ArchiveOpts{Dur: chaosOpts.Dur, Seeds: chaosOpts.Seeds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.WriteRun(filepath.Join(root, e.ID), run.Manifest, run.Points); err != nil {
+			t.Fatal(err)
+		}
 	}
+	fullDir, resDir := filepath.Join(dir, "runFull"), filepath.Join(dir, "runResumed")
+	archive(fullDir, e, fullRows)
 
 	// Kill the grid after two points, resume, archive the resumed rows.
 	data, err := os.ReadFile(full.Journal)
@@ -204,14 +313,10 @@ func TestResumeArchiveInterplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ropts := aopts
-	ropts.Dir = filepath.Join(dir, "runResumed")
-	if err := ArchiveExperiment(e, resumedRows, ropts); err != nil {
-		t.Fatal(err)
-	}
+	archive(resDir, e, resumedRows)
 
-	fullPts := filepath.Join(aopts.Dir, e.ID, "points")
-	resPts := filepath.Join(ropts.Dir, e.ID, "points")
+	fullPts := filepath.Join(fullDir, e.ID, "points")
+	resPts := filepath.Join(resDir, e.ID, "points")
 	fullFiles, err := os.ReadDir(fullPts)
 	if err != nil {
 		t.Fatal(err)
@@ -243,9 +348,7 @@ func TestResumeArchiveInterplay(t *testing.T) {
 	// orphan the old 002/003 artifacts.
 	small := e
 	small.Points = e.Points[:2]
-	if err := ArchiveExperiment(small, fullRows[:2], aopts); err != nil {
-		t.Fatal(err)
-	}
+	archive(fullDir, small, fullRows[:2])
 	left, err := os.ReadDir(fullPts)
 	if err != nil {
 		t.Fatal(err)

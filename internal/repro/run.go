@@ -3,105 +3,39 @@ package repro
 import (
 	"fmt"
 	"io"
-	"runtime/debug"
 	"time"
 
 	"mobbr/internal/core"
+	"mobbr/internal/obs"
 	"mobbr/internal/telemetry"
 	"mobbr/internal/units"
 )
 
-// Row is the measured outcome of one experiment point.
+// Row is the measured outcome of one experiment point. Its JSON form is the
+// checkpoint journal's entry payload: every printed field survives a resume,
+// Point and Sample do not (the journal re-attaches Point by index).
 type Row struct {
-	Point Point
-	// GoodputMbps and GoodputCI are the seed-mean and 95% CI half-width.
-	GoodputMbps float64
-	GoodputCI   float64
-	// RTTms is the mean sampled smoothed RTT.
-	RTTms float64
-	// MinRTTms is the mean minimum RTT.
-	MinRTTms float64
-	// Retransmits is the seed-mean total retransmissions.
-	Retransmits float64
-	// SKBKbits is the mean socket-buffer (skb) length per pacing period
-	// in kilobits, as Table 2 reports it.
-	SKBKbits float64
-	// IdleMs is the mean pacing idle time per period in milliseconds.
-	IdleMs float64
-	// ExpectedMbps is Table 2's expected throughput skb×conns/idle.
-	ExpectedMbps float64
-	// MaxBufKB is the peak total socket-buffer occupancy in KB (§7.1.1).
-	MaxBufKB float64
-	// CPUUtil is the netstack CPU busy fraction.
-	CPUUtil float64
-	// Jain is the mean Jain fairness index of per-connection goodputs.
-	Jain float64
-	// PacingShare is the pacing-timer fraction of netstack-core cycles
-	// from the cycle profiler (0 when profiling was off) — the §6.1
-	// per-event-overhead signal.
-	PacingShare float64
-	// AppKind names the application workload the point ran ("" for bulk
-	// iperf points). When set, Requests counts completed operations across
-	// the point's seeds, LatP50ms/LatP90ms/LatP99ms are request-latency
-	// percentiles over every completed operation, and RebufferPct is the
-	// streaming workload's stall share of playback time. Like Profiled,
-	// they survive the checkpoint journal.
-	AppKind     string
-	Requests    int64
-	LatP50ms    float64
-	LatP90ms    float64
-	LatP99ms    float64
-	RebufferPct float64
-	// FlowsStarted through FastPathShare are the churn grid's metrics
-	// ("scale", Spec.Flows): flows admitted and completed across the
-	// point's seeds, peak concurrency, flow-completion-time percentiles
-	// pooled over every completed flow, and the fast-path share of
-	// flow-table lookups. FlowsStarted > 0 marks a flows point; like the
-	// app columns they survive the checkpoint journal.
-	FlowsStarted   int64
-	FlowsCompleted int64
-	FlowsPeakLive  int
-	FCTP50ms       float64
-	FCTP99ms       float64
-	FastPathShare  float64
+	Point Point `json:"-"`
+	// Metrics are the measured columns — seed means, 95% CI half-widths and
+	// pooled percentiles — shared verbatim with the run archive. Recovery
+	// points report pre-fault goodput (mean and CI) in GoodputMbps/GoodputCI.
+	obs.Metrics
 	// Events is the total simulator events executed across the point's
-	// seeds. Deterministic per spec+seed, so it survives the checkpoint
-	// journal and the run archive unchanged.
-	Events uint64
+	// seeds. Deterministic per spec+seed.
+	Events uint64 `json:"events,omitempty"`
+	// Seeds is how many seeds the point ran (the denominator of Recovered).
+	Seeds int `json:"seeds,omitempty"`
+	// Segments is the per-segment breakdown of a trace-replay point,
+	// parallel to Point.Spec.Mobility.Segments; nil for every other point.
+	Segments []SegmentRow `json:"segments,omitempty"`
 	// Sample is the last seed's full result, carrying the telemetry bus,
-	// profile and engine stats when they were enabled.
-	Sample *core.Result
-	// Profiled records whether the point's runs carried a cycle profile.
-	// Unlike Sample (which is in-memory only), it survives the checkpoint
-	// journal, so a resumed grid renders the same columns.
-	Profiled bool
-	// Failure is the contained failure of this point under the resilient
-	// runner (nil on success): the rest of the grid kept running and this
-	// row records what went wrong and how to reproduce it.
-	Failure *Failure
-}
-
-// RunExperiment executes every point of e over the given duration and seed
-// count, returning one row per point.
-func RunExperiment(e Experiment, dur time.Duration, seeds int) ([]Row, error) {
-	return RunExperimentTelemetry(e, dur, seeds, telemetry.Config{})
-}
-
-// RunExperimentTelemetry is RunExperiment with an observability config
-// applied to every run: each row's Sample carries the last seed's trace
-// bus, cycle profile and engine stats, and PacingShare is filled from the
-// profile when enabled.
-func RunExperimentTelemetry(e Experiment, dur time.Duration, seeds int, tel telemetry.Config) ([]Row, error) {
-	return RunExperimentPool(e, dur, seeds, tel, 1)
-}
-
-// RunExperimentPool is RunExperimentTelemetry fanned across up to workers
-// OS threads, one grid point per task (each point's seeds stay serial so
-// per-seed determinism is untouched). Rows come back in point order and are
-// identical to a serial run's; the error, if any, is the
-// smallest-index point's.
-func RunExperimentPool(e Experiment, dur time.Duration, seeds int, tel telemetry.Config, workers int) ([]Row, error) {
-	return RunExperimentPoolObserved(e, dur, seeds, tel, workers, nil)
+	// profile and engine stats when they were enabled. In-memory only: a
+	// journal-resumed row has none.
+	Sample *core.Result `json:"-"`
+	// Failure is the contained failure of this point (nil on success): the
+	// rest of the grid kept running and this row records what went wrong and
+	// how to reproduce it.
+	Failure *obs.Failure `json:"failure,omitempty"`
 }
 
 // Observer receives grid-run lifecycle callbacks (obs.Progress implements
@@ -119,62 +53,26 @@ type Observer interface {
 	PointDone(worker, index int, events uint64, failed bool)
 }
 
-// RunExperimentPoolObserved is RunExperimentPool reporting per-point
-// lifecycle to obs (nil means no observation).
-func RunExperimentPoolObserved(e Experiment, dur time.Duration, seeds int, tel telemetry.Config, workers int, obs Observer) ([]Row, error) {
-	return RunExperimentPoolShards(e, dur, seeds, tel, workers, 0, obs)
-}
-
-// RunExperimentPoolShards is RunExperimentPoolObserved with every eligible
-// run split across engine shards (core.Spec.Shards). Point-level parallelism
-// (workers) and intra-run parallelism (shards) compose: each worker's run
-// drives its own shard set. Rows are identical to a serial grid's — sharding
-// is an execution strategy, not part of any spec's identity.
-func RunExperimentPoolShards(e Experiment, dur time.Duration, seeds int, tel telemetry.Config, workers, shards int, obs Observer) ([]Row, error) {
-	if obs != nil {
-		obs.BeginExperiment(e.ID, len(e.Points))
-	}
-	rows := make([]Row, len(e.Points))
-	err := ForEachW(len(e.Points), workers, func(w, i int) (err error) {
-		p := e.Points[i]
-		spec := pointSpec(p, dur, tel, shards)
-		if obs != nil {
-			obs.PointStart(w, i, p.Label)
-			defer func() { obs.PointDone(w, i, rows[i].Events, err != nil) }()
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("repro %s/%s: panic: %v\nrepro: %s\n%s",
-					e.ID, p.Label, r, core.ReproLine(spec), debug.Stack())
-			}
-		}()
-		agg, err := core.RunSeeds(spec, seeds)
-		if err != nil {
-			return fmt.Errorf("repro %s/%s: %w", e.ID, p.Label, err)
-		}
-		rows[i] = rowFromAggregate(p, agg)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // pointSpec is the one place a grid point's spec is finalized for a run, so
-// the plain and resilient runners (and a journal resume) agree exactly.
-// shards requests intra-run engine sharding; specs with serial-only features
-// ignore it (core.Spec.sharded), and it never reaches the spec wire form.
+// the runner, a journal resume and the archive agree exactly. A point that
+// pins its own Duration (recovery's fault timeline, a trace's length) keeps
+// it and its warm-up; every other point takes the grid's. shards requests
+// intra-run engine sharding; specs with serial-only features ignore it
+// (core.Spec.sharded), and it never reaches the spec wire form.
 func pointSpec(p Point, dur time.Duration, tel telemetry.Config, shards int) core.Spec {
 	spec := p.Spec
-	spec.Duration = dur
-	spec.Warmup = dur / 5
+	if spec.Duration == 0 {
+		spec.Duration = dur
+		spec.Warmup = dur / 5
+	}
 	spec.Telemetry = tel
 	spec.Shards = shards
 	return spec
 }
 
-// rowFromAggregate folds one point's multi-seed aggregate into a Row.
+// rowFromAggregate folds one point's multi-seed aggregate into a Row. What
+// the point carries selects the extra metrics: a fault end time adds the
+// recovery columns, a compiled trace the per-segment breakdown.
 func rowFromAggregate(p Point, agg *core.Aggregate) Row {
 	var jain float64
 	var events uint64
@@ -189,22 +87,25 @@ func rowFromAggregate(p Point, agg *core.Aggregate) Row {
 		paceShare = sample.Profile.Share("net", "pacing_timer")
 	}
 	row := Row{
-		Point:        p,
-		GoodputMbps:  agg.Goodput.Mean() / 1e6,
-		GoodputCI:    agg.Goodput.CI95() / 1e6,
-		RTTms:        agg.AvgRTT.Mean() / 1e6,
-		MinRTTms:     agg.MinRTT.Mean() / 1e6,
-		Retransmits:  agg.Retransmits.Mean(),
-		SKBKbits:     units.DataSize(agg.AvgSKB.Mean()).Kilobits(),
-		IdleMs:       agg.AvgIdle.Mean() / 1e6,
-		ExpectedMbps: agg.ExpectedTx.Mean() / 1e6,
-		MaxBufKB:     agg.MaxBufOcc.Mean() / 1024,
-		CPUUtil:      agg.CPUUtil.Mean(),
-		Jain:         jain,
-		PacingShare:  paceShare,
-		Events:       events,
-		Sample:       sample,
-		Profiled:     sample.Profile != nil,
+		Point: p,
+		Metrics: obs.Metrics{
+			GoodputMbps:  agg.Goodput.Mean() / 1e6,
+			GoodputCI:    agg.Goodput.CI95() / 1e6,
+			RTTms:        agg.AvgRTT.Mean() / 1e6,
+			MinRTTms:     agg.MinRTT.Mean() / 1e6,
+			Retransmits:  agg.Retransmits.Mean(),
+			SKBKbits:     units.DataSize(agg.AvgSKB.Mean()).Kilobits(),
+			IdleMs:       agg.AvgIdle.Mean() / 1e6,
+			ExpectedMbps: agg.ExpectedTx.Mean() / 1e6,
+			MaxBufKB:     agg.MaxBufOcc.Mean() / 1024,
+			CPUUtil:      agg.CPUUtil.Mean(),
+			Jain:         jain,
+			PacingShare:  paceShare,
+			Profiled:     sample.Profile != nil,
+		},
+		Events: events,
+		Seeds:  len(agg.Runs),
+		Sample: sample,
 	}
 	if agg.App != nil {
 		row.AppKind = agg.App.Kind
@@ -222,17 +123,33 @@ func rowFromAggregate(p Point, agg *core.Aggregate) Row {
 		row.FCTP99ms = agg.Flows.FCTP(99)
 		row.FastPathShare = agg.Flows.FlowTable.FastShare()
 	}
+	if p.FaultEnd > 0 {
+		foldRecovery(&row.Metrics, p.FaultEnd, agg)
+	}
+	if agg.Spec.Mobility != nil {
+		row.Segments = foldSegments(agg.Runs, agg.Spec.Mobility.Segments)
+	}
 	return row
 }
 
-// Print writes rows as an aligned table to w, including the paper's values
-// where the text states them. A pace% column (pacing-timer share of
-// netstack cycles) appears when any row carries a cycle profile;
-// application columns (requests, latency percentiles, rebuffer share)
-// appear when any row ran an app workload; flow-churn columns (flows
-// started/done, peak concurrency, FCT percentiles, fast-path share) when
-// any row ran the flows workload.
+// Print writes rows in the experiment's table format: the trace and recovery
+// grids have their own (PrintTrace, PrintRecovery); every other grid gets
+// the paper-style aligned table, including the paper's values where the
+// text states them. A pace% column (pacing-timer share of netstack cycles)
+// appears when any row carries a cycle profile; application columns
+// (requests, latency percentiles, rebuffer share) appear when any row ran
+// an app workload; flow-churn columns (flows started/done, peak
+// concurrency, FCT percentiles, fast-path share) when any row ran the flows
+// workload.
 func Print(w io.Writer, e Experiment, rows []Row) {
+	switch {
+	case e.Compiled != nil:
+		PrintTrace(w, e, rows)
+		return
+	case len(e.Points) > 0 && e.Points[0].FaultEnd > 0:
+		PrintRecovery(w, e, rows)
+		return
+	}
 	profiled := false
 	hasApp := false
 	hasFlows := false
@@ -264,16 +181,7 @@ func Print(w io.Writer, e Experiment, rows []Row) {
 	fmt.Fprintln(w)
 	for _, r := range rows {
 		if r.Failure != nil {
-			// Failed points render deterministically (class + rule, no
-			// stacks or timings), so a resumed grid prints byte-identically.
-			fmt.Fprintf(w, "%-36s FAILED %s", r.Point.Label, r.Failure.Class)
-			if r.Failure.Rule != "" {
-				fmt.Fprintf(w, " (%s)", r.Failure.Rule)
-			}
-			if r.Failure.Attempts > 1 {
-				fmt.Fprintf(w, " after %d attempts", r.Failure.Attempts)
-			}
-			fmt.Fprintln(w)
+			printFailed(w, 36, r)
 			continue
 		}
 		paper := "-"
@@ -304,6 +212,20 @@ func Print(w io.Writer, e Experiment, rows []Row) {
 			}
 		}
 		fmt.Fprintln(w)
+	}
+	fmt.Fprintln(w)
+}
+
+// printFailed writes a failed point's table line, label padded to width.
+// Failed points render deterministically (class + rule, no stacks or
+// timings), so a resumed grid prints byte-identically.
+func printFailed(w io.Writer, width int, r Row) {
+	fmt.Fprintf(w, "%-*s FAILED %s", width, r.Point.Label, r.Failure.Class)
+	if r.Failure.Rule != "" {
+		fmt.Fprintf(w, " (%s)", r.Failure.Rule)
+	}
+	if r.Failure.Attempts > 1 {
+		fmt.Fprintf(w, " after %d attempts", r.Failure.Attempts)
 	}
 	fmt.Fprintln(w)
 }

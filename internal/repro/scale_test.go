@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -8,7 +9,7 @@ import (
 	"mobbr/internal/core"
 	"mobbr/internal/device"
 	"mobbr/internal/flows"
-	"mobbr/internal/telemetry"
+	"mobbr/internal/obs"
 	"mobbr/internal/units"
 )
 
@@ -65,14 +66,8 @@ func TestScaleInListingNotInAll(t *testing.T) {
 func TestScaleParallelMatchesSerial(t *testing.T) {
 	e := miniScale()
 	dur := 300 * time.Millisecond
-	serial, err := RunExperimentPool(e, dur, 2, telemetry.Config{}, 1)
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	par, err := RunExperimentPool(e, dur, 2, telemetry.Config{}, 8)
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
+	serial := runGrid(t, e, RunOpts{Dur: dur, Seeds: 2, Workers: 1})
+	par := runGrid(t, e, RunOpts{Dur: dur, Seeds: 2, Workers: 8})
 	if !reflect.DeepEqual(stripSample(serial), stripSample(par)) {
 		t.Error("rows differ between -j 1 and -j 8")
 	}
@@ -96,21 +91,33 @@ func TestScaleParallelMatchesSerial(t *testing.T) {
 func TestScaleJournalRoundTrip(t *testing.T) {
 	p := Point{Label: "churn pt", Spec: core.Spec{CC: "bbr"}}
 	r := Row{
-		Point:          p,
-		GoodputMbps:    123.4,
-		RTTms:          8.5,
-		Retransmits:    17,
-		CPUUtil:        0.93,
-		FlowsStarted:   12_345,
-		FlowsCompleted: 11_111,
-		FlowsPeakLive:  512,
-		FCTP50ms:       42.5,
-		FCTP99ms:       900.25,
-		FastPathShare:  0.703,
-		Events:         987654,
+		Point: p,
+		Metrics: obs.Metrics{
+			GoodputMbps:    123.4,
+			RTTms:          8.5,
+			Retransmits:    17,
+			CPUUtil:        0.93,
+			FlowsStarted:   12_345,
+			FlowsCompleted: 11_111,
+			FlowsPeakLive:  512,
+			FCTP50ms:       42.5,
+			FCTP99ms:       900.25,
+			FastPathShare:  0.703,
+		},
+		Events: 987654,
+		Seeds:  2,
 	}
-	got := entryFromRow(3, r).row(p)
-	if !reflect.DeepEqual(got, r) {
+	data, err := json.Marshal(journalEntry{I: 3, Label: p.Label, Row: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ent journalEntry
+	if err := json.Unmarshal(data, &ent); err != nil {
+		t.Fatal(err)
+	}
+	got := ent.Row
+	got.Point = p
+	if ent.I != 3 || ent.Label != p.Label || !reflect.DeepEqual(got, r) {
 		t.Fatalf("journal round trip diverged:\n got  %+v\n want %+v", got, r)
 	}
 }
@@ -120,10 +127,7 @@ func TestScaleJournalRoundTrip(t *testing.T) {
 func TestScaleArchiveCarriesFlowMetrics(t *testing.T) {
 	e := miniScale()
 	e.Points = e.Points[:1]
-	rows, err := RunExperimentPool(e, 300*time.Millisecond, 1, telemetry.Config{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runGrid(t, e, RunOpts{Dur: 300 * time.Millisecond, Seeds: 1, Workers: 1})
 	run, err := BuildExperimentRun(e, rows, ArchiveOpts{Dur: 300 * time.Millisecond, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)

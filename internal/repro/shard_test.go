@@ -4,27 +4,11 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"mobbr/internal/telemetry"
 )
 
 // shardTestDur keeps the full-registry differential affordable: every grid
 // point of every experiment still runs twice (serial and sharded).
 const shardTestDur = 60 * time.Millisecond
-
-// maskSamples strips the in-memory result sample before comparison: Sample
-// carries wall-clock engine stats and the pool's allocation-strategy counters
-// (News, per-arena MaxOutstanding), which legitimately differ under
-// per-shard arenas. Every measured column — goodput, RTTs, retransmits,
-// fairness, and the exact engine event count — must match to the last bit.
-func maskSamples(rows []Row) []Row {
-	out := make([]Row, len(rows))
-	for i, r := range rows {
-		r.Sample = nil
-		out[i] = r
-	}
-	return out
-}
 
 // TestShardedGridMatchesSerial is the grid-scale differential: every
 // experiment in the registry, run serial and with Shards=2, must produce
@@ -38,15 +22,9 @@ func TestShardedGridMatchesSerial(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			serial, err := RunExperimentPoolShards(e, shardTestDur, 1, telemetry.Config{}, 1, 0, nil)
-			if err != nil {
-				t.Fatalf("serial: %v", err)
-			}
-			sharded, err := RunExperimentPoolShards(e, shardTestDur, 1, telemetry.Config{}, 1, 2, nil)
-			if err != nil {
-				t.Fatalf("sharded: %v", err)
-			}
-			s, h := maskSamples(serial), maskSamples(sharded)
+			serial := runGrid(t, e, RunOpts{Dur: shardTestDur, Seeds: 1, Workers: 1})
+			sharded := runGrid(t, e, RunOpts{Dur: shardTestDur, Seeds: 1, Workers: 1, Shards: 2})
+			s, h := stripSample(serial), stripSample(sharded)
 			for i := range s {
 				if !reflect.DeepEqual(s[i], h[i]) {
 					t.Errorf("point %q differs:\nserial:  %+v\nsharded: %+v",
@@ -54,26 +32,5 @@ func TestShardedGridMatchesSerial(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestShardedResilientRunner checks the Shards knob on the fault-contained
-// runner: rows from a sharded resilient run equal a serial plain run's.
-func TestShardedResilientRunner(t *testing.T) {
-	e := Figure2()
-	e.Points = e.Points[:2]
-	serial, err := RunExperiment(e, shardTestDur, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := RunExperimentResilient(e, RunOpts{
-		Dur: shardTestDur, Seeds: 1, Workers: 1, Shards: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, h := maskSamples(serial), maskSamples(sharded)
-	if !reflect.DeepEqual(s, h) {
-		t.Errorf("resilient sharded rows differ:\nserial:  %+v\nsharded: %+v", s, h)
 	}
 }

@@ -3,14 +3,12 @@ package repro
 import (
 	"fmt"
 	"io"
-	"runtime/debug"
 	"time"
 
 	"mobbr/internal/core"
 	"mobbr/internal/device"
 	"mobbr/internal/iperf"
 	"mobbr/internal/mobility"
-	"mobbr/internal/stats"
 )
 
 // The trace experiment replays a real (or synthesized) cellular commute —
@@ -72,40 +70,20 @@ func CompileTrace(tr mobility.Trace) (*mobility.Compiled, error) {
 	})
 }
 
-// TracePoint is one cell of the trace experiment.
-type TracePoint struct {
-	// Label names the cell, e.g. "bbr Low-End".
-	Label string
-	// CC is the congestion control under test.
-	CC string
-	// Spec is the ready-to-run experiment with the compiled trace armed.
-	Spec core.Spec
-}
-
-// TraceExperiment replays one compiled trace across congestion controls and
-// CPU configurations. It needs its own runner because the deliverable is
-// the per-segment breakdown, not whole-run means.
-type TraceExperiment struct {
-	ID       string
-	Title    string
-	Compiled *mobility.Compiled
-	Points   []TracePoint
-}
-
 // NewTraceExperiment compiles the trace and builds the point grid:
 // {bbr, bbr2, cubic} × {Low-End, Default}, single connection over the LTE
 // uplink, invariant checker armed, run for exactly the trace's duration.
-func NewTraceExperiment(tr mobility.Trace) (TraceExperiment, error) {
+func NewTraceExperiment(tr mobility.Trace) (Experiment, error) {
 	c, err := CompileTrace(tr)
 	if err != nil {
-		return TraceExperiment{}, err
+		return Experiment{}, err
 	}
 	dur := c.Trace.Duration()
 	warmup := dur / 5
 	if warmup > time.Second {
 		warmup = time.Second
 	}
-	var pts []TracePoint
+	var pts []Point
 	for _, cfg := range []device.Config{device.LowEnd, device.Default} {
 		for _, ccName := range []string{"bbr", "bbr2", "cubic"} {
 			s := core.Spec{
@@ -120,14 +98,13 @@ func NewTraceExperiment(tr mobility.Trace) (TraceExperiment, error) {
 				Mobility: c,
 				Check:    true,
 			}
-			pts = append(pts, TracePoint{
+			pts = append(pts, Point{
 				Label: fmt.Sprintf("%s %s", ccName, cfg),
-				CC:    ccName,
 				Spec:  s,
 			})
 		}
 	}
-	return TraceExperiment{
+	return Experiment{
 		ID:       "trace",
 		Title:    fmt.Sprintf("Trace replay %q: BBR vs BBRv2 vs Cubic over a measured commute", c.Trace.Name),
 		Compiled: c,
@@ -135,40 +112,22 @@ func NewTraceExperiment(tr mobility.Trace) (TraceExperiment, error) {
 	}, nil
 }
 
-// TraceSegmentRow summarizes one trace segment for one point.
-type TraceSegmentRow struct {
-	Segment mobility.Segment
+// SegmentRow summarizes one trace segment for one point; which segment is
+// positional (Spec.Mobility.Segments).
+type SegmentRow struct {
 	// GoodputMbps is the seed-mean goodput across the segment's intervals.
-	GoodputMbps float64
+	GoodputMbps float64 `json:"goodput_mbps"`
 	// RTTms is the seed-mean smoothed RTT across the segment's intervals.
-	RTTms float64
+	RTTms float64 `json:"rtt_ms"`
 	// Retransmits is the seed-mean retransmission count in the segment.
-	Retransmits float64
-}
-
-// TraceRow is the measured outcome of one trace point.
-type TraceRow struct {
-	Point TracePoint
-	// GoodputMbps / GoodputCI are the whole-run seed mean and 95% CI.
-	GoodputMbps float64
-	GoodputCI   float64
-	// RTTms is the seed-mean smoothed RTT over the whole run.
-	RTTms float64
-	// Retransmits is the seed-mean total retransmissions.
-	Retransmits float64
-	// Segments is the per-segment breakdown, parallel to
-	// Point.Spec.Mobility.Segments.
-	Segments []TraceSegmentRow
+	Retransmits float64 `json:"retransmits"`
 }
 
 // segmentStats folds one run's interval series into per-segment sums.
 // Intervals are assigned to the segment containing their midpoint.
-func segmentStats(ivals []iperf.Interval, segs []mobility.Segment) []TraceSegmentRow {
-	rows := make([]TraceSegmentRow, len(segs))
+func segmentStats(ivals []iperf.Interval, segs []mobility.Segment) []SegmentRow {
+	rows := make([]SegmentRow, len(segs))
 	counts := make([]int, len(segs))
-	for i := range rows {
-		rows[i].Segment = segs[i]
-	}
 	for _, iv := range ivals {
 		mid := iv.Start + (iv.End-iv.Start)/2
 		for i, s := range segs {
@@ -190,76 +149,27 @@ func segmentStats(ivals []iperf.Interval, segs []mobility.Segment) []TraceSegmen
 	return rows
 }
 
-// RunTrace executes every point across seeds. Runs are deterministic per
-// (seed, trace): same inputs, same rows, byte for byte.
-func RunTrace(e TraceExperiment, seeds int) ([]TraceRow, error) {
-	return RunTracePool(e, seeds, 1)
-}
-
-// RunTracePool is RunTrace fanned across up to workers OS threads, one
-// point per task; rows come back in point order, identical to a serial
-// run's.
-func RunTracePool(e TraceExperiment, seeds, workers int) ([]TraceRow, error) {
-	if seeds <= 0 {
-		seeds = 1
+// foldSegments is the seed-mean of segmentStats over a point's runs.
+func foldSegments(runs []*core.Result, segs []mobility.Segment) []SegmentRow {
+	acc := make([]SegmentRow, len(segs))
+	for _, run := range runs {
+		for j, sr := range segmentStats(run.Report.Intervals, segs) {
+			acc[j].GoodputMbps += sr.GoodputMbps
+			acc[j].RTTms += sr.RTTms
+			acc[j].Retransmits += sr.Retransmits
+		}
 	}
-	rows := make([]TraceRow, len(e.Points))
-	err := ForEach(len(e.Points), workers, func(i int) (err error) {
-		p := e.Points[i]
-		last := p.Spec
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("repro %s/%s: panic: %v\nrepro: %s\n%s",
-					e.ID, p.Label, r, core.ReproLine(last), debug.Stack())
-			}
-		}()
-		var goodput, rtt, retx stats.Online
-		segs := e.Compiled.Segments
-		segAcc := make([]TraceSegmentRow, len(segs))
-		for i := range segAcc {
-			segAcc[i].Segment = segs[i]
-		}
-		for s := 0; s < seeds; s++ {
-			spec := p.Spec
-			spec.Seed = int64(1 + s)
-			last = spec
-			res, err := core.Run(spec)
-			if err != nil {
-				return fmt.Errorf("repro %s/%s seed %d: %w", e.ID, p.Label, spec.Seed, err)
-			}
-			goodput.Add(float64(res.Report.Goodput))
-			rtt.Add(float64(res.Report.AvgRTT))
-			retx.Add(float64(res.Report.Retransmits))
-			for j, sr := range segmentStats(res.Report.Intervals, segs) {
-				segAcc[j].GoodputMbps += sr.GoodputMbps
-				segAcc[j].RTTms += sr.RTTms
-				segAcc[j].Retransmits += sr.Retransmits
-			}
-		}
-		for j := range segAcc {
-			segAcc[j].GoodputMbps /= float64(seeds)
-			segAcc[j].RTTms /= float64(seeds)
-			segAcc[j].Retransmits /= float64(seeds)
-		}
-		rows[i] = TraceRow{
-			Point:       p,
-			GoodputMbps: goodput.Mean() / 1e6,
-			GoodputCI:   goodput.CI95() / 1e6,
-			RTTms:       rtt.Mean() / 1e6,
-			Retransmits: retx.Mean(),
-			Segments:    segAcc,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for j := range acc {
+		acc[j].GoodputMbps /= float64(len(runs))
+		acc[j].RTTms /= float64(len(runs))
+		acc[j].Retransmits /= float64(len(runs))
 	}
-	return rows, nil
+	return acc
 }
 
 // PrintTrace writes the overall table, the per-segment breakdown, and the
 // BBR-vs-Cubic deltas per CPU configuration.
-func PrintTrace(w io.Writer, e TraceExperiment, rows []TraceRow) {
+func PrintTrace(w io.Writer, e Experiment, rows []Row) {
 	st := e.Compiled.Trace.Stats()
 	fmt.Fprintf(w, "== %s: %s\n", e.ID, e.Title)
 	fmt.Fprintf(w, "trace: %v, mean %v peak %v, outage %.0f%%, mean RTT %v, %d fault events, %d segments\n",
@@ -267,6 +177,10 @@ func PrintTrace(w io.Writer, e TraceExperiment, rows []TraceRow) {
 		st.MeanRTT.Round(time.Millisecond), len(e.Compiled.Schedule.Events), len(e.Compiled.Segments))
 	fmt.Fprintf(w, "%-24s %9s %7s %8s %9s\n", "point", "Mbps", "±CI", "rtt ms", "retx")
 	for _, r := range rows {
+		if r.Failure != nil {
+			printFailed(w, 24, r)
+			continue
+		}
 		fmt.Fprintf(w, "%-24s %9.2f %7.2f %8.2f %9.0f\n",
 			r.Point.Label, r.GoodputMbps, r.GoodputCI, r.RTTms, r.Retransmits)
 	}
@@ -274,18 +188,21 @@ func PrintTrace(w io.Writer, e TraceExperiment, rows []TraceRow) {
 	fmt.Fprintf(w, "per-segment goodput (Mbps) / rtt (ms) / retx:\n")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-24s", r.Point.Label)
-		for _, sr := range r.Segments {
+		for j, sr := range r.Segments {
+			seg := e.Compiled.Segments[j]
 			fmt.Fprintf(w, "  [%s %.0fs-%.0fs %.2f/%.1f/%.0f]",
-				sr.Segment.Kind, sr.Segment.Start.Seconds(), sr.Segment.End.Seconds(),
+				seg.Kind, seg.Start.Seconds(), seg.End.Seconds(),
 				sr.GoodputMbps, sr.RTTms, sr.Retransmits)
 		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w)
-	// Deltas against Cubic per CPU configuration.
-	byLabel := map[string]TraceRow{}
+	// Deltas against Cubic per CPU configuration (failed rows have none).
+	byLabel := map[string]Row{}
 	for _, r := range rows {
-		byLabel[r.Point.Label] = r
+		if r.Failure == nil {
+			byLabel[r.Point.Label] = r
+		}
 	}
 	for _, cfg := range []device.Config{device.LowEnd, device.Default} {
 		cubic, ok := byLabel[fmt.Sprintf("cubic %s", cfg)]

@@ -21,15 +21,9 @@ func TestTraceGridParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewTraceExperiment: %v", err)
 	}
-	serial, err := RunTracePool(e, 2, 1)
-	if err != nil {
-		t.Fatalf("-j 1: %v", err)
-	}
-	par, err := RunTracePool(e, 2, 8)
-	if err != nil {
-		t.Fatalf("-j 8: %v", err)
-	}
-	if !reflect.DeepEqual(serial, par) {
+	serial := runGrid(t, e, RunOpts{Seeds: 2, Workers: 1})
+	par := runGrid(t, e, RunOpts{Seeds: 2, Workers: 8})
+	if !reflect.DeepEqual(stripSample(serial), stripSample(par)) {
 		t.Fatal("trace grid rows differ between -j 1 and -j 8")
 	}
 }

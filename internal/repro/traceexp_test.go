@@ -33,10 +33,7 @@ func TestTraceExperimentBundled(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewTraceExperiment: %v", err)
 			}
-			rows, err := RunTrace(e, 1)
-			if err != nil {
-				t.Fatalf("RunTrace: %v", err)
-			}
+			rows := runGrid(t, e, RunOpts{Seeds: 1})
 			if len(rows) != 6 {
 				t.Fatalf("got %d rows, want 6 (3 CCs × 2 CPU configs)", len(rows))
 			}
@@ -54,8 +51,8 @@ func TestTraceExperimentBundled(t *testing.T) {
 				// nominal segment (nothing flows while the link is dark).
 				var bestNominal, worstOutage float64
 				worstOutage = -1
-				for _, sr := range r.Segments {
-					switch sr.Segment.Kind {
+				for j, sr := range r.Segments {
+					switch e.Compiled.Segments[j].Kind {
 					case mobility.SegNominal:
 						if sr.GoodputMbps > bestNominal {
 							bestNominal = sr.GoodputMbps
@@ -91,10 +88,7 @@ func TestTraceExperimentPresets(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewTraceExperiment: %v", err)
 			}
-			rows, err := RunTrace(e, 1)
-			if err != nil {
-				t.Fatalf("RunTrace: %v", err)
-			}
+			rows := runGrid(t, e, RunOpts{Seeds: 1})
 			if len(rows) != 6 {
 				t.Fatalf("got %d rows, want 6", len(rows))
 			}

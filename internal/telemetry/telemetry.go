@@ -9,8 +9,8 @@
 // Everything in this package is zero-cost when disabled: every recording
 // method is safe to call on a nil receiver and returns immediately, so an
 // instrumented hot path pays only a nil-check (and allocates nothing) when
-// telemetry is off. Tests assert this contract (see AllocsPerRun tests and
-// BenchmarkEngineOverhead).
+// telemetry is off. Tests assert this contract (see the AllocsPerRun tests;
+// go run ./bench measures it as telemetry.emit_off_ns).
 //
 // Events carry only virtual-clock timestamps and deterministic payloads, so
 // two runs with the same seed produce byte-identical JSONL exports —
