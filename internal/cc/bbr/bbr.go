@@ -88,7 +88,7 @@ type BBR struct {
 	// steady-state PROBE_RTT dynamics still occur).
 	minRTTWindow time.Duration
 
-	bwFilter   *stats.WindowedMax // bytes/sec, over rounds
+	bwFilter   stats.WindowedMax // bytes/sec, over rounds
 	roundCount uint64
 	nextRTTDel int64
 	roundStart bool

@@ -120,7 +120,7 @@ type BBRv2 struct {
 	// package for why it is configurable).
 	minRTTWindow time.Duration
 
-	bwFilter   *stats.WindowedMax
+	bwFilter   stats.WindowedMax
 	roundCount uint64
 	nextRTTDel int64
 	roundStart bool

@@ -114,6 +114,7 @@ type Checker struct {
 	prevs   map[int]prev
 	lastNow time.Duration
 	started bool
+	tickFn  func() // bound once in Start: re-arming allocates nothing
 	bus     *telemetry.Bus
 
 	// Pool audit state: the run's packet/ACK pool and the path whose
@@ -211,13 +212,14 @@ func (k *Checker) Start() {
 		return
 	}
 	k.started = true
-	k.eng.Schedule(k.interval, k.tick)
+	k.tickFn = k.tick
+	k.eng.Schedule(k.interval, k.tickFn)
 }
 
 func (k *Checker) tick() {
 	k.CheckNow()
 	if len(k.violations) < maxViolations {
-		k.eng.Schedule(k.interval, k.tick)
+		k.eng.Schedule(k.interval, k.tickFn)
 	}
 }
 

@@ -8,8 +8,10 @@ import (
 
 	"mobbr/internal/apps"
 	"mobbr/internal/device"
+	"mobbr/internal/flows"
 	"mobbr/internal/netem"
 	"mobbr/internal/telemetry"
+	"mobbr/internal/units"
 )
 
 // TestSteadyStateAllocs pins the transport hot path's allocation-free steady
@@ -20,7 +22,11 @@ import (
 // budgets carry roughly 5× headroom over the measured figure (logged with
 // -v), which is 1–2 orders of magnitude below what one allocation per ACK,
 // per app chunk, per out-of-order packet or per blocking operation costs —
-// re-introducing any of those fails the case loudly.
+// re-introducing any of those fails the case loudly. The churn case is
+// budgeted per started flow instead (the difference divided by the flows the
+// extra 2T admitted): a flow costs its congestion module and, when it outgrows
+// the inline scoreboard buffers, their heap replacements — one closure,
+// method value or per-flow record more and the case fails.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime changes malloc counts")
@@ -29,7 +35,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		name   string
 		spec   Spec
 		t      time.Duration
-		budget float64 // mallocs per simulated second
+		budget float64 // mallocs per simulated second; per started flow when spec.Flows is set
 	}{
 		{"paced bulk", Spec{Device: device.Pixel4, CPU: device.LowEnd, CC: "bbr",
 			Conns: 20, Network: Ethernet}, 4 * time.Second, 200},
@@ -39,32 +45,70 @@ func TestSteadyStateAllocs(t *testing.T) {
 			Conns: 8, Network: WiFi, TC: netem.TC{Loss: 0.005}}, 2 * time.Second, 1000},
 		{"reqrep apps", Spec{CPU: device.LowEnd, CC: "bbr", Conns: 8,
 			Workload: apps.Workload{Kind: apps.KindReqRep}}, 2 * time.Second, 1000},
+		{"churn", Spec{CPU: device.LowEnd, CC: "bbr", Network: Ethernet,
+			Flows: &flows.Config{ArrivalRate: 800, MaxLive: 2000, InitialFlows: 2000,
+				MiceBytes: 4 * units.KB}}, 2 * time.Second, 6},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mallocs := func(d time.Duration) uint64 {
+			// mallocs runs the spec for d and returns what it allocated and
+			// what the allocations are charged to: simulated seconds, or
+			// flows started.
+			mallocs := func(d time.Duration) (objects uint64, work float64) {
 				spec := tc.spec
 				spec.Seed = 1
 				spec.Duration = d
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
-				if _, err := Run(spec); err != nil {
+				res, err := Run(spec)
+				if err != nil {
 					t.Fatal(err)
 				}
 				runtime.ReadMemStats(&after)
-				return after.Mallocs - before.Mallocs
+				work = d.Seconds()
+				if res.Flows != nil {
+					work = float64(res.Flows.Started)
+				}
+				return after.Mallocs - before.Mallocs, work
 			}
 			mallocs(tc.t) // lazy one-time initialisation, outside both measurements
-			short, long := mallocs(tc.t), mallocs(3*tc.t)
-			perSimS := (float64(long) - float64(short)) / (2 * tc.t).Seconds()
-			t.Logf("%.0f mallocs/sim-s (T=%v: %d, 3T: %d), budget %.0f",
-				perSimS, tc.t, short, long, tc.budget)
-			if perSimS > tc.budget {
-				t.Errorf("steady state allocates %.0f objects per simulated second, budget %.0f",
-					perSimS, tc.budget)
+			short, shortWork := mallocs(tc.t)
+			long, longWork := mallocs(3 * tc.t)
+			unit := "simulated second"
+			if tc.spec.Flows != nil {
+				unit = "started flow"
+			}
+			per := (float64(long) - float64(short)) / (longWork - shortWork)
+			t.Logf("%.2f mallocs per %s (T=%v: %d, 3T: %d), budget %.0f",
+				per, unit, tc.t, short, long, tc.budget)
+			if per > tc.budget {
+				t.Errorf("steady state allocates %.2f objects per %s, budget %.0f", per, unit, tc.budget)
 			}
 		})
+	}
+}
+
+// TestMinRunAllocs pins what every grid point pays before it simulates
+// anything: a 20-connection run of 1 ms of virtual time is build and teardown
+// only (the bench's core.min_run_allocs). Connections are built by the one
+// initialiser the conn pool uses, so a closure per callback or a heap object
+// per scoreboard entry coming back shows here first.
+func TestMinRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime changes malloc counts")
+	}
+	spec := Spec{Device: device.Pixel4, CPU: device.LowEnd, CC: "bbr", Conns: 20,
+		Network: Ethernet, Duration: time.Millisecond, Seed: 1}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Run(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 220 // measured 156; 448 before connections became one object each
+	t.Logf("%.0f allocations per minimal run, budget %d", allocs, budget)
+	if allocs > budget {
+		t.Errorf("a 20-connection 1 ms run allocates %.0f objects, budget %d", allocs, budget)
 	}
 }
 

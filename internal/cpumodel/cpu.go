@@ -125,14 +125,21 @@ func (c *CPU) Submit(op Op, cycles float64, fn func()) time.Duration {
 	return done
 }
 
-// SubmitOp charges the table cost for op.
-func (c *CPU) SubmitOp(op Op, fn func()) time.Duration {
-	return c.Submit(op, c.costs.Of(op), fn)
+// SubmitOp is SubmitP at the table cost for op.
+func (c *CPU) SubmitOp(op Op, fn func(any), arg any) time.Duration {
+	return c.SubmitP(op, c.costs.Of(op), fn, arg)
 }
 
 // SubmitP is the allocation-free form of Submit for the data path: fn is a
 // long-lived callback shared across jobs and arg carries the per-job payload
 // (see sim.Engine.ScheduleP). fn must be non-nil.
+//
+// Contract: the core is strictly first come, first served — completions run
+// in submission order, jobs of cost 0 included (equal completion times fire
+// in the order the engine scheduled them). Callers rely on it: tcp queues
+// each ACK as it submits the ACK's job and lets the completion take the
+// oldest, passing no per-job payload. A model with priorities or more than
+// one queue has to hand each completion its own job back.
 func (c *CPU) SubmitP(op Op, cycles float64, fn func(any), arg any) time.Duration {
 	if cycles < 0 {
 		panic("cpumodel: negative cycle cost")

@@ -1,6 +1,7 @@
 package cpumodel
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,6 +23,28 @@ func TestSubmitSerializes(t *testing.T) {
 	}
 	if done[1] != 3*time.Millisecond {
 		t.Errorf("second job done at %v, want 3ms (serialized)", done[1])
+	}
+}
+
+// TestCompletionOrderIsSubmissionOrder pins SubmitP's FCFS contract through
+// both entry points, with zero-cost jobs that complete at the same instant as
+// their predecessor.
+func TestCompletionOrderIsSubmissionOrder(t *testing.T) {
+	eng := sim.New(1)
+	cpu := NewCPU(eng, DefaultCosts(), 1e9)
+	var order []int
+	note := func(v any) { order = append(order, v.(int)) }
+	for i, cycles := range []float64{500, 0, 0, 200, 0, 1000, 0} {
+		if i%2 == 0 {
+			cpu.SubmitP(OpAckProcess, cycles, note, i)
+		} else {
+			i := i
+			cpu.Submit(OpAckProcess, cycles, func() { note(i) })
+		}
+	}
+	eng.Run(time.Second)
+	if want := []int{0, 1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("completion order %v, want submission order %v", order, want)
 	}
 }
 
@@ -87,8 +110,8 @@ func TestUtilizationNeverExceedsOne(t *testing.T) {
 func TestOpAccounting(t *testing.T) {
 	eng := sim.New(1)
 	cpu := NewCPU(eng, DefaultCosts(), 1e9)
-	cpu.SubmitOp(OpPacingTimer, nil)
-	cpu.SubmitOp(OpPacingTimer, nil)
+	cpu.Submit(OpPacingTimer, cpu.Costs().Of(OpPacingTimer), nil)
+	cpu.Submit(OpPacingTimer, cpu.Costs().Of(OpPacingTimer), nil)
 	cpu.Submit(OpAckProcess, 123, nil)
 	if got := cpu.OpCount(OpPacingTimer); got != 2 {
 		t.Errorf("OpCount(pacing_timer) = %d, want 2", got)
@@ -233,8 +256,8 @@ func TestBreakdownSharesSumToOne(t *testing.T) {
 	if len(cpu.Breakdown()) != 0 {
 		t.Fatal("breakdown should be empty before any work")
 	}
-	cpu.SubmitOp(OpPacingTimer, nil)
-	cpu.SubmitOp(OpAckProcess, nil)
+	cpu.Submit(OpPacingTimer, cpu.Costs().Of(OpPacingTimer), nil)
+	cpu.Submit(OpAckProcess, cpu.Costs().Of(OpAckProcess), nil)
 	cpu.Submit(OpSegXmit, 1000, nil)
 	bd := cpu.Breakdown()
 	var sum float64

@@ -66,9 +66,10 @@ type SchedutilGovernor struct {
 	// 0.80 if zero.
 	TargetUtil float64
 
-	cpus []*CPU
-	eng  *sim.Engine
-	cur  int
+	cpus   []*CPU
+	eng    *sim.Engine
+	cur    int
+	tickFn func() // bound once in Start: re-arming allocates nothing
 }
 
 // Name implements Governor.
@@ -96,7 +97,8 @@ func (g *SchedutilGovernor) Start(eng *sim.Engine, cpus ...*CPU) {
 		cpu.SetSpeed(g.Points[0].Speed())
 		cpu.WindowUtilization() // reset the window
 	}
-	eng.Schedule(g.Interval, g.tick)
+	g.tickFn = g.tick
+	eng.Schedule(g.Interval, g.tickFn)
 }
 
 func (g *SchedutilGovernor) tick() {
@@ -127,7 +129,7 @@ func (g *SchedutilGovernor) tick() {
 			cpu.SetSpeed(g.Points[g.cur].Speed())
 		}
 	}
-	g.eng.Schedule(g.Interval, g.tick)
+	g.eng.Schedule(g.Interval, g.tickFn)
 }
 
 // CurrentPoint returns the operating point the governor last selected.

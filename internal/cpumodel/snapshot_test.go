@@ -10,9 +10,9 @@ import (
 func TestSnapshotAllOps(t *testing.T) {
 	eng := sim.New(1)
 	cpu := NewCPU(eng, DefaultCosts(), 1e9)
-	cpu.SubmitOp(OpPacingTimer, nil)
-	cpu.SubmitOp(OpSegXmit, nil)
-	cpu.SubmitOp(OpSegXmit, nil)
+	cpu.Submit(OpPacingTimer, cpu.Costs().Of(OpPacingTimer), nil)
+	cpu.Submit(OpSegXmit, cpu.Costs().Of(OpSegXmit), nil)
+	cpu.Submit(OpSegXmit, cpu.Costs().Of(OpSegXmit), nil)
 	eng.Run(time.Second)
 
 	s := cpu.Snapshot()
@@ -66,7 +66,7 @@ func TestObserverSeesEveryCharge(t *testing.T) {
 	var seen []charge
 	cpu.SetObserver(func(op Op, cycles float64) { seen = append(seen, charge{op, cycles}) })
 	cpu.Submit(OpAckProcess, 123, nil)
-	cpu.SubmitOp(OpRTO, nil)
+	cpu.Submit(OpRTO, cpu.Costs().Of(OpRTO), nil)
 	if len(seen) != 2 {
 		t.Fatalf("observer saw %d charges, want 2", len(seen))
 	}
@@ -77,7 +77,7 @@ func TestObserverSeesEveryCharge(t *testing.T) {
 		t.Errorf("second charge = %+v", seen[1])
 	}
 	cpu.SetObserver(nil)
-	cpu.SubmitOp(OpSegXmit, nil)
+	cpu.Submit(OpSegXmit, cpu.Costs().Of(OpSegXmit), nil)
 	if len(seen) != 2 {
 		t.Error("cleared observer still invoked")
 	}

@@ -16,10 +16,9 @@ import (
 	"mobbr/internal/units"
 )
 
-// flow is one live flow's bookkeeping. Flow records recycle through a
-// session-private freelist, and the three stream callbacks are built once
-// per record and survive recycling (they read the record's current
-// fields), so steady-state churn allocates almost nothing per flow.
+// flow is one live flow's bookkeeping. Records are carved from chunks and
+// recycled through the session's freelist on release. The record is also its
+// connection's stream-event sink, which costs no closure per flow.
 type flow struct {
 	s  *Session
 	pc *tcp.PooledConn
@@ -28,12 +27,21 @@ type flow struct {
 	size    int64
 	written int64
 	born    time.Duration
-	idx     int // position in the session's live set
-
-	writableFn func()
-	drainedFn  func()
-	failedFn   func(error)
+	idx     int   // position in the session's live set
+	free    *flow // next record on the session's freelist
 }
+
+// flowChunk is how many flow records one chunk holds.
+const flowChunk = 256
+
+// StreamWritable implements tcp.StreamEvents: ACKs reopened buffer room.
+func (f *flow) StreamWritable() { f.s.pump(f) }
+
+// StreamDrained implements tcp.StreamEvents: the FIN is acknowledged.
+func (f *flow) StreamDrained() { f.s.complete(f) }
+
+// StreamFailed implements tcp.StreamEvents: the transport gave up.
+func (f *flow) StreamFailed(error) { f.s.fail(f) }
 
 // Session is one assembled churn run. It mirrors iperf.Session's harness
 // shape (Start / engine run / Finish) but owns a dynamic population:
@@ -50,9 +58,11 @@ type Session struct {
 	agg   *tcp.AggStats
 	ftab  *cpumodel.FlowTable
 
-	nextID    int
-	live      []*flow
-	freeFlows []*flow
+	nextID int
+	live   []*flow
+	// Flow records: released ones first, then the rest of the newest chunk.
+	freeFlows  *flow
+	spareFlows []flow
 
 	// onRetire fires with the flow id on every release (completion or
 	// failure) — the invariant checker prunes its per-flow history here.
@@ -168,18 +178,18 @@ func (s *Session) drawSize() int64 {
 	return int64(size)
 }
 
-// allocFlow takes a recycled flow record or builds one with its callback
-// closures.
+// allocFlow returns a flow record to overwrite: a released one, else the next
+// of a chunk.
 func (s *Session) allocFlow() *flow {
-	if n := len(s.freeFlows); n > 0 {
-		f := s.freeFlows[n-1]
-		s.freeFlows = s.freeFlows[:n-1]
+	if f := s.freeFlows; f != nil {
+		s.freeFlows = f.free
 		return f
 	}
-	f := &flow{s: s}
-	f.writableFn = func() { s.pump(f) }
-	f.drainedFn = func() { s.complete(f) }
-	f.failedFn = func(error) { s.fail(f) }
+	if len(s.spareFlows) == 0 {
+		s.spareFlows = make([]flow, flowChunk)
+	}
+	f := &s.spareFlows[0]
+	s.spareFlows = s.spareFlows[1:]
 	return f
 }
 
@@ -187,23 +197,21 @@ func (s *Session) allocFlow() *flow {
 // mode, registered with the demux, started, and primed with as many bytes
 // as the send buffer takes.
 func (s *Session) startFlow() {
-	f := s.allocFlow()
-	f.id = s.nextID
+	id := s.nextID
 	s.nextID++
-	f.size = s.drawSize()
-	f.written = 0
-	f.born = s.eng.Now()
-	f.pc = s.pool.Get(f.id, s.icfg.CC)
-	f.idx = len(s.live)
+	size := s.drawSize()
+	pc := s.pool.Get(id, s.icfg.CC)
+	f := s.allocFlow()
+	*f = flow{s: s, pc: pc, id: id, size: size, born: s.eng.Now(), idx: len(s.live)}
 	s.live = append(s.live, f)
 	s.started++
 	if len(s.live) > s.peakLive {
 		s.peakLive = len(s.live)
 	}
-	c := f.pc.Conn
+	c := pc.Conn
 	c.SetStream()
-	c.SetStreamCallbacks(f.writableFn, f.drainedFn, f.failedFn)
-	s.demux.Add(f.pc.Rx)
+	c.SetStreamEvents(f)
+	s.demux.Add(pc.Rx)
 	c.Start()
 	s.pump(f)
 }
@@ -242,7 +250,8 @@ func (s *Session) fail(f *flow) {
 // release is the single churn exit path: the flow id is unregistered
 // everywhere late traffic could still reach it — demux (data), path
 // tombstone (ACKs in return flight), flow table (fast-path slot) — then
-// the conn goes back to the pool and the record to the freelist. The live
+// the conn goes back to the pool and the record to the freelist (a stopped
+// connection fires no stream event, so the record is free at once). The live
 // set uses O(1) swap-remove; order is irrelevant, ids are never reused.
 func (s *Session) release(f *flow) {
 	s.demux.Remove(f.id)
@@ -257,7 +266,7 @@ func (s *Session) release(f *flow) {
 	s.live[f.idx].idx = f.idx
 	s.live = s.live[:last]
 	f.pc = nil
-	s.freeFlows = append(s.freeFlows, f)
+	f.free, s.freeFlows = s.freeFlows, f
 }
 
 // arrive admits or rejects one Poisson arrival and schedules the next.

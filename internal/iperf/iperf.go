@@ -112,6 +112,11 @@ type Session struct {
 	intervals     []Interval
 	lastIvalBytes units.DataSize
 	lastIvalRetx  int64
+
+	// The periodic paths' callbacks, bound once so that re-arming them
+	// allocates no method value per tick.
+	sampleFn   func()
+	intervalFn func()
 }
 
 // Interval is one iperf3-style reporting interval.
@@ -154,6 +159,8 @@ func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg Config) (*Ses
 		return nil, fmt.Errorf("iperf: sharded runs do not support stream mode")
 	}
 	s := &Session{eng: eng, cpu: cpu, path: path, cfg: cfg, agg: &tcp.AggStats{}}
+	s.sampleFn = s.sample
+	s.intervalFn = s.recordInterval
 	// Cache/TLB pressure grows gently with the number of hot sockets.
 	pressure := 1 + 0.05*math.Log(float64(cfg.Conns))
 	cpu.SetPressure(pressure)
@@ -219,7 +226,7 @@ func (s *Session) Start() {
 	for _, c := range s.conns {
 		c.Start()
 	}
-	s.eng.Schedule(s.cfg.SampleEvery, s.sample)
+	s.eng.Schedule(s.cfg.SampleEvery, s.sampleFn)
 	warmup := func() {
 		// The O(1) counter is integer-identical to totalGoodBytes().
 		s.warmupBytes = s.agg.GoodBytes()
@@ -240,7 +247,7 @@ func (s *Session) Start() {
 		return
 	}
 	if s.cfg.Interval > 0 {
-		s.eng.Schedule(s.cfg.Interval, s.recordInterval)
+		s.eng.Schedule(s.cfg.Interval, s.intervalFn)
 	}
 	if s.cfg.Warmup > 0 {
 		s.eng.Schedule(s.cfg.Warmup, warmup)
@@ -256,13 +263,13 @@ func (s *Session) sample() {
 		s.cwndSamples.Add(float64(st.Cwnd))
 	}
 	s.queueDepth.Add(float64(s.path.Hop(0).QueueLen()))
-	s.eng.Schedule(s.cfg.SampleEvery, s.sample)
+	s.eng.Schedule(s.cfg.SampleEvery, s.sampleFn)
 }
 
 // recordInterval closes one reporting interval and schedules the next.
 func (s *Session) recordInterval() {
 	s.recordIntervalAt(s.eng.Now())
-	s.eng.Schedule(s.cfg.Interval, s.recordInterval)
+	s.eng.Schedule(s.cfg.Interval, s.intervalFn)
 }
 
 // recordIntervalAt closes the interval ending at now; the sharded engine

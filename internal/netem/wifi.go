@@ -22,6 +22,7 @@ type WiFiModulator struct {
 	floor    float64
 	ceil     float64
 	started  bool
+	tickFn   func() // bound once in Start: re-arming allocates nothing
 }
 
 // NewWiFiModulator returns a modulator for pipe around the given base rate.
@@ -44,6 +45,7 @@ func (m *WiFiModulator) Start() {
 		return
 	}
 	m.started = true
+	m.tickFn = m.tick
 	m.tick()
 }
 
@@ -56,5 +58,5 @@ func (m *WiFiModulator) tick() {
 		f = m.ceil
 	}
 	m.pipe.SetRate(units.Bandwidth(float64(m.base) * f))
-	m.eng.Schedule(m.interval, m.tick)
+	m.eng.Schedule(m.interval, m.tickFn)
 }

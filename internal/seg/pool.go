@@ -294,14 +294,19 @@ func (pl *PacketList) Drain(fn func(*Packet)) {
 }
 
 // AckList is the Ack counterpart of PacketList, used for ACKs in return
-// flight and ACKs queued behind the sender's CPU model.
+// flight and ACKs queued behind the sender's CPU model. It also remembers its
+// oldest entry: the CPU model is first-come-first-served, so the ACK whose
+// processing job completes next is always the one that has waited longest.
 type AckList struct {
-	head *Ack
-	n    int
+	head, tail *Ack
+	n          int
 }
 
 // Len returns the number of listed ACKs.
 func (al *AckList) Len() int { return al.n }
+
+// Oldest returns the listed ACK that was pushed first, or nil.
+func (al *AckList) Oldest() *Ack { return al.tail }
 
 // Push adds a to the list.
 func (al *AckList) Push(a *Ack) {
@@ -313,6 +318,8 @@ func (al *AckList) Push(a *Ack) {
 	a.next = al.head
 	if al.head != nil {
 		al.head.prev = a
+	} else {
+		al.tail = a
 	}
 	al.head = a
 	al.n++
@@ -330,6 +337,8 @@ func (al *AckList) Remove(a *Ack) {
 	}
 	if a.next != nil {
 		a.next.prev = a.prev
+	} else {
+		al.tail = a.prev
 	}
 	a.next, a.prev = nil, nil
 	a.listed = false

@@ -189,14 +189,17 @@ func TestAckListPushRemoveDrain(t *testing.T) {
 	for _, a := range acks {
 		l.Push(a)
 	}
+	if l.Oldest() != acks[0] {
+		t.Fatal("Oldest is not the first ACK pushed")
+	}
 	l.Remove(acks[0])
-	if l.Len() != 1 {
-		t.Fatalf("len = %d, want 1", l.Len())
+	if l.Len() != 1 || l.Oldest() != acks[1] {
+		t.Fatalf("len = %d, oldest = %+v, want 1 and the second ACK", l.Len(), l.Oldest())
 	}
 	n := 0
 	l.Drain(func(a *Ack) { n++ })
-	if n != 1 || l.Len() != 0 {
-		t.Fatalf("drained %d, len %d", n, l.Len())
+	if n != 1 || l.Len() != 0 || l.Oldest() != nil {
+		t.Fatalf("drained %d, len %d, oldest %+v", n, l.Len(), l.Oldest())
 	}
 }
 

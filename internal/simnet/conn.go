@@ -80,21 +80,30 @@ var _ net.Conn = (*Conn)(nil)
 // Wrap couples an existing stream-mode tcp.Conn and its Receiver into a
 // (client, server) net.Conn pair. The tcp.Conn must have SetStream called
 // already (the iperf harness does this for Config.Stream sessions); Wrap
-// installs its stream callbacks and the receiver's delivery listener.
+// installs the pair as its stream-event sink and the receiver's delivery
+// listener.
 func (n *Net) Wrap(tc *tcp.Conn, rx *tcp.Receiver, cfg PairConfig) (client, server *Conn) {
 	pr := &pair{n: n, tc: tc, rx: rx, cfg: cfg, finAt: -1}
-	tc.SetStreamCallbacks(
-		func() { n.fire(pr.cliWrite, nil) },
-		nil, // drain completion rides the ACK stream; FIN is finAt
-		func(err error) {
-			pr.upErr = err
-			n.fire(pr.cliWrite, err)
-			n.fire(pr.cliRead, err)
-			n.fire(pr.srvRead, err)
-		},
-	)
+	tc.SetStreamEvents(pr)
 	rx.SetDeliveryListener(func() { n.fire(pr.srvRead, nil) })
 	return &Conn{p: pr, rdl: -1, wdl: -1}, &Conn{p: pr, server: true, rdl: -1, wdl: -1}
+}
+
+// StreamWritable implements tcp.StreamEvents: room reopened for the client's
+// blocked writer.
+func (pr *pair) StreamWritable() { pr.n.fire(pr.cliWrite, nil) }
+
+// StreamDrained implements tcp.StreamEvents. Drain completion rides the ACK
+// stream; the FIN is finAt.
+func (pr *pair) StreamDrained() {}
+
+// StreamFailed implements tcp.StreamEvents: every blocked operation on the
+// pair fails with the transport's error.
+func (pr *pair) StreamFailed(err error) {
+	pr.upErr = err
+	pr.n.fire(pr.cliWrite, err)
+	pr.n.fire(pr.cliRead, err)
+	pr.n.fire(pr.srvRead, err)
 }
 
 // vtime converts a net.Conn deadline to absolute virtual time (-1 = none).

@@ -18,9 +18,10 @@ type minmaxSample struct {
 	set bool
 }
 
-// NewWindowedMax returns a max filter over the given window length.
-func NewWindowedMax(window uint64) *WindowedMax {
-	return &WindowedMax{window: window}
+// NewWindowedMax returns a max filter over the given window length, by value
+// so that its owner can embed it.
+func NewWindowedMax(window uint64) WindowedMax {
+	return WindowedMax{window: window}
 }
 
 // SetWindow changes the window length for subsequent updates.
@@ -85,9 +86,10 @@ type WindowedMin struct {
 	set    bool
 }
 
-// NewWindowedMin returns a min filter over the given window length.
-func NewWindowedMin(window uint64) *WindowedMin {
-	return &WindowedMin{window: window}
+// NewWindowedMin returns a min filter over the given window length, by value
+// so that its owner can embed it.
+func NewWindowedMin(window uint64) WindowedMin {
+	return WindowedMin{window: window}
 }
 
 // Update feeds a measurement v at time t and returns the current windowed

@@ -32,7 +32,7 @@ func (c *Conn) OnAckArrival(a *seg.Ack) {
 	if c.agg != nil {
 		c.agg.heldAcks++
 	}
-	c.cpu.SubmitP(cpumodel.OpCCUpdate, c.ccMod.AckCost(), c.processAckFn, a)
+	c.cpu.SubmitP(cpumodel.OpCCUpdate, c.ccMod.AckCost(), connProcessAck, c)
 }
 
 // ackScratch is processAck's per-ACK working state: the rate sample handed
@@ -100,7 +100,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 	rs := &c.ack.rs
 
 	// Cumulative ACK. Popped entries leave the scoreboard for good, so
-	// each is recycled onto the pktInfo freelist once delivered.
+	// each goes back to the entry pool once delivered.
 	if a.CumAck > c.sndUna {
 		for _, p := range c.board.popAcked(a.CumAck) {
 			if p.sacked {
@@ -109,7 +109,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 			} else {
 				c.deliver(p)
 			}
-			c.freeInfo(p)
+			c.retire(p)
 		}
 		c.sndUna = a.CumAck
 		c.rtoBackoff = 0

@@ -41,7 +41,7 @@ type Conn struct {
 	path   *netem.Path
 	cfg    Config
 	ccMod  cc.CongestionControl
-	pacer  *pacing.Pacer
+	pacer  pacing.Pacer
 
 	// Sequence space (bytes).
 	sndNxt, sndUna int64
@@ -64,7 +64,7 @@ type Conn struct {
 	lastECEResponse time.Duration
 
 	srtt, rttvar, lastRTT time.Duration
-	minRTT                *stats.WindowedMin
+	minRTT                stats.WindowedMin
 
 	rtoTimer    sim.Timer
 	rtoBackoff  uint
@@ -102,9 +102,7 @@ type Conn struct {
 	closing      bool
 	drainedFired bool
 	kicked       bool // Start's kick has run; writes may transmit
-	onWritable   func()
-	onDrained    func()
-	onFailed     func(error)
+	events       StreamEvents
 
 	// Application-source pipeline (when appCPU is set): the sender task
 	// keeps the socket buffer filled ahead of transmission, so the
@@ -130,81 +128,106 @@ type Conn struct {
 	agg  *AggStats
 	ftab *cpumodel.FlowTable
 
-	// onQuiet, when set, fires once a stopped connection has fully
-	// quiesced: no pending ACKs behind the CPU model, no outstanding
-	// transmit or app-copy job. The conn pool uses it to decide when a
-	// released connection is safe to recycle.
-	onQuiet func()
+	// home is the pool slot this connection lives in (nil when built by
+	// NewConn). A stopped connection that reaches quiescence while its
+	// slot is in the dying set hands itself back to the pool.
+	home *PooledConn
 
-	// Callbacks cached at construction (appCopiedFn: when the app core is
-	// attached) so the hot re-arm paths — pacing gate, RTO and its CPU job,
-	// TSQ retry, watchdog, app-copy completion — and a pooled connection's
-	// start kick never allocate a closure or method value per event.
-	trySendFn    func()
-	pacingFire   func()
-	rtoFire      func()
-	enterLossFn  func()
-	watchdogFire func()
-	appCopiedFn  func()
-	kickFn       func()
+	// deferred counts the calls still scheduled on the engine or queued
+	// behind the CPU model that no timer handle or busy flag tracks: the
+	// RTO's enterLoss job, the pacing timer's expiry job, TSQ retry polls
+	// and Start's kick. Stop cannot cancel them, so they are part of
+	// quiescence: each runs into its done-guard on the incarnation that
+	// scheduled it, never on the next flow to own this object.
+	deferred int
 
 	// pool is the run's packet/ACK recycler (nil in unit tests — every
-	// acquire then heap-allocates). infoFree is the connection-private
-	// freelist of scoreboard entries, recycled as the cumulative ACK
-	// retires them.
-	pool     *seg.Pool
-	infoFree *pktInfo
+	// acquire then heap-allocates). infos supplies scoreboard entries and
+	// takes them back as the cumulative ACK retires them: the ConnPool's
+	// shared one, or the connection's own when NewConn built it.
+	pool  *seg.Pool
+	infos *infoPool
 
 	// pendingAcks holds ACKs the network has delivered but the CPU model
 	// has not yet processed (between OnAckArrival and processAck), so they
 	// are reachable for the run-end reclaim.
 	pendingAcks seg.AckList
-	// processAckFn is the shared CPU-completion callback for ACK
-	// processing; the ACK rides along as the SubmitP argument.
-	processAckFn func(any)
-	ack          ackScratch
+	ack         ackScratch
 
 	// Transmit-job state parked on the connection while the CPU model
-	// serializes the batch (xmitBusy guards a single outstanding job):
-	// emitFn is the shared completion callback, xmitRetx the reusable
-	// retransmission batch buffer.
-	emitFn       func()
+	// serializes the batch (xmitBusy guards a single outstanding job);
+	// xmitRetx is the reusable retransmission batch buffer. retired chains
+	// the entries the cumulative ACK dropped while the job was parked (see
+	// retire).
 	xmitRetx     []*pktInfo
 	xmitNew      int
 	xmitPaceFrom time.Duration
+	retired      *pktInfo
+}
+
+// Engine and CPU-model callbacks. They are package-level functions that take
+// the connection as their argument (sim.Engine.ScheduleP, Timer.Reschedule on
+// such an item, cpumodel.CPU.SubmitP), so neither building a connection nor
+// re-arming one of its timers allocates a closure or a method value.
+func connKick(v any)          { v.(*Conn).kick() }
+func connTrySendLater(v any)  { v.(*Conn).trySendLater() }
+func connPacingExpired(v any) { v.(*Conn).pacingExpired() }
+func connRTOExpired(v any)    { v.(*Conn).onRTOTimer() }
+func connEnterLoss(v any)     { v.(*Conn).enterLoss() }
+func connWatchdog(v any)      { v.(*Conn).watchdogCheck() }
+func connAppCopied(v any)     { v.(*Conn).appCopyDone() }
+
+// connProcessAck completes the oldest held ACK: the CPU model serves jobs
+// first come first served (cpumodel.CPU.SubmitP's contract), so ACK jobs
+// finish in the order the ACKs arrived.
+func connProcessAck(v any) {
+	c := v.(*Conn)
+	a := c.pendingAcks.Oldest()
+	if a == nil {
+		panic(fmt.Sprintf("tcp: conn %d: an ACK job completed with no ACK held", c.id))
+	}
+	c.processAck(a)
+}
+
+// connEmit completes the transmit job parked on the connection.
+func connEmit(v any) {
+	c := v.(*Conn)
+	c.emit(c.xmitPaceFrom, c.xmitRetx, c.xmitNew)
+}
+
+// soloConn is what NewConn allocates: a connection together with the
+// scoreboard-entry pool that pooled connections share, in one object.
+type soloConn struct {
+	Conn
+	infos infoPool
 }
 
 // NewConn creates a connection with the given flow id. The congestion
 // module is built fresh from factory. Call Start to begin transmitting.
 func NewConn(id int, eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg Config, factory cc.Factory) *Conn {
-	cfg = cfg.withDefaults()
-	c := &Conn{
-		id:       id,
-		eng:      eng,
-		cpu:      cpu,
-		path:     path,
-		cfg:      cfg,
-		ccMod:    factory(),
-		cwnd:     cfg.InitialCwnd,
-		ssthresh: 1 << 30,
-		minRTT:   stats.NewWindowedMin(uint64(minRTTWindow)),
-	}
-	pcfg := cfg.Pacing
+	s := &soloConn{}
+	s.Conn = Conn{eng: eng, cpu: cpu, path: path, cfg: cfg.withDefaults(), infos: &s.infos}
+	s.Conn.open(id, factory)
+	return &s.Conn
+}
+
+// open starts a flow on a connection that holds its wiring (the environment,
+// which outlives every flow the object carries; cfg with its defaults) and
+// is otherwise zero: the one initialiser behind NewConn, a pool slot's first
+// use and Reset.
+func (c *Conn) open(id int, factory cc.Factory) {
+	c.id = id
+	c.ccMod = factory()
+	c.cwnd = c.cfg.InitialCwnd
+	c.ssthresh = 1 << 30
+	c.minRTT = stats.NewWindowedMin(uint64(minRTTWindow))
+	pcfg := c.cfg.Pacing
 	pcfg.Enabled = c.ccMod.WantsPacing()
-	if cfg.PacingOverride != nil {
-		pcfg.Enabled = *cfg.PacingOverride
+	if c.cfg.PacingOverride != nil {
+		pcfg.Enabled = *c.cfg.PacingOverride
 	}
-	c.pacer = pacing.New(pcfg)
+	c.pacer.Reset(pcfg)
 	c.ccMod.Init(c)
-	c.trySendFn = c.trySend
-	c.pacingFire = c.pacingExpired
-	c.rtoFire = c.onRTOTimer
-	c.enterLossFn = c.enterLoss
-	c.watchdogFire = c.watchdogCheck
-	c.kickFn = c.kick
-	c.processAckFn = func(v any) { c.processAck(v.(*seg.Ack)) }
-	c.emitFn = func() { c.emit(c.xmitPaceFrom, c.xmitRetx, c.xmitNew) }
-	return c
 }
 
 // SetPool attaches the run's packet/ACK pool. Call before Start.
@@ -215,23 +238,6 @@ func (c *Conn) SetPool(pool *seg.Pool) { c.pool = pool }
 // walk, with promotion past the offload threshold). Call before Start.
 func (c *Conn) SetFlowTable(t *cpumodel.FlowTable) { c.ftab = t }
 
-// allocInfo takes a zeroed scoreboard entry from the connection's freelist.
-func (c *Conn) allocInfo() *pktInfo {
-	p := c.infoFree
-	if p == nil {
-		return &pktInfo{}
-	}
-	c.infoFree = p.free
-	*p = pktInfo{}
-	return p
-}
-
-// freeInfo recycles a scoreboard entry the cumulative ACK retired.
-func (c *Conn) freeInfo(p *pktInfo) {
-	p.free = c.infoFree
-	c.infoFree = p
-}
-
 // ID returns the flow id.
 func (c *Conn) ID() int { return c.id }
 
@@ -239,14 +245,11 @@ func (c *Conn) ID() int { return c.id }
 func (c *Conn) CC() cc.CongestionControl { return c.ccMod }
 
 // Pacer returns the connection's pacer, for stats sampling.
-func (c *Conn) Pacer() *pacing.Pacer { return c.pacer }
+func (c *Conn) Pacer() *pacing.Pacer { return &c.pacer }
 
 // SetAppCPU attaches the application core that pays the per-byte sendmsg
 // copy cost. Call before Start.
-func (c *Conn) SetAppCPU(cpu *cpumodel.CPU) {
-	c.appCPU = cpu
-	c.appCopiedFn = c.appCopyDone
-}
+func (c *Conn) SetAppCPU(cpu *cpumodel.CPU) { c.appCPU = cpu }
 
 // SetTelemetry attaches the event bus and per-connection instruments. Call
 // before Start. Either argument may be nil (that subsystem stays off). The
@@ -290,11 +293,17 @@ func (c *Conn) Start() {
 		return
 	}
 	c.started = true
-	c.eng.Schedule(c.cfg.StartDelay, c.kickFn)
+	c.deferred++
+	c.eng.ScheduleP(c.cfg.StartDelay, connKick, c)
 }
 
-// kick is Start's deferred first transmission (cached in kickFn).
+// kick is Start's deferred first transmission.
 func (c *Conn) kick() {
+	c.deferred--
+	if c.done {
+		c.maybeQuiet()
+		return
+	}
 	c.kicked = true
 	c.lastProgress = c.eng.Now()
 	c.armWatchdog()
@@ -309,7 +318,7 @@ const appCopyChunk = 16 * units.KB
 // application still has data), it charges one chunk's copy to the app core
 // and re-arms itself on completion. The chunk in flight is parked on the
 // connection (appBusy guarantees a single outstanding copy), so the
-// completion callback is the shared appCopiedFn, not a closure per chunk.
+// completion callback is the shared connAppCopied, not a closure per chunk.
 func (c *Conn) appPump() {
 	if c.appCPU == nil || c.appBusy || c.done {
 		return
@@ -356,11 +365,10 @@ func (c *Conn) appPump() {
 	c.appBusy = true
 	c.appChunk = chunk
 	cost := float64(chunk) * c.cpu.Costs().CopyPerByte
-	c.appCPU.Submit(cpumodel.OpDataCopy, cost, c.appCopiedFn)
+	c.appCPU.SubmitP(cpumodel.OpDataCopy, cost, connAppCopied, c)
 }
 
-// appCopyDone runs at the app core's completion of one chunk copy (cached in
-// appCopiedFn).
+// appCopyDone runs at the app core's completion of one chunk copy.
 func (c *Conn) appCopyDone() {
 	c.appBusy = false
 	if c.done {
@@ -397,8 +405,8 @@ func (c *Conn) fail(err error) {
 		c.bus.Emit(telemetry.Event{Kind: telemetry.KindConnFailed, Conn: c.id, New: err.Error()})
 	}
 	c.Stop()
-	if c.onFailed != nil {
-		c.onFailed(err)
+	if c.events != nil {
+		c.events.StreamFailed(err)
 	}
 }
 
@@ -413,16 +421,23 @@ func (c *Conn) SetStream() {
 	c.streamEnd = -1
 }
 
-// SetStreamCallbacks installs the stream-mode notification hooks: writable
-// fires when acknowledged progress reopens send-buffer room, drained fires
-// once everything written before CloseStream has been cumulatively
-// acknowledged, and failed fires when the transport declares the
-// connection dead. Any hook may be nil. Call before Start.
-func (c *Conn) SetStreamCallbacks(writable, drained func(), failed func(error)) {
-	c.onWritable = writable
-	c.onDrained = drained
-	c.onFailed = failed
+// StreamEvents receives a stream-mode connection's notifications. The owner
+// of the stream implements it on a record it already keeps per flow, so
+// installing it costs no closure.
+type StreamEvents interface {
+	// StreamWritable fires when acknowledged progress reopens send-buffer
+	// room.
+	StreamWritable()
+	// StreamDrained fires once everything written before CloseStream has
+	// been cumulatively acknowledged.
+	StreamDrained()
+	// StreamFailed fires when the transport declares the connection dead.
+	StreamFailed(err error)
 }
+
+// SetStreamEvents installs the stream-mode notification sink. Call before
+// Start.
+func (c *Conn) SetStreamEvents(h StreamEvents) { c.events = h }
 
 // StreamRoom returns how many more bytes StreamWrite would accept now:
 // the send buffer minus everything written but not yet cumulatively
@@ -511,8 +526,8 @@ func (c *Conn) maybeDrained() {
 		return
 	}
 	c.drainedFired = true
-	if c.onDrained != nil {
-		c.onDrained()
+	if c.events != nil {
+		c.events.StreamDrained()
 	}
 	if c.closing {
 		c.Stop()
@@ -533,8 +548,8 @@ func (c *Conn) streamProgress() {
 	if c.done || c.drainedFired {
 		return
 	}
-	if c.onWritable != nil && c.StreamRoom() > 0 {
-		c.onWritable()
+	if c.events != nil && c.StreamRoom() > 0 {
+		c.events.StreamWritable()
 	}
 }
 
@@ -551,7 +566,7 @@ func (c *Conn) armWatchdog() {
 		return
 	}
 	if !c.watchdog.Reschedule(watchdogInterval) {
-		c.watchdog = c.eng.Schedule(watchdogInterval, c.watchdogFire)
+		c.watchdog = c.eng.ScheduleP(watchdogInterval, connWatchdog, c)
 	}
 }
 
@@ -703,7 +718,8 @@ func (c *Conn) trySend() {
 	// TSQ-style backpressure: if the local qdisc is deep, defer rather
 	// than overrun it.
 	if c.path.Hop(0).QueueLen() > devnicHighWatermark {
-		c.eng.Schedule(250*time.Microsecond, c.trySendFn)
+		c.deferred++
+		c.eng.ScheduleP(250*time.Microsecond, connTrySendLater, c)
 		return
 	}
 	c.cwndRestartAfterIdle(now)
@@ -753,11 +769,22 @@ func (c *Conn) trySend() {
 	}
 	c.cpu.Submit(cpumodel.OpSKBXmit, costs.SKBXmit, nil)
 	total := len(retx) + newSegs
-	// Park the batch on the connection; emitFn picks it up at CPU
+	// Park the batch on the connection; connEmit picks it up at CPU
 	// completion (xmitBusy guarantees a single outstanding job).
 	c.xmitPaceFrom = paceFrom
 	c.xmitNew = newSegs
-	c.cpu.Submit(cpumodel.OpSegXmit, float64(total)*costs.SegXmit, c.emitFn)
+	c.cpu.SubmitP(cpumodel.OpSegXmit, float64(total)*costs.SegXmit, connEmit, c)
+}
+
+// trySendLater is a send attempt that was deferred — a TSQ retry poll, or the
+// pacing timer's expiry work coming off the CPU.
+func (c *Conn) trySendLater() {
+	c.deferred--
+	if c.done {
+		c.maybeQuiet()
+		return
+	}
+	c.trySend()
 }
 
 // cwndRestartAfterIdle is tcp_cwnd_restart (RFC 2861): a window validated
@@ -805,6 +832,32 @@ func (c *Conn) markAppLimited() {
 	c.appLimited = v
 }
 
+// retire returns an entry the cumulative ACK dropped to the entry pool. While
+// a transmit job is parked its retransmission batch may still point at the
+// entry, and emit reads the entry's flags to tell whether it is still worth
+// sending; on the shared pool another connection could take the entry and
+// mark it lost in the meantime, and emit would send that connection's
+// sequence number under this one's flow id. Such an entry waits on the
+// connection until the job has run.
+func (c *Conn) retire(p *pktInfo) {
+	if !c.xmitBusy {
+		c.infos.put(p)
+		return
+	}
+	p.free = c.retired
+	c.retired = p
+}
+
+// flushRetired hands the entries retire held back over to the entry pool.
+func (c *Conn) flushRetired() {
+	for p := c.retired; p != nil; {
+		next := p.free
+		c.infos.put(p)
+		p = next
+	}
+	c.retired = nil
+}
+
 // snapshot stamps a packet with the rate-sample state at transmission.
 func (c *Conn) snapshot(p *pktInfo) {
 	p.snapDelivered = c.delivered
@@ -818,6 +871,9 @@ func (c *Conn) snapshot(p *pktInfo) {
 // from paceFrom, the transmit-release time).
 func (c *Conn) emit(paceFrom time.Duration, retx []*pktInfo, newSegs int) {
 	c.xmitBusy = false
+	// What retx still points at stays as the ACK path left it — acked, so
+	// skipped below — until the first get, which comes after the retx loop.
+	c.flushRetired()
 	if c.done {
 		c.maybeQuiet()
 		return
@@ -883,7 +939,7 @@ func (c *Conn) emit(paceFrom time.Duration, retx []*pktInfo, newSegs int) {
 				l = units.DataSize(rem)
 			}
 		}
-		p := c.allocInfo()
+		p := c.infos.get()
 		p.seq, p.len, p.sentAt, p.inFlite = c.sndNxt, l, now, true
 		c.snapshot(p)
 		c.board.add(p)
@@ -940,11 +996,11 @@ func (c *Conn) armPacingTimer(wait time.Duration) {
 	}
 	c.pacer.TimerArmed()
 	if !c.pacingTimer.Reschedule(wait) {
-		c.pacingTimer = c.eng.Schedule(wait, c.pacingFire)
+		c.pacingTimer = c.eng.ScheduleP(wait, connPacingExpired, c)
 	}
 }
 
-// pacingExpired is the pacing timer's callback (cached in pacingFire).
+// pacingExpired is the pacing timer's callback.
 func (c *Conn) pacingExpired() {
 	if c.done {
 		return
@@ -954,7 +1010,8 @@ func (c *Conn) pacingExpired() {
 		return
 	}
 	now := c.eng.Now()
-	done := c.cpu.SubmitOp(cpumodel.OpPacingTimer, c.trySendFn)
+	c.deferred++
+	done := c.cpu.SubmitOp(cpumodel.OpPacingTimer, connTrySendLater, c)
 	if c.bus != nil || c.met != nil {
 		// Timer slippage: the gate reopened at now, but the expiry
 		// work queues behind whatever the CPU is already doing, so
@@ -985,7 +1042,7 @@ func (c *Conn) rto() time.Duration {
 
 func (c *Conn) armRTO() {
 	if !c.rtoTimer.Reschedule(c.rto()) {
-		c.rtoTimer = c.eng.Schedule(c.rto(), c.rtoFire)
+		c.rtoTimer = c.eng.ScheduleP(c.rto(), connRTOExpired, c)
 	}
 }
 
@@ -993,7 +1050,8 @@ func (c *Conn) onRTOTimer() {
 	if c.done || c.inflight == 0 && c.board.firstLost() == nil {
 		return
 	}
-	c.cpu.SubmitOp(cpumodel.OpRTO, c.enterLossFn)
+	c.deferred++
+	c.cpu.SubmitOp(cpumodel.OpRTO, connEnterLoss, c)
 }
 
 // enterLoss is tcp_enter_loss: everything unsacked is marked lost, the
@@ -1002,7 +1060,9 @@ func (c *Conn) onRTOTimer() {
 // MaxRetries, after which the connection is declared dead — reported, never
 // panicked.
 func (c *Conn) enterLoss() {
+	c.deferred--
 	if c.done {
+		c.maybeQuiet()
 		return
 	}
 	c.rtoBackoff++
@@ -1158,102 +1218,62 @@ func (c *Conn) ReclaimAcks() {
 }
 
 // ForceQuiesce drains a stopped connection's remaining work markers after
-// the engine has halted: the CPU-completion events that would clear
-// xmitBusy/appBusy and consume pendingAcks never fire past the run
-// horizon, so held ACKs go back to the pool and the busy flags drop.
+// the engine has halted: the completion events that would clear
+// xmitBusy/appBusy/deferred and consume pendingAcks never fire past the run
+// horizon, so held ACKs go back to the pool and the markers drop.
 // Only the run-end reclaim may call this; mid-run it would recycle a
 // connection with live events pointed at it.
 func (c *Conn) ForceQuiesce() {
 	c.ReclaimAcks()
-	c.xmitBusy, c.appBusy = false, false
-	c.onQuiet = nil
+	c.xmitBusy, c.appBusy, c.deferred = false, false, 0
+	c.flushRetired()
 }
 
 // Quiescent reports whether a stopped connection has fully wound down: no
 // ACKs parked behind the CPU model, no outstanding transmit batch, no
-// in-flight app copy. Only a quiescent connection may be recycled — its
-// remaining scheduled events (stopped-timer residue, TSQ retries) all hit
-// done-guards and touch no per-flow state.
+// in-flight app copy, no deferred call (RTO job, pacing-expiry job, TSQ poll,
+// start kick). Only a quiescent connection may be recycled — all that is
+// left of it on the engine is stopped-timer residue, which never fires.
 func (c *Conn) Quiescent() bool {
-	return c.done && c.pendingAcks.Len() == 0 && !c.xmitBusy && !c.appBusy
+	return c.done && c.pendingAcks.Len() == 0 && !c.xmitBusy && !c.appBusy && c.deferred == 0
 }
 
-// SetQuietCallback installs fn to fire once the (stopped) connection
-// reaches quiescence; if it is already quiescent, fn fires immediately.
-// One-shot: the callback is cleared before it runs.
-func (c *Conn) SetQuietCallback(fn func()) {
-	c.onQuiet = fn
-	c.maybeQuiet()
-}
-
-// maybeQuiet fires the one-shot quiet callback when the last piece of
-// outstanding work drains from a stopped connection. Hooked at the three
-// done-guard paths that clear pendingAcks/xmitBusy/appBusy.
+// maybeQuiet hands a stopped connection back to its pool when the last piece
+// of outstanding work drains while its slot is waiting in the dying set.
+// Hooked at every done-guard that clears part of the quiescence set.
 func (c *Conn) maybeQuiet() {
-	if c.onQuiet != nil && c.Quiescent() {
-		fn := c.onQuiet
-		c.onQuiet = nil
-		fn()
+	if pc := c.home; pc != nil && pc.dyingIdx >= 0 && c.Quiescent() {
+		pc.pool.recycle(pc)
 	}
 }
 
 // Reset re-initializes a stopped, quiescent connection for reuse as a new
-// flow with a fresh id — the churn fast path: the scoreboard entry
-// freelist, batch buffers and slice capacities all carry over, so a reused
-// connection allocates almost nothing. The congestion module is built fresh
-// from factory (its state machine is not reusable across flows); the pacer
-// is reset in place. Callers must re-register the new id with the demux and
-// the path's ACK return (Receiver.Reset does both) — ids are never reused,
-// so a late event aimed at the old incarnation cannot alias the new one.
+// flow with a fresh id — the churn fast path. What carries over is the
+// wiring (engine, CPUs, path, config, pools, sinks), the stopped timer
+// handles and the buffers' capacity; every other field is zeroed and then
+// rebuilt by open, the same initialiser a new connection runs, so a recycled
+// connection starts exactly as a fresh one does. The congestion module is
+// built fresh from factory (its state machine is not reusable across flows).
+// Callers must re-register the new id with the demux and the path's ACK
+// return (Receiver.Reset does the latter) — ids are never reused, so a late
+// event aimed at the old incarnation cannot alias the new one.
 func (c *Conn) Reset(id int, factory cc.Factory) {
 	if !c.Quiescent() {
-		panic(fmt.Sprintf("tcp: Reset of non-quiescent conn %d (done=%v heldAcks=%d xmitBusy=%v appBusy=%v)",
-			c.id, c.done, c.pendingAcks.Len(), c.xmitBusy, c.appBusy))
+		panic(fmt.Sprintf("tcp: Reset of non-quiescent conn %d (done=%v heldAcks=%d xmitBusy=%v appBusy=%v deferred=%d)",
+			c.id, c.done, c.pendingAcks.Len(), c.xmitBusy, c.appBusy, c.deferred))
 	}
-	// Hand surviving scoreboard entries (lost/sacked, never cum-acked)
-	// back to the connection-private freelist before clearing the board.
-	for i := c.board.head; i < len(c.board.entries); i++ {
-		c.freeInfo(c.board.entries[i])
+	// Surviving scoreboard entries (lost/sacked, never cum-acked) go back
+	// to the entry pool.
+	c.board.reset(c.infos)
+	*c = Conn{
+		eng: c.eng, cpu: c.cpu, appCPU: c.appCPU, path: c.path, cfg: c.cfg,
+		pool: c.pool, infos: c.infos, agg: c.agg, ftab: c.ftab,
+		bus: c.bus, met: c.met, home: c.home,
+		pacer:    c.pacer, // Pacer.Reset keeps only the instruments
+		rtoTimer: c.rtoTimer, pacingTimer: c.pacingTimer, watchdog: c.watchdog,
+		board: c.board, xmitRetx: c.xmitRetx[:0],
 	}
-	c.board.entries = c.board.entries[:0]
-	c.board.head = 0
-
-	c.id = id
-	c.ccMod = factory()
-	c.sndNxt, c.sndUna = 0, 0
-	c.inflight = 0
-	c.cwnd = c.cfg.InitialCwnd
-	c.ssthresh = 1 << 30
-	c.pacingRate = 0
-	c.state = cc.StateOpen
-	c.recoveryPoint = 0
-	c.delivered, c.deliveredTime, c.firstTx = 0, 0, 0
-	c.appLimited, c.lostTotal, c.retransTotal, c.ceTotal = 0, 0, 0, 0
-	c.lastECEResponse = 0
-	c.srtt, c.rttvar, c.lastRTT = 0, 0, 0
-	c.minRTT.Reset()
-	c.rtoBackoff = 0
-	c.cwndLimited = false
-	c.started, c.done = false, false
-	c.segsSent, c.lastSendAt, c.lastProgress = 0, 0, 0
-	c.failedErr = nil
-	c.spuriousRTOs, c.idleRestarts = 0, 0
-	c.undoValid, c.undoCwnd, c.undoSsthresh, c.undoAt = false, 0, 0, 0
-	c.appSent = 0
-	c.stream, c.streamTotal, c.streamEnd = false, 0, 0
-	c.closing, c.drainedFired, c.kicked = false, false, false
-	c.onWritable, c.onDrained, c.onFailed, c.onQuiet = nil, nil, nil, nil
-	c.buffered, c.appCopied = 0, 0
-	c.maxBufOcc = 0
-	c.rttSample = stats.Online{}
-
-	pcfg := c.cfg.Pacing
-	pcfg.Enabled = c.ccMod.WantsPacing()
-	if c.cfg.PacingOverride != nil {
-		pcfg.Enabled = *c.cfg.PacingOverride
-	}
-	c.pacer.Reset(pcfg)
-	c.ccMod.Init(c)
+	c.open(id, factory)
 }
 
 // CorruptInflightForTest deliberately skews the inflight counter so tests

@@ -15,6 +15,13 @@ import (
 // pool counts what is outstanding, and a run ends balanced — zero live,
 // zero dying — or the audit says exactly what leaked.
 //
+// A flow is one slot. Slots come from chunks allocated in one piece, and a
+// slot holds everything the flow's two endpoints need by value — the Conn
+// with its pacer, min-RTT filter and small inline scoreboard buffers, the
+// Receiver, the PooledConn handle — while scoreboard entries come from one
+// pool-wide infoPool. Neither a flow's birth nor its recycling allocates
+// anything but the congestion module its factory builds.
+//
 // Lifecycle state machine (see DESIGN.md "million-flow data path"):
 //
 //	free ──Get(id)──▶ live ──Put──▶ dying ──quiescent──▶ free
@@ -23,13 +30,13 @@ import (
 //
 // Put stops the connection but must NOT recycle it immediately: ACKs the
 // network already delivered may still sit behind the CPU model
-// (pendingAcks), and a transmit or app-copy completion may still be
-// scheduled. Recycling earlier would let those events mutate the *next*
-// flow's state. The conn therefore parks in the dying set until its quiet
-// callback fires (pendingAcks empty, no busy jobs), and only then returns
-// to the free list. ACKs still in network flight are the path's problem:
-// callers retire the flow id (netem.Path.RetireFlow) before Put, so late
-// ACKs hit a tombstone, never a recycled conn.
+// (pendingAcks), and a transmit, app-copy, RTO or pacing-expiry job, a TSQ
+// poll or the start kick may still be scheduled. Recycling earlier would let
+// those events mutate the *next* flow's state. The conn therefore parks in
+// the dying set until it is quiescent, and only then returns to the free
+// list. ACKs still in network flight are the path's problem: callers retire
+// the flow id (netem.Path.RetireFlow) before Put, so late ACKs hit a
+// tombstone, never a recycled conn.
 //
 // Ids are never reused; each Get takes a fresh flow id, which keeps the
 // demux map, the path's per-flow ACK table and the invariant checker's
@@ -44,22 +51,31 @@ type ConnPool struct {
 	agg     *AggStats
 	ftab    *cpumodel.FlowTable
 
+	infos infoPool
+	slots slab[connSlot]
 	free  []*PooledConn
 	dying []*PooledConn
 
-	created       int
 	gets, reuses  int
 	puts          int
 	outstanding   int
 	outstandingHW int
 }
 
-// PooledConn is one recyclable Conn/Receiver pair.
+// PooledConn is one recyclable Conn/Receiver pair: the handle to a pool slot.
 type PooledConn struct {
 	Conn *Conn
 	Rx   *Receiver
 
+	pool     *ConnPool
 	dyingIdx int // index in the pool's dying set, -1 otherwise
+}
+
+// connSlot is the memory behind one PooledConn.
+type connSlot struct {
+	PooledConn
+	conn Conn
+	rx   Receiver
 }
 
 // NewConnPool builds a pool that stamps every connection with the given
@@ -69,15 +85,16 @@ func NewConnPool(eng *sim.Engine, cpu, appCPU *cpumodel.CPU, path *netem.Path,
 	cfg Config, segPool *seg.Pool, agg *AggStats, ftab *cpumodel.FlowTable) *ConnPool {
 	return &ConnPool{
 		eng: eng, cpu: cpu, appCPU: appCPU, path: path,
-		cfg: cfg, segPool: segPool, agg: agg, ftab: ftab,
+		cfg: cfg.withDefaults(), segPool: segPool, agg: agg, ftab: ftab,
 	}
 }
 
-// Get returns a connection for a fresh flow id: recycled from the free
-// list when possible (Reset keeps the scoreboard freelist and batch-buffer
-// capacities warm), freshly constructed otherwise. The receiver is
-// registered on the path's ACK return; the caller adds it to the demux and
-// configures stream mode/callbacks before Start.
+// Get returns a connection for a fresh flow id: recycled from the free list
+// when possible, otherwise the next unused slot. Either way the pair runs
+// the initialisers NewConn and NewReceiver run, so the two are
+// indistinguishable to the simulation. The receiver is registered on the
+// path's ACK return; the caller adds it to the demux and configures stream
+// mode and events before Start.
 func (p *ConnPool) Get(id int, factory cc.Factory) *PooledConn {
 	p.gets++
 	p.outstanding++
@@ -92,20 +109,18 @@ func (p *ConnPool) Get(id int, factory cc.Factory) *PooledConn {
 		pc.Rx.Reset()
 		return pc
 	}
-	p.created++
-	conn := NewConn(id, p.eng, p.cpu, p.path, p.cfg, factory)
-	conn.SetPool(p.segPool)
-	if p.appCPU != nil {
-		conn.SetAppCPU(p.appCPU)
+	// Chunks of 8 slots doubling to 256: grown on demand, never sized to
+	// the caller's population.
+	s := p.slots.next(8, 256)
+	s.PooledConn = PooledConn{Conn: &s.conn, Rx: &s.rx, pool: p, dyingIdx: -1}
+	s.conn = Conn{
+		eng: p.eng, cpu: p.cpu, appCPU: p.appCPU, path: p.path, cfg: p.cfg,
+		pool: p.segPool, infos: &p.infos, agg: p.agg, ftab: p.ftab, home: &s.PooledConn,
 	}
-	if p.agg != nil {
-		conn.SetAggregates(p.agg)
-	}
-	if p.ftab != nil {
-		conn.SetFlowTable(p.ftab)
-	}
-	rx := NewReceiver(p.eng, p.path, conn)
-	return &PooledConn{Conn: conn, Rx: rx, dyingIdx: -1}
+	s.conn.open(id, factory)
+	s.rx = Receiver{eng: p.eng, path: p.path, conn: &s.conn}
+	s.rx.open()
+	return &s.PooledConn
 }
 
 // Put releases a finished flow's pair back to the pool: the connection is
@@ -122,9 +137,12 @@ func (p *ConnPool) Put(pc *PooledConn) {
 		panic("tcp: ConnPool.Put without matching Get")
 	}
 	pc.Conn.Stop()
+	// A GRO flush still armed dies here, not at the next Get: whether and
+	// when the pair is reused must not decide whether that event runs.
+	pc.Rx.flush.Stop()
 	pc.dyingIdx = len(p.dying)
 	p.dying = append(p.dying, pc)
-	pc.Conn.SetQuietCallback(func() { p.recycle(pc) })
+	pc.Conn.maybeQuiet()
 }
 
 // recycle moves a quiescent pair from the dying set to the free list
@@ -175,7 +193,7 @@ func (s ConnPoolStats) Balanced() bool { return s.Outstanding == 0 && s.Dying ==
 // Stats returns the pool's census.
 func (p *ConnPool) Stats() ConnPoolStats {
 	return ConnPoolStats{
-		Created: p.created, Gets: p.gets, Reuses: p.reuses, Puts: p.puts,
+		Created: p.slots.issued, Gets: p.gets, Reuses: p.reuses, Puts: p.puts,
 		Outstanding: p.outstanding, OutstandingHW: p.outstandingHW,
 		Free: len(p.free), Dying: len(p.dying),
 	}

@@ -1,8 +1,10 @@
 package tcp
 
 import (
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mobbr/internal/cc"
 	"mobbr/internal/cpumodel"
@@ -16,6 +18,8 @@ import (
 // does, with the aggregate sink and flow table attached.
 type poolHarness struct {
 	eng   *sim.Engine
+	cpu   *cpumodel.CPU
+	ftab  *cpumodel.FlowTable
 	pool  *ConnPool
 	demux *Demux
 	path  *netem.Path
@@ -39,7 +43,7 @@ func newPoolHarness(t *testing.T) *poolHarness {
 	agg := &AggStats{}
 	ftab := cpumodel.NewFlowTable(16, 1, cpumodel.DefaultCosts())
 	pool := NewConnPool(eng, cpu, nil, path, Config{}, segs, agg, ftab)
-	return &poolHarness{eng: eng, pool: pool, demux: demux, path: path, agg: agg, segs: segs}
+	return &poolHarness{eng: eng, cpu: cpu, ftab: ftab, pool: pool, demux: demux, path: path, agg: agg, segs: segs}
 }
 
 func streamFactory() cc.Factory {
@@ -50,7 +54,12 @@ func streamFactory() cc.Factory {
 // releases the pair, mirroring the flows session's per-flow lifecycle.
 func (h *poolHarness) runFlow(t *testing.T, id int, size int64) {
 	t.Helper()
-	pc := h.pool.Get(id, streamFactory())
+	h.runFlowCC(t, id, size, streamFactory())
+}
+
+func (h *poolHarness) runFlowCC(t *testing.T, id int, size int64, factory cc.Factory) {
+	t.Helper()
+	pc := h.pool.Get(id, factory)
 	c := pc.Conn
 	c.SetStream()
 	done := false
@@ -66,7 +75,7 @@ func (h *poolHarness) runFlow(t *testing.T, id int, size int64) {
 		}
 		c.CloseStream()
 	}
-	c.SetStreamCallbacks(pump, func() { done = true }, func(error) { t.Fatalf("flow %d failed", id) })
+	c.SetStreamEvents(streamFuncs{pump, func() { done = true }, func(error) { t.Fatalf("flow %d failed", id) }})
 	h.demux.Add(pc.Rx)
 	c.Start()
 	pump()
@@ -107,6 +116,32 @@ func TestConnPoolReuse(t *testing.T) {
 	if ps := h.segs.Stats(); ps.OutstandingPackets != 0 || ps.OutstandingAcks != 0 {
 		t.Fatalf("segment pool leaks %d packets / %d acks", ps.OutstandingPackets, ps.OutstandingAcks)
 	}
+
+	// Recycling itself is free: with the congestion module supplied from
+	// outside, a Get that reuses a pair and the Put that returns it touch
+	// the heap not at all.
+	if raceEnabled {
+		return
+	}
+	const cycles = 100
+	stub := &stubCC{cwnd: 32}
+	factory := func() cc.CongestionControl { return stub }
+	id := flows
+	h.pool.Put(h.pool.Get(id+cycles+1, factory)) // the path's per-flow ACK table now reaches every id used below
+	allocs := testing.AllocsPerRun(cycles, func() {
+		id++
+		pc := h.pool.Get(id, factory)
+		h.demux.Add(pc.Rx)
+		h.demux.Remove(id)
+		h.path.RetireFlow(id)
+		h.pool.Put(pc)
+	})
+	if allocs != 0 {
+		t.Errorf("a recycled Get+Put allocates %.0f objects, want 0", allocs)
+	}
+	if st := h.pool.Stats(); st.Created != 1 || !st.Balanced() {
+		t.Errorf("census after %d more cycles %+v, want still one pair, balanced", cycles, st)
+	}
 }
 
 func TestConnPoolReclaimDrainsDying(t *testing.T) {
@@ -117,7 +152,7 @@ func TestConnPoolReclaimDrainsDying(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		pc := h.pool.Get(i, streamFactory())
 		pc.Conn.SetStream()
-		pc.Conn.SetStreamCallbacks(func() {}, func() {}, func(error) {})
+		pc.Conn.SetStreamEvents(streamFuncs{func() {}, func() {}, func(error) {}})
 		h.demux.Add(pc.Rx)
 		pc.Conn.Start()
 		pc.Conn.StreamWrite(int64(1 * units.MB))
@@ -144,7 +179,7 @@ func TestConnPoolDoublePutPanics(t *testing.T) {
 	h := newPoolHarness(t)
 	pc := h.pool.Get(0, streamFactory())
 	pc.Conn.SetStream()
-	pc.Conn.SetStreamCallbacks(func() {}, func() {}, func(error) {})
+	pc.Conn.SetStreamEvents(streamFuncs{func() {}, func() {}, func(error) {}})
 	pc.Conn.Start()
 	h.pool.Put(pc)
 	defer func() {
@@ -162,7 +197,7 @@ func TestConnPoolIdsNeverReused(t *testing.T) {
 		t.Fatalf("fresh conn id %d, want 100", pc.Conn.ID())
 	}
 	pc.Conn.SetStream()
-	pc.Conn.SetStreamCallbacks(func() {}, func() {}, func(error) {})
+	pc.Conn.SetStreamEvents(streamFuncs{func() {}, func() {}, func(error) {}})
 	pc.Conn.Start()
 	h.pool.Put(pc)
 	h.pool.Reclaim()
@@ -172,5 +207,183 @@ func TestConnPoolIdsNeverReused(t *testing.T) {
 	}
 	if pc2.Conn.ID() != 101 {
 		t.Fatalf("recycled conn id %d, want fresh id 101", pc2.Conn.ID())
+	}
+}
+
+// sameFreshState walks two values of one struct type field by field and
+// reports every difference that could make them simulate differently: scalars
+// must be equal, pointers identical, funcs and interfaces alike (both nil, or
+// the same dynamic type holding equal values), timers not pending, slices and
+// arrays zero in every element. skip names the wiring that legitimately
+// differs between the two. Walking the type, not a list of fields, is the
+// point: a field added to Conn or Receiver later is compared without anyone
+// remembering to add it here.
+func sameFreshState(t *testing.T, path string, a, b reflect.Value, skip map[string]bool) {
+	t.Helper()
+	if skip[path] {
+		return
+	}
+	// Unexported fields are read through their address.
+	open := func(v reflect.Value) reflect.Value {
+		return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+	}
+	a, b = open(a), open(b)
+	if tm, ok := a.Interface().(sim.Timer); ok {
+		if tm.Pending() || b.Interface().(sim.Timer).Pending() {
+			t.Errorf("%s: timer pending", path)
+		}
+		return
+	}
+	switch a.Kind() {
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			sameFreshState(t, path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i), skip)
+		}
+	case reflect.Slice, reflect.Array:
+		for _, v := range []reflect.Value{a, b} {
+			for i := 0; i < v.Len(); i++ {
+				if !v.Index(i).IsZero() {
+					t.Errorf("%s[%d]: leftover %v", path, i, v.Index(i))
+				}
+			}
+		}
+	case reflect.Func:
+		if a.IsNil() != b.IsNil() {
+			t.Errorf("%s: nil on one side only", path)
+		}
+	case reflect.Interface:
+		if !reflect.DeepEqual(a.Interface(), b.Interface()) {
+			t.Errorf("%s: %#v vs %#v", path, a.Interface(), b.Interface())
+		}
+	default: // scalars and pointers
+		if !a.Equal(b) {
+			t.Errorf("%s: %v vs %v", path, a, b)
+		}
+	}
+}
+
+// TestResetRestoresFreshState runs a flow through a pooled pair, lets the
+// pool recycle it, and compares every field of the recycled Conn and Receiver
+// with a pair NewConn and NewReceiver just built for the same flow id, and
+// with a pair the pool built on an unused slot: one initialiser, three ways
+// in, no difference the simulation could see.
+func TestResetRestoresFreshState(t *testing.T) {
+	h := newPoolHarness(t)
+	paced := func() cc.CongestionControl { return &stubCC{cwnd: 32, pacing: true, rate: 50 * units.Mbps} }
+	first := h.pool.Get(0, paced)
+	h.pool.Put(first)
+	h.pool.DropFree() // keep slot 0 out of the way: it stands in for "unused" below
+	h.runFlowCC(t, 1, int64(256*units.KB), paced)
+	h.eng.Run(h.eng.Now() + time.Second)
+
+	const id = 7
+	recycled := h.pool.Get(id, streamFactory())
+	if st := h.pool.Stats(); st.Reuses != 1 {
+		t.Fatalf("census %+v, want the second Get to recycle", st)
+	}
+	slotFresh := h.pool.Get(id, streamFactory())
+	if st := h.pool.Stats(); st.Created != 3 {
+		t.Fatalf("census %+v, want the third Get to open an unused slot", st)
+	}
+	solo := NewConn(id, h.eng, h.cpu, h.path, Config{}, streamFactory())
+	solo.SetPool(h.segs)
+	solo.SetAggregates(h.agg)
+	solo.SetFlowTable(h.ftab)
+	soloRx := NewReceiver(h.eng, h.path, solo)
+
+	for _, fresh := range []struct {
+		name string
+		conn *Conn
+		rx   *Receiver
+		skip map[string]bool
+	}{
+		// A solo connection has no slot and brings its own entry pool.
+		{"NewConn", solo, soloRx, map[string]bool{"Conn.home": true, "Conn.infos": true, "Receiver.conn": true}},
+		{"unused slot", slotFresh.Conn, slotFresh.Rx, map[string]bool{"Conn.home": true, "Receiver.conn": true}},
+	} {
+		t.Run(fresh.name, func(t *testing.T) {
+			sameFreshState(t, "Conn", reflect.ValueOf(recycled.Conn).Elem(), reflect.ValueOf(fresh.conn).Elem(), fresh.skip)
+			sameFreshState(t, "Receiver", reflect.ValueOf(recycled.Rx).Elem(), reflect.ValueOf(fresh.rx).Elem(), fresh.skip)
+		})
+	}
+	if recycled.Conn.home == nil || recycled.Conn.infos == nil || solo.infos == nil || recycled.Rx.conn != recycled.Conn {
+		t.Fatal("skipped wiring fields are not set")
+	}
+}
+
+// TestRetiredEntryWaitsForParkedBatch pins the one place where the pool-wide
+// entry list could leak state between connections. A's transmit job is parked
+// with a lost entry in its retransmission batch; an ACK that was queued ahead
+// of the job cum-acks that entry; B opens a segment and its RTO marks it lost,
+// all before A's job comes off the CPU. If the retired entry had reached the
+// shared list, B would have been handed it, and A's emit — which tells a
+// stale batch entry from a live one by its flags — would retransmit B's
+// sequence number under A's flow id and count it in flight.
+func TestRetiredEntryWaitsForParkedBatch(t *testing.T) {
+	h := newPoolHarness(t)
+	open := func(id int) *Conn {
+		c := h.pool.Get(id, streamFactory()).Conn
+		c.SetStream()
+		c.SetStreamEvents(streamFuncs{func() {}, func() {}, func(error) {}})
+		return c
+	}
+	a, b := open(0), open(1)
+	mss := int64(a.cfg.MSS)
+
+	// A sends four segments into a demux that does not know it, so nothing
+	// comes back; then its RTO marks them lost and parks the head for
+	// retransmission behind the CPU.
+	a.Start()
+	a.StreamWrite(4 * mss)
+	for i := 0; a.board.liveLen() < 4 || a.xmitBusy; i++ {
+		if i > 1000 || !h.eng.Step() {
+			t.Fatalf("A never sent its four segments (board %d)", a.board.liveLen())
+		}
+	}
+	a.deferred++
+	a.enterLoss()
+	head := a.board.at(0)
+	if !a.xmitBusy || len(a.xmitRetx) != 1 || a.xmitRetx[0] != head {
+		t.Fatalf("A's head is not parked for retransmission (busy=%v batch=%d)", a.xmitBusy, len(a.xmitRetx))
+	}
+
+	// The ACK that was already ahead of the job in the CPU queue.
+	ack := h.segs.GetAck()
+	ack.Flow, ack.CumAck = a.id, mss
+	a.pendingAcks.Push(ack)
+	h.agg.heldAcks++
+	a.processAck(ack)
+	if a.board.liveLen() != 3 || !head.acked {
+		t.Fatalf("the ACK did not retire A's head (board %d)", a.board.liveLen())
+	}
+
+	// B's transmit job opens a segment and B's RTO condemns it — what
+	// emit and enterLoss do to an entry, without the network in between.
+	q := b.infos.get()
+	q.seq, q.len, q.inFlite = 0, a.cfg.MSS, true
+	b.board.add(q)
+	b.sndNxt, b.inflight = mss, 1
+	b.deferred++
+	b.enterLoss()
+	if q == head {
+		t.Error("B was handed the entry A's parked batch still points at")
+	}
+
+	sentBefore := a.retransTotal
+	connEmit(a)
+	if a.retransTotal != sentBefore {
+		t.Errorf("A retransmitted %d segments from a batch whose only entry was acked", a.retransTotal-sentBefore)
+	}
+	if !q.lost || q.inFlite {
+		t.Errorf("B's lost entry was touched: lost=%v inFlite=%v", q.lost, q.inFlite)
+	}
+	for _, c := range []*Conn{a, b} {
+		if au := c.Audit(); au.Inflight != au.BoardInflight {
+			t.Errorf("conn %d: inflight counter %d, scoreboard says %d", c.id, au.Inflight, au.BoardInflight)
+		}
+	}
+	// Once the job has run the entry is anyone's.
+	if a.retired != nil || h.pool.infos.free != head {
+		t.Error("the retired entry did not reach the pool after A's job ran")
 	}
 }

@@ -190,10 +190,20 @@ type streamDriver struct {
 	failed         error
 }
 
+// streamFuncs adapts three closures to StreamEvents for tests.
+type streamFuncs struct {
+	writable, drained func()
+	failed            func(error)
+}
+
+func (f streamFuncs) StreamWritable()        { f.writable() }
+func (f streamFuncs) StreamDrained()         { f.drained() }
+func (f streamFuncs) StreamFailed(err error) { f.failed(err) }
+
 func newStreamDriver(c *Conn, total int64) *streamDriver {
 	d := &streamDriver{c: c, total: total}
 	c.SetStream()
-	c.SetStreamCallbacks(d.pump, func() { d.drained = true }, func(err error) { d.failed = err })
+	c.SetStreamEvents(streamFuncs{d.pump, func() { d.drained = true }, func(err error) { d.failed = err }})
 	return d
 }
 

@@ -28,7 +28,6 @@ type Receiver struct {
 	eng  *sim.Engine
 	path *netem.Path
 	conn *Conn
-	cfg  Config
 
 	rcvNxt int64
 	ooo    []seg.SackBlock // disjoint, sorted by Start
@@ -36,7 +35,6 @@ type Receiver struct {
 	pendingBytes units.DataSize
 	ceSinceAck   int64
 	flush        sim.Timer
-	flushFire    func() // cached flush callback: re-arming allocates nothing
 
 	// The GRO flush needs the last packet's echo fields after the packet
 	// itself has been consumed (released to the pool at the end of
@@ -86,12 +84,18 @@ func (r *Receiver) recvPool() *seg.Pool {
 }
 
 // NewReceiver builds the receiving endpoint for conn and registers the
-// connection's ACK-arrival handler on the path's per-flow return fast path.
+// connection as its flow's ACK sink on the path's return fast path.
 func NewReceiver(eng *sim.Engine, path *netem.Path, conn *Conn) *Receiver {
-	r := &Receiver{eng: eng, path: path, conn: conn, cfg: conn.cfg}
-	r.flushFire = r.flushExpired
-	path.RegisterAckHandler(conn.id, conn.OnAckArrival)
+	r := &Receiver{eng: eng, path: path, conn: conn}
+	r.open()
 	return r
+}
+
+// open starts receiving the connection's current flow on a receiver that
+// holds its wiring and is otherwise zero: the one initialiser behind
+// NewReceiver, a pool slot's first use and Reset.
+func (r *Receiver) open() {
+	r.path.RegisterAckSink(r.conn.id, r.conn)
 }
 
 // OnPacket processes one arriving data segment. This is the packet's sink
@@ -200,11 +204,14 @@ func (r *Receiver) mergeContiguous() {
 // the arrival stream pauses.
 func (r *Receiver) armFlush() {
 	if !r.flush.Reschedule(groFlushGap) {
-		r.flush = r.eng.Schedule(groFlushGap, r.flushFire)
+		r.flush = r.eng.ScheduleP(groFlushGap, rxFlushExpired, r)
 	}
 }
 
-// flushExpired is the GRO flush timer's callback (cached in flushFire).
+// rxFlushExpired is the GRO flush timer's callback, shared by every receiver
+// (see the conn* callbacks in conn.go).
+func rxFlushExpired(v any) { v.(*Receiver).flushExpired() }
+
 func (r *Receiver) flushExpired() {
 	if r.pendingBytes > 0 && r.haveLast {
 		r.sendAck(r.lastSentAt, r.lastRetx, r.lastEnd)
@@ -243,20 +250,18 @@ func (r *Receiver) sendAck(echoSentAt time.Duration, echoRetx bool, ackedEnd int
 }
 
 // Reset re-initializes the receiver for its connection's next incarnation
-// (the conn has already been Reset with a fresh flow id): reassembly state
-// clears, the GRO flush timer is stopped, and the new id is registered on
-// the path's per-flow ACK return. The ooo slice keeps its capacity.
+// (the conn has already been Reset with a fresh flow id). The wiring, the
+// stopped GRO flush timer's handle and the ooo slice's capacity carry over;
+// everything else is zeroed and open registers the new id on the path's ACK
+// return, exactly as for a new receiver.
 func (r *Receiver) Reset() {
 	r.flush.Stop()
-	r.rcvNxt = 0
-	r.ooo = r.ooo[:0]
-	r.pendingBytes = 0
-	r.ceSinceAck = 0
-	r.lastSentAt, r.lastRetx, r.lastEnd, r.haveLast = 0, false, 0, false
-	r.goodBytes = 0
-	r.dupPkts, r.acksSent = 0, 0
-	r.onDelivery = nil
-	r.path.RegisterAckHandler(r.conn.id, r.conn.OnAckArrival)
+	*r = Receiver{
+		eng: r.eng, path: r.path, conn: r.conn,
+		rxPool: r.rxPool, returnAck: r.returnAck,
+		flush: r.flush, ooo: r.ooo[:0],
+	}
+	r.open()
 }
 
 // GoodBytes returns the in-order bytes delivered so far.

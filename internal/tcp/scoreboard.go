@@ -25,16 +25,72 @@ type pktInfo struct {
 	snapFirstTx       time.Duration
 	snapAppLimited    bool
 
-	// free links the entry on its connection's pktInfo freelist once the
-	// cumulative ACK retires it (tcp_clean_rtx_queue frees the skb there).
+	// free links the entry on its infoPool's freelist once the cumulative
+	// ACK retires it (tcp_clean_rtx_queue frees the skb there) — or, until a
+	// parked transmit job has run, on its connection's retired chain.
 	free *pktInfo
 }
 
 func (p *pktInfo) end() int64 { return p.seq + int64(p.len) }
 
+// slab hands out zero values of T from chunks allocated in one piece. Chunks
+// start at lo values and double up to hi, so an owner that needs a handful
+// stays small and one that needs a hundred thousand allocates a few hundred
+// times. Values are never taken back: recycling is the owner's business.
+type slab[T any] struct {
+	rest   []T // values of the newest chunk not yet handed out
+	issued int
+}
+
+// next returns a value no one has used.
+func (s *slab[T]) next(lo, hi int) *T {
+	if len(s.rest) == 0 {
+		s.rest = make([]T, min(max(s.issued, lo), hi))
+	}
+	v := &s.rest[0]
+	s.rest = s.rest[1:]
+	s.issued++
+	return v
+}
+
+// infoPool hands out scoreboard entries: recycled ones first, otherwise a new
+// one from its slab. A ConnPool's connections share one infoPool, so entries
+// retired by one flow serve the next flow on any connection; a connection
+// built by NewConn has its own. A pointer to an entry must therefore not
+// outlive the entry's put: the one holder that spans events, the parked
+// transmit batch, makes Conn.retire keep the entry back until it has run.
+type infoPool struct {
+	free *pktInfo
+	slab slab[pktInfo]
+}
+
+// get returns a zeroed entry.
+func (ip *infoPool) get() *pktInfo {
+	if p := ip.free; p != nil {
+		ip.free = p.free
+		*p = pktInfo{}
+		return p
+	}
+	return ip.slab.next(16, 128)
+}
+
+// put recycles an entry the scoreboard has dropped.
+func (ip *infoPool) put(p *pktInfo) {
+	p.free = ip.free
+	ip.free = p
+}
+
+// inlineEntries sizes the scoreboard's built-in buffers. Most flows are mice
+// whose few segments never outgrow them, so a connection's birth allocates no
+// scoreboard memory; a longer flow moves to heap buffers that then stay with
+// the connection across recycling.
+const inlineEntries = 8
+
 // scoreboard tracks sent-but-unacked segments in sequence order. Entries
 // are appended as new data is sent and dropped from the front as the
-// cumulative ACK advances; retransmissions update entries in place.
+// cumulative ACK advances; retransmissions update entries in place. The live
+// entries sit in a power-of-two ring, so a long flow's buffer stays as large
+// as its window ever was and no dead prefix accumulates behind the head.
 //
 // Result-slice lifetime: popAcked, markSacked, detectLosses, markAllLost and
 // undoLost all return views of one shared scratch buffer, so each result is
@@ -44,43 +100,82 @@ func (p *pktInfo) end() int64 { return p.seq + int64(p.len) }
 // instead, because the transmit path retains its result across a CPU-model
 // completion.
 type scoreboard struct {
-	entries []*pktInfo
-	head    int // index of first live entry
+	ring    []*pktInfo // the i-th live entry is ring[(head+i)&(len(ring)-1)]
+	head, n int
 	scratch []*pktInfo
+
+	ringInl, scratchInl [inlineEntries]*pktInfo
 }
 
 // add appends a newly sent segment (must be in sequence order).
 func (s *scoreboard) add(p *pktInfo) {
-	if n := s.liveLen(); n > 0 {
-		if last := s.at(n - 1); p.seq < last.end() {
+	if s.n > 0 {
+		if last := s.at(s.n - 1); p.seq < last.end() {
 			panic("tcp: scoreboard add out of order")
 		}
 	}
-	s.entries = append(s.entries, p)
+	if s.n == len(s.ring) {
+		s.grow()
+	}
+	s.ring[(s.head+s.n)&(len(s.ring)-1)] = p
+	s.n++
+}
+
+// grow moves a full ring into one twice its size (the first call adopts the
+// inline buffer).
+func (s *scoreboard) grow() {
+	if s.ring == nil {
+		s.ring = s.ringInl[:]
+		return
+	}
+	bigger := make([]*pktInfo, 2*len(s.ring))
+	for i := range s.ring {
+		bigger[i] = s.at(i)
+	}
+	clear(s.ring)
+	s.ring, s.head = bigger, 0
 }
 
 // liveLen returns the number of live entries.
-func (s *scoreboard) liveLen() int { return len(s.entries) - s.head }
+func (s *scoreboard) liveLen() int { return s.n }
 
 // at returns the i-th live entry.
-func (s *scoreboard) at(i int) *pktInfo { return s.entries[s.head+i] }
+func (s *scoreboard) at(i int) *pktInfo { return s.ring[(s.head+i)&(len(s.ring)-1)] }
+
+// out returns the shared scratch buffer, emptied, for the next result.
+func (s *scoreboard) out() []*pktInfo {
+	if s.scratch == nil {
+		s.scratch = s.scratchInl[:0]
+	}
+	return s.scratch[:0]
+}
+
+// popFront removes and returns the lowest-sequence live entry.
+func (s *scoreboard) popFront() *pktInfo {
+	p := s.ring[s.head]
+	s.ring[s.head] = nil
+	s.head = (s.head + 1) & (len(s.ring) - 1)
+	s.n--
+	return p
+}
+
+// reset returns every live entry to ip and empties the board, keeping its
+// buffers.
+func (s *scoreboard) reset(ip *infoPool) {
+	for s.n > 0 {
+		ip.put(s.popFront())
+	}
+	s.head = 0
+	clear(s.scratch[:cap(s.scratch)])
+	s.scratch = s.scratch[:0]
+}
 
 // popAcked removes entries fully covered by cumAck from the front and
-// returns them. Compaction keeps memory bounded on long runs.
+// returns them.
 func (s *scoreboard) popAcked(cumAck int64) []*pktInfo {
-	out := s.scratch[:0]
-	for s.head < len(s.entries) && s.entries[s.head].end() <= cumAck {
-		out = append(out, s.entries[s.head])
-		s.entries[s.head] = nil
-		s.head++
-	}
-	if s.head > 1024 && s.head*2 > len(s.entries) {
-		n := copy(s.entries, s.entries[s.head:])
-		for i := n; i < len(s.entries); i++ {
-			s.entries[i] = nil
-		}
-		s.entries = s.entries[:n]
-		s.head = 0
+	out := s.out()
+	for s.n > 0 && s.ring[s.head].end() <= cumAck {
+		out = append(out, s.popFront())
 	}
 	s.scratch = out
 	return out
@@ -89,7 +184,7 @@ func (s *scoreboard) popAcked(cumAck int64) []*pktInfo {
 // markSacked marks entries inside [start,end) as SACKed and returns the
 // newly sacked ones.
 func (s *scoreboard) markSacked(start, end int64) []*pktInfo {
-	out := s.scratch[:0]
+	out := s.out()
 	for i := 0; i < s.liveLen(); i++ {
 		p := s.at(i)
 		if p.seq >= end {
@@ -131,7 +226,7 @@ func (s *scoreboard) detectLosses(dupThresh int, reoWnd time.Duration) []*pktInf
 	// Count sacked entries from the top down; when the running count
 	// reaches dupThresh every unsacked entry below sent reoWnd before
 	// the newest evidence is deemed lost.
-	out := s.scratch[:0]
+	out := s.out()
 	sackedAbove := 0
 	for i := n - 1; i >= 0; i-- {
 		p := s.at(i)
@@ -158,7 +253,7 @@ func (s *scoreboard) detectLosses(dupThresh int, reoWnd time.Duration) []*pktInf
 // markAllLost marks every unsacked in-flight entry lost (tcp_enter_loss on
 // RTO) and returns them in sequence order.
 func (s *scoreboard) markAllLost() []*pktInfo {
-	out := s.scratch[:0]
+	out := s.out()
 	for i := 0; i < s.liveLen(); i++ {
 		p := s.at(i)
 		if p.acked || p.sacked || p.lost {
@@ -175,7 +270,7 @@ func (s *scoreboard) markAllLost() []*pktInfo {
 // retransmitted (F-RTO spurious-timeout undo: the originals are still in
 // flight) and returns them in sequence order.
 func (s *scoreboard) undoLost() []*pktInfo {
-	out := s.scratch[:0]
+	out := s.out()
 	for i := 0; i < s.liveLen(); i++ {
 		p := s.at(i)
 		if p.lost && !p.retx && !p.inFlite && !p.acked && !p.sacked {

@@ -40,23 +40,31 @@ func TestPopAcked(t *testing.T) {
 	}
 }
 
+// TestPopAckedCompaction pins the memory bound on long runs: a window of live
+// entries sliding over many sends reuses the ring instead of leaving a dead
+// prefix behind the head.
 func TestPopAckedCompaction(t *testing.T) {
 	var s scoreboard
+	const window = 100
 	n := int64(3000)
 	for i := int64(0); i < n; i++ {
 		s.add(mkEntry(i*1000, 0))
+		if i >= window {
+			if got := s.popAcked((i - window + 1) * 1000); len(got) != 1 {
+				t.Fatalf("send %d: popped %d, want 1", i, len(got))
+			}
+		}
 	}
-	s.popAcked((n - 10) * 1000)
-	if s.liveLen() != 10 {
-		t.Fatalf("live = %d, want 10", s.liveLen())
+	if s.liveLen() != window {
+		t.Fatalf("live = %d, want %d", s.liveLen(), window)
 	}
-	// Compaction must have shrunk the backing slice head.
-	if s.head > 1024 {
-		t.Errorf("head = %d after compaction threshold", s.head)
+	if len(s.ring) != 128 {
+		t.Errorf("ring holds %d slots for a %d-entry window, want 128", len(s.ring), window)
 	}
-	// Entries still correct.
-	if s.at(0).seq != (n-10)*1000 {
-		t.Errorf("head seq wrong after compaction: %d", s.at(0).seq)
+	for i := 0; i < window; i++ {
+		if want := (n - window + int64(i)) * 1000; s.at(i).seq != want {
+			t.Fatalf("entry %d seq = %d, want %d", i, s.at(i).seq, want)
+		}
 	}
 }
 
