@@ -18,7 +18,7 @@ import (
 // regenerate byte-identically from its seed. The coverage counters guard
 // the generator against silently collapsing onto a corner of the space.
 func TestGenerateValidAndDeterministic(t *testing.T) {
-	var withFaults, withMobility, multiCC int
+	var withFaults, withMobility, multiCC, churn int
 	nets := map[core.Network]bool{}
 	for seed := int64(1); seed <= 120; seed++ {
 		spec := Generate(seed)
@@ -45,11 +45,14 @@ func TestGenerateValidAndDeterministic(t *testing.T) {
 		if strings.Contains(spec.CC, ",") {
 			multiCC++
 		}
+		if spec.Flows != nil {
+			churn++
+		}
 		nets[spec.Network] = true
 	}
-	if withFaults == 0 || withMobility == 0 || multiCC == 0 || len(nets) < 4 {
-		t.Errorf("generator coverage too thin: faults=%d mobility=%d multiCC=%d networks=%d",
-			withFaults, withMobility, multiCC, len(nets))
+	if withFaults == 0 || withMobility == 0 || multiCC == 0 || churn == 0 || len(nets) < 4 {
+		t.Errorf("generator coverage too thin: faults=%d mobility=%d multiCC=%d churn=%d networks=%d",
+			withFaults, withMobility, multiCC, churn, len(nets))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"mobbr/internal/core"
 	"mobbr/internal/device"
 	"mobbr/internal/faults"
+	"mobbr/internal/flows"
 	"mobbr/internal/mobility"
 	"mobbr/internal/netem"
 	"mobbr/internal/units"
@@ -84,7 +85,26 @@ func Generate(seed int64) core.Spec {
 	if rng.Float64() < 0.25 {
 		spec.Workload = genWorkload(rng)
 	}
+	// Churn rides after them for the same reason. It replaces the fixed
+	// connection set, so it is drawn only without a workload or a CC mix.
+	if spec.Workload.Kind == "" && !strings.Contains(spec.CC, ",") && rng.Float64() < 0.25 {
+		spec.Flows = genFlows(rng)
+	}
 	return spec
+}
+
+// genFlows draws a churn population sized for sub-second runs: a live cap
+// of 20–500 flows, up to that many open at t=0, Poisson arrivals at 0.2–1.2×
+// the cap per second and 1–64 KB mice, so connections finish and are
+// recycled within the run.
+func genFlows(rng *rand.Rand) *flows.Config {
+	live := 20 + rng.Intn(481)
+	return &flows.Config{
+		MaxLive:      live,
+		InitialFlows: rng.Intn(live + 1),
+		ArrivalRate:  float64(live) * (0.2 + rng.Float64()),
+		MiceBytes:    units.KB * units.DataSize(1+rng.Intn(64)),
+	}
 }
 
 // genWorkload draws a request/response or chunked-streaming workload. All

@@ -120,7 +120,8 @@ type Spec struct {
 	// workload (internal/flows): open-loop Poisson arrivals, heavy-tailed
 	// elephant/mice sizes, FIN-on-completion recycling through a pooled
 	// conn lifecycle. Conns is ignored (the live population is dynamic);
-	// mutually exclusive with Workload. Results land in Result.Flows.
+	// mutually exclusive with Workload and with a CC mix. Results land in
+	// Result.Flows.
 	Flows *flows.Config
 	// Seed drives all randomness; runs are fully deterministic per seed.
 	Seed int64
@@ -309,6 +310,9 @@ func (s Spec) Validate() error {
 		}
 		if s.Inject.Kind == InjectCorruptInflight {
 			return fmt.Errorf("core: inject %q needs a fixed connection set (Flows is set)", s.Inject.Kind)
+		}
+		if strings.Contains(s.CC, ",") {
+			return fmt.Errorf("core: a CC mix (%q) needs a fixed connection set; Flows runs one congestion control", s.CC)
 		}
 		if err := s.Flows.Validate(); err != nil {
 			return fmt.Errorf("core: %w", err)

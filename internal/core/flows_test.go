@@ -181,6 +181,7 @@ func TestFlowsValidation(t *testing.T) {
 	}{
 		{"workload", func(s *Spec) { s.Workload = apps.Workload{Kind: apps.KindReqRep} }, "mutually exclusive"},
 		{"inject corrupt", func(s *Spec) { s.Inject = Inject{Kind: InjectCorruptInflight} }, "fixed connection set"},
+		{"cc mix", func(s *Spec) { s.CC = "bbr,reno" }, "Flows runs one congestion control"},
 		{"negative initial", func(s *Spec) { s.Flows.InitialFlows = -1 }, "initial flows"},
 		{"elephant share", func(s *Spec) { s.Flows.ElephantShare = 1.5 }, "elephant share"},
 		{"negative slots", func(s *Spec) { s.Flows.FlowTableSlots = -2 }, "flow-table slots"},

@@ -32,7 +32,7 @@ func (c *Conn) OnAckArrival(a *seg.Ack) {
 	if c.agg != nil {
 		c.agg.heldAcks++
 	}
-	c.cpu.SubmitP(cpumodel.OpCCUpdate, c.ccMod.AckCost(), connProcessAck, c)
+	c.job(c.cpu, cpumodel.OpCCUpdate, c.ccMod.AckCost(), connProcessAck)
 }
 
 // ackScratch is processAck's per-ACK working state: the rate sample handed
@@ -82,9 +82,8 @@ func (c *Conn) processAck(a *seg.Ack) {
 	if c.agg != nil {
 		c.agg.heldAcks--
 	}
-	if c.done {
+	if !c.land() {
 		c.pool.PutAck(a)
-		c.maybeQuiet()
 		return
 	}
 	now := c.eng.Now()
@@ -243,7 +242,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 	// then the ACK clock triggers a send attempt.
 	c.appPump()
 	c.trySend()
-	if c.stream && a.CumAck > priorUna {
+	if a.CumAck > priorUna {
 		c.streamProgress()
 	}
 	c.pool.PutAck(a)

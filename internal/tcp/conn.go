@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -88,15 +89,13 @@ type Conn struct {
 	undoSsthresh int
 	undoAt       time.Duration
 
-	appSent int64 // bytes handed to the network so far (for AppBytes limit)
-
-	// Stream-source mode (SetStream): instead of the config-driven bulk
-	// source, the application pushes bytes with StreamWrite and half-closes
-	// with CloseStream — the byte-stream surface the simnet net.Conn facade
-	// drives. streamTotal is the write offset so far; streamEnd is the
-	// offset at CloseStream (-1 while the stream is open); closing marks a
-	// graceful Close in progress (stop once everything is acknowledged).
-	stream       bool
+	// The send source is a byte stream: streamTotal is the write offset so
+	// far; streamEnd is the offset at CloseStream (-1 while the stream is
+	// open); closing marks a graceful Close in progress (stop once
+	// everything is acknowledged). A bulk source is a stream written up
+	// front (see open); SetStream empties it for an application that pushes
+	// bytes with StreamWrite and half-closes with CloseStream — the
+	// byte-stream surface the simnet net.Conn facade drives.
 	streamTotal  int64
 	streamEnd    int64
 	closing      bool
@@ -133,13 +132,12 @@ type Conn struct {
 	// slot is in the dying set hands itself back to the pool.
 	home *PooledConn
 
-	// deferred counts the calls still scheduled on the engine or queued
-	// behind the CPU model that no timer handle or busy flag tracks: the
-	// RTO's enterLoss job, the pacing timer's expiry job, TSQ retry polls
-	// and Start's kick. Stop cannot cancel them, so they are part of
-	// quiescence: each runs into its done-guard on the incarnation that
-	// scheduled it, never on the next flow to own this object.
-	deferred int
+	// pending counts the calls the connection has scheduled on the engine
+	// (later) or queued behind a CPU model (job) that have not yet run.
+	// Stop cannot cancel them, so a stopped connection is quiescent only
+	// once each has landed (see land) on the incarnation that issued it,
+	// never on the next flow to own this object.
+	pending int
 
 	// pool is the run's packet/ACK recycler (nil in unit tests — every
 	// acquire then heap-allocates). infos supplies scoreboard entries and
@@ -168,7 +166,9 @@ type Conn struct {
 // Engine and CPU-model callbacks. They are package-level functions that take
 // the connection as their argument (sim.Engine.ScheduleP, Timer.Reschedule on
 // such an item, cpumodel.CPU.SubmitP), so neither building a connection nor
-// re-arming one of its timers allocates a closure or a method value.
+// re-arming one of its timers allocates a closure or a method value. The
+// timer callbacks (RTO, pacing gate, watchdog) are cancelled by Stop; every
+// other one is issued through later or job and opens with land.
 func connKick(v any)          { v.(*Conn).kick() }
 func connTrySendLater(v any)  { v.(*Conn).trySendLater() }
 func connPacingExpired(v any) { v.(*Conn).pacingExpired() }
@@ -193,6 +193,39 @@ func connProcessAck(v any) {
 func connEmit(v any) {
 	c := v.(*Conn)
 	c.emit(c.xmitPaceFrom, c.xmitRetx, c.xmitNew)
+}
+
+// later schedules fn on the engine d from now, counted in pending.
+func (c *Conn) later(d time.Duration, fn func(any)) {
+	c.pending++
+	c.eng.ScheduleP(d, fn, c)
+}
+
+// job queues fn behind cycles of op on cpu, counted in pending, and returns
+// the job's completion time.
+func (c *Conn) job(cpu *cpumodel.CPU, op cpumodel.Op, cycles float64, fn func(any)) time.Duration {
+	c.pending++
+	return cpu.SubmitP(op, cycles, fn, c)
+}
+
+// land is the prologue of every callback later and job issue, run once the
+// callback has released what its own job held (its busy gate, the held ACK,
+// the entries retired under a parked batch). It uncounts the call and
+// reports whether the connection is still running; on a stopped one it
+// hands the slot back to the pool if that was the last pending call. A call
+// that lands with nothing pending was never counted, or outlived the
+// incarnation that issued it: it panics rather than perturb whichever flow
+// owns the object now.
+func (c *Conn) land() bool {
+	if c.pending == 0 {
+		panic(fmt.Sprintf("tcp: conn %d: a callback ran with no work pending", c.id))
+	}
+	c.pending--
+	if c.done {
+		c.maybeQuiet()
+		return false
+	}
+	return true
 }
 
 // soloConn is what NewConn allocates: a connection together with the
@@ -228,7 +261,17 @@ func (c *Conn) open(id int, factory cc.Factory) {
 	}
 	c.pacer.Reset(pcfg)
 	c.ccMod.Init(c)
+	// The bulk source: a stream whose writer wrote AppBytes and closed it,
+	// or one that never ends when AppBytes is 0.
+	c.streamTotal, c.streamEnd = unbounded, -1
+	if n := int64(c.cfg.AppBytes); n > 0 {
+		c.streamTotal, c.streamEnd = n, n
+	}
 }
+
+// unbounded is the length of an endless source: it never runs dry, never
+// drains and accepts no writes.
+const unbounded = math.MaxInt64
 
 // SetPool attaches the run's packet/ACK pool. Call before Start.
 func (c *Conn) SetPool(pool *seg.Pool) { c.pool = pool }
@@ -293,15 +336,12 @@ func (c *Conn) Start() {
 		return
 	}
 	c.started = true
-	c.deferred++
-	c.eng.ScheduleP(c.cfg.StartDelay, connKick, c)
+	c.later(c.cfg.StartDelay, connKick)
 }
 
 // kick is Start's deferred first transmission.
 func (c *Conn) kick() {
-	c.deferred--
-	if c.done {
-		c.maybeQuiet()
+	if !c.land() {
 		return
 	}
 	c.kicked = true
@@ -323,56 +363,29 @@ func (c *Conn) appPump() {
 	if c.appCPU == nil || c.appBusy || c.done {
 		return
 	}
+	rem := c.streamTotal - c.appCopied
+	if rem <= 0 {
+		return
+	}
+	// A sub-MSS tail still copies (it will push as a short segment);
+	// otherwise wait for at least one MSS of room.
 	room := c.cfg.SndBuf - c.buffered - units.DataSize(c.inflight)*c.cfg.MSS
-	chunk := appCopyChunk
-	if c.stream {
-		rem := c.streamTotal - c.appCopied
-		if rem <= 0 {
-			return
-		}
-		// A sub-MSS tail still copies (it will push as a short segment);
-		// otherwise wait for at least one MSS of room.
-		need := rem
-		if need > int64(c.cfg.MSS) {
-			need = int64(c.cfg.MSS)
-		}
-		if int64(room) < need {
-			return
-		}
-		if int64(chunk) > rem {
-			chunk = units.DataSize(rem)
-		}
-		if chunk > room {
-			chunk = room
-		}
-	} else {
-		if room < c.cfg.MSS {
-			return
-		}
-		if chunk > room {
-			chunk = room
-		}
-		if c.cfg.AppBytes > 0 {
-			rem := int64(c.cfg.AppBytes) - c.appCopied
-			if rem <= 0 {
-				return
-			}
-			if rem < int64(chunk) {
-				chunk = units.DataSize(rem)
-			}
-		}
+	if int64(room) < min(rem, int64(c.cfg.MSS)) {
+		return
+	}
+	chunk := min(appCopyChunk, room)
+	if int64(chunk) > rem {
+		chunk = units.DataSize(rem)
 	}
 	c.appBusy = true
 	c.appChunk = chunk
-	cost := float64(chunk) * c.cpu.Costs().CopyPerByte
-	c.appCPU.SubmitP(cpumodel.OpDataCopy, cost, connAppCopied, c)
+	c.job(c.appCPU, cpumodel.OpDataCopy, float64(chunk)*c.cpu.Costs().CopyPerByte, connAppCopied)
 }
 
 // appCopyDone runs at the app core's completion of one chunk copy.
 func (c *Conn) appCopyDone() {
 	c.appBusy = false
-	if c.done {
-		c.maybeQuiet()
+	if !c.land() {
 		return
 	}
 	c.buffered += c.appChunk
@@ -412,13 +425,12 @@ func (c *Conn) fail(err error) {
 
 // --- stream-source mode -----------------------------------------------------
 
-// SetStream puts the connection in stream-source mode: the application
-// pushes bytes with StreamWrite (bounded by the send buffer) and ends the
-// stream with CloseStream. The config-driven AppBytes/bulk source is
-// disabled. Call before Start.
+// SetStream replaces the bulk source open built from Config.AppBytes with an
+// empty open stream: the application pushes bytes with StreamWrite (bounded
+// by the send buffer) and ends the stream with CloseStream. Call before
+// Start.
 func (c *Conn) SetStream() {
-	c.stream = true
-	c.streamEnd = -1
+	c.streamTotal, c.streamEnd = 0, -1
 }
 
 // StreamEvents receives a stream-mode connection's notifications. The owner
@@ -441,9 +453,10 @@ func (c *Conn) SetStreamEvents(h StreamEvents) { c.events = h }
 
 // StreamRoom returns how many more bytes StreamWrite would accept now:
 // the send buffer minus everything written but not yet cumulatively
-// acknowledged. Zero once the stream is closed or the connection is done.
+// acknowledged. Zero once the stream is closed or the connection is done,
+// and always for an endless source.
 func (c *Conn) StreamRoom() int64 {
-	if !c.stream || c.done || c.closing || c.streamEnd >= 0 {
+	if c.done || c.closing || c.streamEnd >= 0 {
 		return 0
 	}
 	room := int64(c.cfg.SndBuf) - (c.streamTotal - c.sndUna)
@@ -458,9 +471,6 @@ func (c *Conn) StreamRoom() int64 {
 // callback announces new room). Writing on a closed stream or a failed
 // connection is an error.
 func (c *Conn) StreamWrite(n int64) (int64, error) {
-	if !c.stream {
-		return 0, fmt.Errorf("tcp: conn %d: StreamWrite without SetStream", c.id)
-	}
 	if c.failedErr != nil {
 		return 0, c.failedErr
 	}
@@ -488,9 +498,6 @@ func (c *Conn) StreamWrite(n int64) (int64, error) {
 // accepted, everything already written keeps (re)transmitting until
 // acknowledged. Returns the final stream length. Idempotent.
 func (c *Conn) CloseStream() int64 {
-	if !c.stream {
-		return 0
-	}
 	if c.streamEnd < 0 {
 		c.streamEnd = c.streamTotal
 		c.maybeDrained()
@@ -498,17 +505,17 @@ func (c *Conn) CloseStream() int64 {
 	return c.streamEnd
 }
 
-// Close begins a graceful teardown. In stream mode it is CloseStream plus
-// a deferred Stop: timers keep running until the last written byte is
-// acknowledged (the FIN retransmits like data), then the connection stops.
-// Without stream mode it stops immediately. Idempotent and safe at any
-// point in the connection's life, including before Start and concurrently
-// with recovery.
+// Close begins a graceful teardown: CloseStream plus a deferred Stop —
+// timers keep running until the last written byte is acknowledged (the FIN
+// retransmits like data), then the connection stops. An endless source
+// never drains, so it stops immediately. Idempotent and safe at any point
+// in the connection's life, including before Start and concurrently with
+// recovery.
 func (c *Conn) Close() {
 	if c.done || c.closing {
 		return
 	}
-	if !c.stream {
+	if c.streamTotal == unbounded {
 		c.Stop()
 		return
 	}
@@ -541,8 +548,8 @@ func (c *Conn) streamTailReady() bool {
 	return !c.appBusy && c.appCopied >= c.streamTotal
 }
 
-// streamProgress runs after an ACK advances sndUna in stream mode: it
-// completes a pending drain and announces reopened send-buffer room.
+// streamProgress runs after an ACK advances sndUna: it completes a pending
+// drain and announces reopened send-buffer room.
 func (c *Conn) streamProgress() {
 	c.maybeDrained()
 	if c.done || c.drainedFired {
@@ -664,42 +671,20 @@ func (c *Conn) Rand() *rand.Rand { return c.eng.Rand() }
 // With an app core attached, only bytes already copied into the socket
 // buffer are sendable; otherwise the source is treated as instantaneous.
 func (c *Conn) appBacklogSegs() int {
-	if c.stream {
-		if c.appCPU != nil {
-			segs := int(c.buffered / c.cfg.MSS)
-			if segs == 0 && c.buffered > 0 && c.streamTailReady() {
-				segs = 1 // short tail segment
-			}
-			return segs
-		}
-		rem := c.streamTotal - c.sndNxt
-		if rem <= 0 {
-			return 0
-		}
-		segs := rem / int64(c.cfg.MSS)
-		if rem%int64(c.cfg.MSS) != 0 {
-			segs++ // push the partial tail immediately
-		}
-		return int(segs)
-	}
 	if c.appCPU != nil {
 		segs := int(c.buffered / c.cfg.MSS)
-		if segs == 0 && c.buffered > 0 && c.cfg.AppBytes > 0 &&
-			c.appCopied >= int64(c.cfg.AppBytes) {
-			segs = 1 // short final segment
+		if segs == 0 && c.buffered > 0 && c.streamTailReady() {
+			segs = 1 // short tail segment
 		}
 		return segs
 	}
-	if c.cfg.AppBytes <= 0 {
-		return 1 << 20 // unbounded bulk source
-	}
-	rem := int64(c.cfg.AppBytes) - c.sndNxt
+	rem := c.streamTotal - c.sndNxt
 	if rem <= 0 {
 		return 0
 	}
 	segs := rem / int64(c.cfg.MSS)
 	if rem%int64(c.cfg.MSS) != 0 {
-		segs++
+		segs++ // push the partial tail immediately
 	}
 	return int(segs)
 }
@@ -718,8 +703,7 @@ func (c *Conn) trySend() {
 	// TSQ-style backpressure: if the local qdisc is deep, defer rather
 	// than overrun it.
 	if c.path.Hop(0).QueueLen() > devnicHighWatermark {
-		c.deferred++
-		c.eng.ScheduleP(250*time.Microsecond, connTrySendLater, c)
+		c.later(250*time.Microsecond, connTrySendLater)
 		return
 	}
 	c.cwndRestartAfterIdle(now)
@@ -773,18 +757,15 @@ func (c *Conn) trySend() {
 	// completion (xmitBusy guarantees a single outstanding job).
 	c.xmitPaceFrom = paceFrom
 	c.xmitNew = newSegs
-	c.cpu.SubmitP(cpumodel.OpSegXmit, float64(total)*costs.SegXmit, connEmit, c)
+	c.job(c.cpu, cpumodel.OpSegXmit, float64(total)*costs.SegXmit, connEmit)
 }
 
 // trySendLater is a send attempt that was deferred — a TSQ retry poll, or the
 // pacing timer's expiry work coming off the CPU.
 func (c *Conn) trySendLater() {
-	c.deferred--
-	if c.done {
-		c.maybeQuiet()
-		return
+	if c.land() {
+		c.trySend()
 	}
-	c.trySend()
 }
 
 // cwndRestartAfterIdle is tcp_cwnd_restart (RFC 2861): a window validated
@@ -874,8 +855,7 @@ func (c *Conn) emit(paceFrom time.Duration, retx []*pktInfo, newSegs int) {
 	// What retx still points at stays as the ACK path left it — acked, so
 	// skipped below — until the first get, which comes after the retx loop.
 	c.flushRetired()
-	if c.done {
-		c.maybeQuiet()
+	if !c.land() {
 		return
 	}
 	now := c.eng.Now()
@@ -910,41 +890,23 @@ func (c *Conn) emit(paceFrom time.Duration, retx []*pktInfo, newSegs int) {
 		l := c.cfg.MSS
 		if c.appCPU != nil {
 			if c.buffered < l {
-				short := false
-				if c.buffered > 0 {
-					if c.stream {
-						short = c.streamTailReady()
-					} else {
-						short = c.cfg.AppBytes > 0 &&
-							c.appCopied >= int64(c.cfg.AppBytes)
-					}
-				}
-				if !short {
+				if c.buffered == 0 || !c.streamTailReady() {
 					break
 				}
-				l = c.buffered // short final/tail segment
+				l = c.buffered // short tail segment
 			}
 			c.buffered -= l
 		}
-		if c.stream {
-			if rem := c.streamTotal - c.sndNxt; rem <= 0 {
-				break
-			} else if rem < int64(l) {
-				l = units.DataSize(rem)
-			}
-		} else if c.cfg.AppBytes > 0 {
-			if rem := int64(c.cfg.AppBytes) - c.sndNxt; rem <= 0 {
-				break
-			} else if rem < int64(l) {
-				l = units.DataSize(rem)
-			}
+		if rem := c.streamTotal - c.sndNxt; rem <= 0 {
+			break
+		} else if rem < int64(l) {
+			l = units.DataSize(rem)
 		}
 		p := c.infos.get()
 		p.seq, p.len, p.sentAt, p.inFlite = c.sndNxt, l, now, true
 		c.snapshot(p)
 		c.board.add(p)
 		c.sndNxt += int64(l)
-		c.appSent += int64(l)
 		c.segsSent++
 		c.inflight++
 		bytes += l
@@ -1010,8 +972,7 @@ func (c *Conn) pacingExpired() {
 		return
 	}
 	now := c.eng.Now()
-	c.deferred++
-	done := c.cpu.SubmitOp(cpumodel.OpPacingTimer, connTrySendLater, c)
+	done := c.job(c.cpu, cpumodel.OpPacingTimer, c.cpu.Costs().PacingTimer, connTrySendLater)
 	if c.bus != nil || c.met != nil {
 		// Timer slippage: the gate reopened at now, but the expiry
 		// work queues behind whatever the CPU is already doing, so
@@ -1050,8 +1011,7 @@ func (c *Conn) onRTOTimer() {
 	if c.done || c.inflight == 0 && c.board.firstLost() == nil {
 		return
 	}
-	c.deferred++
-	c.cpu.SubmitOp(cpumodel.OpRTO, connEnterLoss, c)
+	c.job(c.cpu, cpumodel.OpRTO, c.cpu.Costs().RTO, connEnterLoss)
 }
 
 // enterLoss is tcp_enter_loss: everything unsacked is marked lost, the
@@ -1060,9 +1020,7 @@ func (c *Conn) onRTOTimer() {
 // MaxRetries, after which the connection is declared dead — reported, never
 // panicked.
 func (c *Conn) enterLoss() {
-	c.deferred--
-	if c.done {
-		c.maybeQuiet()
+	if !c.land() {
 		return
 	}
 	c.rtoBackoff++
@@ -1130,7 +1088,7 @@ type ConnStats struct {
 func (c *Conn) Stats() ConnStats {
 	return ConnStats{
 		ID:           c.id,
-		BytesSent:    units.DataSize(c.appSent),
+		BytesSent:    units.DataSize(c.sndNxt),
 		Retransmits:  c.retransTotal,
 		Lost:         c.lostTotal,
 		CEMarks:      c.ceTotal,
@@ -1217,30 +1175,27 @@ func (c *Conn) ReclaimAcks() {
 	c.pendingAcks.Drain(c.pool.PutAck)
 }
 
-// ForceQuiesce drains a stopped connection's remaining work markers after
-// the engine has halted: the completion events that would clear
-// xmitBusy/appBusy/deferred and consume pendingAcks never fire past the run
-// horizon, so held ACKs go back to the pool and the markers drop.
-// Only the run-end reclaim may call this; mid-run it would recycle a
-// connection with live events pointed at it.
+// ForceQuiesce drops a stopped connection's pending calls after the engine
+// has halted: they never land past the run horizon, so what they held — the
+// ACKs behind the CPU model, the entries retired under a parked batch —
+// goes back to its pool and the count drops to zero. Only the run-end
+// reclaim may call this; mid-run it would recycle a connection with live
+// events pointed at it.
 func (c *Conn) ForceQuiesce() {
 	c.ReclaimAcks()
-	c.xmitBusy, c.appBusy, c.deferred = false, false, 0
 	c.flushRetired()
+	c.pending = 0
 }
 
-// Quiescent reports whether a stopped connection has fully wound down: no
-// ACKs parked behind the CPU model, no outstanding transmit batch, no
-// in-flight app copy, no deferred call (RTO job, pacing-expiry job, TSQ poll,
-// start kick). Only a quiescent connection may be recycled — all that is
-// left of it on the engine is stopped-timer residue, which never fires.
-func (c *Conn) Quiescent() bool {
-	return c.done && c.pendingAcks.Len() == 0 && !c.xmitBusy && !c.appBusy && c.deferred == 0
-}
+// Quiescent reports whether a stopped connection has fully wound down: every
+// call it issued through later or job has landed. Only a quiescent
+// connection may be recycled — all that is left of it on the engine is
+// stopped-timer residue, which never fires.
+func (c *Conn) Quiescent() bool { return c.done && c.pending == 0 }
 
-// maybeQuiet hands a stopped connection back to its pool when the last piece
-// of outstanding work drains while its slot is waiting in the dying set.
-// Hooked at every done-guard that clears part of the quiescence set.
+// maybeQuiet hands a stopped connection back to its pool when the last
+// pending call lands while its slot is waiting in the dying set (or at Put,
+// when nothing was pending).
 func (c *Conn) maybeQuiet() {
 	if pc := c.home; pc != nil && pc.dyingIdx >= 0 && c.Quiescent() {
 		pc.pool.recycle(pc)
@@ -1259,8 +1214,7 @@ func (c *Conn) maybeQuiet() {
 // event aimed at the old incarnation cannot alias the new one.
 func (c *Conn) Reset(id int, factory cc.Factory) {
 	if !c.Quiescent() {
-		panic(fmt.Sprintf("tcp: Reset of non-quiescent conn %d (done=%v heldAcks=%d xmitBusy=%v appBusy=%v deferred=%d)",
-			c.id, c.done, c.pendingAcks.Len(), c.xmitBusy, c.appBusy, c.deferred))
+		panic(fmt.Sprintf("tcp: Reset of non-quiescent conn %d (done=%v pending=%d)", c.id, c.done, c.pending))
 	}
 	// Surviving scoreboard entries (lost/sacked, never cum-acked) go back
 	// to the entry pool.

@@ -31,10 +31,10 @@ import (
 // Put stops the connection but must NOT recycle it immediately: ACKs the
 // network already delivered may still sit behind the CPU model
 // (pendingAcks), and a transmit, app-copy, RTO or pacing-expiry job, a TSQ
-// poll or the start kick may still be scheduled. Recycling earlier would let
-// those events mutate the *next* flow's state. The conn therefore parks in
-// the dying set until it is quiescent, and only then returns to the free
-// list. ACKs still in network flight are the path's problem: callers retire
+// poll or the start kick may still be scheduled — each one counted in the
+// connection's pending work. Recycling earlier would let those events mutate
+// the *next* flow's state. The conn therefore parks in the dying set until
+// the last of them lands, and only then returns to the free list. ACKs still in network flight are the path's problem: callers retire
 // the flow id (netem.Path.RetireFlow) before Put, so late ACKs hit a
 // tombstone, never a recycled conn.
 //

@@ -210,6 +210,33 @@ func TestConnPoolIdsNeverReused(t *testing.T) {
 	}
 }
 
+// TestUncountedCallbackPanics is the recycle detector. A callback that did
+// not go through later or job — the shape of one that outlived the
+// incarnation that issued it — lands on a count of zero and panics, naming
+// the connection, instead of quietly driving whichever flow owns the object
+// next. Under DropFree a recycled slot is never handed out again, so its
+// count stays zero and such a callback fails every time, not by chance.
+func TestUncountedCallbackPanics(t *testing.T) {
+	h := newPoolHarness(t)
+	pc := h.pool.Get(3, streamFactory())
+	pc.Conn.SetStream()
+	pc.Conn.Start()
+	h.eng.Run(time.Millisecond) // the kick lands; nothing to send
+	h.pool.Put(pc)
+	if st := h.pool.Stats(); st.Free != 1 {
+		t.Fatalf("census %+v, want the idle pair recycled at Put", st)
+	}
+	h.pool.DropFree()
+	h.eng.ScheduleP(0, connTrySendLater, pc.Conn)
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "tcp: conn 3: a callback ran with no work pending"; msg != want {
+			t.Errorf("recovered %q, want %q", msg, want)
+		}
+	}()
+	h.eng.Run(h.eng.Now() + time.Millisecond)
+}
+
 // sameFreshState walks two values of one struct type field by field and
 // reports every difference that could make them simulate differently: scalars
 // must be equal, pointers identical, funcs and interfaces alike (both nil, or
@@ -340,7 +367,7 @@ func TestRetiredEntryWaitsForParkedBatch(t *testing.T) {
 			t.Fatalf("A never sent its four segments (board %d)", a.board.liveLen())
 		}
 	}
-	a.deferred++
+	a.pending++ // what onRTOTimer's job would have counted
 	a.enterLoss()
 	head := a.board.at(0)
 	if !a.xmitBusy || len(a.xmitRetx) != 1 || a.xmitRetx[0] != head {
@@ -352,6 +379,7 @@ func TestRetiredEntryWaitsForParkedBatch(t *testing.T) {
 	ack.Flow, ack.CumAck = a.id, mss
 	a.pendingAcks.Push(ack)
 	h.agg.heldAcks++
+	a.pending++ // what OnAckArrival's job would have counted
 	a.processAck(ack)
 	if a.board.liveLen() != 3 || !head.acked {
 		t.Fatalf("the ACK did not retire A's head (board %d)", a.board.liveLen())
@@ -363,7 +391,7 @@ func TestRetiredEntryWaitsForParkedBatch(t *testing.T) {
 	q.seq, q.len, q.inFlite = 0, a.cfg.MSS, true
 	b.board.add(q)
 	b.sndNxt, b.inflight = mss, 1
-	b.deferred++
+	b.pending++
 	b.enterLoss()
 	if q == head {
 		t.Error("B was handed the entry A's parked batch still points at")

@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -291,6 +293,56 @@ func TestAppBytesLimitExact(t *testing.T) {
 	h.eng.Run(5 * time.Second)
 	if got := h.rx.GoodBytes(); got != n {
 		t.Fatalf("delivered %v, want exactly %v", got, n)
+	}
+}
+
+// TestBulkIsStreamWrittenUpFront pins what makes one send source enough:
+// Config.AppBytes behaves exactly as a stream whose writer wrote AppBytes
+// bytes and closed it before Start. One byte, sub-MSS, one MSS, a short tail,
+// whole 16 KB copy chunks and many of them with an odd tail must simulate
+// alike — events, sender counters, goodput — with and without the app core's
+// copy pipeline, on a clean and on a lossy path.
+func TestBulkIsStreamWrittenUpFront(t *testing.T) {
+	type outcome struct {
+		processed uint64
+		stats     ConnStats
+		good      units.DataSize
+	}
+	simulate := func(t *testing.T, n units.DataSize, appCPU bool, loss float64, stream bool) outcome {
+		cfg := Config{AppBytes: n}
+		if stream {
+			cfg.AppBytes = 0
+		}
+		h := newHarness(t, cfg, &stubCC{cwnd: 32}, netem.TC{Loss: loss})
+		if appCPU {
+			h.conn.SetAppCPU(cpumodel.NewCPU(h.eng, cpumodel.DefaultCosts(), 1e9))
+		}
+		if stream {
+			h.conn.SetStream()
+			if w, err := h.conn.StreamWrite(int64(n)); w != int64(n) || err != nil {
+				t.Fatalf("StreamWrite(%d) = %d, %v", int64(n), w, err)
+			}
+			h.conn.CloseStream()
+		}
+		h.conn.Start()
+		h.eng.Run(30 * time.Second)
+		return outcome{h.eng.Processed(), h.conn.Stats(), h.rx.GoodBytes()}
+	}
+	for _, n := range []units.DataSize{1, 1000, 1448, seg.MSS, 4096, 64 * units.KB, 200*units.KB + 7} {
+		for _, appCPU := range []bool{false, true} {
+			for _, loss := range []float64{0, 0.02} {
+				t.Run(fmt.Sprintf("n=%d/app=%v/loss=%v", int64(n), appCPU, loss), func(t *testing.T) {
+					bulk := simulate(t, n, appCPU, loss, false)
+					stream := simulate(t, n, appCPU, loss, true)
+					if bulk.good != n {
+						t.Errorf("bulk delivered %d of %d bytes", int64(bulk.good), int64(n))
+					}
+					if !reflect.DeepEqual(bulk, stream) {
+						t.Errorf("bulk and stream differ:\nbulk   %+v\nstream %+v", bulk, stream)
+					}
+				})
+			}
+		}
 	}
 }
 
