@@ -203,13 +203,25 @@ func (b *BBRv2) CurrentPhase() Phase { return b.phase }
 // SetModeListener implements cc.ModeReporter.
 func (b *BBRv2) SetModeListener(fn func(old, new string)) { b.modeListener = fn }
 
+// probeBWLabels are the PROBE_BW labels by phase, so an observed transition
+// builds no string.
+var probeBWLabels = [...]string{
+	PhaseDown:   "PROBE_BW/DOWN",
+	PhaseCruise: "PROBE_BW/CRUISE",
+	PhaseRefill: "PROBE_BW/REFILL",
+	PhaseUp:     "PROBE_BW/UP",
+}
+
 // label is the externally visible state: the mode, with the sub-phase
 // appended while cycling PROBE_BW (e.g. "PROBE_BW/CRUISE").
 func (b *BBRv2) label() string {
-	if b.mode == ProbeBW {
-		return b.mode.String() + "/" + b.phase.String()
+	if b.mode != ProbeBW {
+		return b.mode.String()
 	}
-	return b.mode.String()
+	if uint(b.phase) < uint(len(probeBWLabels)) {
+		return probeBWLabels[b.phase]
+	}
+	return b.mode.String() + "/" + b.phase.String()
 }
 
 // observe runs mutate and notifies the listener if the visible state-machine

@@ -198,6 +198,29 @@ func TestPhaseString(t *testing.T) {
 	}
 }
 
+// TestLabelTable holds the transition labels to the concatenation they
+// replaced, in every mode and phase and for an out-of-range phase, and
+// requires that building one allocates nothing.
+func TestLabelTable(t *testing.T) {
+	b := New()
+	for _, m := range []Mode{Startup, Drain, ProbeBW, ProbeRTT} {
+		for _, p := range []Phase{PhaseDown, PhaseCruise, PhaseRefill, PhaseUp, Phase(7)} {
+			b.mode, b.phase = m, p
+			want := m.String()
+			if m == ProbeBW {
+				want += "/" + p.String()
+			}
+			if got := b.label(); got != want {
+				t.Errorf("label(%v, %v) = %q, want %q", m, p, got, want)
+			}
+		}
+	}
+	b.mode, b.phase = ProbeBW, PhaseCruise
+	if allocs := testing.AllocsPerRun(100, func() { _ = b.label() }); allocs != 0 {
+		t.Errorf("label allocated %.1f objects", allocs)
+	}
+}
+
 func TestECNAlphaTracksCEFraction(t *testing.T) {
 	f := cctest.NewFakeConn()
 	f.Inflight = 40

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mobbr/internal/apps"
 	"mobbr/internal/device"
@@ -109,6 +110,45 @@ func TestMinRunAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per minimal run, budget %d", allocs, budget)
 	if allocs > budget {
 		t.Errorf("a 20-connection 1 ms run allocates %.0f objects, budget %d", allocs, budget)
+	}
+}
+
+// TestObservedRunBytesPerEvent budgets what the event log costs per event it
+// keeps, on the benchmark's observed run (lossy four-CC mix, checker and all
+// three telemetry planes on). Like TestSteadyStateAllocs it runs the spec
+// for T and 3T and charges the difference in allocated bytes to the
+// difference in kept events. An event is written into the log once, so the
+// figure is its size plus the steady-state allocations of the run around
+// it; a log that re-copies itself as it grows pays several times the size.
+func TestObservedRunBytesPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime changes allocation sizes")
+	}
+	spec := Spec{CPU: device.Default, CC: "bbr,cubic,bbr2,reno", Conns: 8,
+		Network: WiFi, TC: netem.TC{Loss: 0.005}, Interval: time.Second, Seed: 1,
+		Check: true, Telemetry: telemetry.Config{Trace: true, Metrics: true, Profile: true}}
+	run := func(d time.Duration) (allocated uint64, events int) {
+		spec.Duration = d
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, len(res.Events.Events())
+	}
+	const T = 4 * time.Second
+	run(T) // lazy one-time initialisation, outside both measurements
+	short, shortEvents := run(T)
+	long, longEvents := run(3 * T)
+	per := (float64(long) - float64(short)) / float64(longEvents-shortEvents)
+	budget := 2 * float64(unsafe.Sizeof(telemetry.Event{}))
+	t.Logf("%.1f bytes per kept event (T=%v: %d B, %d events; 3T: %d B, %d events), budget %.0f",
+		per, T, short, shortEvents, long, longEvents, budget)
+	if per > budget {
+		t.Errorf("the observed run allocates %.1f bytes per kept event, budget %.0f (two events' size)", per, budget)
 	}
 }
 

@@ -93,7 +93,12 @@ func TestShardedMatchesSerial(t *testing.T) {
 		{"bbr-ethernet", func(s *Spec) {}},
 		{"cubic-wifi", func(s *Spec) { s.CC = "cubic"; s.Network = WiFi }},
 		{"bbr-lte", func(s *Spec) { s.Network = Cellular; s.Duration = 2 * time.Second; s.Warmup = 400 * time.Millisecond }},
-		{"bbr2-5g", func(s *Spec) { s.CC = "bbr2"; s.Network = Cellular5G; s.Duration = 1 * time.Second; s.Warmup = 200 * time.Millisecond }},
+		{"bbr2-5g", func(s *Spec) {
+			s.CC = "bbr2"
+			s.Network = Cellular5G
+			s.Duration = 1 * time.Second
+			s.Warmup = 200 * time.Millisecond
+		}},
 		{"mix-4conns", func(s *Spec) { s.CC = "bbr,cubic"; s.Conns = 4; s.Seed = 11 }},
 		// Interval reporting runs as a barrier global when sharded; its rows
 		// must land at the same virtual times with the same counters.

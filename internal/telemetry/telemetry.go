@@ -98,13 +98,26 @@ type Event struct {
 // memory; overflow increments Dropped instead of growing.
 const DefaultMaxEvents = 1 << 21
 
+// Chunk capacities of the bus log: the first chunk holds firstChunkEvents,
+// each next one twice its predecessor, up to maxChunkEvents (about 360 KB).
+const (
+	firstChunkEvents = 64
+	maxChunkEvents   = 4096
+)
+
 // Bus collects events from every instrumented layer of one run. A nil *Bus
 // is the disabled state: Emit on nil is a no-op, so call sites need no
 // enabled-check beyond the pointer they already hold.
+//
+// The log is a list of chunks that are filled in order and never copied: a
+// full chunk stays where it is and the next event opens a new one, so an
+// event is written once however long the run, where one growing slice
+// would copy it again at every re-allocation.
 type Bus struct {
 	eng     *sim.Engine
 	max     int
-	events  []Event
+	chunks  [][]Event
+	n       int // events kept, over all chunks
 	dropped uint64
 }
 
@@ -125,22 +138,37 @@ func (b *Bus) Emit(e Event) {
 	if b == nil {
 		return
 	}
-	if len(b.events) >= b.max {
+	if b.n >= b.max {
 		b.dropped++
 		return
 	}
 	e.At = b.eng.Now()
-	b.events = append(b.events, e)
+	last := len(b.chunks) - 1
+	if last < 0 || len(b.chunks[last]) == cap(b.chunks[last]) {
+		size := firstChunkEvents
+		if last >= 0 {
+			size = min(2*cap(b.chunks[last]), maxChunkEvents)
+		}
+		b.chunks = append(b.chunks, make([]Event, 0, size))
+		last++
+	}
+	b.chunks[last] = append(b.chunks[last], e)
+	b.n++
 }
 
-// Events returns every recorded event in emission order (which is also
-// non-decreasing virtual-time order, since the engine clock never goes
-// backwards).
+// Events returns a copy of every recorded event in emission order (which is
+// also non-decreasing virtual-time order, since the engine clock never goes
+// backwards). It copies the whole log into one exactly-sized slice; only
+// tests call it — exporters walk the log through WriteJSONL and Filter.
 func (b *Bus) Events() []Event {
 	if b == nil {
 		return nil
 	}
-	return b.events
+	out := make([]Event, 0, b.n)
+	for _, c := range b.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // Dropped returns how many events overflowed the buffer cap.
@@ -184,21 +212,25 @@ func (b *Bus) WriteJSONL(w io.Writer) error {
 		je  jsonEvent
 	)
 	enc := json.NewEncoder(&buf)
-	for i := range b.events {
-		e := &b.events[i]
-		je = jsonEvent{
-			TNs: int64(e.At), Kind: e.Kind.String(), Conn: e.Conn,
-			Old: e.Old, New: e.New,
-			V: e.Value, V2: e.V2, V3: e.V3, V4: e.V4,
-		}
-		if err := enc.Encode(&je); err != nil {
-			return fmt.Errorf("telemetry: marshal event %d: %w", i, err)
-		}
-		if buf.Len() >= jsonlFlushBytes {
-			if _, err := w.Write(buf.Bytes()); err != nil {
-				return err
+	i := 0
+	for _, c := range b.chunks {
+		for j := range c {
+			e := &c[j]
+			je = jsonEvent{
+				TNs: int64(e.At), Kind: e.Kind.String(), Conn: e.Conn,
+				Old: e.Old, New: e.New,
+				V: e.Value, V2: e.V2, V3: e.V3, V4: e.V4,
 			}
-			buf.Reset()
+			if err := enc.Encode(&je); err != nil {
+				return fmt.Errorf("telemetry: marshal event %d: %w", i, err)
+			}
+			i++
+			if buf.Len() >= jsonlFlushBytes {
+				if _, err := w.Write(buf.Bytes()); err != nil {
+					return err
+				}
+				buf.Reset()
+			}
 		}
 	}
 	if buf.Len() == 0 {
@@ -214,9 +246,11 @@ func (b *Bus) Filter(k Kind) []Event {
 		return nil
 	}
 	var out []Event
-	for _, e := range b.events {
-		if e.Kind == k {
-			out = append(out, e)
+	for _, c := range b.chunks {
+		for _, e := range c {
+			if e.Kind == k {
+				out = append(out, e)
+			}
 		}
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -37,17 +38,29 @@ func TestBusStampsVirtualTime(t *testing.T) {
 	}
 }
 
+// TestBusCapDrops holds the cap to exact counts wherever it falls in the
+// chunked log: inside the first chunk, exactly on a chunk boundary (64, and
+// 64+128) and inside a later chunk. An event past the cap allocates nothing.
 func TestBusCapDrops(t *testing.T) {
-	eng := sim.New(1)
-	bus := NewBus(eng, 2)
-	for i := 0; i < 5; i++ {
-		bus.Emit(Event{Kind: KindRTO})
-	}
-	if len(bus.Events()) != 2 {
-		t.Errorf("kept %d events, want 2", len(bus.Events()))
-	}
-	if bus.Dropped() != 3 {
-		t.Errorf("dropped = %d, want 3", bus.Dropped())
+	for _, limit := range []int{2, 64, 100, 192, 1000} {
+		eng := sim.New(1)
+		bus := NewBus(eng, limit)
+		const emitted = 1500
+		for i := 0; i < emitted; i++ {
+			bus.Emit(Event{Kind: KindRTO, Value: float64(i)})
+		}
+		evs := bus.Events()
+		if len(evs) != limit || bus.Dropped() != uint64(emitted-limit) {
+			t.Errorf("cap %d: kept %d, dropped %d; want %d, %d", limit, len(evs), bus.Dropped(), limit, emitted-limit)
+		}
+		for i, e := range evs {
+			if e.Value != float64(i) {
+				t.Fatalf("cap %d: event %d carries value %v; the first %d emitted must be kept in order", limit, i, e.Value, limit)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { bus.Emit(Event{Kind: KindRTO}) }); allocs != 0 {
+			t.Errorf("cap %d: an event past the cap allocated %.1f objects", limit, allocs)
+		}
 	}
 }
 
@@ -95,58 +108,86 @@ func TestNilReceiversZeroAlloc(t *testing.T) {
 }
 
 // TestWriteJSONLMatchesMarshal holds the buffered encoder to the wire form
-// it replaced — json.Marshal of each event plus a newline — over enough
-// events to cross several flush chunks, with strings that need escaping and
-// floats at both ends of the formatter, and checks the writer sees chunks,
-// not one Write per event. (The allocation side is budgeted in
-// core.TestSteadyStateAllocsJSONL, which can skip itself under -race.)
+// it replaced — json.Marshal of each event plus a newline — with strings
+// that need escaping and floats at both ends of the formatter. The event
+// counts sit on both sides of the log's first two chunk boundaries (64 and
+// 64+128); the largest runs past the doubling chunks into capped ones and
+// crosses several flush chunks, and the writer must see those chunks, not
+// one Write per event. Events and Filter must walk the log in emission
+// order.
+// (The allocation side is budgeted in core.TestSteadyStateAllocsJSONL,
+// which can skip itself under -race.)
 func TestWriteJSONLMatchesMarshal(t *testing.T) {
-	eng := sim.New(1)
-	bus := NewBus(eng, 0)
 	labels := []string{"", "STARTUP", `<a href="x">&</a>`, "tab\there", "µs/é\u2028"}
-	const events = 5000
-	for i := 0; i < events; i++ {
-		i := i
-		eng.Schedule(time.Duration(i)*time.Microsecond, func() {
-			bus.Emit(Event{Kind: Kind(i % int(numKinds)), Conn: i%9 - 1,
-				Old: labels[i%len(labels)], New: labels[(i/3)%len(labels)],
-				Value: float64(i) / 7, V2: 1e21 * float64(i%2), V3: 1e-7 * float64(i%3), V4: float64(i % 4)})
-		})
-	}
-	eng.Run(time.Second)
+	for _, events := range []int{0, 1, 63, 64, 65, 192, 193, 3*maxChunkEvents + 1} {
+		eng := sim.New(1)
+		bus := NewBus(eng, 0)
+		for i := 0; i < events; i++ {
+			i := i
+			eng.Schedule(time.Duration(i)*time.Microsecond, func() {
+				bus.Emit(Event{Kind: Kind(i % int(numKinds)), Conn: i%9 - 1,
+					Old: labels[i%len(labels)], New: labels[(i/3)%len(labels)],
+					Value: float64(i) / 7, V2: 1e21 * float64(i%2), V3: 1e-7 * float64(i%3), V4: float64(i % 4)})
+			})
+		}
+		eng.Run(time.Second)
 
-	var want bytes.Buffer
-	for _, e := range bus.Events() {
-		line, err := json.Marshal(jsonEvent{
-			TNs: int64(e.At), Kind: e.Kind.String(), Conn: e.Conn, Old: e.Old, New: e.New,
-			V: e.Value, V2: e.V2, V3: e.V3, V4: e.V4,
-		})
-		if err != nil {
+		evs := bus.Events()
+		if len(evs) != events || cap(evs) != events {
+			t.Fatalf("%d events: Events() has len %d, cap %d; want an exactly-sized copy", events, len(evs), cap(evs))
+		}
+		var want bytes.Buffer
+		for i, e := range evs {
+			if e.At != time.Duration(i)*time.Microsecond || e.Value != float64(i)/7 {
+				t.Fatalf("%d events: Events()[%d] = %+v, out of emission order", events, i, e)
+			}
+			line, err := json.Marshal(jsonEvent{
+				TNs: int64(e.At), Kind: e.Kind.String(), Conn: e.Conn, Old: e.Old, New: e.New,
+				V: e.Value, V2: e.V2, V3: e.V3, V4: e.V4,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Write(line)
+			want.WriteByte('\n')
+		}
+		for k := Kind(0); k < numKinds; k++ {
+			var sub []Event
+			for _, e := range evs {
+				if e.Kind == k {
+					sub = append(sub, e)
+				}
+			}
+			if got := bus.Filter(k); !reflect.DeepEqual(got, sub) {
+				t.Fatalf("%d events: Filter(%v) has %d events, not the %d of that kind in emission order", events, k, len(got), len(sub))
+			}
+		}
+		var got countingWriter
+		if err := bus.WriteJSONL(&got); err != nil {
 			t.Fatal(err)
 		}
-		want.Write(line)
-		want.WriteByte('\n')
-	}
-	var got countingWriter
-	if err := bus.WriteJSONL(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.buf.Bytes(), want.Bytes()) {
-		t.Fatal("buffered JSONL differs from json.Marshal + newline per event")
-	}
-	if got.writes < 2 || got.writes > events/50 {
-		t.Errorf("%d events reached the writer in %d writes, want a few chunks", events, got.writes)
+		if !bytes.Equal(got.buf.Bytes(), want.Bytes()) {
+			t.Fatalf("%d events: buffered JSONL differs from json.Marshal + newline per event", events)
+		}
+		if (events > 0) != (got.writes > 0) || got.writes > max(1, events/50) ||
+			got.largest > jsonlFlushBytes+1024 {
+			t.Errorf("%d events (%d bytes) reached the writer in %d writes of up to %d bytes, want chunks of about %d",
+				events, want.Len(), got.writes, got.largest, jsonlFlushBytes)
+		}
 	}
 }
 
-// countingWriter records what it is given and in how many Write calls.
+// countingWriter records what it is given, in how many Write calls, and
+// the largest of them.
 type countingWriter struct {
-	buf    bytes.Buffer
-	writes int
+	buf     bytes.Buffer
+	writes  int
+	largest int
 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.writes++
+	w.largest = max(w.largest, len(p))
 	return w.buf.Write(p)
 }
 

@@ -91,13 +91,27 @@ func (r *Recorder) tick() {
 	r.eng.Schedule(r.period, r.tickFn)
 }
 
+// bbr2Modes are the BBRv2 sample labels "MODE/PHASE" by mode and phase, so
+// a sample builds no string. The phase is appended in every mode, as the
+// sample has always shown it.
+var bbr2Modes = [4][4]string{
+	bbrv2.Startup:  {"STARTUP/DOWN", "STARTUP/CRUISE", "STARTUP/REFILL", "STARTUP/UP"},
+	bbrv2.Drain:    {"DRAIN/DOWN", "DRAIN/CRUISE", "DRAIN/REFILL", "DRAIN/UP"},
+	bbrv2.ProbeBW:  {"PROBE_BW/DOWN", "PROBE_BW/CRUISE", "PROBE_BW/REFILL", "PROBE_BW/UP"},
+	bbrv2.ProbeRTT: {"PROBE_RTT/DOWN", "PROBE_RTT/CRUISE", "PROBE_RTT/REFILL", "PROBE_RTT/UP"},
+}
+
 // ccMode extracts the state-machine mode from BBR-family modules.
 func ccMode(c *tcp.Conn) string {
 	switch m := c.CC().(type) {
 	case *bbr.BBR:
 		return m.Mode().String()
 	case *bbrv2.BBRv2:
-		return m.Mode().String() + "/" + m.CurrentPhase().String()
+		mode, phase := m.Mode(), m.CurrentPhase()
+		if uint(mode) < uint(len(bbr2Modes)) && uint(phase) < uint(len(bbr2Modes[0])) {
+			return bbr2Modes[mode][phase]
+		}
+		return mode.String() + "/" + phase.String()
 	default:
 		return ""
 	}

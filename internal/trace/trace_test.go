@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mobbr/internal/cc/bbr"
+	"mobbr/internal/cc/bbrv2"
 	"mobbr/internal/cc/cubic"
 	"mobbr/internal/cpumodel"
 	"mobbr/internal/device"
@@ -54,6 +55,53 @@ func TestBBRModeTrajectory(t *testing.T) {
 		} else if left {
 			t.Errorf("STARTUP recurred after full pipe: %v", modes)
 		}
+	}
+}
+
+// TestBBR2ModeLabels holds the BBRv2 label table to the "MODE/PHASE"
+// concatenation it replaced, entry by entry and on a live connection
+// sampled every millisecond, and requires that sampling the mode allocates
+// nothing.
+func TestBBR2ModeLabels(t *testing.T) {
+	for m := range bbr2Modes {
+		for p, got := range bbr2Modes[m] {
+			if want := bbrv2.Mode(m).String() + "/" + bbrv2.Phase(p).String(); got != want {
+				t.Errorf("bbr2Modes[%d][%d] = %q, want %q", m, p, got, want)
+			}
+		}
+	}
+
+	eng := sim.New(1)
+	cpu := cpumodel.NewCPU(eng, cpumodel.DefaultCosts(), 2.8e9)
+	path, err := netem.EthernetLAN(eng, netem.TC{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := iperf.New(eng, cpu, path, iperf.Config{
+		Conns: 1, Duration: 3 * time.Second, TCP: tcp.Config{}, CC: bbrv2.Factory(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sess.Conns()[0]
+	m := c.CC().(*bbrv2.BBRv2)
+	seen := map[string]bool{}
+	var check func()
+	check = func() {
+		got, want := ccMode(c), m.Mode().String()+"/"+m.CurrentPhase().String()
+		if got != want {
+			t.Fatalf("at %v: ccMode = %q, want %q", eng.Now(), got, want)
+		}
+		seen[got] = true
+		eng.Schedule(time.Millisecond, check)
+	}
+	eng.Schedule(0, check)
+	sess.Run()
+	if !seen["STARTUP/DOWN"] || !seen["PROBE_BW/CRUISE"] {
+		t.Errorf("labels seen %v, want STARTUP/DOWN and PROBE_BW/CRUISE among them", seen)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = ccMode(c) }); allocs != 0 {
+		t.Errorf("ccMode on a BBRv2 connection allocated %.1f objects", allocs)
 	}
 }
 
