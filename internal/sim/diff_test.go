@@ -196,6 +196,11 @@ func TestDifferentialVsReference(t *testing.T) {
 	if eng.Pending() != 0 {
 		t.Fatalf("drained engine reports %d pending", eng.Pending())
 	}
+	// The run must have crossed chunk boundaries, or it never exercised
+	// items (and heap pointers) living in more than one chunk.
+	if len(eng.chunks) < 3 {
+		t.Fatalf("arena reached %d chunks, want >= 3", len(eng.chunks))
+	}
 }
 
 // TestRescheduleConsumesOneSeq pins the ordering parity between Reschedule
@@ -287,11 +292,11 @@ func TestCancelledWheelItemReclaimed(t *testing.T) {
 	}
 	// The freelist must now hold both items.
 	free := 0
-	for idx := eng.freeHead; idx >= 0; idx = eng.items[idx].next {
+	for idx := eng.freeHead; idx >= 0; idx = eng.item(idx).next {
 		free++
 	}
-	if free != len(eng.items) {
-		t.Fatalf("freelist holds %d of %d items", free, len(eng.items))
+	if free != int(eng.n) {
+		t.Fatalf("freelist holds %d of %d items", free, eng.n)
 	}
 }
 
@@ -350,7 +355,7 @@ func TestCheckQueueDetectsCorruption(t *testing.T) {
 		t.Fatal("CheckQueue missed a corrupted live-pending counter")
 	}
 	eng.livePending--
-	eng.items[eng.heap[0]].pos = 7 // corrupt a heap back-pointer
+	eng.heap[0].pos = 7 // corrupt a heap back-pointer
 	if err := eng.CheckQueue(); err == nil {
 		t.Fatal("CheckQueue missed a corrupted heap back-pointer")
 	}

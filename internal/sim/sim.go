@@ -7,22 +7,24 @@
 //
 // # Scheduler internals
 //
-// Events live in a freelist-backed arena ([]eventItem indexed by int32), so
-// steady-state scheduling performs no heap allocation and no interface
-// boxing: fired and cancelled items are recycled, and Timer handles are
-// plain values carrying (engine, index, generation). A generation counter
-// per slot makes stale handles inert after their item is recycled.
+// Events live in a freelist-backed arena of fixed 256-item chunks addressed
+// by int32 index. A chunk never moves once allocated, so the arena grows
+// without copying and an item pointer stays valid for the engine's life.
+// Steady-state scheduling performs no heap allocation: fired and cancelled
+// items are recycled, and Timer handles are plain values carrying (engine,
+// index, generation). A generation counter per slot makes stale handles
+// inert after their item is recycled.
 //
 // Short-horizon timers (the pacing and delayed-ACK timers that dominate the
 // paper's workload) are bucketed into a two-level timer wheel — level 0
 // covers ~16 ms at 64 µs granularity, level 1 covers ~4.2 s at 16 ms
 // granularity — with O(1) insert and cancel. Longer or too-late timers fall
-// back to the 4-ary min-heap. Before any event executes, every wheel slot
-// whose window could precede the heap top is flushed into the heap, so the
-// ordering contract is exactly the heap's: events fire in (time, seq) order,
-// where seq is the global schedule sequence number — bit-identical to a
-// single binary-heap implementation. The differential and golden-trace tests
-// pin this contract.
+// back to the 4-ary min-heap of item pointers. Before any event executes,
+// every wheel slot whose window could precede the heap top is flushed into
+// the heap, so the ordering contract is exactly the heap's: events fire in
+// (time, seq) order, where seq is the global schedule sequence number —
+// bit-identical to a single binary-heap implementation. The differential and
+// golden-trace tests pin this contract.
 package sim
 
 import (
@@ -50,18 +52,25 @@ const (
 type eventItem struct {
 	at  time.Duration
 	seq uint64 // tie-break so equal-time events run in schedule order
-	fn  Event
-	// pfn/arg are the ScheduleP form: a shared callback plus a pointer-shaped
-	// argument, so deferring a packet/ACK delivery needs no per-event closure.
-	// Exactly one of fn and pfn is set on a live item.
+	// pfn/arg are the callback: a shared function plus a pointer-shaped
+	// argument, so deferring a packet/ACK delivery needs no per-event
+	// closure. Schedule stores its Event as arg of runEvent.
 	pfn       func(any)
 	arg       any
 	next      int32 // freelist / wheel-slot chain link
 	pos       int32 // index in the heap slice, -1 when not heap-resident
+	idx       int32 // own arena index, fixed when the chunk is made
 	gen       uint32
 	where     uint8
 	cancelled bool
 }
+
+// chunkLen is the arena's chunk size in items (16 KB at 64 B per item).
+const chunkLen = 256
+
+// runEvent is the shared callback behind Schedule. A func value is
+// pointer-shaped, so boxing the Event into arg does not allocate.
+func runEvent(arg any) { arg.(Event)() }
 
 // Timer is a value handle to a scheduled event that can be stopped or
 // rescheduled in place. The zero Timer is inert: Stop, Pending and
@@ -77,7 +86,7 @@ func (t Timer) live() *eventItem {
 	if t.eng == nil {
 		return nil
 	}
-	it := &t.eng.items[t.idx]
+	it := t.eng.item(t.idx)
 	if it.gen != t.gen || it.where == wFree {
 		return nil
 	}
@@ -126,8 +135,8 @@ func (t *Timer) Reschedule(delay time.Duration) bool {
 	if e == nil {
 		return false
 	}
-	it := &e.items[t.idx]
-	if it.gen != t.gen || it.where == wFree || (it.fn == nil && it.pfn == nil) {
+	it := e.item(t.idx)
+	if it.gen != t.gen || it.where == wFree {
 		return false
 	}
 	if delay < 0 {
@@ -147,23 +156,21 @@ func (t *Timer) Reschedule(delay time.Duration) bool {
 	case wWheel0, wWheel1:
 		// Wheel slots are singly-linked: unlinking mid-chain is O(slot), so
 		// retire this entry (reclaimed at flush) and take a fresh one.
-		fn, pfn, arg := it.fn, it.pfn, it.arg
 		if !it.cancelled {
 			it.cancelled = true
 			e.livePending--
 		}
-		nidx := e.alloc()
-		nit := &e.items[nidx]
-		nit.at, nit.seq, nit.fn = at, seq, fn
-		nit.pfn, nit.arg = pfn, arg
-		e.place(nidx)
+		nit := e.alloc()
+		nit.at, nit.seq = at, seq
+		nit.pfn, nit.arg = it.pfn, it.arg
+		e.place(nit)
 		e.noteQueued()
-		t.idx, t.gen = nidx, nit.gen
+		t.idx, t.gen = nit.idx, nit.gen
 	case wFiring:
 		// Re-arming from inside the callback: the item re-enters the queue
 		// instead of being reclaimed when the callback returns.
 		it.at, it.seq = at, seq
-		e.place(t.idx)
+		e.place(it)
 		e.noteQueued()
 	}
 	e.lastScheduled = at
@@ -197,11 +204,11 @@ func (l *wheelLevel) init() {
 	}
 }
 
-// insert links idx into the slot for tick.
-func (l *wheelLevel) insert(items []eventItem, idx int32, tick int64) {
+// insert links it into the slot for tick.
+func (l *wheelLevel) insert(it *eventItem, tick int64) {
 	slot := int(uint64(tick) % wheelSlots)
-	items[idx].next = l.slots[slot]
-	l.slots[slot] = idx
+	it.next = l.slots[slot]
+	l.slots[slot] = it.idx
 	l.occ[slot>>6] |= 1 << uint(slot&63)
 	l.count++
 }
@@ -307,9 +314,12 @@ type Engine struct {
 	now time.Duration
 	seq uint64
 
-	items    []eventItem
+	// chunks is the arena: item idx lives at chunks[idx/chunkLen][idx%chunkLen],
+	// and n items have been handed out. Chunks are never copied or freed.
+	chunks   []*[chunkLen]eventItem
+	n        int32
 	freeHead int32
-	heap     []int32
+	heap     []*eventItem
 	w0, w1   wheelLevel
 
 	// livePending counts scheduled, non-cancelled events; queued counts
@@ -414,52 +424,65 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// alloc takes an item from the freelist, growing the arena when empty.
-func (e *Engine) alloc() int32 {
+// item returns the arena slot for idx.
+func (e *Engine) item(idx int32) *eventItem {
+	return &e.chunks[uint32(idx)/chunkLen][uint32(idx)%chunkLen]
+}
+
+// alloc takes an item from the freelist, adding a chunk to the arena when
+// the freelist is empty and every chunk is handed out.
+func (e *Engine) alloc() *eventItem {
 	if e.freeHead >= 0 {
-		idx := e.freeHead
-		e.freeHead = e.items[idx].next
-		return idx
+		it := e.item(e.freeHead)
+		e.freeHead = it.next
+		return it
 	}
-	e.items = append(e.items, eventItem{pos: -1, next: -1})
-	return int32(len(e.items) - 1)
+	if int(e.n) == len(e.chunks)*chunkLen {
+		c := new([chunkLen]eventItem)
+		for i := range c {
+			c[i].idx = e.n + int32(i)
+			c[i].pos = -1
+			c[i].next = -1
+		}
+		e.chunks = append(e.chunks, c)
+	}
+	it := e.item(e.n)
+	e.n++
+	return it
 }
 
 // recycle returns an item to the freelist, bumping its generation so stale
 // Timer handles go inert.
-func (e *Engine) recycle(idx int32) {
-	it := &e.items[idx]
+func (e *Engine) recycle(it *eventItem) {
 	it.gen++
-	it.fn = nil
 	it.pfn = nil
 	it.arg = nil
 	it.cancelled = false
 	it.where = wFree
 	it.pos = -1
 	it.next = e.freeHead
-	e.freeHead = idx
+	e.freeHead = it.idx
 }
 
 // place routes an item into wheel level 0, level 1 or the heap by horizon.
-func (e *Engine) place(idx int32) {
-	it := &e.items[idx]
+func (e *Engine) place(it *eventItem) {
 	t0 := int64(it.at / wheelGran0)
 	switch {
 	case t0 < e.w0.tick:
 		// Window already flushed: the heap is always a correct home.
 		it.where = wHeap
-		e.heapPush(idx)
+		e.heapPush(it)
 	case t0-e.w0.tick < wheelSlots:
 		it.where = wWheel0
-		e.w0.insert(e.items, idx, t0)
+		e.w0.insert(it, t0)
 	default:
 		t1 := int64(it.at / wheelGran1)
 		if t1 >= e.w1.tick && t1-e.w1.tick < wheelSlots {
 			it.where = wWheel1
-			e.w1.insert(e.items, idx, t1)
+			e.w1.insert(it, t1)
 		} else {
 			it.where = wHeap
-			e.heapPush(idx)
+			e.heapPush(it)
 		}
 	}
 }
@@ -479,19 +502,7 @@ func (e *Engine) Schedule(delay time.Duration, fn Event) Timer {
 	if fn == nil {
 		panic("sim: Schedule with nil event")
 	}
-	if delay < 0 {
-		delay = 0
-	}
-	idx := e.alloc()
-	it := &e.items[idx]
-	it.at = e.now + delay
-	it.seq = e.seq
-	e.seq++
-	it.fn = fn
-	e.place(idx)
-	e.noteQueued()
-	e.lastScheduled = it.at
-	return Timer{eng: e, idx: idx, gen: it.gen}
+	return e.ScheduleP(delay, runEvent, fn)
 }
 
 // ScheduleAt runs fn at absolute virtual time at. Times in the past are
@@ -514,17 +525,16 @@ func (e *Engine) ScheduleP(delay time.Duration, fn func(any), arg any) Timer {
 	if delay < 0 {
 		delay = 0
 	}
-	idx := e.alloc()
-	it := &e.items[idx]
+	it := e.alloc()
 	it.at = e.now + delay
 	it.seq = e.seq
 	e.seq++
 	it.pfn = fn
 	it.arg = arg
-	e.place(idx)
+	e.place(it)
 	e.noteQueued()
 	e.lastScheduled = it.at
-	return Timer{eng: e, idx: idx, gen: it.gen}
+	return Timer{eng: e, idx: it.idx, gen: it.gen}
 }
 
 // SchedulePAt is the absolute-time form of ScheduleP.
@@ -532,34 +542,33 @@ func (e *Engine) SchedulePAt(at time.Duration, fn func(any), arg any) Timer {
 	return e.ScheduleP(at-e.now, fn, arg)
 }
 
-// --- inlined 4-ary min-heap over arena indices ------------------------------
+// --- inlined 4-ary min-heap over item pointers ------------------------------
 
 // less orders items by (at, seq) — the engine-wide ordering contract.
-func (e *Engine) less(a, b int32) bool {
-	ia, ib := &e.items[a], &e.items[b]
-	if ia.at != ib.at {
-		return ia.at < ib.at
+func less(a, b *eventItem) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return ia.seq < ib.seq
+	return a.seq < b.seq
 }
 
-func (e *Engine) heapPush(idx int32) {
-	e.heap = append(e.heap, idx)
-	e.items[idx].pos = int32(len(e.heap) - 1)
+func (e *Engine) heapPush(it *eventItem) {
+	e.heap = append(e.heap, it)
+	it.pos = int32(len(e.heap) - 1)
 	e.siftUp(len(e.heap) - 1)
 }
 
-func (e *Engine) heapPop() int32 {
+func (e *Engine) heapPop() *eventItem {
 	h := e.heap
 	top := h[0]
 	last := h[len(h)-1]
 	e.heap = h[:len(h)-1]
 	if len(e.heap) > 0 {
 		e.heap[0] = last
-		e.items[last].pos = 0
+		last.pos = 0
 		e.siftDown(0)
 	}
-	e.items[top].pos = -1
+	top.pos = -1
 	return top
 }
 
@@ -571,24 +580,24 @@ func (e *Engine) heapFix(i int) {
 
 func (e *Engine) siftUp(i int) {
 	h := e.heap
-	idx := h[i]
+	it := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !e.less(idx, h[p]) {
+		if !less(it, h[p]) {
 			break
 		}
 		h[i] = h[p]
-		e.items[h[p]].pos = int32(i)
+		h[i].pos = int32(i)
 		i = p
 	}
-	h[i] = idx
-	e.items[idx].pos = int32(i)
+	h[i] = it
+	it.pos = int32(i)
 }
 
 func (e *Engine) siftDown(i int) {
 	h := e.heap
 	n := len(h)
-	idx := h[i]
+	it := h[i]
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -600,19 +609,19 @@ func (e *Engine) siftDown(i int) {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if e.less(h[j], h[best]) {
+			if less(h[j], h[best]) {
 				best = j
 			}
 		}
-		if !e.less(h[best], idx) {
+		if !less(h[best], it) {
 			break
 		}
 		h[i] = h[best]
-		e.items[h[best]].pos = int32(i)
+		h[i].pos = int32(i)
 		i = best
 	}
-	h[i] = idx
-	e.items[idx].pos = int32(i)
+	h[i] = it
+	it.pos = int32(i)
 }
 
 // --- queue front ------------------------------------------------------------
@@ -623,17 +632,17 @@ func (e *Engine) siftDown(i int) {
 func (e *Engine) flushWheel(l *wheelLevel, tick int64, cascade bool) {
 	idx := l.take(tick)
 	for idx >= 0 {
-		it := &e.items[idx]
+		it := e.item(idx)
 		next := it.next
 		l.count--
 		if it.cancelled {
 			e.queued--
-			e.recycle(idx)
+			e.recycle(it)
 		} else if cascade {
-			e.place(idx)
+			e.place(it)
 		} else {
 			it.where = wHeap
-			e.heapPush(idx)
+			e.heapPush(it)
 		}
 		idx = next
 	}
@@ -644,14 +653,9 @@ func (e *Engine) flushWheel(l *wheelLevel, tick int64, cascade bool) {
 // next live event. It reports whether any event remains.
 func (e *Engine) nextReady() bool {
 	for {
-		for len(e.heap) > 0 {
-			top := e.heap[0]
-			if !e.items[top].cancelled {
-				break
-			}
-			e.heapPop()
+		for len(e.heap) > 0 && e.heap[0].cancelled {
 			e.queued--
-			e.recycle(top)
+			e.recycle(e.heapPop())
 		}
 		t0, ok0 := e.w0.firstTick()
 		t1, ok1 := e.w1.firstTick()
@@ -670,7 +674,7 @@ func (e *Engine) nextReady() bool {
 		// start. Flush the coarser level first on ties — its slot may
 		// contain times inside the finer slot's window.
 		if len(e.heap) > 0 {
-			at := e.items[e.heap[0]].at
+			at := e.heap[0].at
 			if (!ok0 || at < s0) && (!ok1 || at < s1) {
 				return true
 			}
@@ -698,9 +702,8 @@ func (e *Engine) Step() bool {
 // with nextReady, that the top is the globally next live event, and checked
 // the budget — Run and RunUntil probe the queue once per event, not twice.
 func (e *Engine) fire() {
-	idx := e.heapPop()
+	it := e.heapPop()
 	e.queued--
-	it := &e.items[idx]
 	if it.at < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v before now %v", it.at, e.now))
 	}
@@ -713,17 +716,11 @@ func (e *Engine) fire() {
 	it.where = wFiring
 	e.livePending--
 	e.processed++
-	if it.pfn != nil {
-		pfn, arg := it.pfn, it.arg
-		pfn(arg)
-	} else {
-		fn := it.fn
-		fn()
-	}
-	// The arena may have grown during fn; re-index. Reclaim unless the
-	// callback rescheduled its own item back into the queue.
-	if e.items[idx].where == wFiring {
-		e.recycle(idx)
+	it.pfn(it.arg)
+	// Chunks never move, so it is still this item. Reclaim unless the
+	// callback rescheduled it back into the queue.
+	if it.where == wFiring {
+		e.recycle(it)
 	}
 }
 
@@ -733,7 +730,7 @@ func (e *Engine) fire() {
 // measurements see a consistent elapsed time.
 func (e *Engine) Run(end time.Duration) {
 	for e.nextReady() {
-		if e.items[e.heap[0]].at > end {
+		if e.heap[0].at > end {
 			break
 		}
 		if e.overBudget() {
@@ -755,7 +752,7 @@ func (e *Engine) Run(end time.Duration) {
 // window loop is built on exactly this contract.
 func (e *Engine) RunUntil(before time.Duration) {
 	for e.nextReady() {
-		if e.items[e.heap[0]].at >= before || e.overBudget() {
+		if e.heap[0].at >= before || e.overBudget() {
 			return
 		}
 		e.fire()
@@ -769,7 +766,7 @@ func (e *Engine) NextEventTime() (time.Duration, bool) {
 	if !e.nextReady() {
 		return 0, false
 	}
-	return e.items[e.heap[0]].at, true
+	return e.heap[0].at, true
 }
 
 // AdvanceTo moves the clock forward to t without executing anything; times
@@ -783,13 +780,11 @@ func (e *Engine) AdvanceTo(t time.Duration) {
 	}
 }
 
-// RunAll executes events until the queue drains or maxEvents events have
-// run, whichever comes first. It reports whether the queue drained.
+// RunAll executes events until the queue drains, maxEvents events have run,
+// or the engine's budget (SetLimits) trips, whichever comes first. It
+// reports whether the queue drained.
 func (e *Engine) RunAll(maxEvents uint64) bool {
-	for n := uint64(0); n < maxEvents; n++ {
-		if !e.Step() {
-			return true
-		}
+	for n := uint64(0); n < maxEvents && e.Step(); n++ {
 	}
 	return e.livePending == 0
 }
@@ -812,13 +807,16 @@ func (e *Engine) CorruptQueueForTest() { e.livePending++ }
 // counters match a full walk. The invariant checker calls this each audit
 // tick; it returns nil when the queue is consistent.
 func (e *Engine) CheckQueue() error {
-	if cap(e.auditSeen) < len(e.items) {
-		e.auditSeen = make([]uint8, cap(e.items))
+	if cap(e.auditSeen) < int(e.n) {
+		e.auditSeen = make([]uint8, len(e.chunks)*chunkLen)
 	}
-	seen := e.auditSeen[:len(e.items)]
+	seen := e.auditSeen[:e.n]
 	clear(seen)
-	for pos, idx := range e.heap {
-		it := &e.items[idx]
+	for pos, it := range e.heap {
+		idx := it.idx
+		if idx < 0 || idx >= e.n || e.item(idx) != it {
+			return fmt.Errorf("sim: heap slot %d holds a pointer outside the arena (index %d)", pos, idx)
+		}
 		if it.where != wHeap {
 			return fmt.Errorf("sim: heap slot %d holds item %d in state %d", pos, idx, it.where)
 		}
@@ -840,8 +838,8 @@ func (e *Engine) CheckQueue() error {
 			if occupied != (head >= 0) {
 				return fmt.Errorf("sim: wheel %d slot %d occupancy bit %v but head %d", wi, slot, occupied, head)
 			}
-			for idx := head; idx >= 0; idx = e.items[idx].next {
-				it := &e.items[idx]
+			for idx := head; idx >= 0; idx = e.item(idx).next {
+				it := e.item(idx)
 				if it.where != w.st {
 					return fmt.Errorf("sim: wheel %d slot %d holds item %d in state %d", wi, slot, idx, it.where)
 				}
@@ -859,16 +857,16 @@ func (e *Engine) CheckQueue() error {
 		wheelCount += n
 	}
 	free := 0
-	for idx := e.freeHead; idx >= 0; idx = e.items[idx].next {
-		if e.items[idx].where != wFree {
-			return fmt.Errorf("sim: freelist holds item %d in state %d", idx, e.items[idx].where)
+	for idx := e.freeHead; idx >= 0; idx = e.item(idx).next {
+		if w := e.item(idx).where; w != wFree {
+			return fmt.Errorf("sim: freelist holds item %d in state %d", idx, w)
 		}
 		seen[idx]++
 		free++
 	}
 	firing, live := 0, 0
-	for idx := range e.items {
-		it := &e.items[idx]
+	for idx := int32(0); idx < e.n; idx++ {
+		it := e.item(idx)
 		if it.where == wFiring {
 			firing++
 			seen[idx]++

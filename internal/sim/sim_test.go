@@ -284,9 +284,11 @@ func TestStallWatchdogAllowsSameInstantBursts(t *testing.T) {
 // instead of jumping to the horizon, and an exhausted budget is only
 // reported when there was still an event inside the horizon to refuse.
 func TestEventBudgetSameThroughEveryLoop(t *testing.T) {
+	var drained bool // what RunAll reported; the other loops leave it false
 	loops := map[string]func(e *Engine){
 		"Run":      func(e *Engine) { e.Run(time.Second) },
 		"RunUntil": func(e *Engine) { e.RunUntil(time.Second) },
+		"RunAll":   func(e *Engine) { drained = e.RunAll(1000) },
 		"Step": func(e *Engine) {
 			for e.Step() {
 			}
@@ -300,6 +302,7 @@ func TestEventBudgetSameThroughEveryLoop(t *testing.T) {
 				e.Schedule(time.Duration(ms)*time.Millisecond, func() { fired++ })
 			}
 			e.SetLimits(Limits{MaxEvents: 4})
+			drained = false
 			loop(e)
 			if fired != 4 || e.Processed() != 4 {
 				t.Fatalf("fired %d, Processed %d, want 4 and 4", fired, e.Processed())
@@ -313,6 +316,9 @@ func TestEventBudgetSameThroughEveryLoop(t *testing.T) {
 			}
 			if e.Step() {
 				t.Error("Step ran an event past a tripped budget")
+			}
+			if drained {
+				t.Error("RunAll reported a drained queue with events still pending")
 			}
 		})
 	}
