@@ -196,7 +196,8 @@ type PointRecord struct {
 	// seeds (deterministic).
 	Events uint64 `json:"events,omitempty"`
 	// MaxPending is the engine queue high-water mark of the last seed when
-	// engine self-metrics were collected (deterministic).
+	// engine self-metrics were collected (deterministic). Stopped timers
+	// awaiting reclaim count; rescheduled ones count once.
 	MaxPending int `json:"max_pending,omitempty"`
 	// Failure is the contained failure class/rule/repro, if the point
 	// failed under the resilient runner.

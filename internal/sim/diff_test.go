@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -79,6 +81,7 @@ func TestDifferentialVsReference(t *testing.T) {
 	var fired []int
 	timers := map[int]*Timer{} // live engine timers by op id
 	nextID := 0
+	wheelMoves := 0 // successful reschedules of a wheel-resident item
 
 	refFind := func(id int) int {
 		for i := range ref.events {
@@ -134,7 +137,14 @@ func TestDifferentialVsReference(t *testing.T) {
 			}
 			id := ids[rng.Intn(len(ids))]
 			delay := time.Duration(rng.Int63n(int64(horizons[rng.Intn(len(horizons))])))
+			inWheel := false
+			if it := timers[id].live(); it != nil {
+				inWheel = it.where == wWheel0 || it.where == wWheel1
+			}
 			if timers[id].Reschedule(delay) {
+				if inWheel {
+					wheelMoves++
+				}
 				i := refFind(id)
 				if i < 0 {
 					t.Fatalf("op %d: engine rescheduled id %d but reference has no live entry", op, id)
@@ -200,6 +210,128 @@ func TestDifferentialVsReference(t *testing.T) {
 	// items (and heap pointers) living in more than one chunk.
 	if len(eng.chunks) < 3 {
 		t.Fatalf("arena reached %d chunks, want >= 3", len(eng.chunks))
+	}
+	// Keep the in-place wheel move exercised, not just the heap fix.
+	t.Logf("%d reschedules moved a wheel-resident item", wheelMoves)
+	if wheelMoves < 500 {
+		t.Fatalf("%d reschedules hit a wheel-resident item, want >= 500", wheelMoves)
+	}
+}
+
+// TestRescheduleInPlace: re-arming a wheel-resident timer moves its one
+// queue item — no retired copy, no new handle, no allocation — and a move
+// from any chain position (head, middle, tail) keeps the (at, seq) order.
+func TestRescheduleInPlace(t *testing.T) {
+	eng := New(1)
+	var fired0, fired1 []time.Duration
+	t0 := eng.Schedule(100*time.Microsecond, func() { fired0 = append(fired0, eng.Now()) })
+	t1 := eng.Schedule(200*time.Millisecond, func() { fired1 = append(fired1, eng.Now()) })
+	h0, h1 := t0, t1
+	// Each re-arm lands in a different slot of the timer's own level.
+	d0 := func(i int) time.Duration { return 100*time.Microsecond + time.Duration(i%50)*wheelGran0 }
+	d1 := func(i int) time.Duration { return 200*time.Millisecond + time.Duration(i%50)*wheelGran1 }
+	rearm := func(i int) {
+		if !t0.Reschedule(d0(i)) || !t1.Reschedule(d1(i)) {
+			t.Fatalf("re-arm %d failed", i)
+		}
+	}
+	// A stopped timer re-arms in place too.
+	if !t1.Stop() || !t1.Reschedule(d1(0)) || !t1.Pending() {
+		t.Fatal("stopped level-1 timer did not re-arm")
+	}
+	const n = 10000
+	for i := 0; i < n; i++ {
+		rearm(i)
+	}
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(100, func() { rearm(n - 1) }); allocs != 0 {
+			t.Errorf("re-arming two wheel timers allocates %.1f objects, want 0", allocs)
+		}
+	}
+	if t0 != h0 || t1 != h1 {
+		t.Fatalf("handles moved: %+v -> %+v, %+v -> %+v", h0, t0, h1, t1)
+	}
+	if w0, w1 := t0.live().where, t1.live().where; w0 != wWheel0 || w1 != wWheel1 {
+		t.Fatalf("timers in states %d, %d, want wheel levels 0 and 1", w0, w1)
+	}
+	if got := eng.MaxPending(); got != 2 {
+		t.Fatalf("MaxPending = %d after %d re-arms each, want 2", got, n)
+	}
+	if err := eng.CheckQueue(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(10 * time.Second)
+	if len(fired0) != 1 || fired0[0] != d0(n-1) || len(fired1) != 1 || fired1[0] != d1(n-1) {
+		t.Fatalf("fired at %v and %v, want [%v] and [%v]", fired0, fired1, d0(n-1), d1(n-1))
+	}
+
+	// Mid-chain moves: three timers share one level-0 slot and three share
+	// one level-1 slot. Each slot's head moves earlier, its middle later,
+	// and its tail past the wheel into the heap.
+	eng = New(1)
+	ref := &refSched{}
+	var got []int
+	var tm [6]Timer
+	at := [6]time.Duration{
+		6400 * time.Microsecond, 6420 * time.Microsecond, 6440 * time.Microsecond, // level-0 tick 100
+		330 * time.Millisecond, 335 * time.Millisecond, 340 * time.Millisecond, // level-1 tick 20
+	}
+	for id, d := range at {
+		tm[id] = eng.Schedule(d, func() { got = append(got, id) })
+		ref.schedule(d, id)
+	}
+	for _, c := range []struct {
+		l    *wheelLevel
+		tick int64
+		ids  [3]int // head, middle, tail: the last scheduled is the head
+	}{{&eng.w0, 100, [3]int{2, 1, 0}}, {&eng.w1, 20, [3]int{5, 4, 3}}} {
+		var chain []int32
+		for idx := c.l.slots[c.tick%wheelSlots]; idx >= 0; idx = eng.item(idx).next {
+			chain = append(chain, idx)
+		}
+		want := []int32{tm[c.ids[0]].idx, tm[c.ids[1]].idx, tm[c.ids[2]].idx}
+		if !reflect.DeepEqual(chain, want) {
+			t.Fatalf("slot chain %v, want %v", chain, want)
+		}
+	}
+	moves := []struct {
+		id    int
+		delay time.Duration
+	}{
+		{2, time.Millisecond},                  // level-0 head: earlier
+		{1, 12 * time.Millisecond},             // level-0 middle: later
+		{0, 10 * time.Second},                  // level-0 tail: heap
+		{5, 50 * time.Millisecond},             // level-1 head: earlier
+		{4, 3 * time.Second},                   // level-1 middle: later
+		{3, 10*time.Second + time.Millisecond}, // level-1 tail: heap
+	}
+	for _, m := range moves {
+		if !tm[m.id].Reschedule(m.delay) {
+			t.Fatalf("Reschedule of timer %d failed", m.id)
+		}
+		for i := range ref.events {
+			if ref.events[i].id == m.id {
+				ref.events[i].cancelled = true
+			}
+		}
+		ref.schedule(m.delay, m.id)
+		if err := eng.CheckQueue(); err != nil {
+			t.Fatalf("after moving timer %d: %v", m.id, err)
+		}
+	}
+	if len(eng.heap) != 2 {
+		t.Fatalf("%d items in the heap, want the two moved tails", len(eng.heap))
+	}
+	eng.Run(time.Minute)
+	var want []int
+	for ev := ref.pop(); ev != nil; ev = ref.pop() {
+		want = append(want, ev.id)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fire order %v, reference %v", got, want)
+	}
+	if eng.MaxPending() != len(at) {
+		t.Fatalf("MaxPending = %d, want %d", eng.MaxPending(), len(at))
 	}
 }
 
@@ -358,5 +490,46 @@ func TestCheckQueueDetectsCorruption(t *testing.T) {
 	eng.heap[0].pos = 7 // corrupt a heap back-pointer
 	if err := eng.CheckQueue(); err == nil {
 		t.Fatal("CheckQueue missed a corrupted heap back-pointer")
+	}
+}
+
+// TestCheckQueueDetectsBrokenBackLink: the audit walks every wheel chain's
+// back links, so one wrong prev is reported with its wheel, slot and item.
+func TestCheckQueueDetectsBrokenBackLink(t *testing.T) {
+	eng := New(1)
+	for i := 0; i < 3; i++ {
+		eng.Schedule(300*time.Millisecond, func() {}) // one level-1 slot
+	}
+	if err := eng.CheckQueue(); err != nil {
+		t.Fatalf("healthy queue reported %v", err)
+	}
+	slot := int64(300*time.Millisecond/wheelGran1) % wheelSlots
+	head := eng.item(eng.w1.slots[slot])
+	mid := eng.item(head.next)
+	mid.prev = -1
+	err := eng.CheckQueue()
+	if err == nil {
+		t.Fatal("CheckQueue missed a broken back link")
+	}
+	want := fmt.Sprintf("wheel 1 slot %d item %d back link -1, want %d", slot, mid.idx, head.idx)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
+	}
+}
+
+// TestWheelCursorCatchesUp: after an idle gap longer than both wheel spans,
+// short timers still land in the wheel instead of falling through to the
+// heap for the rest of the run.
+func TestWheelCursorCatchesUp(t *testing.T) {
+	eng := New(1)
+	eng.Schedule(time.Minute, func() {})
+	eng.Run(2 * time.Minute)
+	near := eng.Schedule(100*time.Microsecond, func() {})
+	mid := eng.Schedule(200*time.Millisecond, func() {})
+	if w0, w1 := near.live().where, mid.live().where; w0 != wWheel0 || w1 != wWheel1 {
+		t.Fatalf("after the gap timers went to states %d, %d, want wheel levels 0 and 1", w0, w1)
+	}
+	if err := eng.CheckQueue(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -18,13 +18,16 @@
 // Short-horizon timers (the pacing and delayed-ACK timers that dominate the
 // paper's workload) are bucketed into a two-level timer wheel — level 0
 // covers ~16 ms at 64 µs granularity, level 1 covers ~4.2 s at 16 ms
-// granularity — with O(1) insert and cancel. Longer or too-late timers fall
-// back to the 4-ary min-heap of item pointers. Before any event executes,
-// every wheel slot whose window could precede the heap top is flushed into
-// the heap, so the ordering contract is exactly the heap's: events fire in
-// (time, seq) order, where seq is the global schedule sequence number —
-// bit-identical to a single binary-heap implementation. The differential and
-// golden-trace tests pin this contract.
+// granularity — with O(1) insert, cancel and unlink: slot chains are doubly
+// linked, so Timer.Reschedule moves a wheel-resident item in place the way
+// the heap re-sifts one, and the queue's high-water mark (MaxPending) counts
+// no retired re-arms. Longer or too-late timers fall back to the 4-ary
+// min-heap of item pointers. Before any event executes, every wheel slot
+// whose window could precede the heap top is flushed into the heap, so the
+// ordering contract is exactly the heap's: events fire in (time, seq) order,
+// where seq is the global schedule sequence number — bit-identical to a
+// single binary-heap implementation. The differential and golden-trace tests
+// pin this contract.
 package sim
 
 import (
@@ -58,6 +61,7 @@ type eventItem struct {
 	pfn       func(any)
 	arg       any
 	next      int32 // freelist / wheel-slot chain link
+	prev      int32 // wheel-slot back link, -1 at the chain head
 	pos       int32 // index in the heap slice, -1 when not heap-resident
 	idx       int32 // own arena index, fixed when the chunk is made
 	gen       uint32
@@ -145,27 +149,18 @@ func (t *Timer) Reschedule(delay time.Duration) bool {
 	at := e.now + delay
 	seq := e.seq
 	e.seq++
+	if it.cancelled { // stopped but still queued: Stop refuses a firing item
+		it.cancelled = false
+		e.livePending++
+	}
 	switch it.where {
 	case wHeap:
-		if it.cancelled {
-			it.cancelled = false
-			e.livePending++
-		}
 		it.at, it.seq = at, seq
 		e.heapFix(int(it.pos))
 	case wWheel0, wWheel1:
-		// Wheel slots are singly-linked: unlinking mid-chain is O(slot), so
-		// retire this entry (reclaimed at flush) and take a fresh one.
-		if !it.cancelled {
-			it.cancelled = true
-			e.livePending--
-		}
-		nit := e.alloc()
-		nit.at, nit.seq = at, seq
-		nit.pfn, nit.arg = it.pfn, it.arg
-		e.place(nit)
-		e.noteQueued()
-		t.idx, t.gen = nit.idx, nit.gen
+		e.unlink(it)
+		it.at, it.seq = at, seq
+		e.place(it)
 	case wFiring:
 		// Re-arming from inside the callback: the item re-enters the queue
 		// instead of being reclaimed when the callback returns.
@@ -204,13 +199,53 @@ func (l *wheelLevel) init() {
 	}
 }
 
-// insert links it into the slot for tick.
-func (l *wheelLevel) insert(it *eventItem, tick int64) {
+// catchUp moves an empty level's cursor up to the clock's tick. Only a
+// flush advances the cursor, so after an idle gap longer than the level's
+// span it would trail the clock for good and every timer would fall through
+// to the heap. No item can be due before now, so the skipped windows are
+// empty.
+func (l *wheelLevel) catchUp(now, gran time.Duration) {
+	if l.count != 0 {
+		return
+	}
+	if t := int64(now / gran); t > l.tick {
+		l.tick = t
+	}
+}
+
+// insert links it at the head of level l's slot for tick.
+func (e *Engine) insert(l *wheelLevel, it *eventItem, tick int64) {
 	slot := int(uint64(tick) % wheelSlots)
-	it.next = l.slots[slot]
+	head := l.slots[slot]
+	if head >= 0 {
+		e.item(head).prev = it.idx
+	}
+	it.next, it.prev = head, -1
 	l.slots[slot] = it.idx
 	l.occ[slot>>6] |= 1 << uint(slot&63)
 	l.count++
+}
+
+// unlink removes a wheel-resident item from the slot its current at maps
+// to, in O(1) through the chain's back links.
+func (e *Engine) unlink(it *eventItem) {
+	l, gran := &e.w0, wheelGran0
+	if it.where == wWheel1 {
+		l, gran = &e.w1, wheelGran1
+	}
+	if it.next >= 0 {
+		e.item(it.next).prev = it.prev
+	}
+	if it.prev >= 0 {
+		e.item(it.prev).next = it.next
+	} else {
+		slot := int(uint64(int64(it.at/gran)) % wheelSlots)
+		l.slots[slot] = it.next
+		if it.next < 0 {
+			l.occ[slot>>6] &^= 1 << uint(slot&63)
+		}
+	}
+	l.count--
 }
 
 // firstTick returns the tick of the earliest non-empty slot.
@@ -466,6 +501,8 @@ func (e *Engine) recycle(it *eventItem) {
 
 // place routes an item into wheel level 0, level 1 or the heap by horizon.
 func (e *Engine) place(it *eventItem) {
+	e.w0.catchUp(e.now, wheelGran0)
+	e.w1.catchUp(e.now, wheelGran1)
 	t0 := int64(it.at / wheelGran0)
 	switch {
 	case t0 < e.w0.tick:
@@ -474,12 +511,12 @@ func (e *Engine) place(it *eventItem) {
 		e.heapPush(it)
 	case t0-e.w0.tick < wheelSlots:
 		it.where = wWheel0
-		e.w0.insert(it, t0)
+		e.insert(&e.w0, it, t0)
 	default:
 		t1 := int64(it.at / wheelGran1)
 		if t1 >= e.w1.tick && t1-e.w1.tick < wheelSlots {
 			it.where = wWheel1
-			e.w1.insert(it, t1)
+			e.insert(&e.w1, it, t1)
 		} else {
 			it.where = wHeap
 			e.heapPush(it)
@@ -789,9 +826,9 @@ func (e *Engine) RunAll(maxEvents uint64) bool {
 	return e.livePending == 0
 }
 
-// MaxPending returns the event queue's high-water mark over the run
-// (including cancelled items awaiting reclaim — the memory the queue
-// actually held).
+// MaxPending returns the event queue's high-water mark over the run: the
+// memory the queue actually held, including stopped items awaiting reclaim.
+// A rescheduled timer keeps its one item, so re-arms never add to it.
 func (e *Engine) MaxPending() int { return e.maxPending }
 
 // Pending returns the number of scheduled (non-cancelled) events.
@@ -803,9 +840,10 @@ func (e *Engine) CorruptQueueForTest() { e.livePending++ }
 
 // CheckQueue audits the scheduler's internal accounting: every arena item
 // is exactly one of heap-resident (with a correct back-pointer), wheel-
-// resident (within its level's window), firing, or free; and the live/queued
-// counters match a full walk. The invariant checker calls this each audit
-// tick; it returns nil when the queue is consistent.
+// resident (within its level's window, with a correct back link), firing,
+// or free; and the live/queued counters match a full walk. The invariant
+// checker calls this each audit tick; it returns nil when the queue is
+// consistent.
 func (e *Engine) CheckQueue() error {
 	if cap(e.auditSeen) < int(e.n) {
 		e.auditSeen = make([]uint8, len(e.chunks)*chunkLen)
@@ -838,8 +876,11 @@ func (e *Engine) CheckQueue() error {
 			if occupied != (head >= 0) {
 				return fmt.Errorf("sim: wheel %d slot %d occupancy bit %v but head %d", wi, slot, occupied, head)
 			}
-			for idx := head; idx >= 0; idx = e.item(idx).next {
+			for prev, idx := int32(-1), head; idx >= 0; prev, idx = idx, e.item(idx).next {
 				it := e.item(idx)
+				if it.prev != prev {
+					return fmt.Errorf("sim: wheel %d slot %d item %d back link %d, want %d", wi, slot, idx, it.prev, prev)
+				}
 				if it.where != w.st {
 					return fmt.Errorf("sim: wheel %d slot %d holds item %d in state %d", wi, slot, idx, it.where)
 				}

@@ -50,9 +50,12 @@ type pair struct {
 
 	// Server→client: the modelled return stream. Writes never block;
 	// each response serializes behind the previous (respBusyUntil) at
-	// DownRate, then arrives DownDelay later as readable bytes.
+	// DownRate, then arrives DownDelay later as readable bytes. Arrival
+	// times never decrease and equal times fire in schedule order, so the
+	// in-flight sizes form a FIFO: respSizes[respHead:], oldest first.
 	respAvail     int64
-	respPending   int
+	respSizes     []int64
+	respHead      int
 	respBusyUntil time.Duration
 	srvWClosed    bool
 
@@ -190,7 +193,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 			p.respAvail -= m
 			return int(m), nil
 		}
-		if p.srvWClosed && p.respPending == 0 {
+		if p.srvWClosed && p.respPending() == 0 {
 			return 0, io.EOF
 		}
 		if p.upErr != nil {
@@ -234,12 +237,12 @@ func (c *Conn) Write(b []byte) (int, error) {
 			tx = p.cfg.DownRate.TimeToSend(units.DataSize(size))
 		}
 		p.respBusyUntil = start + tx
-		p.respPending++
-		n.eng.ScheduleAt(start+tx+p.cfg.DownDelay, func() {
-			p.respPending--
-			p.respAvail += size
-			n.fire(p.cliRead, nil)
-		})
+		if p.respHead > 0 && len(p.respSizes) == cap(p.respSizes) {
+			m := copy(p.respSizes, p.respSizes[p.respHead:])
+			p.respSizes, p.respHead = p.respSizes[:m], 0
+		}
+		p.respSizes = append(p.respSizes, size)
+		n.eng.SchedulePAt(start+tx+p.cfg.DownDelay, respArrive, p)
 		return len(b), nil
 	}
 	total := 0
@@ -275,6 +278,22 @@ func (c *Conn) Write(b []byte) (int, error) {
 	return total, nil
 }
 
+// respPending counts responses still in flight on the return stream.
+func (pr *pair) respPending() int { return len(pr.respSizes) - pr.respHead }
+
+// respArrive is the shared callback for one response's arrival: the
+// oldest in-flight size becomes readable.
+func respArrive(arg any) {
+	p := arg.(*pair)
+	size := p.respSizes[p.respHead]
+	p.respHead++
+	if p.respHead == len(p.respSizes) {
+		p.respSizes, p.respHead = p.respSizes[:0], 0
+	}
+	p.respAvail += size
+	p.n.fire(p.cliRead, nil)
+}
+
 // CloseWrite half-closes the write side. The client side sends FIN
 // through the simulated stack (written data keeps retransmitting until
 // acknowledged); the server side ends the response stream after pending
@@ -287,7 +306,7 @@ func (c *Conn) CloseWrite() error {
 			return nil
 		}
 		p.srvWClosed = true
-		if p.respPending == 0 {
+		if p.respPending() == 0 {
 			n.fire(p.cliRead, nil) // EOF is readable now
 		}
 		return nil
@@ -316,7 +335,7 @@ func (c *Conn) Close() error {
 		p.srvClosed = true
 		if !p.srvWClosed {
 			p.srvWClosed = true
-			if p.respPending == 0 {
+			if p.respPending() == 0 {
 				n.fire(p.cliRead, nil)
 			}
 		}

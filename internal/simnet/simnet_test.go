@@ -364,16 +364,53 @@ func TestWaiterReuseSameInstant(t *testing.T) {
 
 // TestBlockingOpsDoNotAllocate pins the steady-state cost of parking: one
 // reused waiter and cached callbacks per proc, so a Sleep allocates nothing.
+// A server Write queues its response size on the pair and schedules a
+// shared callback, so a warmed-up Write and the response's arrival allocate
+// nothing either.
 func TestBlockingOpsDoNotAllocate(t *testing.T) {
 	n, eng := newTestNet(t, tcp.Config{}, fastTC())
-	var allocs float64
+	var sleepAllocs, writeAllocs float64
+	var srv *Conn
+	const resp, runs = 512, 200
 	n.Go(0, func(p *Proc) {
 		n.Sleep(p, time.Millisecond) // grow the engine's event arena once
-		allocs = testing.AllocsPerRun(200, func() { n.Sleep(p, time.Millisecond) })
+		sleepAllocs = testing.AllocsPerRun(runs, func() { n.Sleep(p, time.Millisecond) })
 	})
-	eng.Run(time.Second)
+	// The connection starts once the Sleep measurement is over, so the two
+	// measurements never interleave.
+	n.Go(time.Second, func(p *Proc) {
+		if _, err := n.Dial(); err != nil {
+			t.Errorf("Dial: %v", err)
+		}
+	})
+	n.Go(time.Second, func(p *Proc) {
+		c, err := n.Listen().Accept()
+		if err != nil {
+			t.Errorf("Accept: %v", err)
+			return
+		}
+		srv = c.(*Conn)
+		buf := make([]byte, resp)
+		// The sleep outlasts DownDelay, so each response arrives inside
+		// the measured call.
+		writeAllocs = testing.AllocsPerRun(runs, func() {
+			srv.Write(buf)
+			n.Sleep(p, 10*time.Millisecond)
+		})
+	})
+	eng.Run(10 * time.Second)
 	n.Shutdown()
-	if allocs != 0 {
-		t.Errorf("Sleep allocates %.1f objects per call, want 0", allocs)
+	if sleepAllocs != 0 {
+		t.Errorf("Sleep allocates %.1f objects per call, want 0", sleepAllocs)
+	}
+	if srv == nil {
+		t.Fatal("server never accepted")
+	}
+	// AllocsPerRun makes one warm-up call before the measured runs.
+	if got, want := srv.p.respAvail, int64((runs+1)*resp); got != want {
+		t.Fatalf("client has %d response bytes readable, want %d", got, want)
+	}
+	if writeAllocs != 0 {
+		t.Errorf("server Write plus its response's arrival allocates %.1f objects, want 0", writeAllocs)
 	}
 }
