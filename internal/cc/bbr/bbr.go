@@ -111,8 +111,6 @@ type BBR struct {
 	pacingGain float64
 	cwndGain   float64
 
-	initDone bool
-
 	// modeListener, when set, observes every state-machine transition
 	// (telemetry). nil costs only a nil-check per transition.
 	modeListener func(old, new string)
@@ -120,8 +118,15 @@ type BBR struct {
 
 // New returns a fresh BBR instance.
 func New() *BBR {
-	return &BBR{
-		minRTTWindow: minRTTWindow,
+	b := fresh(minRTTWindow)
+	return &b
+}
+
+// fresh is the state of a new module with the given min-RTT window: all New
+// builds, and all Init keeps.
+func fresh(window time.Duration) BBR {
+	return BBR{
+		minRTTWindow: window,
 		bwFilter:     stats.NewWindowedMax(bwWindowRounds),
 		pacingGain:   highGain,
 		cwndGain:     highGain,
@@ -180,11 +185,11 @@ func (b *BBR) MinRTTEstimate() time.Duration { return b.minRTT }
 // FullPipe reports whether startup declared the pipe full.
 func (b *BBR) FullPipe() bool { return b.fullPipe }
 
-// Init implements cc.CongestionControl.
+// Init implements cc.CongestionControl: everything but the configured
+// min-RTT window starts over, the mode listener included, so a module reused
+// for a new flow reports nothing of its previous one.
 func (b *BBR) Init(conn cc.Conn) {
-	b.setMode(Startup)
-	b.pacingGain = highGain
-	b.cwndGain = highGain
+	*b = fresh(b.minRTTWindow)
 	// Initial pacing rate from the initial window over a nominal 1 ms
 	// until an RTT is measured (bbr_init_pacing_rate_from_rtt).
 	rtt := conn.SRTT()
@@ -193,7 +198,6 @@ func (b *BBR) Init(conn cc.Conn) {
 	}
 	bw := float64(conn.Cwnd()) * float64(conn.MSS()) / rtt.Seconds()
 	conn.SetPacingRate(units.Bandwidth(bw * 8 * highGain))
-	b.initDone = true
 }
 
 // bdpPackets returns gain × BDP in packets (bbr_bdp).

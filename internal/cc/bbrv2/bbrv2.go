@@ -162,8 +162,15 @@ const unbounded = 1 << 30
 
 // New returns a fresh BBRv2 instance.
 func New() *BBRv2 {
-	return &BBRv2{
-		minRTTWindow: minRTTWindow,
+	b := fresh(minRTTWindow)
+	return &b
+}
+
+// fresh is the state of a new module with the given min-RTT window: all New
+// builds, and all Init keeps.
+func fresh(window time.Duration) BBRv2 {
+	return BBRv2{
+		minRTTWindow: window,
 		bwFilter:     stats.NewWindowedMax(bwWindowRounds),
 		pacingGain:   highGain,
 		cwndGain:     highGain,
@@ -248,9 +255,10 @@ func (b *BBRv2) ECNAlpha() float64 { return b.ecnAlpha }
 // BtlBw returns the bandwidth estimate.
 func (b *BBRv2) BtlBw() units.Bandwidth { return units.Bandwidth(b.bwFilter.Get() * 8) }
 
-// Init implements cc.CongestionControl.
+// Init implements cc.CongestionControl: everything but the configured
+// min-RTT window starts over, the mode listener included.
 func (b *BBRv2) Init(conn cc.Conn) {
-	b.mode = Startup
+	*b = fresh(b.minRTTWindow)
 	rtt := conn.SRTT()
 	if rtt <= 0 {
 		rtt = time.Millisecond

@@ -151,7 +151,14 @@ func (rs *RateSample) DeliveryRate(mss units.DataSize) units.Bandwidth {
 type CongestionControl interface {
 	// Name returns the algorithm's sysctl-style name ("cubic", "bbr", …).
 	Name() string
-	// Init is called once when the connection is established.
+	// Init starts a flow. It is called once per flow, on a module that is
+	// either fresh from its Factory or was driven by an earlier flow of the
+	// same connection slot, and must leave both in the same state: every
+	// per-flow field re-initialised, only the configuration set at
+	// construction (a filter window, mastermod's overrides) kept, and any
+	// mode listener dropped without being called. This is the kernel's
+	// icsk_ca_priv, which stays inline in the socket and is zeroed before
+	// ca_ops->init runs again.
 	Init(c Conn)
 	// OnAck is called for every processed ACK after scoreboard and rate
 	// sample updates — it merges cong_control/cong_avoid/pkts_acked.
@@ -169,7 +176,8 @@ type CongestionControl interface {
 	WantsPacing() bool
 }
 
-// Factory builds a fresh congestion-control instance per connection.
+// Factory builds the congestion-control instance for the first flow of a
+// connection slot; later flows on that slot re-Init the same instance.
 type Factory func() CongestionControl
 
 // ModeReporter is implemented by modules with an internal state machine

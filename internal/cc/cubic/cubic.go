@@ -72,21 +72,10 @@ func (cu *Cubic) WantsPacing() bool { return false }
 // AckCost implements cc.CongestionControl.
 func (cu *Cubic) AckCost() float64 { return ackCost }
 
-// Init implements cc.CongestionControl.
+// Init implements cc.CongestionControl: every field starts over, HyStart's
+// round sampling and the loss-epoch count included.
 func (cu *Cubic) Init(conn cc.Conn) {
-	cu.reset()
-	cu.hystartOn = true
-}
-
-func (cu *Cubic) reset() {
-	cu.wMax = 0
-	cu.k = 0
-	cu.origin = 0
-	cu.epochStart = -1
-	cu.ackCnt = 0
-	cu.tcpCwnd = 0
-	cu.cwndCnt = 0
-	cu.cnt = 0
+	*cu = Cubic{epochStart: -1, hystartOn: true}
 }
 
 // OnAck implements cc.CongestionControl: slow start with HyStart checks,

@@ -236,7 +236,7 @@ type soloConn struct {
 }
 
 // NewConn creates a connection with the given flow id. The congestion
-// module is built fresh from factory. Call Start to begin transmitting.
+// module is built from factory. Call Start to begin transmitting.
 func NewConn(id int, eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg Config, factory cc.Factory) *Conn {
 	s := &soloConn{}
 	s.Conn = Conn{eng: eng, cpu: cpu, path: path, cfg: cfg.withDefaults(), infos: &s.infos}
@@ -246,11 +246,15 @@ func NewConn(id int, eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg C
 
 // open starts a flow on a connection that holds its wiring (the environment,
 // which outlives every flow the object carries; cfg with its defaults) and
-// is otherwise zero: the one initialiser behind NewConn, a pool slot's first
-// use and Reset.
+// at most the congestion module of an earlier flow, and is otherwise zero:
+// the one initialiser behind NewConn, a pool slot's first use and Reset. The
+// factory runs only when there is no module yet; Init re-initialises a kept
+// one to exactly what the factory would have built.
 func (c *Conn) open(id int, factory cc.Factory) {
 	c.id = id
-	c.ccMod = factory()
+	if c.ccMod == nil {
+		c.ccMod = factory()
+	}
 	c.cwnd = c.cfg.InitialCwnd
 	c.ssthresh = 1 << 30
 	c.minRTT = stats.NewWindowedMin(uint64(minRTTWindow))
@@ -1207,12 +1211,13 @@ func (c *Conn) maybeQuiet() {
 // wiring (engine, CPUs, path, config, pools, sinks), the stopped timer
 // handles and the buffers' capacity; every other field is zeroed and then
 // rebuilt by open, the same initialiser a new connection runs, so a recycled
-// connection starts exactly as a fresh one does. The congestion module is
-// built fresh from factory (its state machine is not reusable across flows).
-// Callers must re-register the new id with the demux and the path's ACK
-// return (Receiver.Reset does the latter) — ids are never reused, so a late
-// event aimed at the old incarnation cannot alias the new one.
-func (c *Conn) Reset(id int, factory cc.Factory) {
+// connection starts exactly as a fresh one does. The congestion module
+// carries over too, as the kernel keeps icsk_ca_priv inline in the socket:
+// open re-runs its Init, which restores the state its factory built. Callers
+// must re-register the new id with the demux and the path's ACK return
+// (Receiver.Reset does the latter) — ids are never reused, so a late event
+// aimed at the old incarnation cannot alias the new one.
+func (c *Conn) Reset(id int) {
 	if !c.Quiescent() {
 		panic(fmt.Sprintf("tcp: Reset of non-quiescent conn %d (done=%v pending=%d)", c.id, c.done, c.pending))
 	}
@@ -1225,9 +1230,9 @@ func (c *Conn) Reset(id int, factory cc.Factory) {
 		bus: c.bus, met: c.met, home: c.home,
 		pacer:    c.pacer, // Pacer.Reset keeps only the instruments
 		rtoTimer: c.rtoTimer, pacingTimer: c.pacingTimer, watchdog: c.watchdog,
-		board: c.board, xmitRetx: c.xmitRetx[:0],
+		board: c.board, xmitRetx: c.xmitRetx[:0], ccMod: c.ccMod,
 	}
-	c.open(id, factory)
+	c.open(id, nil)
 }
 
 // CorruptInflightForTest deliberately skews the inflight counter so tests

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"reflect"
 
 	"mobbr/internal/cc"
 	"mobbr/internal/cpumodel"
@@ -19,8 +20,9 @@ import (
 // slot holds everything the flow's two endpoints need by value — the Conn
 // with its pacer, min-RTT filter and small inline scoreboard buffers, the
 // Receiver, the PooledConn handle — while scoreboard entries come from one
-// pool-wide infoPool. Neither a flow's birth nor its recycling allocates
-// anything but the congestion module its factory builds.
+// pool-wide infoPool. A slot also keeps its congestion module, built by the
+// factory for the slot's first flow and re-initialised by Init for each
+// later one. A flow's recycling allocates nothing.
 //
 // Lifecycle state machine (see DESIGN.md "million-flow data path"):
 //
@@ -55,6 +57,9 @@ type ConnPool struct {
 	slots slab[connSlot]
 	free  []*PooledConn
 	dying []*PooledConn
+
+	// factory is the code pointer of the first factory Get was handed.
+	factory uintptr
 
 	gets, reuses  int
 	puts          int
@@ -95,7 +100,19 @@ func NewConnPool(eng *sim.Engine, cpu, appCPU *cpumodel.CPU, path *netem.Path,
 // indistinguishable to the simulation. The receiver is registered on the
 // path's ACK return; the caller adds it to the demux and configures stream
 // mode and events before Start.
+//
+// factory builds a slot's first congestion module only; a recycled slot
+// re-initialises the module it kept. A pool therefore serves one congestion
+// control, and Get panics when handed a factory other than the first. The
+// check compares code pointers, which the compiler may duplicate when it
+// inlines the function that returns a closure: hand every Get one factory
+// value.
 func (p *ConnPool) Get(id int, factory cc.Factory) *PooledConn {
+	if fp := reflect.ValueOf(factory).Pointer(); p.factory == 0 {
+		p.factory = fp
+	} else if fp != p.factory {
+		panic(fmt.Sprintf("tcp: ConnPool.Get of conn %d with a second congestion-control factory", id))
+	}
 	p.gets++
 	p.outstanding++
 	if p.outstanding > p.outstandingHW {
@@ -105,7 +122,7 @@ func (p *ConnPool) Get(id int, factory cc.Factory) *PooledConn {
 		pc := p.free[n-1]
 		p.free = p.free[:n-1]
 		p.reuses++
-		pc.Conn.Reset(id, factory)
+		pc.Conn.Reset(id)
 		pc.Rx.Reset()
 		return pc
 	}

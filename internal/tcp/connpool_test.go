@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"mobbr/internal/cc"
+	"mobbr/internal/cc/bbr"
 	"mobbr/internal/cpumodel"
 	"mobbr/internal/netem"
 	"mobbr/internal/seg"
@@ -52,12 +53,7 @@ func streamFactory() cc.Factory {
 
 // runFlow opens flow id on the pool, streams size bytes to completion and
 // releases the pair, mirroring the flows session's per-flow lifecycle.
-func (h *poolHarness) runFlow(t *testing.T, id int, size int64) {
-	t.Helper()
-	h.runFlowCC(t, id, size, streamFactory())
-}
-
-func (h *poolHarness) runFlowCC(t *testing.T, id int, size int64, factory cc.Factory) {
+func (h *poolHarness) runFlow(t *testing.T, id int, size int64, factory cc.Factory) {
 	t.Helper()
 	pc := h.pool.Get(id, factory)
 	c := pc.Conn
@@ -90,9 +86,10 @@ func (h *poolHarness) runFlowCC(t *testing.T, id int, size int64, factory cc.Fac
 
 func TestConnPoolReuse(t *testing.T) {
 	h := newPoolHarness(t)
+	factory := bbr.Factory()
 	const flows = 5
 	for i := 0; i < flows; i++ {
-		h.runFlow(t, i, int64(64*units.KB))
+		h.runFlow(t, i, int64(64*units.KB), factory)
 		// Let the dying conn quiesce (its held ACKs drain through the CPU)
 		// before the next Get so reuse actually happens.
 		h.eng.Run(h.eng.Now() + time.Second)
@@ -117,15 +114,14 @@ func TestConnPoolReuse(t *testing.T) {
 		t.Fatalf("segment pool leaks %d packets / %d acks", ps.OutstandingPackets, ps.OutstandingAcks)
 	}
 
-	// Recycling itself is free: with the congestion module supplied from
-	// outside, a Get that reuses a pair and the Put that returns it touch
-	// the heap not at all.
+	// Recycling itself is free: a Get that reuses a pair re-initialises the
+	// congestion module the slot kept instead of calling the factory, which
+	// builds one per call, so it and the Put that returns the pair touch the
+	// heap not at all.
 	if raceEnabled {
 		return
 	}
 	const cycles = 100
-	stub := &stubCC{cwnd: 32}
-	factory := func() cc.CongestionControl { return stub }
 	id := flows
 	h.pool.Put(h.pool.Get(id+cycles+1, factory)) // the path's per-flow ACK table now reaches every id used below
 	allocs := testing.AllocsPerRun(cycles, func() {
@@ -142,6 +138,81 @@ func TestConnPoolReuse(t *testing.T) {
 	if st := h.pool.Stats(); st.Created != 1 || !st.Balanced() {
 		t.Errorf("census after %d more cycles %+v, want still one pair, balanced", cycles, st)
 	}
+}
+
+// drainSink is a stream-event sink that records the drain without
+// allocating.
+type drainSink struct {
+	t       *testing.T
+	drained bool
+}
+
+func (d *drainSink) StreamWritable()    {}
+func (d *drainSink) StreamDrained()     { d.drained = true }
+func (d *drainSink) StreamFailed(error) { d.t.Fatal("flow failed") }
+
+// TestConnPoolStartedFlowAllocs extends the budget above to a flow that
+// runs: a recycled pair carries a 4 KB stream to its drain, is put back and
+// quiesces, and the whole cycle, congestion module included, allocates
+// nothing.
+func TestConnPoolStartedFlowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime changes malloc counts")
+	}
+	h := newPoolHarness(t)
+	factory := bbr.Factory()
+	const cycles = 50
+	h.pool.Put(h.pool.Get(cycles+10, factory)) // the path's per-flow ACK table now reaches every id used below
+	sink := &drainSink{t: t}
+	id := 0
+	cycle := func() {
+		pc := h.pool.Get(id, factory)
+		c := pc.Conn
+		c.SetStream()
+		sink.drained = false
+		c.SetStreamEvents(sink)
+		h.demux.Add(pc.Rx)
+		c.Start()
+		c.StreamWrite(int64(4 * units.KB))
+		c.CloseStream()
+		h.eng.Run(h.eng.Now() + time.Second)
+		if !sink.drained {
+			t.Fatalf("flow %d did not drain", id)
+		}
+		h.demux.Remove(id)
+		h.path.RetireFlow(id)
+		h.pool.Put(pc)
+		h.eng.Run(h.eng.Now() + time.Second)
+		if st := h.pool.Stats(); st.Free != 1 {
+			t.Fatalf("flow %d: census %+v, want the pair quiesced and free", id, st)
+		}
+		id++
+	}
+	cycle() // warm the segment pool and the engine's arena
+	if allocs := testing.AllocsPerRun(cycles, cycle); allocs != 0 {
+		t.Errorf("a recycled flow's Get, 4 KB stream, Put and quiesce allocate %.1f objects, want 0", allocs)
+	}
+	if st := h.pool.Stats(); st.Created != 1 || !st.Balanced() {
+		t.Errorf("census after %d flows %+v, want one pair, balanced", id, st)
+	}
+}
+
+// TestConnPoolOneFactory pins the one-factory contract: a slot keeps its
+// congestion module across flows, so a pool cannot serve a second congestion
+// control, and a Get that asks for one panics rather than quietly handing
+// back the first one's module.
+func TestConnPoolOneFactory(t *testing.T) {
+	h := newPoolHarness(t)
+	factory := streamFactory()
+	h.pool.Put(h.pool.Get(0, factory))
+	h.pool.Put(h.pool.Get(1, factory))
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "tcp: ConnPool.Get of conn 2 with a second congestion-control factory"; msg != want {
+			t.Errorf("recovered %q, want %q", msg, want)
+		}
+	}()
+	h.pool.Get(2, bbr.Factory())
 }
 
 func TestConnPoolReclaimDrainsDying(t *testing.T) {
@@ -192,7 +263,8 @@ func TestConnPoolDoublePutPanics(t *testing.T) {
 
 func TestConnPoolIdsNeverReused(t *testing.T) {
 	h := newPoolHarness(t)
-	pc := h.pool.Get(100, streamFactory())
+	factory := streamFactory()
+	pc := h.pool.Get(100, factory)
 	if pc.Conn.ID() != 100 {
 		t.Fatalf("fresh conn id %d, want 100", pc.Conn.ID())
 	}
@@ -201,7 +273,7 @@ func TestConnPoolIdsNeverReused(t *testing.T) {
 	pc.Conn.Start()
 	h.pool.Put(pc)
 	h.pool.Reclaim()
-	pc2 := h.pool.Get(101, streamFactory())
+	pc2 := h.pool.Get(101, factory)
 	if pc2 != pc {
 		t.Fatal("expected the recycled pair back")
 	}
@@ -300,19 +372,19 @@ func TestResetRestoresFreshState(t *testing.T) {
 	first := h.pool.Get(0, paced)
 	h.pool.Put(first)
 	h.pool.DropFree() // keep slot 0 out of the way: it stands in for "unused" below
-	h.runFlowCC(t, 1, int64(256*units.KB), paced)
+	h.runFlow(t, 1, int64(256*units.KB), paced)
 	h.eng.Run(h.eng.Now() + time.Second)
 
 	const id = 7
-	recycled := h.pool.Get(id, streamFactory())
+	recycled := h.pool.Get(id, paced)
 	if st := h.pool.Stats(); st.Reuses != 1 {
 		t.Fatalf("census %+v, want the second Get to recycle", st)
 	}
-	slotFresh := h.pool.Get(id, streamFactory())
+	slotFresh := h.pool.Get(id, paced)
 	if st := h.pool.Stats(); st.Created != 3 {
 		t.Fatalf("census %+v, want the third Get to open an unused slot", st)
 	}
-	solo := NewConn(id, h.eng, h.cpu, h.path, Config{}, streamFactory())
+	solo := NewConn(id, h.eng, h.cpu, h.path, Config{}, paced)
 	solo.SetPool(h.segs)
 	solo.SetAggregates(h.agg)
 	solo.SetFlowTable(h.ftab)
@@ -348,8 +420,9 @@ func TestResetRestoresFreshState(t *testing.T) {
 // sequence number under A's flow id and count it in flight.
 func TestRetiredEntryWaitsForParkedBatch(t *testing.T) {
 	h := newPoolHarness(t)
+	factory := streamFactory()
 	open := func(id int) *Conn {
-		c := h.pool.Get(id, streamFactory()).Conn
+		c := h.pool.Get(id, factory).Conn
 		c.SetStream()
 		c.SetStreamEvents(streamFuncs{func() {}, func() {}, func(error) {}})
 		return c

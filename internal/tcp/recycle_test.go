@@ -6,11 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"mobbr/internal/cc"
+	"mobbr/internal/cc/bbr"
 	"mobbr/internal/check"
 	"mobbr/internal/core"
 	"mobbr/internal/device"
 	"mobbr/internal/flows"
 	"mobbr/internal/iperf"
+	"mobbr/internal/mastermod"
 	"mobbr/internal/netem"
 	"mobbr/internal/seg"
 	"mobbr/internal/sim"
@@ -25,19 +28,23 @@ type churnRun struct {
 	stats     *flows.Stats
 }
 
+// churnDur is the simulated length of one churn run.
+const churnDur = 4 * time.Second
+
 // runChurn assembles the bench's churn workload at a fraction of its size —
 // Low-End core, Ethernet, every flow live at t=0, 0.4 arrivals per live flow
 // per second, 4 KB mice, the invariant checker on strided audits — the way
-// core.Run does, and runs it. With fresh set, the pool's free list is dropped
-// after every event, so every flow gets a connection nothing has used before.
-// The size is the smallest that keeps the core saturated for seconds: at
-// 1000 flows for 3 s no CPU job outlives its connection's Put and the
-// differential stops seeing the cross-incarnation RTO it was written for.
-func runChurn(t *testing.T, ccName string, seed int64, fresh bool) churnRun {
+// core.Run does, and runs it with the given congestion control. With fresh
+// set, the pool's free list is dropped after every event, so every flow gets
+// a connection nothing has used before. The size is the smallest that keeps
+// the core saturated for seconds: at 1000 flows for 3 s no CPU job outlives
+// its connection's Put and the differential stops seeing the
+// cross-incarnation RTO it was written for.
+func runChurn(t *testing.T, name string, factory cc.Factory, seed int64, fresh bool) churnRun {
 	t.Helper()
 	const (
 		live = 1500
-		dur  = 4 * time.Second
+		dur  = churnDur
 	)
 	eng := sim.New(seed)
 	cpu, _ := device.NewCPUs(eng, device.Pixel4, device.LowEnd)
@@ -47,12 +54,12 @@ func runChurn(t *testing.T, ccName string, seed int64, fresh bool) churnRun {
 	}
 	pool := seg.NewPool()
 	sess, err := flows.New(eng, cpu, path,
-		iperf.Config{Duration: dur, CC: core.Factories()[ccName], Pool: pool},
+		iperf.Config{Duration: dur, CC: factory, Pool: pool},
 		flows.Config{ArrivalRate: 0.4 * live, MaxLive: live, InitialFlows: live, MiceBytes: 4 * units.KB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk := check.New(eng, fmt.Sprintf("churn cc=%s seed=%d fresh=%v", ccName, seed, fresh), 0)
+	chk := check.New(eng, fmt.Sprintf("churn cc=%s seed=%d fresh=%v", name, seed, fresh), 0)
 	chk.WatchDynamic(sess.Auditables)
 	chk.SetAuditStride(256)
 	chk.SetHeldAcks(sess.Aggregates().HeldAcks)
@@ -85,15 +92,38 @@ func runChurn(t *testing.T, ccName string, seed int64, fresh bool) churnRun {
 // a recycled connection simulates exactly as a fresh one. Each churn run is
 // repeated with reuse made impossible, and everything the two simulated must
 // agree — event count, report, flow statistics — except the pool's own
-// census of how many slots it built.
+// census of how many slots it built. Besides the four plain modules it runs
+// the two wrappings core.Run applies, whose construction-time settings a
+// recycled module must keep: the min-RTT window every run under 30 s scales
+// BBR's filter to, and mastermod's overrides.
 func TestRecycledEqualsFresh(t *testing.T) {
-	for _, ccName := range []string{"bbr", "cubic", "bbr2", "reno"} {
+	window := churnDur / 3
+	if window < 500*time.Millisecond {
+		window = 500 * time.Millisecond
+	}
+	scaled := func() cc.CongestionControl {
+		b := bbr.New()
+		b.SetMinRTTWindow(window)
+		return b
+	}
+	factories := []struct {
+		name    string
+		factory cc.Factory
+	}{
+		{"bbr", core.Factories()["bbr"]},
+		{"cubic", core.Factories()["cubic"]},
+		{"bbr2", core.Factories()["bbr2"]},
+		{"reno", core.Factories()["reno"]},
+		{"bbr-minrtt-window", scaled},
+		{"mastermod-bbr", mastermod.Factory(core.Factories()["bbr"], mastermod.Overrides{FixedCwnd: 10})},
+	}
+	for _, f := range factories {
 		for seed := int64(1); seed <= 3; seed++ {
-			ccName, seed := ccName, seed
-			t.Run(fmt.Sprintf("%s/seed%d", ccName, seed), func(t *testing.T) {
+			f, seed := f, seed
+			t.Run(fmt.Sprintf("%s/seed%d", f.name, seed), func(t *testing.T) {
 				t.Parallel()
-				pooled := runChurn(t, ccName, seed, false)
-				fresh := runChurn(t, ccName, seed, true)
+				pooled := runChurn(t, f.name, f.factory, seed, false)
+				fresh := runChurn(t, f.name, f.factory, seed, true)
 				pp, fp := pooled.stats.Pool, fresh.stats.Pool
 				if pp.Reuses == 0 || pooled.stats.Completed == 0 {
 					t.Fatalf("pooled run recycled nothing: %+v", pp)

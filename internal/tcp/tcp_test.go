@@ -27,6 +27,7 @@ type stubCC struct {
 
 func (s *stubCC) Name() string { return "stub" }
 func (s *stubCC) Init(c cc.Conn) {
+	s.acks, s.events, s.samples = 0, nil, nil
 	c.SetCwnd(s.cwnd)
 	if s.rate > 0 {
 		c.SetPacingRate(s.rate)
