@@ -2,7 +2,7 @@
 // fold the aligned pairs into cells, and report per-cell deltas gated by
 // noise-aware thresholds — a delta only counts when it clears both the
 // combined 95% CI of the two means (internal/stats) and a relative floor.
-// cmd/mobbr-diff drives this: CI runs it against a baseline archive and
+// `mobbr diff` drives this: CI runs it against a baseline archive and
 // fails the build when "goodput regressed on Low-End BBR" actually
 // happened, not when seeds wobbled.
 package obs

@@ -8,7 +8,7 @@
 // codec — which downstream tools aggregate into per-cell
 // (device×CPU×CC×network) rollups with percentile extraction, watch live
 // via a wall-clock progress reporter, and compare across runs with
-// noise-aware regression gating (cmd/mobbr-diff).
+// noise-aware regression gating (`mobbr diff`).
 //
 // Layout of a run archive root:
 //
@@ -187,7 +187,7 @@ type PointRecord struct {
 	// Label names the cell within its experiment.
 	Label string `json:"label"`
 	// Spec is the point's exact defaulted spec in core.EncodeSpec form —
-	// the same bytes a repro line carries — and the identity mobbr-diff
+	// the same bytes a repro line carries — and the identity `mobbr diff`
 	// aligns on (modulo deliberate knob perturbations).
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Metrics is the measured outcome (zero when Failure is set).

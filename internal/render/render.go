@@ -1,5 +1,5 @@
 // Package render draws terminal bar charts for the reproduced figures, so
-// `cmd/mobbr-figures` can show the paper's plots without leaving the shell.
+// `mobbr figures` can show the paper's plots without leaving the shell.
 package render
 
 import (

@@ -1,6 +1,6 @@
 // Run archiving: the grid runner's finished rows written as an obs run
 // archive — manifest plus one strictly-versioned artifact per grid
-// point — for rollup, live comparison, and mobbr-diff regression gating.
+// point — for rollup, live comparison, and `mobbr diff` regression gating.
 // Archives are written wholly after the run from the final rows, so a
 // journal-resumed grid archives byte-identically to an uninterrupted one
 // (modulo the manifest's wall-clock field and digests, which need the

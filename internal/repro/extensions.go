@@ -11,7 +11,7 @@ import (
 
 // The experiments below go beyond the paper's evaluation into the open
 // questions its §7 discussion raises. They use the same Point/Experiment
-// machinery so cmd/mobbr-repro and the benchmark can drive them.
+// machinery so `mobbr grid` and the benchmark can drive them.
 
 // FairnessVsStride probes §7.1.3: "pacing strides may increase the
 // unfairness of BBR". Each point reports per-connection goodput whose

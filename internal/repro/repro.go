@@ -1,6 +1,6 @@
 // Package repro defines one constructor per table and figure of the paper's
 // evaluation, returning ready-to-run core.Specs together with the values the
-// paper reports. cmd/mobbr-repro and the benchmark's grid_paper workload
+// paper reports. `mobbr grid` and the benchmark's grid_paper workload
 // (go run ./bench) drive these to regenerate every experiment;
 // EXPERIMENTS.md records paper-vs-measured.
 package repro
@@ -442,6 +442,51 @@ func Scale() Experiment {
 	return Experiment{ID: "scale", Title: "Million-flow churn: FCT percentiles, pool reuse, flow-table fast path", Points: pts}
 }
 
+// Calibration is the 17 anchor cells the CPU cost model was fitted
+// against, each with the goodput the paper states for it. Re-run it after
+// touching cpumodel costs, pacing sizing or CC constants. Like Scale it
+// resolves by id only (-exp calibrate), so All() stays the paper grids.
+func Calibration() Experiment {
+	off := false
+	var pts []Point
+	for _, a := range []struct {
+		model   device.Model
+		cfg     device.Config
+		cc      string
+		conns   int
+		unpaced bool
+		paper   float64
+	}{
+		{device.Pixel4, device.HighEnd, "cubic", 1, false, 930},
+		{device.Pixel4, device.HighEnd, "bbr", 1, false, 915},
+		{device.Pixel4, device.HighEnd, "bbr", 20, false, 915},
+		{device.Pixel4, device.LowEnd, "cubic", 1, false, 364},
+		{device.Pixel4, device.LowEnd, "cubic", 20, false, 310},
+		{device.Pixel4, device.LowEnd, "bbr", 1, false, 325},
+		{device.Pixel4, device.LowEnd, "bbr", 5, false, 290},
+		{device.Pixel4, device.LowEnd, "bbr", 20, false, 138},
+		{device.Pixel4, device.LowEnd, "bbr", 20, true, 373},
+		{device.Pixel4, device.MidEnd, "cubic", 20, false, 800},
+		{device.Pixel4, device.MidEnd, "bbr", 20, false, 430},
+		{device.Pixel4, device.Default, "cubic", 20, false, 680},
+		{device.Pixel4, device.Default, "bbr", 20, false, 430},
+		{device.Pixel4, device.Default, "bbr", 1, false, 780},
+		{device.Pixel4, device.Default, "cubic", 1, false, 900},
+		{device.Pixel6, device.LowEnd, "bbr", 20, false, 140},
+		{device.Pixel6, device.LowEnd, "cubic", 20, false, 255},
+	} {
+		s := baseSpec(a.cfg, a.cc, a.conns)
+		s.Device = a.model
+		label := fmt.Sprintf("%s/%s/%s/%d", a.model, a.cfg, a.cc, a.conns)
+		if a.unpaced {
+			s.PacingOverride = &off
+			label += " pacing-off"
+		}
+		pts = append(pts, Point{Label: label, Spec: s, PaperMbps: a.paper})
+	}
+	return Experiment{ID: "calibrate", Title: "Cost-model calibration anchors vs the paper's stated goodput", Points: pts}
+}
+
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
@@ -455,14 +500,17 @@ func All() []Experiment {
 
 // ByID returns the experiment with the given id.
 func ByID(id string) (Experiment, error) {
-	// The scale and recovery grids resolve by id only: keeping them out of
-	// All() keeps its 19 paper-and-extension grids (and the benchmark that
-	// runs them) unchanged. The trace grid needs a trace: NewTraceExperiment.
+	// The scale, recovery and calibration grids resolve by id only:
+	// keeping them out of All() keeps its 19 paper-and-extension grids (and
+	// the benchmark that runs them) unchanged. The trace grid needs a trace:
+	// NewTraceExperiment.
 	switch id {
 	case "scale":
 		return Scale(), nil
 	case "recovery":
 		return Recovery(), nil
+	case "calibrate":
+		return Calibration(), nil
 	}
 	for _, e := range All() {
 		if e.ID == id {

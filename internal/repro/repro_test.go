@@ -52,6 +52,32 @@ func TestByID(t *testing.T) {
 	}
 }
 
+// TestCalibrationByIDOnly: the 17 cost-model anchors resolve by id, each
+// with a distinct label and the paper's stated goodput, and stay out of
+// All(), which keeps -exp all output and the grid_paper benchmark as they
+// are.
+func TestCalibrationByIDOnly(t *testing.T) {
+	e, err := ByID("calibrate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.ID != "calibrate" || len(e.Points) != 17 {
+		t.Fatalf("calibrate: id %q, %d points, want 17", e.ID, len(e.Points))
+	}
+	labels := map[string]bool{}
+	for _, p := range e.Points {
+		if p.PaperMbps <= 0 || labels[p.Label] {
+			t.Errorf("point %q: paper %v Mbps, duplicate label %v", p.Label, p.PaperMbps, labels[p.Label])
+		}
+		labels[p.Label] = true
+	}
+	for _, all := range All() {
+		if all.ID == "calibrate" {
+			t.Fatal("calibrate leaked into All(); -exp all output would change")
+		}
+	}
+}
+
 func TestFigure2CoversTable1AndConnSweep(t *testing.T) {
 	e := Figure2()
 	// 4 configs × 2 CCs × 4 conn counts.

@@ -123,7 +123,7 @@ func TestScaleJournalRoundTrip(t *testing.T) {
 }
 
 // TestScaleArchiveCarriesFlowMetrics: the obs archive point record carries
-// the churn metrics, so rollup and mobbr-diff see them.
+// the churn metrics, so rollup and `mobbr diff` see them.
 func TestScaleArchiveCarriesFlowMetrics(t *testing.T) {
 	e := miniScale()
 	e.Points = e.Points[:1]
