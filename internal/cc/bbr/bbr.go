@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mobbr/internal/cc"
+	"mobbr/internal/slab"
 	"mobbr/internal/stats"
 	"mobbr/internal/units"
 )
@@ -142,9 +143,15 @@ func (b *BBR) SetMinRTTWindow(d time.Duration) {
 	}
 }
 
-// Factory returns a cc.Factory producing fresh BBR instances.
+// Factory returns a cc.Factory producing fresh BBR instances from its own
+// slab, so it belongs to one run (see cc.Factory).
 func Factory() cc.Factory {
-	return func() cc.CongestionControl { return New() }
+	var mods slab.Slab[BBR]
+	return func() cc.CongestionControl {
+		b := mods.Next()
+		*b = fresh(minRTTWindow)
+		return b
+	}
 }
 
 // Name implements cc.CongestionControl.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mobbr/internal/cc"
+	"mobbr/internal/slab"
 	"mobbr/internal/stats"
 	"mobbr/internal/units"
 )
@@ -187,9 +188,15 @@ func (b *BBRv2) SetMinRTTWindow(d time.Duration) {
 	}
 }
 
-// Factory returns a cc.Factory producing fresh BBRv2 instances.
+// Factory returns a cc.Factory producing fresh BBRv2 instances from its own
+// slab, so it belongs to one run (see cc.Factory).
 func Factory() cc.Factory {
-	return func() cc.CongestionControl { return New() }
+	var mods slab.Slab[BBRv2]
+	return func() cc.CongestionControl {
+		b := mods.Next()
+		*b = fresh(minRTTWindow)
+		return b
+	}
 }
 
 // Name implements cc.CongestionControl.

@@ -177,7 +177,10 @@ type CongestionControl interface {
 }
 
 // Factory builds the congestion-control instance for the first flow of a
-// connection slot; later flows on that slot re-Init the same instance.
+// connection slot; later flows on that slot re-Init the same instance. A
+// factory belongs to one run, as a seg.Pool does: the registered ones carve
+// their modules from a slab they own, so two runs that execute concurrently
+// must not share one.
 type Factory func() CongestionControl
 
 // ModeReporter is implemented by modules with an internal state machine

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mobbr/internal/cc"
+	"mobbr/internal/slab"
 )
 
 // CUBIC constants, matching tcp_cubic.c defaults.
@@ -58,9 +59,11 @@ type Cubic struct {
 // New returns a CUBIC instance with HyStart enabled, as in the kernel.
 func New() *Cubic { return &Cubic{} }
 
-// Factory returns a cc.Factory producing fresh CUBIC instances.
+// Factory returns a cc.Factory producing fresh CUBIC instances from its own
+// slab, so it belongs to one run (see cc.Factory).
 func Factory() cc.Factory {
-	return func() cc.CongestionControl { return New() }
+	var mods slab.Slab[Cubic]
+	return func() cc.CongestionControl { return mods.Next() }
 }
 
 // Name implements cc.CongestionControl.

@@ -8,6 +8,7 @@ package reno
 
 import (
 	"mobbr/internal/cc"
+	"mobbr/internal/slab"
 )
 
 // ackCost is Reno's per-ACK model work in reference cycles — a compare and
@@ -23,9 +24,11 @@ type Reno struct {
 // New returns a fresh Reno instance.
 func New() *Reno { return &Reno{} }
 
-// Factory returns a cc.Factory producing fresh Reno instances.
+// Factory returns a cc.Factory producing fresh Reno instances from its own
+// slab, so it belongs to one run (see cc.Factory).
 func Factory() cc.Factory {
-	return func() cc.CongestionControl { return New() }
+	var mods slab.Slab[Reno]
+	return func() cc.CongestionControl { return mods.Next() }
 }
 
 // Name implements cc.CongestionControl.

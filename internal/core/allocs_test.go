@@ -106,7 +106,7 @@ func TestMinRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 220 // measured 156; 448 before connections became one object each
+	const budget = 220 // measured 150; 448 before connections became one object each
 	t.Logf("%.0f allocations per minimal run, budget %d", allocs, budget)
 	if allocs > budget {
 		t.Errorf("a 20-connection 1 ms run allocates %.0f objects, budget %d", allocs, budget)

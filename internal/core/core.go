@@ -268,7 +268,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("core: %w", err)
 	}
 	for _, name := range strings.Split(s.CC, ",") {
-		if _, ok := Factories()[strings.TrimSpace(name)]; !ok {
+		if _, ok := registered[strings.TrimSpace(name)]; !ok {
 			return fmt.Errorf("core: unknown congestion control %q", name)
 		}
 	}
@@ -349,14 +349,23 @@ func (s Spec) String() string {
 	return fmt.Sprintf("%s/%s %s conns=%d net=%s", s.Device, s.CPU, s.CC, s.Conns, s.Network)
 }
 
-// Factories returns the registered congestion-control factories by name.
+// registered maps each congestion control's name to what builds its
+// factories. A factory belongs to one run, so each run builds its own.
+var registered = map[string]func() cc.Factory{
+	"cubic": cubic.Factory,
+	"bbr":   bbr.Factory,
+	"bbr2":  bbrv2.Factory,
+	"reno":  reno.Factory,
+}
+
+// Factories returns a new factory for each registered congestion control,
+// by name.
 func Factories() map[string]cc.Factory {
-	return map[string]cc.Factory{
-		"cubic": cubic.Factory(),
-		"bbr":   bbr.Factory(),
-		"bbr2":  bbrv2.Factory(),
-		"reno":  reno.Factory(),
+	m := make(map[string]cc.Factory, len(registered))
+	for name, newFactory := range registered {
+		m[name] = newFactory()
 	}
+	return m
 }
 
 // Result is one run's outcome.
@@ -404,21 +413,15 @@ func Run(spec Spec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fail(err)
 	}
+	// Each name resolves to one factory, which Validate vouched for. The
+	// kernel's BBR re-measures propagation delay every 10 s; runs shorter
+	// than a few windows scale the filter down so steady-state min-RTT
+	// refresh and PROBE_RTT dynamics still happen (the paper's physical
+	// runs last 5 minutes).
 	names := strings.Split(spec.CC, ",")
 	factories := make([]cc.Factory, len(names))
 	for i, name := range names {
-		f, ok := Factories()[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("core: unknown congestion control %q", name)
-		}
-		factories[i] = f
-	}
-	// The kernel's BBR re-measures propagation delay every 10 s; runs
-	// shorter than a few windows scale the filter down so steady-state
-	// min-RTT refresh and PROBE_RTT dynamics still happen (the paper's
-	// physical runs last 5 minutes).
-	for i := range factories {
-		factory := factories[i]
+		factory := registered[strings.TrimSpace(name)]()
 		if w := spec.Duration / 3; w < 10*time.Second {
 			if w < 500*time.Millisecond {
 				w = 500 * time.Millisecond

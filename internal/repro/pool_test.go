@@ -59,12 +59,13 @@ func TestForEachZeroAndNegative(t *testing.T) {
 	if err := ForEach(0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatalf("n=0: %v", err)
 	}
-	ran := 0
-	if err := ForEach(3, -1, func(int) error { ran++; return nil }); err != nil {
+	// Workers=-1 means one per CPU, so the count must be atomic.
+	var ran atomic.Int64
+	if err := ForEach(3, -1, func(int) error { ran.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if ran != 3 {
-		t.Fatalf("workers=-1 ran %d of 3", ran)
+	if n := ran.Load(); n != 3 {
+		t.Fatalf("workers=-1 ran %d of 3", n)
 	}
 }
 

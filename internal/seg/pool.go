@@ -1,6 +1,10 @@
 package seg
 
-import "fmt"
+import (
+	"fmt"
+
+	"mobbr/internal/slab"
+)
 
 // lifeState tracks where a pooled object is in its acquire/release cycle.
 type lifeState uint8
@@ -24,7 +28,10 @@ const maxViolations = 16
 // through freelists with explicit acquire/release at the well-defined sink
 // points (packet consumed by the receiver, dropped at a queue, expired in a
 // hold buffer; ACK consumed by the sender's ACK path), so a steady-state run
-// performs no per-segment heap allocation.
+// performs no per-segment heap allocation. An object the freelist cannot
+// supply comes from the pool's slab: a run that needs a few dozen allocates
+// exactly those, one that holds thousands in flight allocates them in 16 KiB
+// chunks (see slab.Slab.Next), as the kernel's skb cache does.
 //
 // The pool audits its own lifecycle: it counts outstanding objects (the
 // invariant checker cross-checks them against the network's in-transit
@@ -32,10 +39,11 @@ const maxViolations = 16
 // as structured violations instead of corrupting the freelist.
 //
 // A Pool is deliberately not safe for concurrent use: each simulation run
-// owns a private pool (created in core.Run), which is what keeps
-// repro.ForEach -j parallelism race-free. All methods are nil-receiver
-// safe — a nil *Pool degrades to plain heap allocation with no accounting,
-// which is what unit tests that build conns/pipes directly get.
+// owns a private pool (created in core.Run), as it owns its congestion-control
+// factories, which is what keeps repro.ForEach -j parallelism race-free. All
+// methods are nil-receiver safe — a nil *Pool degrades to plain heap
+// allocation with no accounting, which is what unit tests that build
+// conns/pipes directly get.
 type Pool struct {
 	freePkt *Packet
 	freeAck *Ack
@@ -43,6 +51,9 @@ type Pool struct {
 	// walk; nil whenever the corresponding head is nil.
 	freePktTail *Packet
 	freeAckTail *Ack
+
+	pkts slab.Slab[Packet]
+	acks slab.Slab[Ack]
 
 	stats      PoolStats
 	violations []Violation
@@ -108,7 +119,7 @@ func (l *Pool) GetPacket() *Packet {
 	p := l.freePkt
 	if p == nil {
 		l.stats.PacketNews++
-		p = &Packet{}
+		p = l.pkts.Next()
 	} else {
 		l.freePkt = p.next
 		if l.freePkt == nil {
@@ -165,7 +176,7 @@ func (l *Pool) GetAck() *Ack {
 	a := l.freeAck
 	if a == nil {
 		l.stats.AckNews++
-		a = &Ack{}
+		a = l.acks.Next()
 	} else {
 		l.freeAck = a.next
 		if l.freeAck == nil {

@@ -1,8 +1,13 @@
 package seg
 
 import (
+	"math/bits"
+	"runtime/debug"
 	"testing"
 	"time"
+	"unsafe"
+
+	"mobbr/internal/slab"
 )
 
 func TestPoolRecyclesPackets(t *testing.T) {
@@ -258,5 +263,44 @@ func TestPoolHighWater(t *testing.T) {
 	p.PutAck(b)
 	if st := p.Stats(); st.OutstandingPackets != 0 || st.OutstandingAcks != 0 {
 		t.Errorf("outstanding after release = %d/%d", st.OutstandingPackets, st.OutstandingAcks)
+	}
+}
+
+// TestPoolFirstUseAllocs pins how a pool allocates the objects its freelists
+// cannot supply. A pool that builds what a small run needs (a 20-connection
+// bulk run builds about twenty packets and twenty ACKs) allocates exactly
+// those; one that builds thousands allocates slab.Singles singly, then a few
+// doubling chunks and 16 KiB ones.
+func TestPoolFirstUseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime changes malloc counts")
+	}
+	// The counts are exact; a collection would add the runtime's own.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, kind := range []struct {
+		name string
+		size uintptr
+		get  func(*Pool)
+	}{
+		{"packets", unsafe.Sizeof(Packet{}), func(l *Pool) { l.GetPacket() }},
+		{"acks", unsafe.Sizeof(Ack{}), func(l *Pool) { l.GetAck() }},
+	} {
+		build := func(n int) int {
+			return int(testing.AllocsPerRun(1, func() {
+				l := NewPool()
+				for i := 0; i < n; i++ {
+					kind.get(l)
+				}
+			})) - 1 // the pool itself
+		}
+		if got := build(20); got != 20 {
+			t.Errorf("%s: a pool that builds 20 allocates %d objects, want 20", kind.name, got)
+		}
+		const n = 10_000
+		chunk := (16<<10 - 8) / int(kind.size)
+		bound := slab.Singles + bits.Len(uint(chunk/slab.Singles)) + n/chunk + 1
+		if got := build(n); got > bound {
+			t.Errorf("%s: a pool that builds %d allocates %d objects, want at most %d", kind.name, n, got, bound)
+		}
 	}
 }

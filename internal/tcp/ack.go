@@ -101,7 +101,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 	// Cumulative ACK. Popped entries leave the scoreboard for good, so
 	// each goes back to the entry pool once delivered.
 	if a.CumAck > c.sndUna {
-		for _, p := range c.board.popAcked(a.CumAck) {
+		for _, p := range c.board.popAcked(a.CumAck, c.infos) {
 			if p.sacked {
 				// Already delivered when SACKed; just retire.
 				p.acked = true
@@ -116,7 +116,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 
 	// SACK blocks.
 	for _, b := range a.Sacks {
-		for _, p := range c.board.markSacked(b.Start, b.End) {
+		for _, p := range c.board.markSacked(b.Start, b.End, c.infos) {
 			c.deliver(p)
 		}
 	}
@@ -164,7 +164,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 	if reoWnd > 10*time.Millisecond {
 		reoWnd = 10 * time.Millisecond
 	}
-	newLost := c.board.detectLosses(c.cfg.DupThresh, reoWnd)
+	newLost := c.board.detectLosses(c.cfg.DupThresh, reoWnd, c.infos)
 	for _, p := range newLost {
 		if p.inFlite {
 			p.inFlite = false
@@ -254,7 +254,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 func (c *Conn) undoSpuriousRTO() {
 	c.undoValid = false
 	c.spuriousRTOs++
-	for range c.board.undoLost() {
+	for range c.board.undoLost(c.infos) {
 		c.inflight++
 		c.lostTotal--
 	}

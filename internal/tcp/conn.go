@@ -909,7 +909,7 @@ func (c *Conn) emit(paceFrom time.Duration, retx []*pktInfo, newSegs int) {
 		p := c.infos.get()
 		p.seq, p.len, p.sentAt, p.inFlite = c.sndNxt, l, now, true
 		c.snapshot(p)
-		c.board.add(p)
+		c.board.add(p, c.infos)
 		c.sndNxt += int64(l)
 		c.segsSent++
 		c.inflight++
@@ -1042,7 +1042,7 @@ func (c *Conn) enterLoss() {
 		c.undoSsthresh = c.ssthresh
 		c.undoAt = c.eng.Now()
 	}
-	newly := c.board.markAllLost()
+	newly := c.board.markAllLost(c.infos)
 	for _, p := range newly {
 		if p.inFlite {
 			p.inFlite = false

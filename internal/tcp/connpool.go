@@ -9,6 +9,7 @@ import (
 	"mobbr/internal/netem"
 	"mobbr/internal/seg"
 	"mobbr/internal/sim"
+	"mobbr/internal/slab"
 )
 
 // ConnPool recycles Conn/Receiver pairs across flow churn, modeled on
@@ -54,7 +55,7 @@ type ConnPool struct {
 	ftab    *cpumodel.FlowTable
 
 	infos infoPool
-	slots slab[connSlot]
+	slots slab.Slab[connSlot]
 	free  []*PooledConn
 	dying []*PooledConn
 
@@ -126,9 +127,9 @@ func (p *ConnPool) Get(id int, factory cc.Factory) *PooledConn {
 		pc.Rx.Reset()
 		return pc
 	}
-	// Chunks of 8 slots doubling to 256: grown on demand, never sized to
-	// the caller's population.
-	s := p.slots.next(8, 256)
+	// Chunks of about 8 slots doubling to 256: grown on demand, never sized
+	// to the caller's population.
+	s := p.slots.NextIn(8, 256)
 	s.PooledConn = PooledConn{Conn: &s.conn, Rx: &s.rx, pool: p, dyingIdx: -1}
 	s.conn = Conn{
 		eng: p.eng, cpu: p.cpu, appCPU: p.appCPU, path: p.path, cfg: p.cfg,
@@ -210,7 +211,7 @@ func (s ConnPoolStats) Balanced() bool { return s.Outstanding == 0 && s.Dying ==
 // Stats returns the pool's census.
 func (p *ConnPool) Stats() ConnPoolStats {
 	return ConnPoolStats{
-		Created: p.slots.issued, Gets: p.gets, Reuses: p.reuses, Puts: p.puts,
+		Created: p.slots.Issued(), Gets: p.gets, Reuses: p.reuses, Puts: p.puts,
 		Outstanding: p.outstanding, OutstandingHW: p.outstandingHW,
 		Free: len(p.free), Dying: len(p.dying),
 	}

@@ -36,6 +36,7 @@ func FuzzScoreboard(f *testing.F) {
 		}
 		var (
 			board     scoreboard
+			infos     infoPool
 			ref       refBoard
 			nextSeq   int64
 			cumAck    int64
@@ -91,7 +92,7 @@ func FuzzScoreboard(f *testing.F) {
 			now += 100 * time.Microsecond
 			switch b % 7 {
 			case 0: // send one new segment
-				board.add(&pktInfo{seq: nextSeq, len: mss, sentAt: now, inFlite: true})
+				board.add(&pktInfo{seq: nextSeq, len: mss, sentAt: now, inFlite: true}, &infos)
 				ref.add(&pktInfo{seq: nextSeq, len: mss, sentAt: now, inFlite: true})
 				nextSeq += mss
 				segsSent++
@@ -103,7 +104,7 @@ func FuzzScoreboard(f *testing.F) {
 				}
 				k := arg % n
 				ack := board.at(k).end()
-				both("popAcked", board.popAcked(ack), ref.popAcked(ack), func(p *pktInfo, counted bool) {
+				both("popAcked", board.popAcked(ack, &infos), ref.popAcked(ack), func(p *pktInfo, counted bool) {
 					if p.sacked {
 						p.acked = true
 						return
@@ -122,12 +123,12 @@ func FuzzScoreboard(f *testing.F) {
 					j = n
 				}
 				lo, hi := board.at(i).seq, board.at(j-1).end()
-				both("markSacked", board.markSacked(lo, hi), ref.markSacked(lo, hi), deliver)
+				both("markSacked", board.markSacked(lo, hi, &infos), ref.markSacked(lo, hi), deliver)
 			case 3: // RACK/dupack loss detection
 				reoWnd := time.Duration(arg) * time.Millisecond
-				both("detectLosses", board.detectLosses(3, reoWnd), ref.detectLosses(3, reoWnd), condemn)
+				both("detectLosses", board.detectLosses(3, reoWnd, &infos), ref.detectLosses(3, reoWnd), condemn)
 			case 4: // RTO: condemn everything outstanding
-				both("markAllLost", board.markAllLost(), ref.markAllLost(), condemn)
+				both("markAllLost", board.markAllLost(&infos), ref.markAllLost(), condemn)
 			case 5: // retransmit the first lost segment
 				p, q := board.firstLost(), ref.firstLost()
 				if (p == nil) != (q == nil) || p != nil && p.seq != q.seq {
@@ -142,7 +143,7 @@ func FuzzScoreboard(f *testing.F) {
 					inflight++
 				}
 			case 6: // F-RTO undo: never-retransmitted condemned entries fly again
-				both("undoLost", board.undoLost(), ref.undoLost(), func(_ *pktInfo, counted bool) {
+				both("undoLost", board.undoLost(&infos), ref.undoLost(), func(_ *pktInfo, counted bool) {
 					if counted {
 						inflight++
 						lostTotal--

@@ -234,8 +234,12 @@ func (r *Receiver) sendAck(echoSentAt time.Duration, echoRetx bool, ackedEnd int
 	a.AckedPktEnd = ackedEnd
 	a.CECount = r.ceSinceAck
 	r.ceSinceAck = 0
-	// Report up to three SACK blocks, newest-covering first.
+	// Report up to three SACK blocks, newest-covering first, into a slice
+	// made at that size once per ACK object.
 	if len(r.ooo) > 0 {
+		if a.Sacks == nil {
+			a.Sacks = make([]seg.SackBlock, 0, 3)
+		}
 		n := len(r.ooo)
 		for i := n - 1; i >= 0 && len(a.Sacks) < 3; i-- {
 			a.Sacks = append(a.Sacks, r.ooo[i])

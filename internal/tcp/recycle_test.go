@@ -106,24 +106,32 @@ func TestRecycledEqualsFresh(t *testing.T) {
 		b.SetMinRTTWindow(window)
 		return b
 	}
+	// A factory belongs to one run, and the subtests run in parallel, so
+	// each builds its own.
+	registered := func(name string) func() cc.Factory {
+		return func() cc.Factory { return core.Factories()[name] }
+	}
 	factories := []struct {
-		name    string
-		factory cc.Factory
+		name       string
+		newFactory func() cc.Factory
 	}{
-		{"bbr", core.Factories()["bbr"]},
-		{"cubic", core.Factories()["cubic"]},
-		{"bbr2", core.Factories()["bbr2"]},
-		{"reno", core.Factories()["reno"]},
-		{"bbr-minrtt-window", scaled},
-		{"mastermod-bbr", mastermod.Factory(core.Factories()["bbr"], mastermod.Overrides{FixedCwnd: 10})},
+		{"bbr", registered("bbr")},
+		{"cubic", registered("cubic")},
+		{"bbr2", registered("bbr2")},
+		{"reno", registered("reno")},
+		{"bbr-minrtt-window", func() cc.Factory { return scaled }},
+		{"mastermod-bbr", func() cc.Factory {
+			return mastermod.Factory(core.Factories()["bbr"], mastermod.Overrides{FixedCwnd: 10})
+		}},
 	}
 	for _, f := range factories {
 		for seed := int64(1); seed <= 3; seed++ {
 			f, seed := f, seed
 			t.Run(fmt.Sprintf("%s/seed%d", f.name, seed), func(t *testing.T) {
 				t.Parallel()
-				pooled := runChurn(t, f.name, f.factory, seed, false)
-				fresh := runChurn(t, f.name, f.factory, seed, true)
+				factory := f.newFactory()
+				pooled := runChurn(t, f.name, factory, seed, false)
+				fresh := runChurn(t, f.name, factory, seed, true)
 				pp, fp := pooled.stats.Pool, fresh.stats.Pool
 				if pp.Reuses == 0 || pooled.stats.Completed == 0 {
 					t.Fatalf("pooled run recycled nothing: %+v", pp)

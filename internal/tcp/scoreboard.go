@@ -3,6 +3,7 @@ package tcp
 import (
 	"time"
 
+	"mobbr/internal/slab"
 	"mobbr/internal/units"
 )
 
@@ -19,11 +20,12 @@ type pktInfo struct {
 	lost    bool // marked lost, awaiting retransmission
 	acked   bool // cumulatively acked or delivered
 
-	// Rate-sample snapshots taken at (re)transmission, per tcp_rate.c.
+	// Rate-sample snapshots taken at (re)transmission, per tcp_rate.c. The
+	// bool sits with the five above, which keeps the entry at 64 bytes.
+	snapAppLimited    bool
 	snapDelivered     int64
 	snapDeliveredTime time.Duration
 	snapFirstTx       time.Duration
-	snapAppLimited    bool
 
 	// free links the entry on its infoPool's freelist once the cumulative
 	// ACK retires it (tcp_clean_rtx_queue frees the skb there) — or, until a
@@ -33,35 +35,20 @@ type pktInfo struct {
 
 func (p *pktInfo) end() int64 { return p.seq + int64(p.len) }
 
-// slab hands out zero values of T from chunks allocated in one piece. Chunks
-// start at lo values and double up to hi, so an owner that needs a handful
-// stays small and one that needs a hundred thousand allocates a few hundred
-// times. Values are never taken back: recycling is the owner's business.
-type slab[T any] struct {
-	rest   []T // values of the newest chunk not yet handed out
-	issued int
-}
-
-// next returns a value no one has used.
-func (s *slab[T]) next(lo, hi int) *T {
-	if len(s.rest) == 0 {
-		s.rest = make([]T, min(max(s.issued, lo), hi))
-	}
-	v := &s.rest[0]
-	s.rest = s.rest[1:]
-	s.issued++
-	return v
-}
-
 // infoPool hands out scoreboard entries: recycled ones first, otherwise a new
 // one from its slab. A ConnPool's connections share one infoPool, so entries
 // retired by one flow serve the next flow on any connection; a connection
 // built by NewConn has its own. A pointer to an entry must therefore not
 // outlive the entry's put: the one holder that spans events, the parked
 // transmit batch, makes Conn.retire keep the entry back until it has run.
+//
+// The infoPool also backs the first heap buffers of the scoreboards it
+// serves (see scoreboard.grow and scoreboard.keep), which stay with their
+// connection as the inline ones do.
 type infoPool struct {
-	free *pktInfo
-	slab slab[pktInfo]
+	free    *pktInfo
+	entries slab.Slab[pktInfo]
+	bufs    slab.Slab[[2 * inlineEntries]*pktInfo]
 }
 
 // get returns a zeroed entry.
@@ -71,8 +58,11 @@ func (ip *infoPool) get() *pktInfo {
 		*p = pktInfo{}
 		return p
 	}
-	return ip.slab.next(16, 128)
+	return ip.entries.NextIn(16, 128)
 }
+
+// buf returns a scoreboard buffer no one has used, twice the inline size.
+func (ip *infoPool) buf() []*pktInfo { return ip.bufs.Next()[:] }
 
 // put recycles an entry the scoreboard has dropped.
 func (ip *infoPool) put(p *pktInfo) {
@@ -83,7 +73,9 @@ func (ip *infoPool) put(p *pktInfo) {
 // inlineEntries sizes the scoreboard's built-in buffers. Most flows are mice
 // whose few segments never outgrow them, so a connection's birth allocates no
 // scoreboard memory; a longer flow moves to heap buffers that then stay with
-// the connection across recycling.
+// the connection across recycling. The first of those come from the infoPool
+// the connection draws its entries from, so the calls that may outgrow a
+// buffer take that pool as an argument.
 const inlineEntries = 8
 
 // scoreboard tracks sent-but-unacked segments in sequence order. Entries
@@ -108,27 +100,32 @@ type scoreboard struct {
 }
 
 // add appends a newly sent segment (must be in sequence order).
-func (s *scoreboard) add(p *pktInfo) {
+func (s *scoreboard) add(p *pktInfo, ip *infoPool) {
 	if s.n > 0 {
 		if last := s.at(s.n - 1); p.seq < last.end() {
 			panic("tcp: scoreboard add out of order")
 		}
 	}
 	if s.n == len(s.ring) {
-		s.grow()
+		s.grow(ip)
 	}
 	s.ring[(s.head+s.n)&(len(s.ring)-1)] = p
 	s.n++
 }
 
 // grow moves a full ring into one twice its size (the first call adopts the
-// inline buffer).
-func (s *scoreboard) grow() {
-	if s.ring == nil {
+// inline buffer, the second takes one from ip).
+func (s *scoreboard) grow(ip *infoPool) {
+	var bigger []*pktInfo
+	switch len(s.ring) {
+	case 0:
 		s.ring = s.ringInl[:]
 		return
+	case inlineEntries:
+		bigger = ip.buf()
+	default:
+		bigger = make([]*pktInfo, 2*len(s.ring))
 	}
-	bigger := make([]*pktInfo, 2*len(s.ring))
 	for i := range s.ring {
 		bigger[i] = s.at(i)
 	}
@@ -148,6 +145,15 @@ func (s *scoreboard) out() []*pktInfo {
 		s.scratch = s.scratchInl[:0]
 	}
 	return s.scratch[:0]
+}
+
+// keep appends p to a result in the scratch buffer. A result that outgrows
+// the inline buffer moves to one from ip; one that outgrows that, to append's.
+func keep(out []*pktInfo, p *pktInfo, ip *infoPool) []*pktInfo {
+	if len(out) == inlineEntries && cap(out) == inlineEntries {
+		out = append(ip.buf()[:0], out...)
+	}
+	return append(out, p)
 }
 
 // popFront removes and returns the lowest-sequence live entry.
@@ -172,10 +178,10 @@ func (s *scoreboard) reset(ip *infoPool) {
 
 // popAcked removes entries fully covered by cumAck from the front and
 // returns them.
-func (s *scoreboard) popAcked(cumAck int64) []*pktInfo {
+func (s *scoreboard) popAcked(cumAck int64, ip *infoPool) []*pktInfo {
 	out := s.out()
 	for s.n > 0 && s.ring[s.head].end() <= cumAck {
-		out = append(out, s.popFront())
+		out = keep(out, s.popFront(), ip)
 	}
 	s.scratch = out
 	return out
@@ -183,7 +189,7 @@ func (s *scoreboard) popAcked(cumAck int64) []*pktInfo {
 
 // markSacked marks entries inside [start,end) as SACKed and returns the
 // newly sacked ones.
-func (s *scoreboard) markSacked(start, end int64) []*pktInfo {
+func (s *scoreboard) markSacked(start, end int64, ip *infoPool) []*pktInfo {
 	out := s.out()
 	for i := 0; i < s.liveLen(); i++ {
 		p := s.at(i)
@@ -195,7 +201,7 @@ func (s *scoreboard) markSacked(start, end int64) []*pktInfo {
 		}
 		if p.seq >= start && p.end() <= end {
 			p.sacked = true
-			out = append(out, p)
+			out = keep(out, p, ip)
 		}
 	}
 	s.scratch = out
@@ -207,7 +213,7 @@ func (s *scoreboard) markSacked(start, end int64) []*pktInfo {
 // A RACK-style time gate keeps stale evidence from re-condemning fresh
 // retransmissions: the segment must also have been sent at least reoWnd
 // before the newest SACKed segment. It returns the newly lost entries.
-func (s *scoreboard) detectLosses(dupThresh int, reoWnd time.Duration) []*pktInfo {
+func (s *scoreboard) detectLosses(dupThresh int, reoWnd time.Duration, ip *infoPool) []*pktInfo {
 	n := s.liveLen()
 	if n == 0 {
 		return nil
@@ -239,7 +245,7 @@ func (s *scoreboard) detectLosses(dupThresh int, reoWnd time.Duration) []*pktInf
 		}
 		if sackedAbove >= dupThresh && p.sentAt+reoWnd < newestSack {
 			p.lost = true
-			out = append(out, p)
+			out = keep(out, p, ip)
 		}
 	}
 	// Reverse so callers retransmit lowest sequence first.
@@ -252,7 +258,7 @@ func (s *scoreboard) detectLosses(dupThresh int, reoWnd time.Duration) []*pktInf
 
 // markAllLost marks every unsacked in-flight entry lost (tcp_enter_loss on
 // RTO) and returns them in sequence order.
-func (s *scoreboard) markAllLost() []*pktInfo {
+func (s *scoreboard) markAllLost(ip *infoPool) []*pktInfo {
 	out := s.out()
 	for i := 0; i < s.liveLen(); i++ {
 		p := s.at(i)
@@ -260,7 +266,7 @@ func (s *scoreboard) markAllLost() []*pktInfo {
 			continue
 		}
 		p.lost = true
-		out = append(out, p)
+		out = keep(out, p, ip)
 	}
 	s.scratch = out
 	return out
@@ -269,14 +275,14 @@ func (s *scoreboard) markAllLost() []*pktInfo {
 // undoLost clears the lost mark from entries that were condemned but never
 // retransmitted (F-RTO spurious-timeout undo: the originals are still in
 // flight) and returns them in sequence order.
-func (s *scoreboard) undoLost() []*pktInfo {
+func (s *scoreboard) undoLost(ip *infoPool) []*pktInfo {
 	out := s.out()
 	for i := 0; i < s.liveLen(); i++ {
 		p := s.at(i)
 		if p.lost && !p.retx && !p.inFlite && !p.acked && !p.sacked {
 			p.lost = false
 			p.inFlite = true
-			out = append(out, p)
+			out = keep(out, p, ip)
 		}
 	}
 	s.scratch = out
