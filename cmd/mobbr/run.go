@@ -33,7 +33,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	appKind := fs.String("app", "", "application workload instead of bulk upload: reqrep, stream")
 	ival := fs.Duration("interval", 0, "print iperf3-style interval reports (e.g. 1s); needs -seeds 1")
 	runSpec := fs.String("run-spec", "", "run this exact spec JSON (as printed in repro lines; @FILE or - reads a file or stdin)")
-	fs.StringVar(&spec.CC, "cc", "bbr", "congestion control: cubic, bbr, bbr2")
+	fs.StringVar(&spec.CC, "cc", "bbr", "congestion control: reno, cubic, bbr, bbr2, or a comma-separated mix assigned round-robin across connections (e.g. bbr,cubic)")
 	fs.IntVar(&spec.Conns, "conns", 1, "parallel connections (iperf3 -P)")
 	fs.Float64Var(&spec.Stride, "stride", 1, "pacing stride (§6.2)")
 	fs.Var(bandwidth{&spec.FixedPacingRate}, "fixed-rate", "pin per-connection pacing `rate`, e.g. 140Mbps")

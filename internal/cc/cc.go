@@ -155,7 +155,7 @@ type CongestionControl interface {
 	// either fresh from its Factory or was driven by an earlier flow of the
 	// same connection slot, and must leave both in the same state: every
 	// per-flow field re-initialised, only the configuration set at
-	// construction (a filter window, mastermod's overrides) kept, and any
+	// construction (a filter window, a Master's overrides) kept, and any
 	// mode listener dropped without being called. This is the kernel's
 	// icsk_ca_priv, which stays inline in the socket and is zeroed before
 	// ca_ops->init runs again.

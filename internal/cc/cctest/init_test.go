@@ -12,7 +12,6 @@ import (
 	"mobbr/internal/cc/cctest"
 	"mobbr/internal/cc/cubic"
 	"mobbr/internal/cc/reno"
-	"mobbr/internal/mastermod"
 	"mobbr/internal/units"
 )
 
@@ -21,7 +20,7 @@ import (
 // that has been through slow start, fast recovery, a spurious RTO, an ECN
 // echo and (for BBR) PROBE_RTT must, after Init on a new connection, equal
 // what its factory builds and Init starts on an identical one. Construction
-// settings survive (the min-RTT window, mastermod's overrides); the mode
+// settings survive (the min-RTT window, the master module's overrides); the mode
 // listener does not, and Init must not call it.
 func TestInitRestoresFresh(t *testing.T) {
 	window := func(d time.Duration) cc.Factory {
@@ -41,7 +40,7 @@ func TestInitRestoresFresh(t *testing.T) {
 		{"bbr", bbr.Factory(), true},
 		{"bbr2", bbrv2.Factory(), true},
 		{"bbr/minrtt500ms", window(500 * time.Millisecond), true},
-		{"mastermod(bbr)", mastermod.Factory(bbr.Factory(), mastermod.Overrides{FixedCwnd: 10}), true},
+		{"mastermod(bbr)", cc.WrapFactory(bbr.Factory(), cc.Overrides{FixedCwnd: 10}), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, f := tc.factory(), cctest.NewFakeConn()
@@ -77,9 +76,9 @@ func TestInitRestoresFresh(t *testing.T) {
 }
 
 // modeReporter finds the state machine that reports modes, looking through
-// mastermod's wrapper.
+// the master module's wrapper.
 func modeReporter(m cc.CongestionControl) cc.ModeReporter {
-	if w, ok := m.(*mastermod.Module); ok {
+	if w, ok := m.(*cc.Master); ok {
 		m = w.Inner()
 	}
 	r, _ := m.(cc.ModeReporter)

@@ -25,7 +25,6 @@ import (
 	"mobbr/internal/faults"
 	"mobbr/internal/flows"
 	"mobbr/internal/iperf"
-	"mobbr/internal/mastermod"
 	"mobbr/internal/mobility"
 	"mobbr/internal/netem"
 	"mobbr/internal/seg"
@@ -33,7 +32,6 @@ import (
 	"mobbr/internal/stats"
 	"mobbr/internal/tcp"
 	"mobbr/internal/telemetry"
-	"mobbr/internal/trace"
 	"mobbr/internal/units"
 )
 
@@ -212,7 +210,7 @@ const (
 // Inject describes one deliberate harness-level fault.
 type Inject struct {
 	// Kind selects the fault ("" = none): InjectPanic, InjectStall,
-	// InjectCorruptInflight or InjectLeakPacket.
+	// InjectCorruptInflight, InjectLeakPacket or InjectLeakMailbox.
 	Kind string
 	// At is the virtual time the fault fires.
 	At time.Duration
@@ -439,7 +437,7 @@ func Run(spec Spec) (*Result, error) {
 			}
 		}
 		if spec.FixedCwnd > 0 || spec.FixedPacingRate > 0 || spec.DisableModel {
-			factory = mastermod.Factory(factory, mastermod.Overrides{
+			factory = cc.WrapFactory(factory, cc.Overrides{
 				FixedCwnd:       spec.FixedCwnd,
 				FixedPacingRate: spec.FixedPacingRate,
 				DisableModel:    spec.DisableModel,
@@ -653,9 +651,7 @@ func Run(spec Spec) (*Result, error) {
 		// Periodic per-connection samples (cwnd, inflight, pacing rate,
 		// srtt, CC mode) interleaved with the transport events. The churn
 		// workload has no fixed connection set to trace.
-		rec := trace.New(eng, sess.Conns(), 0)
-		rec.SetBus(bus)
-		rec.Start()
+		startSampler(eng, sess.Conns(), bus)
 	}
 	switch spec.Inject.Kind {
 	case InjectPanic:

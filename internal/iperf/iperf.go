@@ -13,7 +13,6 @@ import (
 
 	"mobbr/internal/cc"
 	"mobbr/internal/cpumodel"
-	"mobbr/internal/fairness"
 	"mobbr/internal/netem"
 	"mobbr/internal/seg"
 	"mobbr/internal/sim"
@@ -388,7 +387,7 @@ type Report struct {
 	// AvgNICQueue is the mean device-NIC queue depth in packets.
 	AvgNICQueue float64
 	// Fairness scores the per-connection goodput split (§7.1.3).
-	Fairness fairness.Report
+	Fairness Fairness
 	// CPUBreakdown is each operation's share of netstack-CPU cycles —
 	// the §6 overhead evidence (e.g. CPUBreakdown["pacing_timer"]).
 	CPUBreakdown map[string]float64
@@ -412,6 +411,33 @@ type Report struct {
 	// rather than freshly allocated, and what was still outstanding at
 	// collection time (zero after a clean reclaim).
 	Pool seg.PoolStats
+}
+
+// Fairness summarizes how one run's per-connection goodputs split the
+// bandwidth — the §7.1.3 question the paper leaves open: packet pacing is
+// known to improve fairness, so do pacing strides give it back up?
+type Fairness struct {
+	// Jain is Jain's fairness index.
+	Jain float64
+	// MaxMin is the max/min share ratio.
+	MaxMin float64
+	// Total is the aggregate share.
+	Total units.Bandwidth
+}
+
+// Score builds a Fairness from per-connection goodputs.
+func Score(perConn []units.Bandwidth) Fairness {
+	f := make([]float64, len(perConn))
+	var total units.Bandwidth
+	for i, x := range perConn {
+		f[i] = float64(x)
+		total += x
+	}
+	return Fairness{
+		Jain:   stats.JainIndex(f),
+		MaxMin: stats.MaxMinRatio(f),
+		Total:  total,
+	}
 }
 
 // WriteIntervalsCSV writes the interval series as CSV (start_s, end_s,
@@ -483,7 +509,7 @@ func (s *Session) Collect() *Report {
 	}
 	goodBytes -= s.warmupBytes
 	r.Goodput = units.BandwidthFromBytes(goodBytes, dur)
-	r.Fairness = fairness.Score(r.PerConn)
+	r.Fairness = Score(r.PerConn)
 	r.Intervals = s.intervals
 	if periods > 0 {
 		r.AvgSKB = units.DataSize(sumSKB / periods)

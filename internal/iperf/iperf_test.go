@@ -289,3 +289,16 @@ func TestCPUBreakdownInReport(t *testing.T) {
 		t.Error("paced run shows no pacing_timer share")
 	}
 }
+
+func TestScore(t *testing.T) {
+	rep := Score([]units.Bandwidth{10 * units.Mbps, 10 * units.Mbps, 20 * units.Mbps})
+	if rep.Total != 40*units.Mbps {
+		t.Errorf("total = %v, want 40Mbps", rep.Total)
+	}
+	if rep.Jain >= 1 || rep.Jain < 0.8 {
+		t.Errorf("jain = %v, want in [0.8, 1)", rep.Jain)
+	}
+	if rep.MaxMin != 2 {
+		t.Errorf("maxmin = %v, want 2", rep.MaxMin)
+	}
+}

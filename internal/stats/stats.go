@@ -1,7 +1,8 @@
 // Package stats provides the small statistical toolkit the simulator and the
 // experiment harness rely on: online mean/variance accumulation, percentiles,
-// time-weighted averages, and the windowed min/max filters that BBR uses for
-// its bandwidth and RTT estimates (a port of the Linux kernel's lib/minmax).
+// time-weighted averages, share fairness (Jain's index, max/min ratio), and
+// the windowed min/max filters that BBR uses for its bandwidth and RTT
+// estimates (a port of the Linux kernel's lib/minmax).
 package stats
 
 import (
@@ -170,4 +171,49 @@ func (tw *TimeWeighted) AverageAt(t float64) float64 {
 		return 0
 	}
 	return w / tot
+}
+
+// JainIndex returns Jain's fairness index of the allocation xs:
+// (Σx)² / (n·Σx²), in (0, 1]; 1 means perfectly equal shares, 1/n means one
+// flow has everything. Returns 0 for an empty or all-zero allocation.
+func JainIndex(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum, sumSq float64
+	for _, x := range xs {
+		if x < 0 {
+			x = 0
+		}
+		sum += x
+		sumSq += x * x
+	}
+	if sumSq == 0 {
+		return 0
+	}
+	return sum * sum / (float64(len(xs)) * sumSq)
+}
+
+// MaxMinRatio returns the largest share divided by the smallest nonzero
+// share; +Inf if any share is zero while another is not, 0 for empty input.
+func MaxMinRatio(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	min, max := math.Inf(1), 0.0
+	for _, x := range xs {
+		if x > max {
+			max = x
+		}
+		if x < min {
+			min = x
+		}
+	}
+	if max == 0 {
+		return 0
+	}
+	if min == 0 {
+		return math.Inf(1)
+	}
+	return max / min
 }

@@ -239,3 +239,84 @@ func TestWindowedMinTracksTrueMinWithinWindow(t *testing.T) {
 		}
 	}
 }
+
+func TestJainIndexKnownValues(t *testing.T) {
+	tests := []struct {
+		in   []float64
+		want float64
+	}{
+		{[]float64{1, 1, 1, 1}, 1.0},
+		{[]float64{1, 0, 0, 0}, 0.25}, // 1/n
+		{[]float64{2, 2}, 1.0},
+		{[]float64{3, 1}, 16.0 / 20.0}, // (4)²/(2·10)
+		{nil, 0},
+		{[]float64{0, 0}, 0},
+	}
+	for _, tt := range tests {
+		if got := JainIndex(tt.in); !almostEq(got, tt.want, 1e-9) {
+			t.Errorf("JainIndex(%v) = %v, want %v", tt.in, got, tt.want)
+		}
+	}
+}
+
+// Properties: the index lies in [1/n, 1], is scale-invariant, and equals 1
+// exactly for equal allocations.
+func TestJainIndexProperties(t *testing.T) {
+	f := func(raw []uint8) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		xs := make([]float64, len(raw))
+		allZero := true
+		for i, r := range raw {
+			xs[i] = float64(r)
+			if r != 0 {
+				allZero = false
+			}
+		}
+		if allZero {
+			return JainIndex(xs) == 0
+		}
+		j := JainIndex(xs)
+		n := float64(len(xs))
+		if j < 1/n-1e-9 || j > 1+1e-9 {
+			return false
+		}
+		// Scale invariance.
+		scaled := make([]float64, len(xs))
+		for i := range xs {
+			scaled[i] = xs[i] * 7
+		}
+		return almostEq(j, JainIndex(scaled), 1e-9)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestJainEqualSharesAlwaysOne(t *testing.T) {
+	for n := 1; n <= 50; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = 3.7
+		}
+		if got := JainIndex(xs); !almostEq(got, 1, 1e-9) {
+			t.Fatalf("n=%d equal shares index = %v", n, got)
+		}
+	}
+}
+
+func TestMaxMinRatio(t *testing.T) {
+	if got := MaxMinRatio([]float64{10, 5}); got != 2 {
+		t.Errorf("MaxMinRatio = %v, want 2", got)
+	}
+	if got := MaxMinRatio([]float64{4, 4, 4}); got != 1 {
+		t.Errorf("equal shares ratio = %v, want 1", got)
+	}
+	if got := MaxMinRatio([]float64{1, 0}); !math.IsInf(got, 1) {
+		t.Errorf("zero share ratio = %v, want +Inf", got)
+	}
+	if got := MaxMinRatio(nil); got != 0 {
+		t.Errorf("empty ratio = %v, want 0", got)
+	}
+}

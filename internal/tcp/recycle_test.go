@@ -13,7 +13,6 @@ import (
 	"mobbr/internal/device"
 	"mobbr/internal/flows"
 	"mobbr/internal/iperf"
-	"mobbr/internal/mastermod"
 	"mobbr/internal/netem"
 	"mobbr/internal/seg"
 	"mobbr/internal/sim"
@@ -95,7 +94,7 @@ func runChurn(t *testing.T, name string, factory cc.Factory, seed int64, fresh b
 // census of how many slots it built. Besides the four plain modules it runs
 // the two wrappings core.Run applies, whose construction-time settings a
 // recycled module must keep: the min-RTT window every run under 30 s scales
-// BBR's filter to, and mastermod's overrides.
+// BBR's filter to, and the master module's overrides.
 func TestRecycledEqualsFresh(t *testing.T) {
 	window := churnDur / 3
 	if window < 500*time.Millisecond {
@@ -121,7 +120,7 @@ func TestRecycledEqualsFresh(t *testing.T) {
 		{"reno", registered("reno")},
 		{"bbr-minrtt-window", func() cc.Factory { return scaled }},
 		{"mastermod-bbr", func() cc.Factory {
-			return mastermod.Factory(core.Factories()["bbr"], mastermod.Overrides{FixedCwnd: 10})
+			return cc.WrapFactory(core.Factories()["bbr"], cc.Overrides{FixedCwnd: 10})
 		}},
 	}
 	for _, f := range factories {
