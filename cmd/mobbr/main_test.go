@@ -179,6 +179,19 @@ func TestIntervalNeedsOneSeed(t *testing.T) {
 	}
 }
 
+// TestIntervalTooFineFails: an interval that would keep more than a million
+// reports is a spec error (exit 1), not an out-of-memory crash.
+func TestIntervalTooFineFails(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-cc", "bbr", "-config", "low", "-conns", "1", "-dur", "300ms", "-interval", "1ns"}
+	if status := dispatch(args, &stdout, &stderr); status != 1 {
+		t.Errorf("exit %d, want 1", status)
+	}
+	if want := "core: interval 1ns over duration 300ms gives 300000000 reports, more than 1000000"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+	}
+}
+
 // TestProfilesSurviveFailure: a run that fails after the profiles started
 // still flushes them, since exit statuses return to main instead of
 // calling os.Exit.

@@ -88,9 +88,6 @@ func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, icfg iperf.Config
 // its connections exactly as for a bulk run).
 func (s *Session) Iperf() *iperf.Session { return s.is }
 
-// Net exposes the virtual network (tests shut it down directly).
-func (s *Session) Net() *simnet.Net { return s.net }
-
 // Run executes the workload to the run horizon and returns the transport
 // report plus the application stats. Procs still mid-operation at the
 // horizon are unwound (counted as canceled) before the harness collects.

@@ -99,7 +99,6 @@ type BBR struct {
 
 	probeRTTDoneAt time.Duration
 	probeRTTRound  int64
-	probeRTTArmed  bool
 	priorCwnd      int
 
 	fullBW    float64

@@ -259,9 +259,6 @@ func (b *BBRv2) InflightHi() int { return b.inflightHi }
 // ECNAlpha returns the EWMA of the per-round CE fraction.
 func (b *BBRv2) ECNAlpha() float64 { return b.ecnAlpha }
 
-// BtlBw returns the bandwidth estimate.
-func (b *BBRv2) BtlBw() units.Bandwidth { return units.Bandwidth(b.bwFilter.Get() * 8) }
-
 // Init implements cc.CongestionControl: everything but the configured
 // min-RTT window starts over, the mode listener included.
 func (b *BBRv2) Init(conn cc.Conn) {

@@ -88,14 +88,8 @@ type Conn interface {
 	// Delivered returns the total packets delivered (cumulatively acked
 	// or SACKed) so far — the kernel's tp->delivered.
 	Delivered() int64
-	// Lost returns total packets marked lost so far (tp->lost).
-	Lost() int64
 	// SRTT returns the smoothed RTT (0 before the first sample).
 	SRTT() time.Duration
-	// MinRTT returns the transport's windowed minimum RTT estimate.
-	MinRTT() time.Duration
-	// LastRTT returns the most recent RTT sample (0 if none yet).
-	LastRTT() time.Duration
 	// State returns the current loss-recovery state.
 	State() State
 	// IsCwndLimited reports whether the last send attempt was limited by
@@ -129,8 +123,6 @@ type RateSample struct {
 	// IsAppLimited marks samples taken while the sender had no data to
 	// send, which must not lower bandwidth estimates.
 	IsAppLimited bool
-	// IsRetrans marks samples derived from a retransmitted packet.
-	IsRetrans bool
 	// CECount is how many ECN CE marks this ACK echoed.
 	CECount int64
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mobbr/internal/cc"
-	"mobbr/internal/seg"
 	"mobbr/internal/units"
 )
 
@@ -21,10 +20,7 @@ type FakeConn struct {
 	Rate        units.Bandwidth
 	Inflight    int
 	DeliveredN  int64
-	LostN       int64
 	Srtt        time.Duration
-	MinRtt      time.Duration
-	LastRtt     time.Duration
 	CAState     cc.State
 	CwndLim     bool
 	Rng         *rand.Rand
@@ -33,7 +29,7 @@ type FakeConn struct {
 // NewFakeConn returns a fake with sensible defaults (MSS 1460, cwnd 10).
 func NewFakeConn() *FakeConn {
 	return &FakeConn{
-		Mss:         seg.MSS,
+		Mss:         1460, // seg.MSS
 		CwndPkts:    10,
 		SsthreshVal: 1 << 30,
 		CwndLim:     true,
@@ -76,17 +72,8 @@ func (f *FakeConn) PacketsInFlight() int { return f.Inflight }
 // Delivered implements cc.Conn.
 func (f *FakeConn) Delivered() int64 { return f.DeliveredN }
 
-// Lost implements cc.Conn.
-func (f *FakeConn) Lost() int64 { return f.LostN }
-
 // SRTT implements cc.Conn.
 func (f *FakeConn) SRTT() time.Duration { return f.Srtt }
-
-// MinRTT implements cc.Conn.
-func (f *FakeConn) MinRTT() time.Duration { return f.MinRtt }
-
-// LastRTT implements cc.Conn.
-func (f *FakeConn) LastRTT() time.Duration { return f.LastRtt }
 
 // State implements cc.Conn.
 func (f *FakeConn) State() cc.State { return f.CAState }
@@ -113,10 +100,6 @@ func (f *FakeConn) Ack(n int64, rtt time.Duration, rate units.Bandwidth) *cc.Rat
 		iv = time.Millisecond
 	}
 	f.Time += iv
-	f.LastRtt = rtt
-	if f.MinRtt == 0 || rtt < f.MinRtt {
-		f.MinRtt = rtt
-	}
 	if f.Srtt == 0 {
 		f.Srtt = rtt
 	} else {

@@ -94,7 +94,6 @@ func drive(m cc.CongestionControl, f *cctest.FakeConn) {
 		f.Inflight = f.CwndPkts / 2
 		rs := f.Ack(n, rtt, rate)
 		rs.Losses, rs.CECount = losses, ce
-		f.LostN += losses
 		m.OnAck(f, rs)
 	}
 	for i := 0; i < 300; i++ {

@@ -32,7 +32,7 @@ func TestRateSampleNotRetained(t *testing.T) {
 	poison := cc.RateSample{
 		Delivered: 1 << 40, PriorDelivered: -7, Interval: time.Nanosecond,
 		RTT: time.Hour, AckedSacked: 1 << 30, Losses: 1 << 30,
-		PriorInFlight: -1, IsAppLimited: true, IsRetrans: true, CECount: 1 << 30,
+		PriorInFlight: -1, IsAppLimited: true, CECount: 1 << 30,
 	}
 	for name, mk := range modules {
 		t.Run(name, func(t *testing.T) {
@@ -51,7 +51,6 @@ func TestRateSampleNotRetained(t *testing.T) {
 					switch rng.Intn(40) {
 					case 0:
 						rs.Losses = int64(1 + rng.Intn(3))
-						f.LostN += rs.Losses
 						f.CAState = cc.StateRecovery
 						m.OnEvent(f, cc.EventEnterRecovery)
 					case 1:

@@ -53,7 +53,6 @@ type Cubic struct {
 	sampleCnt  int
 	foundExit  bool
 	delayMin   time.Duration
-	lossEpochs int64
 }
 
 // New returns a CUBIC instance with HyStart enabled, as in the kernel.
@@ -211,7 +210,6 @@ func (cu *Cubic) exitSlowStart(conn cc.Conn) {
 func (cu *Cubic) OnEvent(conn cc.Conn, ev cc.Event) {
 	switch ev {
 	case cc.EventEnterRecovery, cc.EventEnterLoss:
-		cu.lossEpochs++
 		cu.epochStart = -1
 		cwnd := float64(conn.Cwnd())
 		if fastConvergence && cwnd < cu.wMax {
@@ -231,7 +229,6 @@ func (cu *Cubic) OnEvent(conn cc.Conn, ev cc.Event) {
 	case cc.EventECE:
 		// Classic ECN (RFC 3168): respond like a loss, without any
 		// retransmission — the router asked politely.
-		cu.lossEpochs++
 		cu.epochStart = -1
 		cwnd := float64(conn.Cwnd())
 		if fastConvergence && cwnd < cu.wMax {
@@ -251,6 +248,3 @@ func (cu *Cubic) OnEvent(conn cc.Conn, ev cc.Event) {
 		}
 	}
 }
-
-// LossEpochs returns how many loss events the flow has seen (for tests).
-func (cu *Cubic) LossEpochs() int64 { return cu.lossEpochs }

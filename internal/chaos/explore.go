@@ -26,13 +26,11 @@ type ExploreOpts struct {
 type Finding struct {
 	// GenSeed is the generator seed that produced the failure.
 	GenSeed int64
-	// Original is the un-shrunk outcome.
-	Original Outcome
 	// Spec is the minimized reproducer (the generated spec itself when
 	// shrinking was skipped for a machine-dependent wall-clock finding).
 	Spec core.Spec
-	// Outcome is the minimized spec's outcome — same signature as
-	// Original by construction.
+	// Outcome is the minimized spec's outcome — same signature as the
+	// generated spec's by construction.
 	Outcome Outcome
 	// Repro is the one-command reproducer for Spec.
 	Repro string
@@ -64,7 +62,7 @@ func Explore(o ExploreOpts) ([]Finding, error) {
 		if out.OK {
 			continue
 		}
-		f := Finding{GenSeed: seed, Original: out}
+		f := Finding{GenSeed: seed}
 		if core.InfraFailure(out.Class) {
 			// Wall-clock findings are machine-dependent; shrinking
 			// against a flaky signature would thrash, so report as-is.

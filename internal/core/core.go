@@ -80,7 +80,8 @@ type Spec struct {
 	// Conns is the number of parallel connections.
 	Conns int
 	// Duration is the transmit time (the paper uses 5 minutes; shorter
-	// runs converge to the same steady state in simulation).
+	// runs converge to the same steady state in simulation). Zero means
+	// 10 s; a negative duration is rejected.
 	Duration time.Duration
 	// Warmup excludes the initial ramp from goodput accounting.
 	Warmup time.Duration
@@ -102,7 +103,7 @@ type Spec struct {
 	// DisableModel turns off the CC's per-ACK computation (§5.1.1).
 	DisableModel bool
 	// Interval, when nonzero, records iperf3-style per-interval reports
-	// in the result (Report.Intervals).
+	// in the result (Report.Intervals), at most maxIntervalReports of them.
 	Interval time.Duration
 	// SndBuf overrides the per-socket send buffer (default 256 KB).
 	// High-BDP paths (the 5G scenario) need more, as Android's wmem
@@ -236,7 +237,7 @@ func (s Spec) withDefaults() Spec {
 	if s.Conns <= 0 {
 		s.Conns = 1
 	}
-	if s.Duration <= 0 {
+	if s.Duration == 0 {
 		s.Duration = 10 * time.Second
 	}
 	if s.Seed == 0 {
@@ -275,6 +276,9 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown network %d", int(s.Network))
 	}
+	if s.Duration < 0 {
+		return fmt.Errorf("core: negative duration %v", s.Duration)
+	}
 	if s.Warmup < 0 {
 		return fmt.Errorf("core: negative warmup %v", s.Warmup)
 	}
@@ -283,6 +287,10 @@ func (s Spec) Validate() error {
 	}
 	if s.Interval < 0 {
 		return fmt.Errorf("core: negative interval %v", s.Interval)
+	}
+	if s.Interval > 0 && s.Duration/s.Interval > maxIntervalReports {
+		return fmt.Errorf("core: interval %v over duration %v gives %d reports, more than %d",
+			s.Interval, s.Duration, s.Duration/s.Interval, maxIntervalReports)
 	}
 	if s.Stride < 0 {
 		return fmt.Errorf("core: negative pacing stride %v", s.Stride)
@@ -399,6 +407,10 @@ type Result struct {
 // workload: at most this many connections audited per tick, round-robin,
 // so a 100k-flow run is not O(conns) every 50 ms of virtual time.
 const flowsAuditStride = 256
+
+// maxIntervalReports bounds Duration/Interval: each report is kept in the
+// result, so a nanosecond interval would otherwise exhaust memory.
+const maxIntervalReports = 1_000_000
 
 // Run executes one experiment. It validates the spec, enforces the event
 // and wall-clock budgets, and — when spec.Check is set — fails with a

@@ -16,8 +16,14 @@ import (
 
 func TestSpecValidate(t *testing.T) {
 	base := Spec{CC: "bbr", Duration: time.Second}
-	if err := base.Validate(); err != nil {
-		t.Fatalf("good spec rejected: %v", err)
+	for _, good := range []Spec{
+		base,
+		{CC: "bbr"}, // zero duration means the default
+		{CC: "bbr", Duration: time.Second, Interval: time.Microsecond}, // 1,000,000 reports
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("good spec %+v rejected: %v", good, err)
+		}
 	}
 	bad := []struct {
 		name string
@@ -30,6 +36,9 @@ func TestSpecValidate(t *testing.T) {
 		{"network", func(s *Spec) { s.Network = Network(99) }},
 		{"warmup", func(s *Spec) { s.Warmup = 2 * time.Second }},
 		{"interval", func(s *Spec) { s.Interval = -time.Second }},
+		{"negative duration", func(s *Spec) { s.Duration = -time.Second }},
+		{"interval too fine", func(s *Spec) { s.Interval = time.Nanosecond }},
+		{"interval too fine for default duration", func(s *Spec) { s.Duration, s.Interval = 0, 9*time.Microsecond }},
 		{"stride", func(s *Spec) { s.Stride = -1 }},
 		{"tc loss", func(s *Spec) { s.TC = netem.TC{Loss: 1.5} }},
 		{"fault", func(s *Spec) {

@@ -36,15 +36,14 @@ func startSampler(eng *sim.Engine, conns []*tcp.Conn, bus *telemetry.Bus) {
 
 func (s *sampler) tick() {
 	for _, c := range s.conns {
-		st := c.Stats()
 		s.bus.Emit(telemetry.Event{
 			Kind:  telemetry.KindSample,
 			Conn:  c.ID(),
 			New:   ccMode(c),
-			Value: float64(st.Cwnd),
+			Value: float64(c.Cwnd()),
 			V2:    float64(c.PacketsInFlight()),
-			V3:    float64(st.PacingRate) / 1e6,
-			V4:    float64(st.SRTT) / 1e6,
+			V3:    float64(c.PacingRate()) / 1e6,
+			V4:    float64(c.SRTT()) / 1e6,
 		})
 	}
 	s.eng.Schedule(samplePeriod, s.tickFn)

@@ -136,10 +136,11 @@ func TestTraceMonotoneParseableAndComplete(t *testing.T) {
 	if res.Report.Metrics == nil {
 		t.Fatal("no metrics snapshot")
 	}
-	if m := res.Report.Metrics.MergedHistogram("/pacing_timer_slip_us"); m.Count == 0 {
+	digest, _ := res.Report.Metrics.HistogramDigest()
+	if m := digest["pacing_timer_slip_us"]; m.Count == 0 {
 		t.Error("no pacing-timer slippage samples")
 	}
-	if m := res.Report.Metrics.MergedHistogram("/ack_batch_pkts"); m.Count == 0 {
+	if m := digest["ack_batch_pkts"]; m.Count == 0 {
 		t.Error("no ACK batch samples")
 	}
 	if res.Engine == nil || res.Engine.Events == 0 || res.Engine.MaxPending == 0 {

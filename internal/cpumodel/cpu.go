@@ -125,11 +125,6 @@ func (c *CPU) Submit(op Op, cycles float64, fn func()) time.Duration {
 	return done
 }
 
-// SubmitOp is SubmitP at the table cost for op.
-func (c *CPU) SubmitOp(op Op, fn func(any), arg any) time.Duration {
-	return c.SubmitP(op, c.costs.Of(op), fn, arg)
-}
-
 // SubmitP is the allocation-free form of Submit for the data path: fn is a
 // long-lived callback shared across jobs and arg carries the per-job payload
 // (see sim.Engine.ScheduleP). fn must be non-nil.
@@ -232,17 +227,13 @@ type OpStat struct {
 }
 
 // Snapshot is the one-call view of a CPU's accounting: every per-op total
-// plus the utilization figures, taken atomically with respect to the
+// plus the speed and pressure, taken atomically with respect to the
 // single-threaded engine (callers previously looped OpCycles per op).
 type Snapshot struct {
 	// Speed is the effective speed in reference cycles/second.
 	Speed float64
 	// Pressure is the cache-pressure cost multiplier.
 	Pressure float64
-	// Utilization is the busy fraction since the start of the run.
-	Utilization float64
-	// TotalBusy is the accumulated busy time.
-	TotalBusy time.Duration
 	// Ops lists every operation's count and cycle total, in Op order
 	// (including zero entries, so indices are stable).
 	Ops []OpStat
@@ -268,11 +259,9 @@ func (s Snapshot) Breakdown() map[string]float64 {
 // Snapshot returns the CPU's full accounting in one call.
 func (c *CPU) Snapshot() Snapshot {
 	s := Snapshot{
-		Speed:       c.speed,
-		Pressure:    c.pressure,
-		Utilization: c.TotalUtilization(),
-		TotalBusy:   c.totalBusy,
-		Ops:         make([]OpStat, numOps),
+		Speed:    c.speed,
+		Pressure: c.pressure,
+		Ops:      make([]OpStat, numOps),
 	}
 	for op := Op(0); op < numOps; op++ {
 		s.Ops[op] = OpStat{Op: op, Name: op.String(), Count: c.opCount[op], Cycles: c.opCycles[op]}

@@ -131,6 +131,3 @@ func (g *SchedutilGovernor) tick() {
 	}
 	g.eng.Schedule(g.Interval, g.tickFn)
 }
-
-// CurrentPoint returns the operating point the governor last selected.
-func (g *SchedutilGovernor) CurrentPoint() OperatingPoint { return g.Points[g.cur] }

@@ -179,15 +179,6 @@ func (s Spec) Governor(c Config) cpumodel.Governor {
 	return &cpumodel.SchedutilGovernor{Points: points}
 }
 
-// NewCPU builds the netstack CPU for (model, config) on eng, with the
-// governor already started.
-func NewCPU(eng *sim.Engine, m Model, c Config) *cpumodel.CPU {
-	spec := Lookup(m)
-	cpu := cpumodel.NewCPU(eng, cpumodel.DefaultCosts(), 1)
-	spec.Governor(c).Start(eng, cpu)
-	return cpu
-}
-
 // NewCPUs builds both cores the transfer exercises: the softirq (netstack)
 // core and the application core that runs the iPerf sender's copy loop.
 // Each gets its own governor instance at the same Table 1 configuration —

@@ -71,7 +71,6 @@ type Session struct {
 	started, completed, failed, rejected int64
 	peakLive                             int
 	liveSamples                          stats.Online
-	queueDepth                           stats.Online
 	fctMs                                []float64
 
 	warmupBytes units.DataSize
@@ -295,7 +294,6 @@ func (s *Session) sample() {
 
 func (s *Session) sampleOnce() {
 	s.liveSamples.Add(float64(len(s.live)))
-	s.queueDepth.Add(float64(s.path.Hop(0).QueueLen()))
 }
 
 // recordInterval closes one reporting interval from counter deltas —
@@ -383,9 +381,7 @@ func (s *Session) collect(canceled int64) (*iperf.Report, *Stats) {
 		AvgRTT:       s.agg.AvgRTT(),
 		CPUUtil:      s.cpu.TotalUtilization(),
 		CPUBreakdown: s.cpu.Breakdown(),
-		CPUSpeed:     s.cpu.Speed(),
 		PathDrops:    s.path.TotalDrops(),
-		AvgNICQueue:  s.queueDepth.Mean(),
 		Intervals:    s.intervals,
 	}
 	if s.icfg.Metrics != nil {

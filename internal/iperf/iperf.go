@@ -105,8 +105,6 @@ type Session struct {
 
 	warmupBytes units.DataSize
 	rttSamples  stats.Online
-	cwndSamples stats.Online
-	queueDepth  stats.Online
 
 	intervals     []Interval
 	lastIvalBytes units.DataSize
@@ -255,13 +253,10 @@ func (s *Session) Start() {
 
 func (s *Session) sample() {
 	for _, c := range s.conns {
-		st := c.Stats()
-		if st.SRTT > 0 {
-			s.rttSamples.Add(float64(st.SRTT))
+		if srtt := c.SRTT(); srtt > 0 {
+			s.rttSamples.Add(float64(srtt))
 		}
-		s.cwndSamples.Add(float64(st.Cwnd))
 	}
-	s.queueDepth.Add(float64(s.path.Hop(0).QueueLen()))
 	s.eng.Schedule(s.cfg.SampleEvery, s.sampleFn)
 }
 
@@ -284,9 +279,8 @@ func (s *Session) recordIntervalAt(now time.Duration) {
 	retx := s.agg.Retransmits()
 	var rtt stats.Online
 	for _, c := range s.conns {
-		st := c.Stats()
-		if st.SRTT > 0 {
-			rtt.Add(float64(st.SRTT))
+		if srtt := c.SRTT(); srtt > 0 {
+			rtt.Add(float64(srtt))
 		}
 	}
 	iv := Interval{
@@ -365,8 +359,6 @@ type Report struct {
 	AvgRTT time.Duration
 	// MinRTT is the smallest transport min-RTT across connections.
 	MinRTT time.Duration
-	// AvgCwnd is the mean sampled congestion window (packets).
-	AvgCwnd float64
 	// AvgSKB / AvgIdle are the per-pacing-period socket-buffer length
 	// and idle time averaged across connections (Table 2 columns).
 	AvgSKB units.DataSize
@@ -380,12 +372,8 @@ type Report struct {
 	MaxBufferOcc units.DataSize
 	// CPUUtil is the netstack CPU's busy fraction for the run.
 	CPUUtil float64
-	// CPUSpeed is the CPU's effective speed at the end of the run.
-	CPUSpeed float64
 	// PathDrops counts packets dropped anywhere on the path.
 	PathDrops uint64
-	// AvgNICQueue is the mean device-NIC queue depth in packets.
-	AvgNICQueue float64
 	// Fairness scores the per-connection goodput split (§7.1.3).
 	Fairness Fairness
 	// CPUBreakdown is each operation's share of netstack-CPU cycles —
@@ -397,8 +385,6 @@ type Report struct {
 	// SpuriousRTOs counts F-RTO-detected spurious timeouts across conns —
 	// expected to be nonzero under blackout/handover fault schedules.
 	SpuriousRTOs int64
-	// IdleRestarts counts RFC 2861 cwnd restarts after idle across conns.
-	IdleRestarts int64
 	// ConnErrors lists the connections the transport declared dead (RTO
 	// retries exhausted, stall watchdog) with their reasons. A dead
 	// connection is a measured outcome of the run, not a run failure.
@@ -419,25 +405,15 @@ type Report struct {
 type Fairness struct {
 	// Jain is Jain's fairness index.
 	Jain float64
-	// MaxMin is the max/min share ratio.
-	MaxMin float64
-	// Total is the aggregate share.
-	Total units.Bandwidth
 }
 
 // Score builds a Fairness from per-connection goodputs.
 func Score(perConn []units.Bandwidth) Fairness {
 	f := make([]float64, len(perConn))
-	var total units.Bandwidth
 	for i, x := range perConn {
 		f[i] = float64(x)
-		total += x
 	}
-	return Fairness{
-		Jain:   stats.JainIndex(f),
-		MaxMin: stats.MaxMinRatio(f),
-		Total:  total,
-	}
+	return Fairness{Jain: stats.JainIndex(f)}
 }
 
 // WriteIntervalsCSV writes the interval series as CSV (start_s, end_s,
@@ -465,12 +441,9 @@ func (s *Session) Collect() *Report {
 	}
 	r := &Report{
 		AvgRTT:       time.Duration(s.rttSamples.Mean()),
-		AvgCwnd:      s.cwndSamples.Mean(),
 		CPUUtil:      s.cpu.TotalUtilization(),
 		CPUBreakdown: s.cpu.Breakdown(),
-		CPUSpeed:     s.cpu.Speed(),
 		PathDrops:    s.path.TotalDrops(),
-		AvgNICQueue:  s.queueDepth.Mean(),
 	}
 	if s.cfg.Metrics != nil {
 		r.Metrics = s.cfg.Metrics.Snapshot()
@@ -493,7 +466,6 @@ func (s *Session) Collect() *Report {
 		r.Retransmits += st.Retransmits
 		r.Lost += st.Lost
 		r.SpuriousRTOs += st.SpuriousRTOs
-		r.IdleRestarts += st.IdleRestarts
 		if st.Failed != nil {
 			r.ConnErrors = append(r.ConnErrors, st.Failed)
 		}

@@ -48,7 +48,6 @@ func ParsePreset(s string) (Preset, error) {
 
 // synthState is one channel-quality state of the Markov model.
 type synthState struct {
-	name      string
 	lo, hi    units.Bandwidth // rate band; lo == hi == 0 is an outage
 	rtt       time.Duration   // base RTT in this state
 	rttJitter time.Duration   // uniform extra RTT in [0, rttJitter)
@@ -56,12 +55,12 @@ type synthState struct {
 }
 
 // The shared state vocabulary, indexed by the transition matrices below.
-var synthStates = []synthState{
-	{"good", 12 * units.Mbps, 20 * units.Mbps, 50 * time.Millisecond, 10 * time.Millisecond, 0},
-	{"fair", 5 * units.Mbps, 12 * units.Mbps, 70 * time.Millisecond, 20 * time.Millisecond, 0},
-	{"weak", 500 * units.Kbps, 4 * units.Mbps, 110 * time.Millisecond, 40 * time.Millisecond, 0.02},
-	{"edge", 100 * units.Kbps, 1 * units.Mbps, 160 * time.Millisecond, 60 * time.Millisecond, 0.08},
-	{"outage", 0, 0, 0, 0, 1},
+var synthStates = [numStates]synthState{
+	stGood:   {12 * units.Mbps, 20 * units.Mbps, 50 * time.Millisecond, 10 * time.Millisecond, 0},
+	stFair:   {5 * units.Mbps, 12 * units.Mbps, 70 * time.Millisecond, 20 * time.Millisecond, 0},
+	stWeak:   {500 * units.Kbps, 4 * units.Mbps, 110 * time.Millisecond, 40 * time.Millisecond, 0.02},
+	stEdge:   {100 * units.Kbps, 1 * units.Mbps, 160 * time.Millisecond, 60 * time.Millisecond, 0.08},
+	stOutage: {0, 0, 0, 0, 1},
 }
 
 // State indices into synthStates.

@@ -53,7 +53,7 @@ func (g GEConfig) Validate() error {
 // link with propagation delay, optionally with i.i.d. random loss (tc netem
 // style).
 type PipeConfig struct {
-	// Name labels the hop in stats output.
+	// Name labels the hop in error messages.
 	Name string
 	// Rate is the link's serialization rate.
 	Rate units.Bandwidth
@@ -142,12 +142,10 @@ type Pipe struct {
 	remote func(pkt *seg.Packet, delay time.Duration)
 
 	// Stats.
-	enqueued   uint64
 	dropsQueue uint64
 	dropsRand  uint64
 	delivered  uint64
 	ceMarked   uint64
-	bytesOut   units.DataSize
 }
 
 // NewPipe returns a pipe on eng delivering to next. It rejects invalid
@@ -292,7 +290,6 @@ func (p *Pipe) Enqueue(pkt *seg.Packet) bool {
 		p.pool.PutPacket(pkt)
 		return false
 	}
-	p.enqueued++
 	if p.cfg.ECNThreshold > 0 && p.qlen >= p.cfg.ECNThreshold {
 		pkt.CE = true
 		p.ceMarked++
@@ -322,7 +319,6 @@ func (p *Pipe) serveNext() {
 func (p *Pipe) txDone(pkt *seg.Packet) {
 	p.txPkt = nil
 	p.delivered++
-	p.bytesOut += pkt.Len
 	delay := p.cfg.Delay
 	if p.cfg.ReorderJitter > 0 {
 		delay += time.Duration(p.eng.Rand().Int63n(int64(p.cfg.ReorderJitter)))
@@ -382,25 +378,19 @@ func (p *Pipe) InTransit() int {
 // Stats returns the pipe's counters.
 func (p *Pipe) Stats() PipeStats {
 	return PipeStats{
-		Name:       p.cfg.Name,
-		Enqueued:   p.enqueued,
 		Delivered:  p.delivered,
 		DropsQueue: p.dropsQueue,
 		DropsRand:  p.dropsRand,
 		CEMarked:   p.ceMarked,
-		BytesOut:   p.bytesOut,
 	}
 }
 
 // PipeStats is a snapshot of a pipe's packet counters.
 type PipeStats struct {
-	Name       string
-	Enqueued   uint64
 	Delivered  uint64
 	DropsQueue uint64
 	DropsRand  uint64
 	CEMarked   uint64
-	BytesOut   units.DataSize
 }
 
 // Drops returns total drops from all causes.

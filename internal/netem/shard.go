@@ -25,7 +25,6 @@ import (
 // checker folds into its conservation audit.
 type CrossWiring struct {
 	rxEng *sim.Engine
-	path  *Path
 	recv  PacketHandler
 
 	fwd, back *sim.CrossLink
@@ -39,9 +38,8 @@ type CrossWiring struct {
 	// leakArmed makes the next forward injection vanish: the packet is
 	// neither held, scheduled, nor released — a mailbox leak for the
 	// corruption-injection tests proving the checker sees cross-shard
-	// custody. leaked counts how many vanished.
+	// custody.
 	leakArmed bool
-	leaked    int
 }
 
 // NewCrossWiring rewires path (built on se.Shard(0)) so its last hop
@@ -57,7 +55,6 @@ func NewCrossWiring(se *sim.ShardedEngine, path *Path, rxShard int) (*CrossWirin
 	}
 	w := &CrossWiring{
 		rxEng:    se.Shard(rxShard),
-		path:     path,
 		ackDelay: path.cfg.AckDelay,
 	}
 	w.fwd = se.NewLink(0, rxShard, last.cfg.Delay)
@@ -71,7 +68,6 @@ func NewCrossWiring(se *sim.ShardedEngine, path *Path, rxShard int) (*CrossWirin
 		pkt := arg.(*seg.Packet)
 		if w.leakArmed {
 			w.leakArmed = false
-			w.leaked++
 			return
 		}
 		w.fwdHold.Push(pkt)
@@ -105,9 +101,6 @@ func (w *CrossWiring) CrossPackets() int { return w.fwd.Pending() + w.fwdHold.Le
 // CrossAcks returns ACKs posted back but not yet injected (injected ACKs
 // already count in the path's AckInFlight).
 func (w *CrossWiring) CrossAcks() int { return w.back.Pending() }
-
-// LeakedPackets returns how many packets ArmLeakForTest made vanish.
-func (w *CrossWiring) LeakedPackets() int { return w.leaked }
 
 // ArmLeakForTest makes the next barrier flush drop one forward packet on
 // the floor: still outstanding in the pool's census, invisible to every

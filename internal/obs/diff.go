@@ -45,9 +45,8 @@ type Delta struct {
 	Exp    string
 	Cell   Cell
 	Points int
-	// GoodA/GoodB are mean goodputs (Mbps) over the cell's aligned points;
-	// GoodCI is the combined 95% CI of the A−B difference of those means.
-	GoodA, GoodB, GoodCI float64
+	// GoodA/GoodB are mean goodputs (Mbps) over the cell's aligned points.
+	GoodA, GoodB float64
 	// RetxA/RetxB are mean retransmissions.
 	RetxA, RetxB float64
 	// PaceA/PaceB are mean pacing-timer shares (profiled points only).
@@ -258,7 +257,6 @@ func (c *cellAcc) delta(exp string, cell Cell, opts DiffOpts) Delta {
 		RetxA: stats.Mean(c.retxA), RetxB: stats.Mean(c.retxB),
 	}
 	ciA, ciB := meanCI(c.ciA), meanCI(c.ciB)
-	d.GoodCI = stats.CombinedCI95(ciA, ciB)
 	if len(c.paceA) > 0 {
 		d.HasPace = true
 		d.PaceA, d.PaceB = stats.Mean(c.paceA), stats.Mean(c.paceB)

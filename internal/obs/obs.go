@@ -214,7 +214,6 @@ type PointRecord struct {
 
 // Run is one loaded experiment archive.
 type Run struct {
-	Dir      string
 	Manifest Manifest
 	Points   []PointRecord
 }
@@ -290,7 +289,7 @@ func LoadRun(dir string) (*Run, error) {
 	if len(entries) != m.Points {
 		return nil, fmt.Errorf("obs: %s: manifest declares %d points but points/ holds %d files", dir, m.Points, len(entries))
 	}
-	r := &Run{Dir: dir, Manifest: m, Points: make([]PointRecord, m.Points)}
+	r := &Run{Manifest: m, Points: make([]PointRecord, m.Points)}
 	for i := 0; i < m.Points; i++ {
 		data, err := os.ReadFile(filepath.Join(pdir, pointFile(i)))
 		if err != nil {
@@ -314,7 +313,6 @@ func LoadRun(dir string) (*Run, error) {
 // Archive is a loaded run-archive root: one Run per experiment
 // subdirectory (or a single Run when the root itself is one).
 type Archive struct {
-	Root string
 	// Runs maps experiment id to its archive.
 	Runs map[string]*Run
 	// Order lists experiment ids in sorted order for deterministic output.
@@ -325,7 +323,7 @@ type Archive struct {
 // a run directory (holds manifest.json) loads as a single-experiment
 // archive.
 func LoadArchive(root string) (*Archive, error) {
-	a := &Archive{Root: root, Runs: map[string]*Run{}}
+	a := &Archive{Runs: map[string]*Run{}}
 	if _, err := os.Stat(filepath.Join(root, "manifest.json")); err == nil {
 		r, err := LoadRun(root)
 		if err != nil {

@@ -36,27 +36,19 @@ func (c Cell) String() string {
 	return f(c.Device) + "/" + f(c.CPU) + "/" + f(c.CC) + "/" + f(c.Network)
 }
 
-// cellSpec is the loose view of a spec-codec document the rollup needs —
-// the tokens are already strings in core.EncodeSpec's wire form, so no
-// dependency on internal/core is required here.
-type cellSpec struct {
-	Device  string `json:"device"`
-	CPU     string `json:"cpu"`
-	CC      string `json:"cc"`
-	Network string `json:"network"`
-}
-
-// CellOf extracts the cohort key from a point's archived spec. Points
-// without a spec (or with an unparsable one) land in the zero Cell.
+// CellOf extracts the cohort key from a point's archived spec: Cell's tags
+// pick the four tokens out of core.EncodeSpec's wire form, so no dependency
+// on internal/core is required here. Points without a spec (or with an
+// unparsable one) land in the zero Cell.
 func CellOf(spec json.RawMessage) Cell {
 	if len(spec) == 0 {
 		return Cell{}
 	}
-	var s cellSpec
-	if err := json.Unmarshal(spec, &s); err != nil {
+	var c Cell
+	if err := json.Unmarshal(spec, &c); err != nil {
 		return Cell{}
 	}
-	return Cell{Device: s.Device, CPU: s.CPU, CC: s.CC, Network: s.Network}
+	return c
 }
 
 // CellRollup aggregates one cell's grid points.
@@ -64,11 +56,10 @@ type CellRollup struct {
 	Cell   Cell
 	Points int
 	Failed int
-	// Goodputs / Retx / RTTs / Paces hold the per-point values (successful
-	// points only), for percentile extraction.
+	// Goodputs / Retx hold the per-point values (successful points only),
+	// for percentile extraction.
 	Goodputs []float64
 	Retx     []float64
-	RTTs     []float64
 	// Paces holds pacing-timer shares of profiled points only.
 	Paces []float64
 	// LatP99s / Rebufs hold per-point request-latency p99s (ms) and
@@ -79,8 +70,6 @@ type CellRollup struct {
 	// and flow-table fast-path shares of flow-churn points only.
 	FCT99s     []float64
 	FastShares []float64
-	// GoodputCIs mirrors Goodputs with each point's own 95% CI.
-	GoodputCIs []float64
 	// Digest is the cell-wide merge of the points' instrument digests.
 	Digest map[string]telemetry.HistogramSnapshot
 	// DigestSkipped counts histograms that could not merge into the cell
@@ -109,9 +98,7 @@ func Rollup(r *Run) []CellRollup {
 			continue
 		}
 		cr.Goodputs = append(cr.Goodputs, p.Metrics.GoodputMbps)
-		cr.GoodputCIs = append(cr.GoodputCIs, p.Metrics.GoodputCI)
 		cr.Retx = append(cr.Retx, p.Metrics.Retransmits)
-		cr.RTTs = append(cr.RTTs, p.Metrics.RTTms)
 		if p.Metrics.Profiled {
 			cr.Paces = append(cr.Paces, p.Metrics.PacingShare)
 		}

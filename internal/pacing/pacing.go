@@ -87,7 +87,6 @@ type Pacer struct {
 	periods   uint64
 	sumSKB    float64
 	sumIdle   time.Duration
-	lastIdle  time.Duration
 	timerArms uint64
 
 	// Telemetry instruments (nil = disabled, the default).
@@ -176,7 +175,6 @@ func (p *Pacer) OnSKBSent(now time.Duration, skbBytes units.DataSize, rate units
 	idle := time.Duration(float64(rate.TimeToSend(skbBytes)) * p.cfg.Stride)
 	p.nextSendAt = now + idle
 	p.sumIdle += idle
-	p.lastIdle = idle
 	p.gapHist.Observe(float64(idle) / 1e6)
 	return idle
 }

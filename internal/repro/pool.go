@@ -22,19 +22,13 @@ func Workers(j int) int {
 	return j
 }
 
-// ForEach runs fn(0..n-1) across up to workers goroutines. Every index runs
-// regardless of other indices' failures; the returned error is the
-// smallest-index one, so the outcome does not depend on completion order. A
-// panic inside fn is captured into that index's error instead of killing
-// the process.
-func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachW(n, workers, func(_, i int) error { return fn(i) })
-}
-
-// ForEachW is ForEach with the worker id (0..workers-1) passed to fn, so
-// callers that report live progress can attribute in-flight points to
-// workers. The worker id must not influence results — it is observability
-// only.
+// ForEachW runs fn(worker, 0..n-1) across up to workers goroutines. Every
+// index runs regardless of other indices' failures; the returned error is
+// the smallest-index one, so the outcome does not depend on completion
+// order. A panic inside fn is captured into that index's error instead of
+// killing the process. The worker id (0..workers-1) lets callers that report
+// live progress attribute in-flight points to workers; it must not influence
+// results — it is observability only.
 func ForEachW(n, workers int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil

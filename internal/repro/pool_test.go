@@ -13,7 +13,7 @@ import (
 func TestForEachRunsEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		var hits [50]atomic.Int32
-		if err := ForEach(len(hits), workers, func(i int) error {
+		if err := ForEachW(len(hits), workers, func(_, i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
@@ -29,7 +29,7 @@ func TestForEachRunsEveryIndex(t *testing.T) {
 
 func TestForEachSmallestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		err := ForEach(20, workers, func(i int) error {
+		err := ForEachW(20, workers, func(_, i int) error {
 			if i == 3 || i == 17 {
 				return fmt.Errorf("point %d failed", i)
 			}
@@ -43,7 +43,7 @@ func TestForEachSmallestIndexError(t *testing.T) {
 
 func TestForEachCapturesPanic(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		err := ForEach(10, workers, func(i int) error {
+		err := ForEachW(10, workers, func(_, i int) error {
 			if i == 4 {
 				panic("boom")
 			}
@@ -56,12 +56,12 @@ func TestForEachCapturesPanic(t *testing.T) {
 }
 
 func TestForEachZeroAndNegative(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { return errors.New("never") }); err != nil {
+	if err := ForEachW(0, 4, func(_, _ int) error { return errors.New("never") }); err != nil {
 		t.Fatalf("n=0: %v", err)
 	}
 	// Workers=-1 means one per CPU, so the count must be atomic.
 	var ran atomic.Int64
-	if err := ForEach(3, -1, func(int) error { ran.Add(1); return nil }); err != nil {
+	if err := ForEachW(3, -1, func(_, _ int) error { ran.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n := ran.Load(); n != 3 {
@@ -129,7 +129,7 @@ func TestParallelRecoveryMatchesSerial(t *testing.T) {
 func TestForEachPanicOnLastIndex(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		var hits [7]atomic.Int32
-		err := ForEach(len(hits), workers, func(i int) error {
+		err := ForEachW(len(hits), workers, func(_, i int) error {
 			hits[i].Add(1)
 			if i == len(hits)-1 {
 				panic("last index")
@@ -151,7 +151,7 @@ func TestForEachPanicOnLastIndex(t *testing.T) {
 // every index exactly once and terminate.
 func TestForEachWorkersExceedN(t *testing.T) {
 	var hits [5]atomic.Int32
-	if err := ForEach(len(hits), 32, func(i int) error {
+	if err := ForEachW(len(hits), 32, func(_, i int) error {
 		hits[i].Add(1)
 		return nil
 	}); err != nil {

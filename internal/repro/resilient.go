@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -189,7 +188,7 @@ func runPointResilient(p Point, opts RunOpts) Row {
 func runPointAttempt(p Point, spec core.Spec, seeds int) (row Row, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &panicError{val: r, stack: debug.Stack()}
+			err = &panicError{val: r}
 		}
 	}()
 	agg, err := core.RunSeeds(spec, seeds)
@@ -199,11 +198,11 @@ func runPointAttempt(p Point, spec core.Spec, seeds int) (row Row, err error) {
 	return rowFromAggregate(p, agg), nil
 }
 
-// panicError carries a recovered panic through the error-classification
-// path.
+// panicError carries a recovered panic's value through the
+// error-classification path; the point's repro line re-raises the panic with
+// its stack.
 type panicError struct {
-	val   any
-	stack []byte
+	val any
 }
 
 func (p *panicError) Error() string { return fmt.Sprintf("panic: %v", p.val) }

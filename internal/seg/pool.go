@@ -40,7 +40,7 @@ const maxViolations = 16
 //
 // A Pool is deliberately not safe for concurrent use: each simulation run
 // owns a private pool (created in core.Run), as it owns its congestion-control
-// factories, which is what keeps repro.ForEach -j parallelism race-free. All
+// factories, which is what keeps repro.ForEachW -j parallelism race-free. All
 // methods are nil-receiver safe — a nil *Pool degrades to plain heap
 // allocation with no accounting, which is what unit tests that build
 // conns/pipes directly get.

@@ -40,9 +40,6 @@ func NewPoolSet(n, pktHome, ackHome int) *PoolSet {
 // owns it exactly as a serial run's single pool would be.
 func (s *PoolSet) Arena(i int) *Pool { return s.arenas[i] }
 
-// Arenas returns the arena count.
-func (s *PoolSet) Arenas() int { return len(s.arenas) }
-
 // Stats sums the arena censuses. The Outstanding sums satisfy the same
 // conservation invariant as a single pool's; the MaxOutstanding sums are an
 // upper bound on the true global peak (per-arena peaks need not coincide).

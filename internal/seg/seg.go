@@ -30,15 +30,6 @@ type Packet struct {
 	// instead of dropping when the sender negotiated ECN.
 	CE bool
 
-	// Rate-sample bookkeeping, mirroring struct tcp_skb_cb's rate fields
-	// (tx.delivered, tx.delivered_mstamp, tx.first_tx_mstamp,
-	// tx.is_app_limited): snapshotted at transmission so the ACK path can
-	// compute a delivery-rate sample per RFC draft-cheng-iccrg-delivery-rate.
-	DeliveredAtSend     int64
-	DeliveredTimeAtSend time.Duration
-	FirstSentAtSend     time.Duration
-	AppLimitedAtSend    bool
-
 	// Pool plumbing: freelist / hold-list links and the lifecycle state.
 	// A packet is on at most one intrusive list at a time — the pool's
 	// freelist while free, or one holder's PacketList while in flight.
@@ -70,15 +61,8 @@ type Ack struct {
 	// EchoSentAt is the send timestamp of the packet that triggered this
 	// ACK (a timestamp-option stand-in used for RTT sampling).
 	EchoSentAt time.Duration
-	// AckedPktEnd is the end sequence of the packet that triggered the
-	// ACK; rate sampling uses the newest acked packet's snapshot.
-	AckedPktEnd int64
-	// Echoes of the triggering packet's rate-sample snapshot.
-	EchoDelivered     int64
-	EchoDeliveredTime time.Duration
-	EchoFirstSent     time.Duration
-	EchoAppLimited    bool
-	EchoRetx          bool
+	// EchoRetx marks an ACK triggered by a retransmitted packet.
+	EchoRetx bool
 	// CECount is how many CE-marked segments this ACK covers (the
 	// receiver's ECE echo, counted rather than latched, as AccECN does).
 	CECount int64

@@ -69,12 +69,6 @@ type CrossLink struct {
 	postSeq uint64
 }
 
-// Src and Dst return the link's endpoint shard indexes.
-func (l *CrossLink) Src() int { return l.src }
-
-// Dst returns the destination shard index.
-func (l *CrossLink) Dst() int { return l.dst }
-
 // SetInjector installs the barrier-side delivery hook: it runs with every
 // shard parked, must schedule the argument onto the destination engine at
 // the given time (SchedulePAt), and must take custody of the argument so a
@@ -169,16 +163,9 @@ func NewSharded(seed int64, n int) *ShardedEngine {
 	return s
 }
 
-// Shards returns the shard count.
-func (s *ShardedEngine) Shards() int { return len(s.shards) }
-
 // Shard returns the i-th engine. Components are built against the engine of
 // the shard that owns them, exactly as they would be against a serial one.
 func (s *ShardedEngine) Shard(i int) *Engine { return s.shards[i] }
-
-// Lookahead returns the protocol lookahead: the minimum declared delay
-// across all links (MaxInt64 before the first link).
-func (s *ShardedEngine) Lookahead() time.Duration { return s.lookahead }
 
 // NewLink declares a one-directional cross-shard mailbox whose deliveries
 // are always at least minDelay of virtual time in the future. minDelay must
@@ -251,15 +238,6 @@ func (s *ShardedEngine) Processed() uint64 {
 	n := s.globalsRun
 	for _, e := range s.shards {
 		n += e.Processed()
-	}
-	return n
-}
-
-// Pending sums the scheduled (non-cancelled) events across shards.
-func (s *ShardedEngine) Pending() int {
-	n := 0
-	for _, e := range s.shards {
-		n += e.Pending()
 	}
 	return n
 }

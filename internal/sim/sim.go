@@ -116,16 +116,6 @@ func (t Timer) Pending() bool {
 	return it != nil && !it.cancelled && it.where != wFiring
 }
 
-// When returns the virtual time the timer will fire at. It is only
-// meaningful while the timer is pending.
-func (t Timer) When() time.Duration {
-	it := t.live()
-	if it == nil {
-		return 0
-	}
-	return it.at
-}
-
 // Reschedule moves the timer to fire after delay of virtual time, reusing
 // its queue entry and callback instead of cancel+Schedule — the fast path
 // for the pacing, delayed-ACK and RTO timers that re-arm constantly. It

@@ -358,10 +358,6 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// Transport returns the underlying simulated TCP connection (client and
-// server endpoints share it).
-func (c *Conn) Transport() *tcp.Conn { return c.p.tc }
-
 // --- Dial / Listen ----------------------------------------------------------
 
 // Stack carries the simulated-testbed pieces Dial needs to build fresh

@@ -49,9 +49,6 @@ func New(eng *sim.Engine) *Net {
 	return &Net{eng: eng, parked: make(chan struct{})}
 }
 
-// Engine returns the underlying simulator engine.
-func (n *Net) Engine() *sim.Engine { return n.eng }
-
 // Now returns the current virtual time as a wall-clock value anchored at
 // the Unix epoch (the inverse of the deadline mapping).
 func (n *Net) Now() time.Time { return epoch.Add(n.eng.Now()) }
@@ -64,7 +61,6 @@ func (n *Net) Closed() bool { return n.closed }
 // back into the engine's event order.
 type Proc struct {
 	n      *Net
-	id     int
 	wake   chan struct{}
 	exited bool
 	parked bool // inside park: w is the live park reason
@@ -94,7 +90,7 @@ type waiter struct {
 // bound its work with the Net's blocking operations (Read/Write/Sleep/
 // Accept); returning ends the proc.
 func (n *Net) Go(start time.Duration, fn func(p *Proc)) *Proc {
-	p := &Proc{n: n, id: len(n.procs), wake: make(chan struct{})}
+	p := &Proc{n: n, wake: make(chan struct{})}
 	p.w.p = p
 	p.resumeFn = func() { n.resume(p) }
 	p.deadlineFn = func() { n.fire(&p.w, os.ErrDeadlineExceeded) }

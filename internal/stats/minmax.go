@@ -24,9 +24,6 @@ func NewWindowedMax(window uint64) WindowedMax {
 	return WindowedMax{window: window}
 }
 
-// SetWindow changes the window length for subsequent updates.
-func (w *WindowedMax) SetWindow(window uint64) { w.window = window }
-
 // Update feeds a new measurement v observed at time t and returns the
 // current windowed maximum.
 func (w *WindowedMax) Update(t uint64, v float64) float64 {
@@ -108,9 +105,6 @@ func (m *WindowedMin) Expired(t uint64) bool {
 
 // Get returns the current minimum (0 if no samples).
 func (m *WindowedMin) Get() float64 { return m.v }
-
-// Timestamp returns when the current minimum was recorded.
-func (m *WindowedMin) Timestamp() uint64 { return m.t }
 
 // Reset forgets the held sample.
 func (m *WindowedMin) Reset() { *m = WindowedMin{window: m.window} }

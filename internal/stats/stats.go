@@ -1,8 +1,8 @@
 // Package stats provides the small statistical toolkit the simulator and the
 // experiment harness rely on: online mean/variance accumulation, percentiles,
-// time-weighted averages, share fairness (Jain's index, max/min ratio), and
-// the windowed min/max filters that BBR uses for its bandwidth and RTT
-// estimates (a port of the Linux kernel's lib/minmax).
+// share fairness (Jain's index), and the windowed min/max filters that BBR
+// uses for its bandwidth and RTT estimates (a port of the Linux kernel's
+// lib/minmax).
 package stats
 
 import (
@@ -132,47 +132,6 @@ func SignificantDelta(a, b, ciA, ciB, rel float64) bool {
 	return d > rel*math.Abs(a)
 }
 
-// TimeWeighted accumulates a time-weighted average of a piecewise-constant
-// signal: call Observe(t, v) whenever the value changes; the average weights
-// each value by how long it was held.
-type TimeWeighted struct {
-	started  bool
-	lastT    float64
-	lastV    float64
-	weighted float64
-	total    float64
-}
-
-// Observe records that the signal changed to v at time t (seconds, or any
-// monotonically nondecreasing unit).
-func (tw *TimeWeighted) Observe(t, v float64) {
-	if tw.started && t > tw.lastT {
-		dt := t - tw.lastT
-		tw.weighted += tw.lastV * dt
-		tw.total += dt
-	}
-	tw.started = true
-	tw.lastT = t
-	tw.lastV = v
-}
-
-// AverageAt closes the window at time t and returns the time-weighted mean.
-func (tw *TimeWeighted) AverageAt(t float64) float64 {
-	w, tot := tw.weighted, tw.total
-	if tw.started && t > tw.lastT {
-		dt := t - tw.lastT
-		w += tw.lastV * dt
-		tot += dt
-	}
-	if tot == 0 {
-		if tw.started {
-			return tw.lastV
-		}
-		return 0
-	}
-	return w / tot
-}
-
 // JainIndex returns Jain's fairness index of the allocation xs:
 // (Σx)² / (n·Σx²), in (0, 1]; 1 means perfectly equal shares, 1/n means one
 // flow has everything. Returns 0 for an empty or all-zero allocation.
@@ -192,28 +151,4 @@ func JainIndex(xs []float64) float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
-// MaxMinRatio returns the largest share divided by the smallest nonzero
-// share; +Inf if any share is zero while another is not, 0 for empty input.
-func MaxMinRatio(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	min, max := math.Inf(1), 0.0
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-		if x < min {
-			min = x
-		}
-	}
-	if max == 0 {
-		return 0
-	}
-	if min == 0 {
-		return math.Inf(1)
-	}
-	return max / min
 }

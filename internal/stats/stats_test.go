@@ -102,28 +102,6 @@ func TestMedianInterpolates(t *testing.T) {
 	}
 }
 
-func TestTimeWeighted(t *testing.T) {
-	var tw TimeWeighted
-	tw.Observe(0, 10) // 10 for 1s
-	tw.Observe(1, 20) // 20 for 3s
-	got := tw.AverageAt(4)
-	want := (10*1 + 20*3) / 4.0
-	if !almostEq(got, want, 1e-9) {
-		t.Errorf("time-weighted avg = %v, want %v", got, want)
-	}
-}
-
-func TestTimeWeightedEdge(t *testing.T) {
-	var tw TimeWeighted
-	if tw.AverageAt(5) != 0 {
-		t.Error("no observations should average to 0")
-	}
-	tw.Observe(2, 7)
-	if tw.AverageAt(2) != 7 {
-		t.Error("zero-width window should return the held value")
-	}
-}
-
 func TestWindowedMaxBasic(t *testing.T) {
 	w := NewWindowedMax(10)
 	if got := w.Update(0, 5); got != 5 {
@@ -303,20 +281,5 @@ func TestJainEqualSharesAlwaysOne(t *testing.T) {
 		if got := JainIndex(xs); !almostEq(got, 1, 1e-9) {
 			t.Fatalf("n=%d equal shares index = %v", n, got)
 		}
-	}
-}
-
-func TestMaxMinRatio(t *testing.T) {
-	if got := MaxMinRatio([]float64{10, 5}); got != 2 {
-		t.Errorf("MaxMinRatio = %v, want 2", got)
-	}
-	if got := MaxMinRatio([]float64{4, 4, 4}); got != 1 {
-		t.Errorf("equal shares ratio = %v, want 1", got)
-	}
-	if got := MaxMinRatio([]float64{1, 0}); !math.IsInf(got, 1) {
-		t.Errorf("zero share ratio = %v, want +Inf", got)
-	}
-	if got := MaxMinRatio(nil); got != 0 {
-		t.Errorf("empty ratio = %v, want 0", got)
 	}
 }

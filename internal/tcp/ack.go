@@ -68,7 +68,6 @@ func (c *Conn) deliver(p *pktInfo) {
 		k.priorTime = p.snapDeliveredTime
 		k.sendInterval = p.sentAt - p.snapFirstTx
 		k.rs.IsAppLimited = p.snapAppLimited
-		k.rs.IsRetrans = p.retx
 		c.firstTx = p.sentAt
 	}
 }
@@ -276,8 +275,6 @@ func (c *Conn) undoSpuriousRTO() {
 // sample is measured at ACK-processing completion, so CPU queueing delay is
 // part of it — matching how the kernel's srtt inflates under softirq load.
 func (c *Conn) updateRTT(rtt time.Duration) {
-	c.lastRTT = rtt
-	c.rttSample.Add(float64(rtt))
 	if c.agg != nil {
 		c.agg.rttSum += rtt
 		c.agg.rttN++

@@ -64,8 +64,8 @@ type Conn struct {
 	ceTotal         int64
 	lastECEResponse time.Duration
 
-	srtt, rttvar, lastRTT time.Duration
-	minRTT                stats.WindowedMin
+	srtt, rttvar time.Duration
+	minRTT       stats.WindowedMin
 
 	rtoTimer    sim.Timer
 	rtoBackoff  uint
@@ -82,7 +82,6 @@ type Conn struct {
 	watchdog     sim.Timer
 	failedErr    error // non-nil once the connection is declared dead
 	spuriousRTOs int64
-	idleRestarts int64
 	// F-RTO undo snapshot, taken at the first RTO of a backoff run.
 	undoValid    bool
 	undoCwnd     int
@@ -113,7 +112,6 @@ type Conn struct {
 	appChunk  units.DataSize // size of the copy in progress (appBusy guards it)
 
 	maxBufOcc units.DataSize
-	rttSample stats.Online
 
 	// Telemetry (nil = disabled, the default): bus receives structured
 	// state/recovery/pacing events; met holds the per-connection
@@ -290,9 +288,6 @@ func (c *Conn) ID() int { return c.id }
 
 // CC returns the connection's congestion-control module.
 func (c *Conn) CC() cc.CongestionControl { return c.ccMod }
-
-// Pacer returns the connection's pacer, for stats sampling.
-func (c *Conn) Pacer() *pacing.Pacer { return &c.pacer }
 
 // SetAppCPU attaches the application core that pays the per-byte sendmsg
 // copy cost. Call before Start.
@@ -648,17 +643,11 @@ func (c *Conn) PacketsInFlight() int { return c.inflight }
 // Delivered implements cc.Conn.
 func (c *Conn) Delivered() int64 { return c.delivered }
 
-// Lost implements cc.Conn.
-func (c *Conn) Lost() int64 { return c.lostTotal }
-
 // SRTT implements cc.Conn.
 func (c *Conn) SRTT() time.Duration { return c.srtt }
 
-// MinRTT implements cc.Conn.
+// MinRTT returns the windowed minimum RTT estimate.
 func (c *Conn) MinRTT() time.Duration { return time.Duration(c.minRTT.Get()) }
-
-// LastRTT implements cc.Conn.
-func (c *Conn) LastRTT() time.Duration { return c.lastRTT }
 
 // State implements cc.Conn.
 func (c *Conn) State() cc.State { return c.state }
@@ -803,7 +792,6 @@ func (c *Conn) cwndRestartAfterIdle(now time.Duration) {
 			})
 		}
 		c.cwnd = cwnd
-		c.idleRestarts++
 	}
 }
 
@@ -945,10 +933,6 @@ func (c *Conn) mkPacket(p *pktInfo) *seg.Packet {
 	pkt.Len = p.len
 	pkt.SentAt = p.sentAt
 	pkt.Retx = p.retx
-	pkt.DeliveredAtSend = p.snapDelivered
-	pkt.DeliveredTimeAtSend = p.snapDeliveredTime
-	pkt.FirstSentAtSend = p.snapFirstTx
-	pkt.AppLimitedAtSend = p.snapAppLimited
 	return pkt
 }
 
@@ -1068,46 +1052,26 @@ func (c *Conn) enterLoss() {
 
 // Stats exposes the sender-side counters the experiments report.
 type ConnStats struct {
-	ID           int
-	BytesSent    units.DataSize
 	Retransmits  int64
 	Lost         int64
 	CEMarks      int64
-	Delivered    int64
-	Cwnd         int
-	SRTT         time.Duration
 	MinRTT       time.Duration
-	PacingRate   units.Bandwidth
 	MaxBufferOcc units.DataSize
-	RTTMean      time.Duration
-	RTTSamples   int64
-	State        cc.State
 	PacerStats   pacing.Stats
 	SpuriousRTOs int64
-	IdleRestarts int64
 	Failed       error
 }
 
 // Stats returns a snapshot of the connection's counters.
 func (c *Conn) Stats() ConnStats {
 	return ConnStats{
-		ID:           c.id,
-		BytesSent:    units.DataSize(c.sndNxt),
 		Retransmits:  c.retransTotal,
 		Lost:         c.lostTotal,
 		CEMarks:      c.ceTotal,
-		Delivered:    c.delivered,
-		Cwnd:         c.cwnd,
-		SRTT:         c.srtt,
 		MinRTT:       c.MinRTT(),
-		PacingRate:   c.pacingRate,
 		MaxBufferOcc: c.maxBufOcc,
-		RTTMean:      time.Duration(c.rttSample.Mean()),
-		RTTSamples:   c.rttSample.N(),
-		State:        c.state,
 		PacerStats:   c.pacer.Stats(),
 		SpuriousRTOs: c.spuriousRTOs,
-		IdleRestarts: c.idleRestarts,
 		Failed:       c.failedErr,
 	}
 }
@@ -1128,15 +1092,12 @@ type Audit struct {
 	// Scoreboard walk (ground truth).
 	BoardInflight    int
 	BoardLostPending int
-	BoardSacked      int
-	BoardAcked       int
 	LiveBytes        int64 // sum of live entry lengths
 
 	Cwnd       int
 	Ssthresh   int
 	MaxCwnd    int
 	PacingRate units.Bandwidth
-	Failed     error
 
 	// HeldAcks is the number of pooled ACKs parked behind the CPU model
 	// (delivered by the network, not yet processed) — part of the pool
@@ -1147,7 +1108,7 @@ type Audit struct {
 // Audit walks the scoreboard and returns the connection's bookkeeping
 // snapshot for invariant checking.
 func (c *Conn) Audit() Audit {
-	inflight, lostPending, sacked, acked, liveBytes := c.board.audit()
+	inflight, lostPending, _, _, liveBytes := c.board.audit()
 	return Audit{
 		ID:               c.id,
 		SndUna:           c.sndUna,
@@ -1157,14 +1118,11 @@ func (c *Conn) Audit() Audit {
 		Delivered:        c.delivered,
 		BoardInflight:    inflight,
 		BoardLostPending: lostPending,
-		BoardSacked:      sacked,
-		BoardAcked:       acked,
 		LiveBytes:        liveBytes,
 		Cwnd:             c.cwnd,
 		Ssthresh:         c.ssthresh,
 		MaxCwnd:          c.cfg.MaxCwnd,
 		PacingRate:       c.pacingRate,
-		Failed:           c.failedErr,
 		HeldAcks:         c.pendingAcks.Len(),
 	}
 }

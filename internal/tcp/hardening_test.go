@@ -164,9 +164,6 @@ func TestCwndRestartAfterIdle(t *testing.T) {
 	if c.cwnd < c.cfg.InitialCwnd {
 		t.Errorf("cwnd %d decayed below the restart window %d", c.cwnd, c.cfg.InitialCwnd)
 	}
-	if c.idleRestarts == 0 {
-		t.Error("idle restart not counted")
-	}
 
 	// A short idle (under one RTO) must leave the window alone.
 	c.cwnd = 64

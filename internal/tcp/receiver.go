@@ -41,7 +41,6 @@ type Receiver struct {
 	// OnPacket), so they are copied out rather than aliased.
 	lastSentAt time.Duration
 	lastRetx   bool
-	lastEnd    int64
 	haveLast   bool
 
 	goodBytes units.DataSize // in-order bytes delivered (goodput)
@@ -103,7 +102,7 @@ func (r *Receiver) open() {
 // object is released back to the pool before returning.
 func (r *Receiver) OnPacket(pkt *seg.Packet) {
 	prevNxt := r.rcvNxt
-	r.lastSentAt, r.lastRetx, r.lastEnd = pkt.SentAt, pkt.Retx, pkt.End()
+	r.lastSentAt, r.lastRetx = pkt.SentAt, pkt.Retx
 	r.haveLast = true
 	if pkt.CE {
 		r.ceSinceAck++
@@ -113,7 +112,7 @@ func (r *Receiver) OnPacket(pkt *seg.Packet) {
 		// Duplicate (spurious retransmission): ACK immediately so the
 		// sender's scoreboard converges.
 		r.dupPkts++
-		r.sendAck(pkt.SentAt, pkt.Retx, pkt.End())
+		r.sendAck(pkt.SentAt, pkt.Retx)
 	case pkt.Seq <= r.rcvNxt:
 		// In-order (possibly overlapping the edge): advance and pull in
 		// any out-of-order data that is now contiguous.
@@ -124,14 +123,14 @@ func (r *Receiver) OnPacket(pkt *seg.Packet) {
 		r.mergeContiguous()
 		r.pendingBytes += pkt.Len
 		if len(r.ooo) > 0 || r.pendingBytes >= groMaxBytes {
-			r.sendAck(pkt.SentAt, pkt.Retx, pkt.End())
+			r.sendAck(pkt.SentAt, pkt.Retx)
 		} else {
 			r.armFlush()
 		}
 	default:
 		// Out of order: store and ACK immediately (dupack with SACK).
 		r.insertOOO(seg.SackBlock{Start: pkt.Seq, End: pkt.End()})
-		r.sendAck(pkt.SentAt, pkt.Retx, pkt.End())
+		r.sendAck(pkt.SentAt, pkt.Retx)
 	}
 	r.recvPool().PutPacket(pkt)
 	if r.rcvNxt > prevNxt {
@@ -214,7 +213,7 @@ func rxFlushExpired(v any) { v.(*Receiver).flushExpired() }
 
 func (r *Receiver) flushExpired() {
 	if r.pendingBytes > 0 && r.haveLast {
-		r.sendAck(r.lastSentAt, r.lastRetx, r.lastEnd)
+		r.sendAck(r.lastSentAt, r.lastRetx)
 	}
 }
 
@@ -223,7 +222,7 @@ func (r *Receiver) flushExpired() {
 // Sacks slice, so the ACK never aliases the receiver's out-of-order state —
 // and conversely the ACK path may recycle the ACK without the receiver
 // noticing (the fix for SACK slices outliving ACK consumption).
-func (r *Receiver) sendAck(echoSentAt time.Duration, echoRetx bool, ackedEnd int64) {
+func (r *Receiver) sendAck(echoSentAt time.Duration, echoRetx bool) {
 	r.pendingBytes = 0
 	r.flush.Stop()
 	a := r.recvPool().GetAck()
@@ -231,7 +230,6 @@ func (r *Receiver) sendAck(echoSentAt time.Duration, echoRetx bool, ackedEnd int
 	a.CumAck = r.rcvNxt
 	a.EchoSentAt = echoSentAt
 	a.EchoRetx = echoRetx
-	a.AckedPktEnd = ackedEnd
 	a.CECount = r.ceSinceAck
 	r.ceSinceAck = 0
 	// Report up to three SACK blocks, newest-covering first, into a slice
@@ -303,9 +301,6 @@ func (d *Demux) Add(r *Receiver) { d.rx[r.conn.id] = r }
 // through Handle's unknown-flow path (released to the pool, counted).
 func (d *Demux) Remove(flow int) { delete(d.rx, flow) }
 
-// Len returns how many flows are currently registered.
-func (d *Demux) Len() int { return len(d.rx) }
-
 // Handle implements the path receiver callback.
 func (d *Demux) Handle(pkt *seg.Packet) {
 	if r, ok := d.rx[pkt.Flow]; ok {
@@ -315,6 +310,3 @@ func (d *Demux) Handle(pkt *seg.Packet) {
 		d.pool.PutPacket(pkt)
 	}
 }
-
-// Receiver returns the receiver for a flow id, or nil.
-func (d *Demux) Receiver(flow int) *Receiver { return d.rx[flow] }

@@ -262,7 +262,7 @@ func TestDataPathSizes(t *testing.T) {
 	var got *seg.Ack
 	r := Receiver{conn: &Conn{}, rxPool: seg.NewPool(), returnAck: func(a *seg.Ack) { got = a }}
 	r.ooo = []seg.SackBlock{{Start: 10, End: 20}, {Start: 30, End: 40}, {Start: 50, End: 60}, {Start: 70, End: 80}}
-	r.sendAck(0, false, 0)
+	r.sendAck(0, false)
 	if len(got.Sacks) != 3 || cap(got.Sacks) != 3 {
 		t.Errorf("a new ACK reports %d SACK blocks in a slice of cap %d, want 3 in 3", len(got.Sacks), cap(got.Sacks))
 	}

@@ -83,8 +83,8 @@ func TestBulkTransferCompletes(t *testing.T) {
 	if st.Retransmits != 0 {
 		t.Errorf("retransmits = %d on a clean path, want 0", st.Retransmits)
 	}
-	if st.SRTT <= 0 {
-		t.Errorf("srtt = %v, want > 0", st.SRTT)
+	if srtt := h.conn.SRTT(); srtt <= 0 {
+		t.Errorf("srtt = %v, want > 0", srtt)
 	}
 }
 
@@ -276,7 +276,7 @@ func TestRTTInflatesUnderCPULoad(t *testing.T) {
 		path.SetReceiver(d.Handle)
 		conn.Start()
 		eng.Run(2 * time.Second)
-		return time.Duration(conn.rttSample.Mean())
+		return conn.SRTT()
 	}
 	fast := run(5e9)
 	slow := run(80e6)

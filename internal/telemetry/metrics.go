@@ -5,56 +5,9 @@ import (
 	"io"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
-	"strings"
 )
-
-// Counter is a monotonically increasing count. All methods are safe on a
-// nil receiver (the disabled state).
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v++
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v += n
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is a last-value-wins measurement. Safe on a nil receiver.
-type Gauge struct{ v float64 }
-
-// Set records v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Value returns the last recorded value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
 
 // Histogram is a fixed-bucket histogram: bounds are inclusive upper edges,
 // with an implicit +Inf bucket at the end. Safe on a nil receiver.
@@ -91,44 +44,12 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of samples (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
+// snapshot copies the histogram's state.
+func (h *Histogram) snapshot() HistogramSnapshot {
+	return HistogramSnapshot{
+		Count: h.n, Sum: h.sum, Min: h.min, Max: h.max,
+		Bounds: slices.Clone(h.bounds), Counts: slices.Clone(h.counts),
 	}
-	return h.n
-}
-
-// Mean returns the sample mean (0 when empty or nil).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Quantile approximates the q-quantile (0 ≤ q ≤ 1) from the buckets: it
-// returns the upper bound of the bucket holding the q-th sample (the max
-// observed value for the overflow bucket).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(h.n)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
 }
 
 // HistogramSnapshot is the frozen view of one histogram.
@@ -149,9 +70,9 @@ func (s HistogramSnapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// Quantile approximates the q-quantile (0 ≤ q ≤ 1) from the buckets, the
-// same way Histogram.Quantile does: the upper bound of the bucket holding
-// the q-th sample, or the observed max for the overflow bucket.
+// Quantile approximates the q-quantile (0 ≤ q ≤ 1) from the buckets: the
+// upper bound of the bucket holding the q-th sample, or the observed max for
+// the overflow bucket.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
@@ -177,17 +98,12 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 // bucket layouts: summing their counts element-wise would silently corrupt
 // both distributions.
 type BoundsMismatchError struct {
-	// Name identifies the offending histogram when known ("" otherwise).
-	Name string
 	// Want and Got are the two incompatible bound sets.
 	Want, Got []float64
 }
 
 // Error implements error.
 func (e *BoundsMismatchError) Error() string {
-	if e.Name != "" {
-		return fmt.Sprintf("telemetry: histogram %q has bounds %v, cannot merge into bounds %v", e.Name, e.Got, e.Want)
-	}
 	return fmt.Sprintf("telemetry: cannot merge histogram bounds %v into %v", e.Got, e.Want)
 }
 
@@ -240,53 +156,16 @@ func MergeHistogramSnapshots(dst, src HistogramSnapshot) (HistogramSnapshot, err
 	return out, nil
 }
 
-// Registry holds named instruments. A nil *Registry is the disabled state:
-// instrument constructors return nil instruments whose methods no-op, so an
-// instrumented component holds nils end to end and pays only nil-checks.
+// Registry holds named histograms. A nil *Registry is the disabled state:
+// Histogram returns nil instruments whose methods no-op, so an instrumented
+// component holds nils end to end and pays only nil-checks.
 type Registry struct {
-	order      []string
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the named counter, creating it on first use. Returns nil
-// on a nil registry.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	r.counters[name] = c
-	r.order = append(r.order, name)
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. Returns nil on a
-// nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{}
-	r.gauges[name] = g
-	r.order = append(r.order, name)
-	return g
+	return &Registry{histograms: make(map[string]*Histogram)}
 }
 
 // Histogram returns the named histogram, creating it with bounds on first
@@ -300,43 +179,22 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	}
 	h := newHistogram(bounds)
 	r.histograms[name] = h
-	r.order = append(r.order, name)
 	return h
 }
 
-// Snapshot freezes every instrument's current value. Returns nil on a nil
-// registry.
+// Snapshot freezes every histogram's current state.
 type Snapshot struct {
-	Counters   map[string]uint64
-	Gauges     map[string]float64
 	Histograms map[string]HistogramSnapshot
 }
 
-// Snapshot freezes the registry.
+// Snapshot freezes the registry. Returns nil on a nil registry.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
 	}
-	s := &Snapshot{
-		Counters:   make(map[string]uint64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
-	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.v
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.v
-	}
+	s := &Snapshot{Histograms: make(map[string]HistogramSnapshot, len(r.histograms))}
 	for name, h := range r.histograms {
-		bounds := make([]float64, len(h.bounds))
-		copy(bounds, h.bounds)
-		counts := make([]uint64, len(h.counts))
-		copy(counts, h.counts)
-		s.Histograms[name] = HistogramSnapshot{
-			Count: h.n, Sum: h.sum, Min: h.min, Max: h.max,
-			Bounds: bounds, Counts: counts,
-		}
+		s.Histograms[name] = h.snapshot()
 	}
 	return s
 }
@@ -346,39 +204,16 @@ func (s *Snapshot) Write(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	names := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
+	names := make([]string, 0, len(s.Histograms))
 	for n := range s.Histograms {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	// A name registered as more than one instrument kind appears once per
-	// kind in names; dedupe so each kind renders exactly once, counter
-	// first, in a stable order.
-	for i, n := range names {
-		if i > 0 && n == names[i-1] {
-			continue
-		}
-		if v, ok := s.Counters[n]; ok {
-			if _, err := fmt.Fprintf(w, "%-40s %12d\n", n, v); err != nil {
-				return err
-			}
-		}
-		if v, ok := s.Gauges[n]; ok {
-			if _, err := fmt.Fprintf(w, "%-40s %12.3f\n", n, v); err != nil {
-				return err
-			}
-		}
-		if h, ok := s.Histograms[n]; ok {
-			if _, err := fmt.Fprintf(w, "%-40s n=%-10d mean=%-12.3f min=%-12.3f max=%.3f\n",
-				n, h.Count, h.Mean(), zeroIfInf(h.Min), zeroIfInf(h.Max)); err != nil {
-				return err
-			}
+	for _, n := range names {
+		h := s.Histograms[n]
+		if _, err := fmt.Fprintf(w, "%-40s n=%-10d mean=%-12.3f min=%-12.3f max=%.3f\n",
+			n, h.Count, h.Mean(), zeroIfInf(h.Min), zeroIfInf(h.Max)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -435,64 +270,6 @@ func NewConnMetrics(r *Registry, id int) *ConnMetrics {
 		InterSendGap: r.Histogram(p+"inter_send_gap_ms", InterSendGapBounds),
 		TimerSlip:    r.Histogram(p+"pacing_timer_slip_us", TimerSlipBounds),
 	}
-}
-
-// MergedHistogram sums every histogram whose name ends in suffix — the
-// cross-connection view of a per-connection instrument. Histograms whose
-// bucket bounds differ from the first match are skipped rather than
-// corrupting the merged counts; use MergedHistogramChecked to learn how
-// many were skipped.
-func (s *Snapshot) MergedHistogram(suffix string) HistogramSnapshot {
-	out, _ := s.MergedHistogramChecked(suffix)
-	return out
-}
-
-// MergedHistogramChecked is MergedHistogram plus the number of matching
-// histograms that were skipped because their bucket bounds did not match
-// the first match's (merging mismatched layouts element-wise would corrupt
-// the distribution). Iteration over matches is in sorted-name order, so the
-// adopted layout — and therefore the result — is deterministic.
-func (s *Snapshot) MergedHistogramChecked(suffix string) (HistogramSnapshot, int) {
-	var out HistogramSnapshot
-	if s == nil {
-		return out, 0
-	}
-	names := make([]string, 0, len(s.Histograms))
-	for name := range s.Histograms {
-		if strings.HasSuffix(name, suffix) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	skipped := 0
-	out.Min = math.Inf(1)
-	out.Max = math.Inf(-1)
-	for _, name := range names {
-		h := s.Histograms[name]
-		if out.Bounds == nil {
-			out.Bounds = append([]float64(nil), h.Bounds...)
-			out.Counts = make([]uint64, len(h.Counts))
-		}
-		if !sameBounds(h.Bounds, out.Bounds) || len(h.Counts) != len(out.Counts) {
-			skipped++
-			continue
-		}
-		for i, c := range h.Counts {
-			out.Counts[i] += c
-		}
-		out.Count += h.Count
-		out.Sum += h.Sum
-		if h.Count > 0 && h.Min < out.Min {
-			out.Min = h.Min
-		}
-		if h.Count > 0 && h.Max > out.Max {
-			out.Max = h.Max
-		}
-	}
-	if out.Count == 0 {
-		out.Min, out.Max = 0, 0
-	}
-	return out, skipped
 }
 
 // connPrefix matches the "conn<N>/" namespace NewConnMetrics registers

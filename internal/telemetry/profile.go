@@ -38,14 +38,6 @@ func (p *Profile) SetPhase(name string) {
 	p.phase = name
 }
 
-// Phase returns the current phase label ("" on nil).
-func (p *Profile) Phase() string {
-	if p == nil {
-		return ""
-	}
-	return p.phase
-}
-
 // Add attributes cycles of op on core to the current phase.
 func (p *Profile) Add(core, op string, cycles float64) {
 	if p == nil {

@@ -15,20 +15,13 @@ func TestSnapshotWriteDeterministic(t *testing.T) {
 	build := func(names []string) *Registry {
 		r := NewRegistry()
 		for _, n := range names {
-			switch {
-			case strings.HasPrefix(n, "c/"):
-				r.Counter(n).Add(7)
-			case strings.HasPrefix(n, "g/"):
-				r.Gauge(n).Set(1.5)
-			default:
-				r.Histogram(n, []float64{1, 10}).Observe(3)
-			}
+			r.Histogram(n, []float64{1, 10}).Observe(float64(len(n)))
 		}
 		return r
 	}
 	names := []string{
-		"c/zeta", "g/alpha", "h/mid", "c/alpha", "g/zeta", "h/aaa",
-		"c/mid", "g/mid", "h/zzz",
+		"conn1/zeta", "alpha", "h/mid", "conn0/alpha", "zeta", "h/aaa",
+		"conn10/mid", "mid", "h/zzz",
 	}
 	rev := make([]string, len(names))
 	for i, n := range names {
@@ -58,27 +51,6 @@ func TestSnapshotWriteDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotWriteKindCollision: a name registered as more than one
-// instrument kind must render each kind exactly once (the old code printed
-// the counter twice and dropped the gauge).
-func TestSnapshotWriteKindCollision(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("dup").Add(3)
-	r.Gauge("dup").Set(2.5)
-	r.Histogram("dup", []float64{1}).Observe(1)
-	var buf bytes.Buffer
-	if err := r.Snapshot().Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if n := strings.Count(out, "dup"); n != 3 {
-		t.Fatalf("collided name rendered %d times, want 3 (one per kind):\n%s", n, out)
-	}
-	if !strings.Contains(out, "2.500") {
-		t.Fatalf("gauge value lost on kind collision:\n%s", out)
-	}
-}
-
 // TestMergeHistogramSnapshots covers the mergeable-snapshot codec: adopt
 // into empty, sum matching layouts, and reject mismatched bounds with a
 // structured error instead of corrupting buckets.
@@ -88,8 +60,7 @@ func TestMergeHistogramSnapshots(t *testing.T) {
 		for _, v := range vals {
 			h.Observe(v)
 		}
-		return HistogramSnapshot{Count: h.n, Sum: h.sum, Min: h.min, Max: h.max,
-			Bounds: append([]float64(nil), h.bounds...), Counts: append([]uint64(nil), h.counts...)}
+		return h.snapshot()
 	}
 	a := mk([]float64{1, 10}, 0.5, 5)
 	b := mk([]float64{1, 10}, 20, 0.2)
@@ -130,17 +101,17 @@ func TestMergeHistogramSnapshots(t *testing.T) {
 	}
 }
 
-// TestMergedHistogramSkipsMismatchedBounds: the cross-connection merge must
-// skip (and count) histograms whose bucket layout differs instead of
-// silently summing incompatible counts — the old code only compared bucket
-// count, so equal-length different-bound layouts corrupted the merge.
+// TestMergedHistogramSkipsMismatchedBounds: the digest's cross-connection
+// merge must skip (and count) histograms whose bucket layout differs instead
+// of silently summing incompatible counts — equal-length different-bound
+// layouts would corrupt the merge.
 func TestMergedHistogramSkipsMismatchedBounds(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("conn0/x", []float64{1, 10}).Observe(5)
 	r.Histogram("conn1/x", []float64{2, 20}).Observe(5) // same len, different bounds
 	r.Histogram("conn2/x", []float64{1, 10}).Observe(0.5)
-	s := r.Snapshot()
-	m, skipped := s.MergedHistogramChecked("/x")
+	d, skipped := r.Snapshot().HistogramDigest()
+	m := d["x"]
 	if skipped != 1 {
 		t.Fatalf("skipped = %d, want 1", skipped)
 	}

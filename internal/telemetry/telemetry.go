@@ -1,10 +1,9 @@
 // Package telemetry is the simulation's unified observability layer: a
-// structured event bus stamped with virtual time, a metrics registry
-// (counters, gauges, fixed-bucket histograms), a CPU-cycle attribution
-// profiler, and engine self-metrics. It is the substrate the paper's
-// cost-attribution argument needs — "where did the cycles go" and "what
-// happened during the blackout at t=12s" become queries over data instead
-// of debugger sessions.
+// structured event bus stamped with virtual time, a metrics registry of
+// fixed-bucket histograms, a CPU-cycle attribution profiler, and engine
+// self-metrics. It is the substrate the paper's cost-attribution argument
+// needs — "where did the cycles go" and "what happened during the blackout
+// at t=12s" become queries over data instead of debugger sessions.
 //
 // Everything in this package is zero-cost when disabled: every recording
 // method is safe to call on a nil receiver and returns immediately, so an

@@ -69,17 +69,12 @@ func TestBusCapDrops(t *testing.T) {
 // the instrumented transport relies on.
 func TestNilReceiversZeroAlloc(t *testing.T) {
 	var bus *Bus
-	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var r *Registry
 	var p *Profile
 	var coll *EngineCollector
 	allocs := testing.AllocsPerRun(100, func() {
 		bus.Emit(Event{Kind: KindPacingTimer, Value: 1})
-		c.Inc()
-		c.Add(3)
-		g.Set(1.5)
 		h.Observe(42)
 		p.Add("net", "pacing_timer", 16000)
 		p.SetPhase("during")
@@ -90,10 +85,7 @@ func TestNilReceiversZeroAlloc(t *testing.T) {
 	if bus.Events() != nil || bus.Dropped() != 0 || bus.Enabled() {
 		t.Error("nil bus accessors not inert")
 	}
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("nil instrument accessors not inert")
-	}
-	if r.Counter("x") != nil || r.Gauge("y") != nil || r.Histogram("z", nil) != nil || r.Snapshot() != nil {
+	if r.Histogram("z", nil) != nil || r.Snapshot() != nil {
 		t.Error("nil registry should hand out nil instruments")
 	}
 	if NewConnMetrics(nil, 0) != nil {
@@ -233,19 +225,20 @@ func TestWriteJSONLDeterministicAndParseable(t *testing.T) {
 }
 
 func TestHistogramBucketsAndQuantile(t *testing.T) {
-	h := newHistogram([]float64{10, 100})
+	live := newHistogram([]float64{10, 100})
 	for _, v := range []float64{1, 5, 50, 500} {
-		h.Observe(v)
+		live.Observe(v)
 	}
-	if h.Count() != 4 {
-		t.Fatalf("count = %d", h.Count())
+	h := live.snapshot()
+	if h.Count != 4 {
+		t.Fatalf("count = %d", h.Count)
 	}
 	if got := h.Mean(); got != 139 {
 		t.Errorf("mean = %v, want 139", got)
 	}
 	// Buckets: ≤10 ×2, ≤100 ×1, overflow ×1.
-	if h.counts[0] != 2 || h.counts[1] != 1 || h.counts[2] != 1 {
-		t.Errorf("counts = %v", h.counts)
+	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[2] != 1 {
+		t.Errorf("counts = %v", h.Counts)
 	}
 	if got := h.Quantile(0.5); got != 10 {
 		t.Errorf("p50 = %v, want 10", got)
@@ -257,16 +250,12 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 
 func TestRegistrySnapshotAndWrite(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("acks").Add(7)
-	r.Gauge("speed").Set(2.5)
 	r.Histogram("gap_ms", []float64{1, 10}).Observe(3)
-	if r.Counter("acks") != r.Counter("acks") {
-		t.Error("same name must return the same counter")
+	r.Histogram("slip_us", []float64{1}).Observe(2)
+	if r.Histogram("gap_ms", nil) != r.Histogram("gap_ms", nil) {
+		t.Error("same name must return the same histogram")
 	}
 	s := r.Snapshot()
-	if s.Counters["acks"] != 7 || s.Gauges["speed"] != 2.5 {
-		t.Errorf("snapshot = %+v", s)
-	}
 	hs := s.Histograms["gap_ms"]
 	if hs.Count != 1 || hs.Min != 3 || hs.Max != 3 {
 		t.Errorf("hist snapshot = %+v", hs)
@@ -276,26 +265,28 @@ func TestRegistrySnapshotAndWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"acks", "speed", "gap_ms"} {
+	for _, want := range []string{"gap_ms", "slip_us"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("snapshot text missing %q:\n%s", want, out)
 		}
 	}
 }
 
+// TestMergedHistogram: the digest merges one instrument across connections.
 func TestMergedHistogram(t *testing.T) {
 	r := NewRegistry()
 	NewConnMetrics(r, 0).AckBatch.Observe(4)
 	NewConnMetrics(r, 1).AckBatch.Observe(8)
-	m := r.Snapshot().MergedHistogram("/ack_batch_pkts")
+	d, _ := r.Snapshot().HistogramDigest()
+	m := d["ack_batch_pkts"]
 	if m.Count != 2 || m.Min != 4 || m.Max != 8 {
 		t.Errorf("merged = %+v", m)
 	}
 	if m.Mean() != 6 {
 		t.Errorf("merged mean = %v, want 6", m.Mean())
 	}
-	if empty := r.Snapshot().MergedHistogram("/nope"); empty.Count != 0 || empty.Min != 0 {
-		t.Errorf("empty merge = %+v", empty)
+	if empty, _ := NewRegistry().Snapshot().HistogramDigest(); len(empty) != 0 {
+		t.Errorf("empty digest = %+v", empty)
 	}
 }
 

@@ -24,12 +24,6 @@ const (
 // Mbit returns the bandwidth expressed in megabits per second.
 func (b Bandwidth) Mbit() float64 { return float64(b) / float64(Mbps) }
 
-// BytesPerSecond returns the bandwidth expressed in bytes per second.
-func (b Bandwidth) BytesPerSecond() float64 { return float64(b) / 8 }
-
-// IsZero reports whether the bandwidth is zero.
-func (b Bandwidth) IsZero() bool { return b == 0 }
-
 // TimeToSend returns how long it takes to send n bytes at rate b.
 // It returns 0 for non-positive sizes and panics on a zero rate, since the
 // caller would otherwise divide by zero implicitly.
@@ -112,9 +106,6 @@ const (
 	MB            = 1024 * KB
 	GB            = 1024 * MB
 )
-
-// Bytes returns the size as an int64 byte count.
-func (d DataSize) Bytes() int64 { return int64(d) }
 
 // Kilobits returns the size expressed in kilobits (1000 bits), the unit the
 // paper's Table 2 reports socket-buffer lengths in.
