@@ -8,7 +8,6 @@ import (
 	"mobbr/internal/core"
 	"mobbr/internal/device"
 	"mobbr/internal/mobility"
-	"mobbr/internal/render"
 	"mobbr/internal/repro"
 )
 
@@ -20,7 +19,7 @@ type figure struct {
 	keep    func(core.Spec) bool
 	max     float64 // chart scale in Mbps (0 = the largest bar)
 	title   func(core.Spec) string
-	bar     func(repro.Point) render.Bar
+	bar     func(repro.Point) bar
 }
 
 // figures runs the paper's headline figures — 2a, 4 and 8, their cells
@@ -32,29 +31,33 @@ func figures(args []string, stdout, stderr io.Writer) int {
 	if status, ok := parse(fs, args, 0); !ok {
 		return status
 	}
+	if _, err := checkParallelism(1, sh.jobs); err != nil {
+		fmt.Fprintln(stderr, "mobbr:", err)
+		return 2
+	}
 	lowEnd := func(s core.Spec) bool { return s.CPU == device.LowEnd }
 	figs := []figure{
 		{"Figure 2a — Pixel 4 Low-End, Ethernet", repro.Figure2(), lowEnd, 400,
 			func(s core.Spec) string { return s.CC },
-			func(p repro.Point) render.Bar {
-				b := render.Bar{Label: fmt.Sprintf("%2d conns", p.Spec.Conns)}
+			func(p repro.Point) bar {
+				b := bar{label: fmt.Sprintf("%2d conns", p.Spec.Conns)}
 				if p.PaperMbps > 0 {
-					b.Note = fmt.Sprintf("paper: %.0f", p.PaperMbps)
+					b.note = fmt.Sprintf("paper: %.0f", p.PaperMbps)
 				}
 				return b
 			}},
 		{"Figure 4 — BBR pacing on/off, 20 conns", repro.Figure4(), func(core.Spec) bool { return true }, 0,
 			func(core.Spec) string { return "goodput" },
-			func(p repro.Point) render.Bar {
+			func(p repro.Point) bar {
 				if p.Spec.PacingOverride != nil {
-					return render.Bar{Label: fmt.Sprintf("%v unpaced", p.Spec.CPU)}
+					return bar{label: fmt.Sprintf("%v unpaced", p.Spec.CPU)}
 				}
-				return render.Bar{Label: fmt.Sprintf("%v paced", p.Spec.CPU)}
+				return bar{label: fmt.Sprintf("%v paced", p.Spec.CPU)}
 			}},
 		{"Figure 8 — pacing-stride sweep, 20 conns", repro.Figure8(),
 			func(s core.Spec) bool { return s.CPU == device.LowEnd || s.CPU == device.Default }, 700,
 			func(s core.Spec) string { return s.CPU.String() },
-			func(p repro.Point) render.Bar { return render.Bar{Label: fmt.Sprintf("%3.0fx", p.Spec.Stride)} }},
+			func(p repro.Point) bar { return bar{label: fmt.Sprintf("%3.0fx", p.Spec.Stride)} }},
 	}
 	// One grid of every kept cell, so the worker pool sees all of them.
 	all := repro.Experiment{ID: "figures", Title: "Figures 2a, 4 and 8"}
@@ -76,18 +79,18 @@ func figures(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	for _, f := range figs {
-		var charts []render.Chart
+		var charts []chart
 		for _, r := range rows[:len(f.exp.Points)] {
-			if t := f.title(r.Point.Spec); len(charts) == 0 || charts[len(charts)-1].Title != t {
-				charts = append(charts, render.Chart{Title: t})
+			if t := f.title(r.Point.Spec); len(charts) == 0 || charts[len(charts)-1].title != t {
+				charts = append(charts, chart{title: t})
 			}
 			b := f.bar(r.Point)
-			b.Value = r.GoodputMbps
-			charts[len(charts)-1].Bars = append(charts[len(charts)-1].Bars, b)
+			b.value = r.GoodputMbps
+			charts[len(charts)-1].bars = append(charts[len(charts)-1].bars, b)
 		}
 		rows = rows[len(f.exp.Points):]
 		fmt.Fprintf(stdout, "═══ %s ═══\n", f.heading)
-		if err := render.Grouped(stdout, "Mbps", f.max, charts...); err != nil {
+		if err := writeGrouped(stdout, "Mbps", f.max, charts...); err != nil {
 			return failf(stderr, "%v", err)
 		}
 	}
@@ -125,19 +128,19 @@ func traceFigure(w io.Writer, sh *shared) error {
 		return nil
 	}
 	fmt.Fprintf(w, "═══ Trace replay — %s, bbr Low-End (▒ = outage/degraded) ═══\n", e.Compiled.Trace.Name)
-	tl := render.Timeline{Title: "goodput over time", Unit: "Mbps", Width: 40}
+	tl := chart{title: "goodput over time", unit: "Mbps", width: 40}
 	var lastSeg *mobility.Segment
 	for _, iv := range res.Report.Intervals {
 		seg := segAt(iv.Start + (iv.End-iv.Start)/2)
-		b := render.TimeBucket{Label: fmt.Sprintf("%5.1fs", iv.Start.Seconds()), Value: iv.Goodput.Mbit()}
+		b := bar{label: fmt.Sprintf("%5.1fs", iv.Start.Seconds()), value: iv.Goodput.Mbit()}
 		if seg != nil && seg.Kind != mobility.SegNominal {
-			b.Shaded = true
+			b.shaded = true
 			if seg != lastSeg {
-				b.Note = "◀ " + seg.Kind.String()
+				b.note = "◀ " + seg.Kind.String()
 			}
 		}
 		lastSeg = seg
-		tl.Buckets = append(tl.Buckets, b)
+		tl.bars = append(tl.bars, b)
 	}
-	return tl.Write(w)
+	return tl.write(w)
 }

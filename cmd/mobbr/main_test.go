@@ -290,3 +290,31 @@ func TestCheckParallelism(t *testing.T) {
 		})
 	}
 }
+
+// TestFiguresDraws runs the figures command end to end at a short
+// duration: the three paper figures and the trace replay all draw, and a
+// negative -j is a usage error, as it is for grid.
+func TestFiguresDraws(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if status := dispatch([]string{"figures", "-dur", "100ms", "-j", "1"}, &stdout, &stderr); status != 0 {
+		t.Fatalf("figures: exit %d, want 0\n%s", status, stderr.String())
+	}
+	for _, heading := range []string{
+		"═══ Figure 2a — Pixel 4 Low-End, Ethernet ═══",
+		"═══ Figure 4 — BBR pacing on/off, 20 conns ═══",
+		"═══ Figure 8 — pacing-stride sweep, 20 conns ═══",
+		"═══ Trace replay — ",
+	} {
+		if !strings.Contains(stdout.String(), heading) {
+			t.Errorf("figures output lacks %q:\n%s", heading, stdout.String())
+		}
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if status := dispatch([]string{"figures", "-j", "-3"}, &stdout, &stderr); status != 2 {
+		t.Errorf("figures -j -3: exit %d, want 2", status)
+	}
+	if !strings.Contains(stderr.String(), "-j must be at least 0") {
+		t.Errorf("figures -j -3 stderr = %q", stderr.String())
+	}
+}

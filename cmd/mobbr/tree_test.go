@@ -133,23 +133,54 @@ func TestPackageMap(t *testing.T) {
 }
 
 // unreadAllowed lists what TestNothingUnread would flag but the tree keeps
-// on purpose, keyed "file: name" as the test reports it, with the reason.
+// on purpose, keyed "file: name" as the test reports it. Each reason opens
+// with one of the allowedClasses.
 var unreadAllowed = map[string]string{
-	"internal/device/device.go: Spec.BigFreqs": "hardware reference data: the phone's big-cluster frequency table, beside the little-cluster one the governors read",
+	"internal/cc/bbr/bbr.go: New":                         "accessor: builds the module the registry builds, for the cc, cctest and tcp tests",
+	"internal/cc/bbr/bbr.go: BBR.BtlBw":                   "accessor: the bandwidth filter BBR paces from, read by the master-module tests",
+	"internal/cc/bbrv2/bbrv2.go: New":                     "accessor: builds the module the registry builds, for the cctest scratch tests",
+	"internal/cc/cubic/cubic.go: New":                     "accessor: builds the module the registry builds, for the cc, cctest, apps and simnet tests",
+	"internal/cc/reno/reno.go: New":                       "accessor: builds the module the registry builds, for the cctest scratch tests",
+	"internal/cpumodel/cpu.go: CPU.OpCycles":              "accessor: the per-op cycle totals Breakdown reports, read by the tcp tests",
+	"internal/flows/session.go: Session.Pool":             "accessor: the churn session's conn pool, read by the tcp recycle tests",
+	"internal/iperf/iperf.go: Session.Aggregates":         "accessor: the run-wide counters the periodic paths read, checked by the iperf and tcp tests",
+	"internal/telemetry/profile.go: Profile.PhaseShare":   "accessor: one phase's share of the profile the report prints, read by the core tests",
+	"internal/telemetry/telemetry.go: Bus.Events":         "accessor: the event log the JSONL export writes, read by the core tests",
+	"internal/telemetry/telemetry.go: Bus.Filter":         "accessor: the event log by kind, read by the core, faults and repro tests",
+	"internal/sim/sim.go: Engine.CorruptQueueForTest":     "fault hook: skews the queue count so the check tests see the audit fire",
+	"internal/device/device.go: Spec.BigFreqs":            "reference data: the phone's big-cluster frequency table, beside the little-cluster one the governors read",
+	"internal/cpumodel/governor.go: OperatingPoint.Big":   "reference data: whether Table 1's operating point is a big core",
+	"internal/repro/repro.go: Point.PaperRTTms":           "reference data: the RTT the paper reports for the grid point",
+	"internal/chaos/chaos.go: Budgets.MaxPoolOutstanding": "test reach: the chaos tests lower the pool cap to trip the pool budget in one short run",
 }
 
+// allowedClasses are the reasons a declaration may stay in unreadAllowed:
+//   - accessor: an accessor or constructor over state the program already
+//     keeps and reads, used by another package's tests;
+//   - fault hook: a hook named …ForTest that a test uses to inject a fault;
+//   - reference data: hardware or paper figures kept beside the model;
+//   - test reach: an option a test must set to reach the path it guards
+//     within about a second.
+var allowedClasses = []string{"accessor: ", "fault hook: ", "reference data: ", "test reach: "}
+
 // TestNothingUnread type-checks every module package with its tests (and
-// bench/) against the compiler's export data, and fails on
-//   - a func, method, type, const or var declared in a non-test file under
-//     internal/ or cmd/ that nothing in the module references, and
-//   - a struct field without a tag declared there that nothing reads
-//     (an assignment, op-assignment or ++/-- is a write, not a read).
+// bench/) against the compiler's export data, and fails on what is declared
+// in a non-test file under internal/ or cmd/ and
 //
-// Tests and bench/ count as readers.
+//	(a) is referenced by nothing in the module: a func, method, type, const
+//	    or var, or an untagged struct field nothing reads (an assignment,
+//	    op-assignment or ++/-- is a write, not a read);
+//	(b) is referenced or read only by tests: _test.go files do not count as
+//	    readers, except inside Example functions, while bench/ does;
+//	(c) is an option nothing sets or reads: a field of a struct with a
+//	    withDefaults or WithDefaults method that no program code writes
+//	    ("never set") or reads ("never read"), not counting that method.
+//	    A keyed composite literal writes its keys, and a write through a
+//	    nested field (cfg.Pacing.Stride = …) writes the outer one.
 //
 // Methods whose name some interface declares, and main, init, Test*,
-// Example*, Fuzz* and Benchmark* are exempt. Anything else the tree keeps
-// on purpose goes in unreadAllowed with its reason.
+// Example*, Fuzz* and Benchmark* are exempt from (a) and (b). Anything else
+// the tree keeps on purpose goes in unreadAllowed with its reason.
 func TestNothingUnread(t *testing.T) {
 	root, pkgs := listTree(t)
 	byID := make(map[string]*listedPackage, len(pkgs))
@@ -165,11 +196,16 @@ func TestNothingUnread(t *testing.T) {
 		return fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, obj.Name())
 	}
 	type declared struct {
-		obj  types.Object
-		what string // "method Conn.Pacer", "field Packet.Retx", …
+		obj   types.Object
+		what  string // "method Conn.Pacer", "field Packet.Retx", …
+		owner string // a field's struct, as key of its type name
 	}
-	decls := map[string]declared{} // candidates of kind (a) and (b)
-	used := map[string]bool{}      // referenced objects and read fields
+	decls := map[string]declared{} // candidates
+	usedAny := map[string]bool{}   // referenced objects and read fields
+	usedProg := map[string]bool{}  // the same, by program code only
+	optRead := map[string]bool{}   // fields program code reads outside their withDefaults
+	optSet := map[string]bool{}    // fields program code writes outside their withDefaults
+	options := map[string]bool{}   // keys of types with a withDefaults method
 	// Seeded with error's method and those the errors package finds through
 	// interfaces it declares inside its functions.
 	ifaceMethods := map[string]bool{"Error": true, "Unwrap": true, "Is": true, "As": true}
@@ -254,62 +290,119 @@ func TestNothingUnread(t *testing.T) {
 
 		declaredHere := strings.HasPrefix(rel(path), "internal/") || strings.HasPrefix(rel(path), "cmd/")
 		for _, f := range files {
-			if declaredHere && !strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go") {
-				collectDecls(f, info, func(obj types.Object, what string) {
-					decls[key(obj)] = declared{obj, what}
+			isTest := strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go")
+			if declaredHere && !isTest {
+				collectDecls(f, info, func(obj types.Object, what string, owner types.Object) {
+					d := declared{obj: obj, what: what}
+					if owner != nil {
+						d.owner = key(owner)
+					}
+					decls[key(obj)] = d
+					if fn, ok := obj.(*types.Func); ok && isWithDefaults(fn.Name()) {
+						options[key(recvTypeName(fn))] = true
+					}
 				})
 			}
-			collectUses(f, info, func(obj types.Object) {
-				if obj.Pkg() != nil && strings.HasPrefix(obj.Pkg().Path(), module+"/") {
-					used[key(obj)] = true
+			collectUses(f, info, func(u use) {
+				if u.obj.Pkg() == nil || !strings.HasPrefix(u.obj.Pkg().Path(), module+"/") {
+					return
+				}
+				k := key(u.obj)
+				prog := !isTest || u.inExample
+				if !u.write {
+					usedAny[k] = true
+					if prog {
+						usedProg[k] = true
+					}
+				}
+				if !prog || !u.field {
+					return
+				}
+				if u.defaultsOf != nil && decls[k].owner == key(u.defaultsOf) {
+					return // an option's own defaults fill
+				}
+				if u.write {
+					optSet[k] = true
+				} else {
+					optRead[k] = true
 				}
 			})
 		}
 	}
 
+	for name, reason := range unreadAllowed {
+		if !slices.ContainsFunc(allowedClasses, func(class string) bool { return strings.HasPrefix(reason, class) }) {
+			t.Errorf("unreadAllowed[%q] names no class of %q", name, allowedClasses)
+		}
+	}
+	allowedHit := map[string]bool{}
 	var flagged []string
 	for k, d := range decls {
-		if used[k] {
-			continue
-		}
 		kind, name, _ := strings.Cut(d.what, " ")
-		if kind == "method" && ifaceMethods[d.obj.Name()] {
+		var faults []string
+		switch {
+		case kind == "method" && ifaceMethods[d.obj.Name()]:
+		case !usedAny[k] && kind == "field":
+			faults = append(faults, "is never read")
+		case !usedAny[k]:
+			faults = append(faults, "is never referenced")
+		case !usedProg[k]:
+			faults = append(faults, "is used only by tests")
+		}
+		if kind == "field" && options[d.owner] {
+			if !optSet[k] {
+				faults = append(faults, "is an option never set")
+			}
+			if !optRead[k] && usedProg[k] {
+				faults = append(faults, "is an option never read")
+			}
+		}
+		if len(faults) == 0 {
 			continue
 		}
 		pos := fset.Position(d.obj.Pos())
 		file, _ := filepath.Rel(root, pos.Filename)
 		if _, ok := unreadAllowed[file+": "+name]; ok {
+			allowedHit[file+": "+name] = true
 			continue
 		}
-		never := "referenced"
-		if kind == "field" {
-			never = "read"
+		flagged = append(flagged, fmt.Sprintf("%s:%d: %s %s", file, pos.Line, d.what, strings.Join(faults, " and ")))
+	}
+	for name := range unreadAllowed {
+		if !allowedHit[name] {
+			flagged = append(flagged, "unreadAllowed["+name+"] allows what nothing flags")
 		}
-		flagged = append(flagged, fmt.Sprintf("%s:%d: %s is never %s", file, pos.Line, d.what, never))
 	}
 	sort.Strings(flagged)
 	for _, f := range flagged {
 		t.Error(f)
 	}
-	if len(decls) == 0 {
-		t.Fatal("found no declarations to check")
+	if len(decls) == 0 || len(options) == 0 {
+		t.Fatal("found no declarations or options to check")
 	}
 }
 
+func isWithDefaults(name string) bool { return name == "withDefaults" || name == "WithDefaults" }
+
+// recvTypeName returns the named type a method is declared on.
+func recvTypeName(fn *types.Func) *types.TypeName {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	return recv.(*types.Named).Obj()
+}
+
 // collectDecls reports the package-level declarations, methods and untagged
-// named struct fields declared in f.
-func collectDecls(f *ast.File, info *types.Info, report func(types.Object, string)) {
+// named struct fields declared in f, each field with its struct's type name.
+func collectDecls(f *ast.File, info *types.Info, report func(obj types.Object, what string, owner types.Object)) {
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
 			obj := info.Defs[d.Name]
 			name := d.Name.Name
 			if d.Recv != nil {
-				recv := obj.(*types.Func).Type().(*types.Signature).Recv().Type()
-				if ptr, ok := recv.(*types.Pointer); ok {
-					recv = ptr.Elem()
-				}
-				report(obj, "method "+recv.(*types.Named).Obj().Name()+"."+name)
+				report(obj, "method "+recvTypeName(obj.(*types.Func)).Name()+"."+name, nil)
 				continue
 			}
 			if name == "main" || name == "init" || name == "_" {
@@ -318,17 +411,17 @@ func collectDecls(f *ast.File, info *types.Info, report func(types.Object, strin
 			if !slices.ContainsFunc([]string{"Test", "Example", "Fuzz", "Benchmark"}, func(prefix string) bool {
 				return strings.HasPrefix(name, prefix)
 			}) {
-				report(obj, "func "+name)
+				report(obj, "func "+name, nil)
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch spec := spec.(type) {
 				case *ast.TypeSpec:
-					report(info.Defs[spec.Name], "type "+spec.Name.Name)
+					report(info.Defs[spec.Name], "type "+spec.Name.Name, nil)
 				case *ast.ValueSpec:
 					for _, id := range spec.Names {
 						if id.Name != "_" {
-							report(info.Defs[id], d.Tok.String()+" "+id.Name)
+							report(info.Defs[id], d.Tok.String()+" "+id.Name, nil)
 						}
 					}
 				}
@@ -352,7 +445,7 @@ func collectDecls(f *ast.File, info *types.Info, report func(types.Object, strin
 				}
 				for _, id := range field.Names {
 					if id.Name != "_" {
-						report(info.Defs[id], "field "+owner+"."+id.Name)
+						report(info.Defs[id], "field "+owner+"."+id.Name, info.Defs[spec.Name])
 					}
 				}
 			}
@@ -362,11 +455,21 @@ func collectDecls(f *ast.File, info *types.Info, report func(types.Object, strin
 	})
 }
 
+// use is one reference collectUses finds.
+type use struct {
+	obj        types.Object
+	field      bool            // obj is a struct field
+	write      bool            // the reference writes the field and does not read it
+	inExample  bool            // it sits in an Example function
+	defaultsOf *types.TypeName // it sits in this type's withDefaults method
+}
+
 // collectUses reports every object f references, except a method's own
-// receiver type, and every field f reads. A selector that is only assigned
-// to is a write; so is a struct-valued selector on the path to one
-// (s.stats.n++ writes n and does not read stats).
-func collectUses(f *ast.File, info *types.Info, report func(types.Object)) {
+// receiver type, and every field f reads or writes. A selector that is only
+// assigned to is a write; so is a struct-valued selector on the path to one
+// (s.stats.n++ writes n and does not read stats), and a composite literal's
+// key (or, unkeyed, each of its fields).
+func collectUses(f *ast.File, info *types.Info, report func(use)) {
 	writes := map[*ast.SelectorExpr]bool{}
 	var markWrite func(ast.Expr)
 	markWrite = func(e ast.Expr) {
@@ -405,34 +508,61 @@ func collectUses(f *ast.File, info *types.Info, report func(types.Object)) {
 		return true
 	})
 
+	var at use // the enclosing function's context
 	visit := func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			if s := info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !writes[n] {
-				report(s.Obj().(*types.Var).Origin())
+			if s := info.Selections[n]; s != nil && s.Kind() == types.FieldVal {
+				u := at
+				u.obj, u.field, u.write = s.Obj().(*types.Var).Origin(), true, writes[n]
+				report(u)
+			}
+		case *ast.CompositeLit:
+			st, ok := info.TypeOf(n).Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				u := at
+				u.field, u.write = true, true
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					u.obj = info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()
+				} else {
+					u.obj = st.Field(i).Origin()
+				}
+				report(u)
 			}
 		case *ast.Ident:
+			u := at
 			switch obj := info.Uses[n].(type) {
 			case nil:
+				return true
 			case *types.Func:
-				report(obj.Origin())
+				u.obj = obj.Origin()
 			case *types.Var:
-				if !obj.IsField() { // a field is read through a selector
-					report(obj.Origin())
+				if obj.IsField() {
+					return true // read through a selector, written by a literal
 				}
+				u.obj = obj.Origin()
 			default:
-				report(obj)
+				u.obj = obj
 			}
+			report(u)
 		}
 		return true
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		if fn, ok := n.(*ast.FuncDecl); ok {
+			at = use{inExample: fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Example")}
+			if fn.Recv != nil && isWithDefaults(fn.Name.Name) {
+				at.defaultsOf = recvTypeName(info.Defs[fn.Name].(*types.Func))
+			}
 			// A method's receiver names its own type; that is no use of it.
 			ast.Inspect(fn.Type, visit)
 			if fn.Body != nil {
 				ast.Inspect(fn.Body, visit)
 			}
+			at = use{}
 			return false
 		}
 		return visit(n)

@@ -185,12 +185,6 @@ func (b *BBR) BtlBw() units.Bandwidth {
 	return units.Bandwidth(b.bwFilter.Get() * 8)
 }
 
-// MinRTTEstimate returns BBR's propagation-delay estimate.
-func (b *BBR) MinRTTEstimate() time.Duration { return b.minRTT }
-
-// FullPipe reports whether startup declared the pipe full.
-func (b *BBR) FullPipe() bool { return b.fullPipe }
-
 // Init implements cc.CongestionControl: everything but the configured
 // min-RTT window starts over, the mode listener included, so a module reused
 // for a new flow reports nothing of its previous one.

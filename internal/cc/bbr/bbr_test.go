@@ -220,3 +220,9 @@ func TestModeString(t *testing.T) {
 		}
 	}
 }
+
+// MinRTTEstimate returns BBR's propagation-delay estimate.
+func (b *BBR) MinRTTEstimate() time.Duration { return b.minRTT }
+
+// FullPipe reports whether startup declared the pipe full.
+func (b *BBR) FullPipe() bool { return b.fullPipe }

@@ -252,13 +252,6 @@ func (b *BBRv2) observe(mutate func()) {
 	}
 }
 
-// InflightHi returns the loss-learned inflight ceiling in packets, or a
-// very large value when unknown.
-func (b *BBRv2) InflightHi() int { return b.inflightHi }
-
-// ECNAlpha returns the EWMA of the per-round CE fraction.
-func (b *BBRv2) ECNAlpha() float64 { return b.ecnAlpha }
-
 // Init implements cc.CongestionControl: everything but the configured
 // min-RTT window starts over, the mode listener included.
 func (b *BBRv2) Init(conn cc.Conn) {

@@ -64,6 +64,28 @@ func TestLossyRoundLearnsInflightHi(t *testing.T) {
 	}
 }
 
+// TestModestLossSetsInflightHiByValue pins the loss response by value:
+// rounds of about 40 delivered packets with a loss every 30 lose 2.4–4.8 %,
+// over the 2 % threshold (and far under 20 %), so each is lossy and
+// inflight_hi becomes 0.7 × the 40 packets in flight.
+func TestModestLossSetsInflightHiByValue(t *testing.T) {
+	f := cctest.NewFakeConn()
+	f.Inflight = 40
+	b := New()
+	b.Init(f)
+	drive(b, f, 500, 2*time.Millisecond, 50*units.Mbps)
+	for i := 0; i < 300; i++ {
+		rs := f.Ack(2, 2*time.Millisecond, 50*units.Mbps)
+		if i%15 == 14 {
+			rs.Losses = 1
+		}
+		b.OnAck(f, rs)
+	}
+	if got := b.InflightHi(); got != 28 {
+		t.Errorf("inflight_hi = %d after ~3%% loss rounds at 40 in flight, want 28", got)
+	}
+}
+
 func TestLowLossDoesNotSetInflightHi(t *testing.T) {
 	f := cctest.NewFakeConn()
 	f.Inflight = 100 // one round ≈ 100 delivered packets
@@ -265,3 +287,10 @@ func TestECNHighRoundCutsInflightHi(t *testing.T) {
 		t.Error("over-threshold CE rounds did not set inflight_hi")
 	}
 }
+
+// InflightHi returns the loss-learned inflight ceiling in packets, or a
+// very large value when unknown.
+func (b *BBRv2) InflightHi() int { return b.inflightHi }
+
+// ECNAlpha returns the EWMA of the per-round CE fraction.
+func (b *BBRv2) ECNAlpha() float64 { return b.ecnAlpha }

@@ -15,17 +15,21 @@ import (
 	"mobbr/internal/core"
 )
 
-// Budgets bounds one chaos point. A run that exceeds a budget is a finding
-// (the sim should finish any valid sub-second scenario well inside them),
-// classified by which budget tripped.
+// The budgets every chaos point runs under. A run that exceeds a budget is
+// a finding (the sim should finish any valid sub-second scenario well inside
+// them), classified by which budget tripped.
+const (
+	// maxEvents caps simulator events per run.
+	maxEvents = 50_000_000
+	// maxStall caps consecutive events at one virtual instant.
+	maxStall = 2_000_000
+	// wallBudget is the per-run wall-clock deadline. Wall findings are
+	// machine-dependent — the explorer reports them unshrunk.
+	wallBudget = 30 * time.Second
+)
+
+// Budgets holds the budget a test may tighten to reach its path quickly.
 type Budgets struct {
-	// MaxEvents caps simulator events per run (0 = 50M).
-	MaxEvents uint64
-	// MaxStall caps consecutive events at one virtual instant (0 = 2M).
-	MaxStall uint64
-	// Wall is the per-run wall-clock deadline (0 = 30s). Wall findings
-	// are machine-dependent — the explorer reports them unshrunk.
-	Wall time.Duration
 	// MaxPoolOutstanding caps the packet+ACK pool high-water mark
 	// (0 = 200k objects). A blowout means queue growth the drop-tail
 	// path should have bounded.
@@ -33,15 +37,6 @@ type Budgets struct {
 }
 
 func (b Budgets) withDefaults() Budgets {
-	if b.MaxEvents == 0 {
-		b.MaxEvents = 50_000_000
-	}
-	if b.MaxStall == 0 {
-		b.MaxStall = 2_000_000
-	}
-	if b.Wall == 0 {
-		b.Wall = 30 * time.Second
-	}
 	if b.MaxPoolOutstanding == 0 {
 		b.MaxPoolOutstanding = 200_000
 	}
@@ -82,14 +77,14 @@ func (o Outcome) Signature() string {
 func Run(spec core.Spec, b Budgets) (o Outcome) {
 	b = b.withDefaults()
 	spec.Check = true
-	if spec.MaxEvents == 0 || spec.MaxEvents > b.MaxEvents {
-		spec.MaxEvents = b.MaxEvents
+	if spec.MaxEvents == 0 || spec.MaxEvents > maxEvents {
+		spec.MaxEvents = maxEvents
 	}
-	if spec.MaxStall == 0 || spec.MaxStall > b.MaxStall {
-		spec.MaxStall = b.MaxStall
+	if spec.MaxStall == 0 || spec.MaxStall > maxStall {
+		spec.MaxStall = maxStall
 	}
-	if spec.MaxWallClock <= 0 || spec.MaxWallClock > b.Wall {
-		spec.MaxWallClock = b.Wall
+	if spec.MaxWallClock <= 0 || spec.MaxWallClock > wallBudget {
+		spec.MaxWallClock = wallBudget
 	}
 	defer func() {
 		if r := recover(); r != nil {

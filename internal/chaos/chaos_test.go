@@ -2,7 +2,11 @@ package chaos
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -75,7 +79,8 @@ func TestRunClassifiesFailures(t *testing.T) {
 
 	stalls := base
 	stalls.Inject = core.Inject{Kind: core.InjectStall, At: 50 * time.Millisecond}
-	if out := Run(stalls, Budgets{MaxStall: 10_000}); out.OK || out.Class != core.FailStall ||
+	stalls.MaxStall = 10_000
+	if out := Run(stalls, Budgets{}); out.OK || out.Class != core.FailStall ||
 		!strings.Contains(out.Msg, "repro:") {
 		t.Errorf("stall outcome = %+v", out)
 	}
@@ -183,7 +188,7 @@ func TestShrinkKnownBad(t *testing.T) {
 // the regression net — a fixed bug's entry stays here so the bug cannot
 // return silently.
 func TestCorpusReplay(t *testing.T) {
-	entries, err := LoadCorpus("testdata/corpus")
+	entries, err := loadCorpus("testdata/corpus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +198,7 @@ func TestCorpusReplay(t *testing.T) {
 	for _, e := range entries {
 		e := e
 		t.Run(e.Filename(), func(t *testing.T) {
-			out, err := ReplayEntry(e, Budgets{})
+			out, err := replayEntry(e, Budgets{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,14 +225,14 @@ func TestCorpusRoundTrip(t *testing.T) {
 	if _, err := WriteEntry(dir, e); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCorpus(dir)
+	loaded, err := loadCorpus(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(loaded) != 1 || loaded[0].Signature() != e.Signature() {
 		t.Fatalf("round trip lost the entry: %+v", loaded)
 	}
-	replayed, err := ReplayEntry(loaded[0], Budgets{})
+	replayed, err := replayEntry(loaded[0], Budgets{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,4 +255,40 @@ func TestExploreWindowClean(t *testing.T) {
 	for _, f := range findings {
 		t.Errorf("seed %d: %s\nrepro: %s", f.GenSeed, f.Outcome.Signature(), f.Repro)
 	}
+}
+
+// loadCorpus reads every *.json entry under dir in name order. A missing
+// directory is an empty corpus, not an error.
+func loadCorpus(dir string) ([]Entry, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		return nil, err
+	}
+	sort.Strings(paths)
+	var out []Entry
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			return nil, err
+		}
+		var e Entry
+		if err := json.Unmarshal(raw, &e); err != nil {
+			return nil, fmt.Errorf("chaos: corpus %s: %w", p, err)
+		}
+		if e.V != entryVersion {
+			return nil, fmt.Errorf("chaos: corpus %s: entry version %d, want %d", p, e.V, entryVersion)
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
+// replayEntry decodes and re-runs a corpus entry under the budgets; the
+// caller compares the outcome's signature against the entry's.
+func replayEntry(e Entry, b Budgets) (Outcome, error) {
+	spec, err := core.DecodeSpec(e.Spec)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("chaos: corpus entry %s: %w", e.Filename(), err)
+	}
+	return Run(spec, b), nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"mobbr/internal/core"
@@ -76,42 +75,6 @@ func WriteEntry(dir string, e Entry) (string, error) {
 		return "", fmt.Errorf("chaos: writing corpus entry: %w", err)
 	}
 	return path, nil
-}
-
-// LoadCorpus reads every *.json entry under dir in name order. A missing
-// directory is an empty corpus, not an error.
-func LoadCorpus(dir string) ([]Entry, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	var out []Entry
-	for _, p := range paths {
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		var e Entry
-		if err := json.Unmarshal(raw, &e); err != nil {
-			return nil, fmt.Errorf("chaos: corpus %s: %w", p, err)
-		}
-		if e.V != entryVersion {
-			return nil, fmt.Errorf("chaos: corpus %s: entry version %d, want %d", p, e.V, entryVersion)
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-// ReplayEntry decodes and re-runs a corpus entry under the budgets; the
-// caller compares the outcome's signature against the entry's.
-func ReplayEntry(e Entry, b Budgets) (Outcome, error) {
-	spec, err := core.DecodeSpec(e.Spec)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("chaos: corpus entry %s: %w", e.Filename(), err)
-	}
-	return Run(spec, b), nil
 }
 
 func firstLine(s string) string {

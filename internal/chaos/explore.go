@@ -14,8 +14,6 @@ type ExploreOpts struct {
 	// Seed is the window's first generator seed (0 = 1); the window is
 	// [Seed, Seed+N). Pinning it makes a soak fully reproducible.
 	Seed int64
-	// Budgets apply to every run (zero fields take defaults).
-	Budgets Budgets
 	// Corpus, when set, receives a minimized entry per finding.
 	Corpus string
 	// Log, when set, receives progress lines.
@@ -58,7 +56,7 @@ func Explore(o ExploreOpts) ([]Finding, error) {
 	for i := 0; i < o.N; i++ {
 		seed := o.Seed + int64(i)
 		spec := Generate(seed)
-		out := Run(spec, o.Budgets)
+		out := Run(spec, Budgets{})
 		if out.OK {
 			continue
 		}
@@ -70,8 +68,8 @@ func Explore(o ExploreOpts) ([]Finding, error) {
 			f.Spec, f.Outcome = spec, out
 		} else {
 			logf("seed %d: %s — shrinking", seed, out.Signature())
-			f.Spec = Shrink(spec, o.Budgets, out.Signature())
-			f.Outcome = Run(f.Spec, o.Budgets)
+			f.Spec = Shrink(spec, Budgets{}, out.Signature())
+			f.Outcome = Run(f.Spec, Budgets{})
 		}
 		f.Repro = core.ReproLine(f.Spec)
 		if o.Corpus != "" {

@@ -223,3 +223,38 @@ func TestFlowsRunSeedsMerge(t *testing.T) {
 		t.Errorf("merged FCT samples %d != per-seed sum %d", len(agg.Flows.FCTms), fct)
 	}
 }
+
+// TestFlowsChurnIntervals: a churn run with Interval set reports one
+// interval per Interval of Duration, the intervals' bytes add up to the
+// run's delivered bytes, and the RTT column reads the live flows' samples.
+func TestFlowsChurnIntervals(t *testing.T) {
+	spec := churnSpec()
+	spec.Interval = 250 * time.Millisecond
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ivs := res.Report.Intervals
+	if want := int(spec.Duration / spec.Interval); len(ivs) != want {
+		t.Fatalf("%d intervals over %v at %v, want %d", len(ivs), spec.Duration, spec.Interval, want)
+	}
+	var sum units.DataSize
+	for i, iv := range ivs {
+		if iv.End-iv.Start != spec.Interval || iv.End != time.Duration(i+1)*spec.Interval {
+			t.Errorf("interval %d spans %v-%v", i, iv.Start, iv.End)
+		}
+		if iv.AvgRTT <= 0 {
+			t.Errorf("interval %d has no RTT with flows live", i)
+		}
+		sum += iv.Goodput.BytesIn(spec.Interval)
+	}
+	// Each goodput figure rounds to whole bits per second, and each
+	// conversion back to bytes truncates: a byte or so per interval.
+	total := res.Report.Goodput.BytesIn(spec.Duration)
+	if total == 0 {
+		t.Fatal("churn run delivered nothing")
+	}
+	if diff := sum - total; diff < -units.DataSize(len(ivs)+1) || diff > units.DataSize(len(ivs)+1) {
+		t.Errorf("intervals sum to %d bytes, the run delivered %d", sum, total)
+	}
+}

@@ -116,25 +116,3 @@ func DefaultCosts() Costs {
 		FlowLookupSlow: 2600,
 	}
 }
-
-// Of returns the cost of op from the table. OpCCUpdate returns 0 because the
-// congestion controller supplies its own per-ACK cost; OpFlowLookup returns 0
-// because the FlowTable decides fast versus slow path per lookup.
-func (c Costs) Of(op Op) float64 {
-	switch op {
-	case OpSegXmit:
-		return c.SegXmit
-	case OpSKBXmit:
-		return c.SKBXmit
-	case OpPacingTimer:
-		return c.PacingTimer
-	case OpAckProcess:
-		return c.AckProcess
-	case OpRetransmit:
-		return c.Retransmit
-	case OpRTO:
-		return c.RTO
-	default:
-		return 0
-	}
-}

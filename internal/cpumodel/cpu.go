@@ -33,8 +33,7 @@ type CPU struct {
 	windowBusy  time.Duration
 	totalBusy   time.Duration
 
-	// Per-op accounting for diagnostics and EXPERIMENTS.md reporting.
-	opCount  [numOps]uint64
+	// Per-op cycle totals behind Breakdown.
 	opCycles [numOps]float64
 
 	// observer, when set, sees every charge as it happens (the telemetry
@@ -64,14 +63,8 @@ func (c *CPU) SetPressure(f float64) {
 	c.pressure = f
 }
 
-// Pressure returns the current cost multiplier.
-func (c *CPU) Pressure() float64 { return c.pressure }
-
 // Costs returns the CPU's cost table.
 func (c *CPU) Costs() Costs { return c.costs }
-
-// Speed returns the current effective speed in reference cycles/second.
-func (c *CPU) Speed() float64 { return c.speed }
 
 // SetSpeed changes the effective speed. Jobs already queued keep the service
 // time they were assigned at submission; only future jobs see the new speed.
@@ -113,7 +106,6 @@ func (c *CPU) Submit(op Op, cycles float64, fn func()) time.Duration {
 	c.windowBusy += service
 	c.totalBusy += service
 	if op >= 0 && op < numOps {
-		c.opCount[op]++
 		c.opCycles[op] += cycles
 	}
 	if c.observer != nil {
@@ -150,7 +142,6 @@ func (c *CPU) SubmitP(op Op, cycles float64, fn func(any), arg any) time.Duratio
 	c.windowBusy += service
 	c.totalBusy += service
 	if op >= 0 && op < numOps {
-		c.opCount[op]++
 		c.opCycles[op] += cycles
 	}
 	if c.observer != nil {
@@ -158,15 +149,6 @@ func (c *CPU) SubmitP(op Op, cycles float64, fn func(any), arg any) time.Duratio
 	}
 	c.eng.SchedulePAt(done, fn, arg)
 	return done
-}
-
-// QueueDelay returns how long a job submitted now would wait before starting.
-func (c *CPU) QueueDelay() time.Duration {
-	now := c.eng.Now()
-	if c.busyUntil <= now {
-		return 0
-	}
-	return c.busyUntil - now
 }
 
 // WindowUtilization returns the fraction of time since the last call that
@@ -202,14 +184,6 @@ func (c *CPU) TotalUtilization() float64 {
 	return float64(busy) / float64(now)
 }
 
-// OpCount returns how many operations of the given kind have been charged.
-func (c *CPU) OpCount(op Op) uint64 {
-	if op < 0 || op >= numOps {
-		return 0
-	}
-	return c.opCount[op]
-}
-
 // OpCycles returns the total cycles charged to the given kind.
 func (c *CPU) OpCycles(op Op) float64 {
 	if op < 0 || op >= numOps {
@@ -218,61 +192,22 @@ func (c *CPU) OpCycles(op Op) float64 {
 	return c.opCycles[op]
 }
 
-// OpStat is one operation's accumulated accounting inside a Snapshot.
-type OpStat struct {
-	Op     Op
-	Name   string
-	Count  uint64
-	Cycles float64
-}
-
-// Snapshot is the one-call view of a CPU's accounting: every per-op total
-// plus the speed and pressure, taken atomically with respect to the
-// single-threaded engine (callers previously looped OpCycles per op).
-type Snapshot struct {
-	// Speed is the effective speed in reference cycles/second.
-	Speed float64
-	// Pressure is the cache-pressure cost multiplier.
-	Pressure float64
-	// Ops lists every operation's count and cycle total, in Op order
-	// (including zero entries, so indices are stable).
-	Ops []OpStat
-	// TotalCycles is the sum of cycles across ops.
-	TotalCycles float64
-}
-
-// Breakdown returns each operation's share of the total cycles, keyed by
-// name. Operations with no cycles are omitted.
-func (s Snapshot) Breakdown() map[string]float64 {
-	out := make(map[string]float64)
-	if s.TotalCycles == 0 {
-		return out
-	}
-	for _, o := range s.Ops {
-		if o.Cycles > 0 {
-			out[o.Name] = o.Cycles / s.TotalCycles
-		}
-	}
-	return out
-}
-
-// Snapshot returns the CPU's full accounting in one call.
-func (c *CPU) Snapshot() Snapshot {
-	s := Snapshot{
-		Speed:    c.speed,
-		Pressure: c.pressure,
-		Ops:      make([]OpStat, numOps),
-	}
-	for op := Op(0); op < numOps; op++ {
-		s.Ops[op] = OpStat{Op: op, Name: op.String(), Count: c.opCount[op], Cycles: c.opCycles[op]}
-		s.TotalCycles += c.opCycles[op]
-	}
-	return s
-}
-
 // Breakdown returns each operation's share of the total cycles charged so
 // far, keyed by the operation's name. Operations with no cycles are
 // omitted.
 func (c *CPU) Breakdown() map[string]float64 {
-	return c.Snapshot().Breakdown()
+	out := make(map[string]float64)
+	var total float64
+	for _, cycles := range c.opCycles {
+		total += cycles
+	}
+	if total == 0 {
+		return out
+	}
+	for op, cycles := range c.opCycles {
+		if cycles > 0 {
+			out[Op(op).String()] = cycles / total
+		}
+	}
+	return out
 }

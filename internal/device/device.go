@@ -67,9 +67,6 @@ func (c Config) String() string {
 	}
 }
 
-// Configs lists all four configurations in the paper's order.
-func Configs() []Config { return []Config{LowEnd, MidEnd, HighEnd, Default} }
-
 // Valid reports whether the model is a known phone. Callers validate specs
 // with this before Lookup, whose panic is then a programmer error.
 func (m Model) Valid() error {
@@ -91,7 +88,6 @@ func (c Config) Valid() error {
 
 // Spec holds a phone's CPU description.
 type Spec struct {
-	Model Model
 	// LittleIPC / BigIPC are the per-cluster IPC factors.
 	LittleIPC, BigIPC float64
 	// LittleFreqs / BigFreqs are the DVFS steps in Hz, ascending.
@@ -109,7 +105,6 @@ func Lookup(m Model) Spec {
 	case Pixel4:
 		// Snapdragon 855: 4×A55 + 3+1×A76.
 		return Spec{
-			Model:     Pixel4,
 			LittleIPC: 0.55,
 			BigIPC:    1.00,
 			LittleFreqs: []float64{
@@ -128,7 +123,6 @@ func Lookup(m Model) Spec {
 		// (newer kernel, larger caches, system-level cache) retires
 		// netstack work at nearly twice the per-cycle rate.
 		return Spec{
-			Model:     Pixel6,
 			LittleIPC: 1.00,
 			BigIPC:    1.20,
 			LittleFreqs: []float64{

@@ -434,17 +434,12 @@ func (s Schedule) Window() (start, end time.Duration, open, ok bool) {
 	return start, end, open, true
 }
 
-// Install validates the schedule and arms every event on the target path.
-// Event times are relative to installation — install before starting the
-// run so they read as absolute virtual times.
-func (s Schedule) Install(eng *sim.Engine, path *netem.Path) error {
-	return s.InstallObserved(eng, path, nil)
-}
-
-// InstallObserved is Install plus telemetry: each event's begin and end are
-// announced on the bus (KindFault, Conn -1) at the window edges, so traces
-// carry the fault timeline alongside the transport's reaction to it. A nil
-// bus degrades to plain Install.
+// InstallObserved validates the schedule and arms every event on the target
+// path. Event times are relative to installation — install before starting
+// the run so they read as absolute virtual times. Each event's begin and end
+// are announced on the bus (KindFault, Conn -1) at the window edges, so
+// traces carry the fault timeline alongside the transport's reaction to it;
+// a nil bus announces nothing.
 func (s Schedule) InstallObserved(eng *sim.Engine, path *netem.Path, bus *telemetry.Bus) error {
 	if err := s.Validate(); err != nil {
 		return err

@@ -61,7 +61,7 @@ func (r *rig) deliveredIn(from, to time.Duration) int {
 func TestBlackoutStopsAndResumesDelivery(t *testing.T) {
 	r := newRig(t, netem.PipeConfig{Rate: 100 * units.Mbps, QueuePackets: 1000})
 	sched := Schedule{Events: []Event{Blackout{Start: 100 * time.Millisecond, Duration: 50 * time.Millisecond}}}
-	if err := sched.Install(r.eng, r.path); err != nil {
+	if err := sched.InstallObserved(r.eng, r.path, nil); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
 	r.feed(time.Millisecond, 300*time.Millisecond)
@@ -85,7 +85,7 @@ func TestBlackoutStopsAndResumesDelivery(t *testing.T) {
 func TestRateStepChangesServiceRate(t *testing.T) {
 	r := newRig(t, netem.PipeConfig{Rate: 8 * units.Mbps, QueuePackets: 1000})
 	sched := Schedule{Events: []Event{RateStep{At: 100 * time.Millisecond, Rate: 80 * units.Mbps}}}
-	if err := sched.Install(r.eng, r.path); err != nil {
+	if err := sched.InstallObserved(r.eng, r.path, nil); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
 	// 2 packets/ms of 1000B ≈ 16 Mbps offered: overload at 8, underload at 80.
@@ -104,7 +104,7 @@ func TestRateRampMonotoneSpacing(t *testing.T) {
 		Start: 50 * time.Millisecond, Duration: 100 * time.Millisecond,
 		From: 100 * units.Mbps, To: 10 * units.Mbps, Steps: 5,
 	}}}
-	if err := sched.Install(r.eng, r.path); err != nil {
+	if err := sched.InstallObserved(r.eng, r.path, nil); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
 	r.feed(200*time.Microsecond, 250*time.Millisecond)
@@ -124,7 +124,7 @@ func TestDelaySpikeAppliesAndRestores(t *testing.T) {
 	sched := Schedule{Events: []Event{DelaySpike{
 		Start: 50 * time.Millisecond, Duration: 50 * time.Millisecond, Extra: 40 * time.Millisecond,
 	}}}
-	if err := sched.Install(r.eng, r.path); err != nil {
+	if err := sched.InstallObserved(r.eng, r.path, nil); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
 	probe := func(at time.Duration) { r.eng.Schedule(at, func() { r.path.Send(&seg.Packet{Len: 1000}) }) }
@@ -154,19 +154,23 @@ func TestHandoverSwitchesLinkParameters(t *testing.T) {
 		At: 100 * time.Millisecond, Outage: 30 * time.Millisecond,
 		Rate: 600 * units.Mbps, Delay: 800 * time.Microsecond,
 	}}}
-	if err := sched.Install(r.eng, r.path); err != nil {
+	if err := sched.InstallObserved(r.eng, r.path, nil); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
 	r.eng.Run(140 * time.Millisecond)
-	hop := r.path.Hop(0)
-	if got := hop.Rate(); got != 600*units.Mbps {
-		t.Fatalf("post-handover rate %v", got)
-	}
-	if got := hop.Delay(); got != 800*time.Microsecond {
+	if got := r.path.Hop(0).Delay(); got != 800*time.Microsecond {
 		t.Fatalf("post-handover delay %v", got)
 	}
-	if hop.Paused() {
-		t.Fatal("link still paused after outage")
+	// A probe sent now crosses the unpaused link in 1000 B at 600 Mbps
+	// (13.3 µs) plus the new 800 µs delay; at the old 18 Mbps it would
+	// take 444 µs to serialize.
+	r.path.Send(&seg.Packet{Len: 1000, SentAt: r.eng.Now()})
+	r.eng.Run(time.Second)
+	if len(r.delivered) != 1 {
+		t.Fatalf("delivered %d probes after the outage, want 1", len(r.delivered))
+	}
+	if lat := r.delivered[0] - 140*time.Millisecond; lat < 810*time.Microsecond || lat > 820*time.Microsecond {
+		t.Fatalf("probe latency %v, want 813 µs at 600 Mbps", lat)
 	}
 }
 
@@ -176,7 +180,7 @@ func TestBurstLossWindowed(t *testing.T) {
 		Start: 50 * time.Millisecond, Duration: 100 * time.Millisecond,
 		GE: netem.GEConfig{PGoodToBad: 0.05, PBadToGood: 0.2, LossBad: 0.9},
 	}}}
-	if err := sched.Install(r.eng, r.path); err != nil {
+	if err := sched.InstallObserved(r.eng, r.path, nil); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
 	r.feed(100*time.Microsecond, 250*time.Millisecond)
@@ -208,7 +212,7 @@ func TestScheduleDeterministicPerSeed(t *testing.T) {
 			BurstLoss{Start: 10 * time.Millisecond, GE: netem.GEConfig{PGoodToBad: 0.1, PBadToGood: 0.3, LossBad: 0.8}},
 			Blackout{Start: 40 * time.Millisecond, Duration: 20 * time.Millisecond},
 		}}
-		if err := sched.Install(eng, path); err != nil {
+		if err := sched.InstallObserved(eng, path, nil); err != nil {
 			t.Fatal(err)
 		}
 		var seq int64
@@ -280,7 +284,7 @@ func TestScheduleValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	oob := Schedule{Hop: 3, Events: []Event{Blackout{Start: 0, Duration: time.Second}}}
-	if err := oob.Install(eng, path); err == nil {
+	if err := oob.InstallObserved(eng, path, nil); err == nil {
 		t.Error("out-of-range hop installed")
 	}
 }
@@ -400,7 +404,7 @@ func TestDelayStepSetsAbsoluteDelay(t *testing.T) {
 	sched := Schedule{Events: []Event{
 		DelayStep{At: 50 * time.Millisecond, Delay: 30 * time.Millisecond},
 	}}
-	if err := sched.Install(r.eng, r.path); err != nil {
+	if err := sched.InstallObserved(r.eng, r.path, nil); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
 	probe := func(at time.Duration) { r.eng.Schedule(at, func() { r.path.Send(&seg.Packet{Len: 1000}) }) }

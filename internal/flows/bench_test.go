@@ -79,3 +79,6 @@ func BenchmarkIntervalPath(b *testing.B) {
 		})
 	}
 }
+
+// Live returns the current live-flow count.
+func (s *Session) Live() int { return len(s.live) }

@@ -111,9 +111,6 @@ func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, icfg iperf.Config
 	if icfg.Duration <= 0 {
 		icfg.Duration = 10 * time.Second
 	}
-	if icfg.SampleEvery <= 0 {
-		icfg.SampleEvery = 100 * time.Millisecond
-	}
 	s := &Session{
 		eng: eng, cpu: cpu, path: path, icfg: icfg, fcfg: fcfg,
 		demux: tcp.NewDemux(),
@@ -141,9 +138,6 @@ func (s *Session) Aggregates() *tcp.AggStats { return s.agg }
 
 // Pool exposes the conn pool (tests audit its balance).
 func (s *Session) Pool() *tcp.ConnPool { return s.pool }
-
-// Live returns the current live-flow count.
-func (s *Session) Live() int { return len(s.live) }
 
 // Auditables returns the live connections as the invariant checker's
 // dynamic audit view. The backing buffer is reused across calls.
@@ -289,7 +283,7 @@ func (s *Session) scheduleArrival() {
 // (sampleOnce) so benchmarks can time one sample without the scheduling.
 func (s *Session) sample() {
 	s.sampleOnce()
-	s.eng.Schedule(s.icfg.SampleEvery, s.sampleFn)
+	s.eng.Schedule(iperf.SampleEvery, s.sampleFn)
 }
 
 func (s *Session) sampleOnce() {
@@ -336,7 +330,7 @@ func (s *Session) Start() {
 		s.startFlow()
 	}
 	s.scheduleArrival()
-	s.eng.Schedule(s.icfg.SampleEvery, s.sampleFn)
+	s.eng.Schedule(iperf.SampleEvery, s.sampleFn)
 	if s.icfg.Interval > 0 {
 		s.eng.Schedule(s.icfg.Interval, s.intervalFn)
 	}

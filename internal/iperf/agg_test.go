@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mobbr/internal/cc/cubic"
+	"mobbr/internal/units"
 )
 
 // TestAggregateMatchesSlowWalk is the O(1)-counter equality gate: the
@@ -40,4 +41,14 @@ func TestAggregateMatchesSlowWalk(t *testing.T) {
 				conns, agg.RTTSamples(), agg.AvgRTT())
 		}
 	}
+}
+
+// totalGoodBytes is the slow O(conns) walk the aggregate counter replaced
+// on the periodic paths.
+func (s *Session) totalGoodBytes() units.DataSize {
+	var n units.DataSize
+	for _, rx := range s.rxs {
+		n += rx.GoodBytes()
+	}
+	return n
 }

@@ -22,6 +22,14 @@ import (
 	"mobbr/internal/units"
 )
 
+const (
+	// SampleEvery is the metric-sampling period.
+	SampleEvery = 100 * time.Millisecond
+	// staggerStarts spreads connection starts over this window to avoid
+	// artificial lockstep.
+	staggerStarts = 10 * time.Millisecond
+)
+
 // Config parameterizes one iPerf run.
 type Config struct {
 	// Conns is the number of parallel connections (iperf3 -P).
@@ -48,14 +56,9 @@ type Config struct {
 	// AppCPU, when set, is the application core charged the per-byte
 	// sendmsg copy (see device.NewCPUs). nil skips the copy cost.
 	AppCPU *cpumodel.CPU
-	// SampleEvery is the metric-sampling period (default 100 ms).
-	SampleEvery time.Duration
 	// Interval, when nonzero, records an iperf3-style per-interval
 	// report (aggregate goodput, RTT, retransmits) every Interval.
 	Interval time.Duration
-	// StaggerStarts spreads connection starts over this window to avoid
-	// artificial lockstep (default 10 ms).
-	StaggerStarts time.Duration
 	// Bus, when set, receives every connection's structured telemetry
 	// events (state transitions, RTOs, pacing-timer slippage, …).
 	Bus *telemetry.Bus
@@ -139,14 +142,6 @@ func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg Config) (*Ses
 	if cfg.Duration <= 0 {
 		cfg.Duration = 10 * time.Second
 	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 100 * time.Millisecond
-	}
-	if cfg.StaggerStarts < 0 {
-		cfg.StaggerStarts = 0
-	} else if cfg.StaggerStarts == 0 {
-		cfg.StaggerStarts = 10 * time.Millisecond
-	}
 	if cfg.CC == nil && len(cfg.CCMix) == 0 {
 		return nil, fmt.Errorf("iperf: Config.CC or Config.CCMix is required")
 	}
@@ -174,8 +169,8 @@ func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg Config) (*Ses
 	path.SetPool(cfg.Pool)
 	for i := 0; i < cfg.Conns; i++ {
 		tcfg := cfg.TCP
-		if cfg.StaggerStarts > 0 && cfg.Conns > 1 {
-			tcfg.StartDelay = time.Duration(eng.Rand().Int63n(int64(cfg.StaggerStarts)))
+		if cfg.Conns > 1 {
+			tcfg.StartDelay = time.Duration(eng.Rand().Int63n(int64(staggerStarts)))
 		}
 		factory := cfg.CC
 		if len(cfg.CCMix) > 0 {
@@ -223,9 +218,9 @@ func (s *Session) Start() {
 	for _, c := range s.conns {
 		c.Start()
 	}
-	s.eng.Schedule(s.cfg.SampleEvery, s.sampleFn)
+	s.eng.Schedule(SampleEvery, s.sampleFn)
 	warmup := func() {
-		// The O(1) counter is integer-identical to totalGoodBytes().
+		// The O(1) counter is integer-identical to the per-receiver sum.
 		s.warmupBytes = s.agg.GoodBytes()
 	}
 	if sh := s.cfg.Shard; sh != nil {
@@ -257,7 +252,7 @@ func (s *Session) sample() {
 			s.rttSamples.Add(float64(srtt))
 		}
 	}
-	s.eng.Schedule(s.cfg.SampleEvery, s.sampleFn)
+	s.eng.Schedule(SampleEvery, s.sampleFn)
 }
 
 // recordInterval closes one reporting interval and schedules the next.
@@ -293,17 +288,6 @@ func (s *Session) recordIntervalAt(now time.Duration) {
 	s.intervals = append(s.intervals, iv)
 	s.lastIvalBytes = bytes
 	s.lastIvalRetx = retx
-}
-
-// totalGoodBytes is the slow O(conns) walk the aggregate counter replaced
-// on the periodic paths; Collect's one-shot end-of-run pass still uses the
-// per-receiver values, and tests assert counter == walk exactly.
-func (s *Session) totalGoodBytes() units.DataSize {
-	var n units.DataSize
-	for _, rx := range s.rxs {
-		n += rx.GoodBytes()
-	}
-	return n
 }
 
 // Aggregates exposes the run-wide O(1) counter sink (for harnesses layered

@@ -85,15 +85,20 @@ func TestWarmupExcluded(t *testing.T) {
 }
 
 func TestPressureScalesWithConns(t *testing.T) {
-	eng, cpu, path := newRig(1)
-	mustNew(t, eng, cpu, path, Config{Conns: 1, Duration: time.Second, CC: cubic.Factory()})
-	if cpu.Pressure() != 1 {
-		t.Errorf("1-conn pressure = %v, want 1", cpu.Pressure())
+	// The pressure multiplies every job's service time on an idle core.
+	service := func(conns int) time.Duration {
+		eng, cpu, path := newRig(1)
+		if conns > 0 {
+			mustNew(t, eng, cpu, path, Config{Conns: conns, Duration: time.Second, CC: cubic.Factory()})
+		}
+		return cpu.Submit(cpumodel.OpSegXmit, 3e6, nil)
 	}
-	eng2, cpu2, path2 := newRig(1)
-	mustNew(t, eng2, cpu2, path2, Config{Conns: 20, Duration: time.Second, CC: cubic.Factory()})
-	if cpu2.Pressure() <= 1.1 {
-		t.Errorf("20-conn pressure = %v, want > 1.1", cpu2.Pressure())
+	bare := service(0)
+	if one := service(1); one != bare {
+		t.Errorf("1-conn job takes %v, want the unpressured %v", one, bare)
+	}
+	if twenty := service(20); float64(twenty) <= 1.1*float64(bare) {
+		t.Errorf("20-conn job takes %v, want > 1.1 × %v", twenty, bare)
 	}
 }
 
@@ -129,10 +134,9 @@ func TestReportFieldsPopulated(t *testing.T) {
 func TestStaggerSpreadsStarts(t *testing.T) {
 	eng, cpu, path := newRig(3)
 	sess := mustNew(t, eng, cpu, path, Config{
-		Conns:         10,
-		Duration:      time.Second,
-		StaggerStarts: 50 * time.Millisecond,
-		CC:            cubic.Factory(),
+		Conns:    10,
+		Duration: time.Second,
+		CC:       cubic.Factory(),
 	})
 	// All connections must still complete and deliver.
 	rep := sess.Run()

@@ -261,18 +261,3 @@ func (c *Compiled) Install(eng *sim.Engine, path *netem.Path, bus *telemetry.Bus
 	}
 	return nil
 }
-
-// Describe renders the compiled form as stable text — one schedule event
-// per line, then the segment timeline — used by the golden-file tests and
-// handy for eyeballing what a dataset lowered to.
-func (c *Compiled) Describe() string {
-	out := fmt.Sprintf("trace %s: %d samples, %v, %d events, %d segments\n",
-		c.Trace.Name, len(c.Trace.Samples), c.Trace.Duration(), len(c.Schedule.Events), len(c.Segments))
-	for _, ev := range c.Schedule.Events {
-		out += "  event " + ev.String() + "\n"
-	}
-	for _, s := range c.Segments {
-		out += fmt.Sprintf("  segment %v-%v %s mean %v\n", s.Start, s.End, s.Kind, s.MeanRate)
-	}
-	return out
-}

@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -404,4 +405,18 @@ func TestCompileGolden(t *testing.T) {
 			t.Errorf("%s: compiled form differs from golden\n--- got ---\n%s--- want ---\n%s", name, got, want)
 		}
 	}
+}
+
+// Describe renders the compiled form as stable text — one schedule event
+// per line, then the segment timeline — what the golden files hold.
+func (c *Compiled) Describe() string {
+	out := fmt.Sprintf("trace %s: %d samples, %v, %d events, %d segments\n",
+		c.Trace.Name, len(c.Trace.Samples), c.Trace.Duration(), len(c.Schedule.Events), len(c.Segments))
+	for _, ev := range c.Schedule.Events {
+		out += "  event " + ev.String() + "\n"
+	}
+	for _, s := range c.Segments {
+		out += fmt.Sprintf("  segment %v-%v %s mean %v\n", s.Start, s.End, s.Kind, s.MeanRate)
+	}
+	return out
 }

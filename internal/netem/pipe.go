@@ -143,9 +143,7 @@ type Pipe struct {
 
 	// Stats.
 	dropsQueue uint64
-	dropsRand  uint64
 	delivered  uint64
-	ceMarked   uint64
 }
 
 // NewPipe returns a pipe on eng delivering to next. It rejects invalid
@@ -187,9 +185,6 @@ func (p *Pipe) SetRate(r units.Bandwidth) {
 	p.cfg.Rate = r
 }
 
-// Rate returns the current link rate.
-func (p *Pipe) Rate() units.Bandwidth { return p.cfg.Rate }
-
 // SetDelay changes the one-way propagation delay for packets completing
 // serialization from now on. Packets already past serialization keep the
 // delay they were assigned.
@@ -203,15 +198,6 @@ func (p *Pipe) SetDelay(d time.Duration) error {
 
 // Delay returns the current one-way propagation delay.
 func (p *Pipe) Delay() time.Duration { return p.cfg.Delay }
-
-// SetLoss changes the i.i.d. random loss probability applied on entry.
-func (p *Pipe) SetLoss(rate float64) error {
-	if rate < 0 || rate > 1 {
-		return fmt.Errorf("netem: SetLoss rate %v out of [0,1]", rate)
-	}
-	p.cfg.LossRate = rate
-	return nil
-}
 
 // SetGE installs (or, with nil, removes) a Gilbert–Elliott burst-loss model
 // on the hop. The state machine starts in Good.
@@ -243,12 +229,6 @@ func (p *Pipe) Resume() {
 	}
 }
 
-// Paused reports whether the drain loop is paused.
-func (p *Pipe) Paused() bool { return p.paused }
-
-// Config returns the pipe's configuration.
-func (p *Pipe) Config() PipeConfig { return p.cfg }
-
 // geDrop advances the Gilbert–Elliott state machine by one packet and
 // reports whether that packet is dropped.
 func (p *Pipe) geDrop() bool {
@@ -276,12 +256,10 @@ func (p *Pipe) geDrop() bool {
 // run's pool; the caller must not touch it again.
 func (p *Pipe) Enqueue(pkt *seg.Packet) bool {
 	if p.cfg.GE != nil && p.geDrop() {
-		p.dropsRand++
 		p.pool.PutPacket(pkt)
 		return false
 	}
 	if p.cfg.LossRate > 0 && p.eng.Rand().Float64() < p.cfg.LossRate {
-		p.dropsRand++
 		p.pool.PutPacket(pkt)
 		return false
 	}
@@ -292,7 +270,6 @@ func (p *Pipe) Enqueue(pkt *seg.Packet) bool {
 	}
 	if p.cfg.ECNThreshold > 0 && p.qlen >= p.cfg.ECNThreshold {
 		pkt.CE = true
-		p.ceMarked++
 	}
 	p.q[(p.qhead+p.qlen)%len(p.q)] = pkt
 	p.qlen++
@@ -380,8 +357,6 @@ func (p *Pipe) Stats() PipeStats {
 	return PipeStats{
 		Delivered:  p.delivered,
 		DropsQueue: p.dropsQueue,
-		DropsRand:  p.dropsRand,
-		CEMarked:   p.ceMarked,
 	}
 }
 
@@ -389,9 +364,4 @@ func (p *Pipe) Stats() PipeStats {
 type PipeStats struct {
 	Delivered  uint64
 	DropsQueue uint64
-	DropsRand  uint64
-	CEMarked   uint64
 }
-
-// Drops returns total drops from all causes.
-func (s PipeStats) Drops() uint64 { return s.DropsQueue + s.DropsRand }

@@ -7,8 +7,8 @@
 // stride× more data per event.
 //
 // skb sizing follows tcp_tso_autosize: aim for about 1 ms of data at the
-// current pacing rate, never less than MinTSOSegs segments, never more than
-// MaxSKB bytes (the socket-buffer/TSQ ceiling that Table 2 of the paper
+// current pacing rate, never less than minTSOSegs segments, never more than
+// maxSKB bytes (the socket-buffer/TSQ ceiling that Table 2 of the paper
 // shows the stride saturating against).
 package pacing
 
@@ -19,20 +19,20 @@ import (
 	"mobbr/internal/units"
 )
 
-// Default sizing constants.
+// skb sizing constants.
 const (
-	// DefaultAutosizeTarget is how much data TSO autosizing aims to put
-	// in one skb, expressed as time at the pacing rate (~1 ms, the
-	// kernel's rate >> 10 heuristic).
-	DefaultAutosizeTarget = time.Millisecond
-	// DefaultMinTSOSegs matches sysctl tcp_min_tso_segs.
-	DefaultMinTSOSegs = 2
-	// DefaultMaxSKB is the per-send ceiling: the kernel's 64 KB GSO
+	// autosizeTarget is how much data TSO autosizing aims to put in one
+	// skb, expressed as time at the pacing rate (~1 ms, the kernel's
+	// rate >> 10 heuristic).
+	autosizeTarget = time.Millisecond
+	// minTSOSegs matches sysctl tcp_min_tso_segs.
+	minTSOSegs = 2
+	// maxSKB is the per-send ceiling: the kernel's 64 KB GSO
 	// limit. The ≈15 KB skb plateau the paper's Table 2 measures at 20
 	// connections is not this ceiling — it emerges from the small
 	// per-connection congestion windows (2×BDP of a ~30 Mbps share),
 	// which bound how many segments one send may carry.
-	DefaultMaxSKB = 64 * units.KB
+	maxSKB = 64 * units.KB
 )
 
 // Config parameterizes a connection's pacer.
@@ -50,26 +50,11 @@ type Config struct {
 	// suggest (§7.1.4): the inter-skb gaps are still enforced, but the
 	// per-event hrtimer/tasklet work leaves the CPU entirely.
 	HardwareOffload bool
-	// AutosizeTarget overrides the TSO autosize goal (default 1 ms).
-	AutosizeTarget time.Duration
-	// MinTSOSegs overrides the minimum segments per skb (default 2).
-	MinTSOSegs int
-	// MaxSKB overrides the per-skb byte ceiling (default 15 KB).
-	MaxSKB units.DataSize
 }
 
 func (c Config) withDefaults() Config {
 	if c.Stride < 1 {
 		c.Stride = 1
-	}
-	if c.AutosizeTarget <= 0 {
-		c.AutosizeTarget = DefaultAutosizeTarget
-	}
-	if c.MinTSOSegs <= 0 {
-		c.MinTSOSegs = DefaultMinTSOSegs
-	}
-	if c.MaxSKB <= 0 {
-		c.MaxSKB = DefaultMaxSKB
 	}
 	return c
 }
@@ -134,22 +119,12 @@ func (p *Pacer) Rate(connRate units.Bandwidth) units.Bandwidth {
 // cap it at the transport layer), which is what "effectively bursted
 // through the network" means in the paper's §5.2.1.
 func (p *Pacer) SKBSegs(rate units.Bandwidth, mss units.DataSize) int {
-	maxSegs := int(p.cfg.MaxSKB / mss)
-	if maxSegs < p.cfg.MinTSOSegs {
-		maxSegs = p.cfg.MinTSOSegs
-	}
+	maxSegs := max(int(maxSKB/mss), minTSOSegs)
 	if !p.cfg.Enabled || rate <= 0 {
 		return maxSegs
 	}
-	target := rate.BytesIn(p.cfg.AutosizeTarget)
-	segs := int(target / mss)
-	if segs < p.cfg.MinTSOSegs {
-		segs = p.cfg.MinTSOSegs
-	}
-	if segs > maxSegs {
-		segs = maxSegs
-	}
-	return segs
+	segs := int(rate.BytesIn(autosizeTarget) / mss)
+	return min(max(segs, minTSOSegs), maxSegs)
 }
 
 // CanSendAt reports whether the pacing gate is open at now, and if not, how

@@ -15,14 +15,19 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Stride != 1 {
 		t.Errorf("default stride = %v, want 1", cfg.Stride)
 	}
-	if cfg.AutosizeTarget != time.Millisecond {
-		t.Errorf("default autosize target = %v, want 1ms", cfg.AutosizeTarget)
-	}
-	if cfg.MinTSOSegs != 2 {
-		t.Errorf("default min segs = %d, want 2", cfg.MinTSOSegs)
-	}
-	if cfg.MaxSKB != 64*units.KB {
-		t.Errorf("default max skb = %v, want 64KB (GSO limit)", cfg.MaxSKB)
+	// The kernel's skb sizing: ~1 ms of data at the pacing rate, at least
+	// 2 segments (tcp_min_tso_segs), at most the 64 KB GSO limit.
+	for _, c := range []struct {
+		rate units.Bandwidth
+		want int
+	}{
+		{100 * units.Mbps, 8}, // 12.5 KB
+		{units.Mbps, 2},
+		{units.Gbps, 44},
+	} {
+		if got := p.SKBSegs(c.rate, seg.MSS); got != c.want {
+			t.Errorf("SKBSegs(%v) = %d, want %d", c.rate, got, c.want)
+		}
 	}
 }
 

@@ -45,9 +45,6 @@ type RunOpts struct {
 	// deadline) gets before its row records the failure. Deterministic
 	// failures are never retried.
 	Retries int
-	// Backoff is the first retry's delay, doubling per attempt
-	// (default 100ms).
-	Backoff time.Duration
 	// Progress, when set, receives per-point lifecycle callbacks (live
 	// progress reporting). Journal-resumed points report PointDone without a
 	// preceding PointStart. Never influences execution.
@@ -65,9 +62,6 @@ func (o RunOpts) withDefaults() RunOpts {
 	}
 	if o.Seeds <= 0 {
 		o.Seeds = DefaultSeeds
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
 	}
 	return o
 }
@@ -150,11 +144,14 @@ func RunExperimentResilient(e Experiment, opts RunOpts) ([]Row, error) {
 	return rows, nil
 }
 
+// retryBackoff is the first retry's delay; it doubles per attempt.
+const retryBackoff = 100 * time.Millisecond
+
 // runPointResilient runs one point to a Row, retrying infra-class failures
 // with doubling backoff and folding any terminal failure into Row.Failure.
 func runPointResilient(p Point, opts RunOpts) Row {
 	spec := pointSpec(p, opts.Dur, opts.Telemetry, opts.Shards)
-	backoff := opts.Backoff
+	backoff := retryBackoff
 	for attempt := 1; ; attempt++ {
 		row, err := runPointAttempt(p, spec, opts.Seeds)
 		if err == nil {

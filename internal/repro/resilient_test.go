@@ -39,7 +39,6 @@ var chaosOpts = RunOpts{
 	Dur:     400 * time.Millisecond,
 	Seeds:   1,
 	Workers: 2,
-	Backoff: time.Millisecond,
 }
 
 // TestResilientContainsFailures: the two broken points must each produce a

@@ -242,16 +242,6 @@ func (s *ShardedEngine) Processed() uint64 {
 	return n
 }
 
-// CheckQueues audits every shard's scheduler accounting.
-func (s *ShardedEngine) CheckQueues() error {
-	for i, e := range s.shards {
-		if err := e.CheckQueue(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // nextGlobal returns the earliest pending global (ties broken by
 // registration order — the slice order), or nil.
 func (s *ShardedEngine) nextGlobal() *globalEvent {

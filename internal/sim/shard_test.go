@@ -116,7 +116,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 		t.Fatalf("final clocks: serial %v, shards %v/%v, want %v",
 			serial.Now(), sharded.Shard(0).Now(), sharded.Shard(1).Now(), end)
 	}
-	if err := sharded.CheckQueues(); err != nil {
+	if err := checkQueues(sharded); err != nil {
 		t.Fatalf("queue audit: %v", err)
 	}
 }
@@ -403,4 +403,14 @@ func TestProcessedAcrossManyShards(t *testing.T) {
 	if total != 40 {
 		t.Fatalf("ring delivered %d hops, want 40", total)
 	}
+}
+
+// checkQueues audits every shard's scheduler accounting.
+func checkQueues(s *ShardedEngine) error {
+	for i, e := range s.shards {
+		if err := e.CheckQueue(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
 }

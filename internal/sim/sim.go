@@ -807,15 +807,6 @@ func (e *Engine) AdvanceTo(t time.Duration) {
 	}
 }
 
-// RunAll executes events until the queue drains, maxEvents events have run,
-// or the engine's budget (SetLimits) trips, whichever comes first. It
-// reports whether the queue drained.
-func (e *Engine) RunAll(maxEvents uint64) bool {
-	for n := uint64(0); n < maxEvents && e.Step(); n++ {
-	}
-	return e.livePending == 0
-}
-
 // MaxPending returns the event queue's high-water mark over the run: the
 // memory the queue actually held, including stopped items awaiting reclaim.
 // A rescheduled timer keeps its one item, so re-arms never add to it.

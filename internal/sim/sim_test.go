@@ -146,20 +146,22 @@ func TestRunAll(t *testing.T) {
 		}
 	}
 	e.Schedule(0, spin)
-	if !e.RunAll(1000) {
-		t.Fatal("RunAll should drain")
+	for e.Step() {
 	}
-	if n != 100 {
-		t.Fatalf("n = %d, want 100", n)
+	if n != 100 || e.Pending() != 0 {
+		t.Fatalf("n = %d with %d pending, want 100 and a drained queue", n, e.Pending())
 	}
 
-	// Runaway chain is bounded.
+	// Runaway chain is bounded by the event budget.
 	e2 := New(1)
 	var forever func()
 	forever = func() { e2.Schedule(time.Microsecond, forever) }
 	e2.Schedule(0, forever)
-	if e2.RunAll(50) {
-		t.Fatal("RunAll should report not-drained for unbounded chain")
+	e2.SetLimits(Limits{MaxEvents: 50})
+	for e2.Step() {
+	}
+	if e2.Processed() != 50 || e2.Pending() == 0 {
+		t.Fatalf("unbounded chain ran %d events with %d pending, want 50 and a live queue", e2.Processed(), e2.Pending())
 	}
 }
 
@@ -284,11 +286,9 @@ func TestStallWatchdogAllowsSameInstantBursts(t *testing.T) {
 // instead of jumping to the horizon, and an exhausted budget is only
 // reported when there was still an event inside the horizon to refuse.
 func TestEventBudgetSameThroughEveryLoop(t *testing.T) {
-	var drained bool // what RunAll reported; the other loops leave it false
 	loops := map[string]func(e *Engine){
 		"Run":      func(e *Engine) { e.Run(time.Second) },
 		"RunUntil": func(e *Engine) { e.RunUntil(time.Second) },
-		"RunAll":   func(e *Engine) { drained = e.RunAll(1000) },
 		"Step": func(e *Engine) {
 			for e.Step() {
 			}
@@ -302,7 +302,6 @@ func TestEventBudgetSameThroughEveryLoop(t *testing.T) {
 				e.Schedule(time.Duration(ms)*time.Millisecond, func() { fired++ })
 			}
 			e.SetLimits(Limits{MaxEvents: 4})
-			drained = false
 			loop(e)
 			if fired != 4 || e.Processed() != 4 {
 				t.Fatalf("fired %d, Processed %d, want 4 and 4", fired, e.Processed())
@@ -316,9 +315,6 @@ func TestEventBudgetSameThroughEveryLoop(t *testing.T) {
 			}
 			if e.Step() {
 				t.Error("Step ran an event past a tripped budget")
-			}
-			if drained {
-				t.Error("RunAll reported a drained queue with events still pending")
 			}
 		})
 	}

@@ -1,16 +1,11 @@
 package simnet
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"time"
 
-	"mobbr/internal/cc"
-	"mobbr/internal/cpumodel"
-	"mobbr/internal/netem"
-	"mobbr/internal/seg"
 	"mobbr/internal/tcp"
 	"mobbr/internal/units"
 )
@@ -41,7 +36,7 @@ type pair struct {
 	cfg PairConfig
 
 	// Client→server: the simulated uplink TCP stack. finAt is the client
-	// write offset at CloseWrite (-1 while open); srvConsumed is how much
+	// write offset at Close (-1 while open); srvConsumed is how much
 	// of the delivered stream the server has read; upErr records a
 	// transport failure (connection declared dead).
 	finAt       int64
@@ -294,33 +289,6 @@ func respArrive(arg any) {
 	p.n.fire(p.cliRead, nil)
 }
 
-// CloseWrite half-closes the write side. The client side sends FIN
-// through the simulated stack (written data keeps retransmitting until
-// acknowledged); the server side ends the response stream after pending
-// responses deliver. Idempotent.
-func (c *Conn) CloseWrite() error {
-	p := c.p
-	n := p.n
-	if c.server {
-		if p.srvWClosed {
-			return nil
-		}
-		p.srvWClosed = true
-		if p.respPending() == 0 {
-			n.fire(p.cliRead, nil) // EOF is readable now
-		}
-		return nil
-	}
-	if p.finAt >= 0 {
-		return nil
-	}
-	p.finAt = p.tc.CloseStream()
-	if p.srvConsumed >= p.finAt {
-		n.fire(p.srvRead, nil) // EOF is readable now
-	}
-	return nil
-}
-
 // Close implements net.Conn: half-close both directions, begin the
 // transport's graceful teardown (client side), and unblock any parked
 // operations on this endpoint with net.ErrClosed. Idempotent and safe
@@ -356,111 +324,4 @@ func (c *Conn) Close() error {
 	n.fire(p.cliRead, net.ErrClosed)
 	n.fire(p.cliWrite, net.ErrClosed)
 	return nil
-}
-
-// --- Dial / Listen ----------------------------------------------------------
-
-// Stack carries the simulated-testbed pieces Dial needs to build fresh
-// connections: the CPUs, the path, the TCP config, the congestion-control
-// factory, the shared demux (SetReceiver'd on the path), and the pair
-// model for the return stream.
-type Stack struct {
-	CPU    *cpumodel.CPU
-	AppCPU *cpumodel.CPU // optional
-	Path   *netem.Path
-	TCP    tcp.Config
-	CC     cc.Factory
-	Pool   *seg.Pool // optional
-	Demux  *tcp.Demux
-	Pair   PairConfig
-	// NextFlow numbers new connections. Start it above any
-	// harness-built flows sharing the demux.
-	NextFlow int
-}
-
-// SetStack installs the stack Dial builds connections over.
-func (n *Net) SetStack(st *Stack) { n.stack = st }
-
-// Listener accepts the server endpoints of dialed connections.
-type Listener struct {
-	n      *Net
-	queue  []net.Conn
-	accW   *waiter
-	closed bool
-}
-
-// Listen returns the network's listener (one per Net).
-func (n *Net) Listen() *Listener {
-	if n.listener == nil {
-		n.listener = &Listener{n: n}
-	}
-	return n.listener
-}
-
-// Accept blocks in virtual time until a dialed connection's server
-// endpoint is available. Proc context only.
-func (l *Listener) Accept() (net.Conn, error) {
-	n := l.n
-	for {
-		if n.closed || l.closed {
-			return nil, ErrClosed
-		}
-		if len(l.queue) > 0 {
-			c := l.queue[0]
-			l.queue = l.queue[1:]
-			return c, nil
-		}
-		w := n.running.arm()
-		l.accW = w
-		err := n.wait(w, -1)
-		l.accW = nil
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-// Close stops the listener and unblocks a pending Accept.
-func (l *Listener) Close() error {
-	l.closed = true
-	l.n.fire(l.accW, ErrClosed)
-	return nil
-}
-
-// Addr implements net.Listener's shape.
-func (l *Listener) Addr() net.Addr { return addr("server:listen") }
-
-// Dial builds a fresh stream-mode connection over the installed Stack,
-// starts it, waits one no-load RTT for the (abstracted) handshake, and
-// hands the server endpoint to the listener. Proc context only.
-func (n *Net) Dial() (net.Conn, error) {
-	if n.closed {
-		return nil, ErrClosed
-	}
-	st := n.stack
-	if st == nil {
-		return nil, errors.New("simnet: Dial needs SetStack")
-	}
-	id := st.NextFlow
-	st.NextFlow++
-	tc := tcp.NewConn(id, n.eng, st.CPU, st.Path, st.TCP, st.CC)
-	tc.SetStream()
-	if st.Pool != nil {
-		tc.SetPool(st.Pool)
-	}
-	if st.AppCPU != nil {
-		tc.SetAppCPU(st.AppCPU)
-	}
-	rx := tcp.NewReceiver(n.eng, st.Path, tc)
-	st.Demux.Add(rx)
-	cl, sv := n.Wrap(tc, rx, st.Pair)
-	tc.Start()
-	if err := n.Sleep(n.running, st.Path.MinRTT()); err != nil {
-		return nil, err
-	}
-	if l := n.listener; l != nil {
-		l.queue = append(l.queue, sv)
-		n.fire(l.accW, nil)
-	}
-	return cl, nil
 }

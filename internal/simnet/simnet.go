@@ -1,5 +1,5 @@
 // Package simnet exposes the deterministic simulator behind a net-shaped
-// API: Dial/Listen/Wrap return net.Conn implementations whose Read, Write
+// API: Wrap returns net.Conn implementations whose Read, Write
 // and deadline semantics run entirely in virtual time, so any Go-writable
 // workload (request/response clients, streaming uploaders) can drive the
 // simulated TCP stack without knowing it is simulated.
@@ -39,9 +39,6 @@ type Net struct {
 	parked  chan struct{}
 	running *Proc // proc currently holding the baton (nil in engine context)
 	closed  bool
-
-	stack    *Stack
-	listener *Listener
 }
 
 // New builds an empty network on the engine.
@@ -52,9 +49,6 @@ func New(eng *sim.Engine) *Net {
 // Now returns the current virtual time as a wall-clock value anchored at
 // the Unix epoch (the inverse of the deadline mapping).
 func (n *Net) Now() time.Time { return epoch.Add(n.eng.Now()) }
-
-// Closed reports whether Shutdown has run.
-func (n *Net) Closed() bool { return n.closed }
 
 // Proc is one logical application thread. It runs on its own goroutine
 // but only while it holds the baton; all its blocking operations park it
@@ -87,8 +81,8 @@ type waiter struct {
 }
 
 // Go spawns a proc that first runs at start of virtual time. fn must
-// bound its work with the Net's blocking operations (Read/Write/Sleep/
-// Accept); returning ends the proc.
+// bound its work with the Net's blocking operations (Read/Write/Sleep);
+// returning ends the proc.
 func (n *Net) Go(start time.Duration, fn func(p *Proc)) *Proc {
 	p := &Proc{n: n, wake: make(chan struct{})}
 	p.w.p = p

@@ -98,11 +98,6 @@ func (m *WindowedMin) Update(t uint64, v float64) float64 {
 	return m.v
 }
 
-// Expired reports whether the held minimum is older than the window at t.
-func (m *WindowedMin) Expired(t uint64) bool {
-	return m.set && t-m.t > m.window
-}
-
 // Get returns the current minimum (0 if no samples).
 func (m *WindowedMin) Get() float64 { return m.v }
 

@@ -16,23 +16,11 @@ type Online struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates x into the accumulator.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
 	d := x - o.mean
 	o.mean += d / float64(o.n)
 	o.m2 += d * (x - o.mean)
@@ -43,12 +31,6 @@ func (o *Online) N() int64 { return o.n }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (o *Online) Mean() float64 { return o.mean }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (o *Online) Max() float64 { return o.max }
 
 // Var returns the unbiased sample variance, or 0 with fewer than 2 samples.
 func (o *Online) Var() float64 {

@@ -163,7 +163,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 	if reoWnd > 10*time.Millisecond {
 		reoWnd = 10 * time.Millisecond
 	}
-	newLost := c.board.detectLosses(c.cfg.DupThresh, reoWnd, c.infos)
+	newLost := c.board.detectLosses(dupThresh, reoWnd, c.infos)
 	for _, p := range newLost {
 		if p.inFlite {
 			p.inFlite = false
@@ -189,7 +189,6 @@ func (c *Conn) processAck(a *seg.Ack) {
 	// once per RTT (tcp_ecn_rcv_ece-style rate limiting).
 	rs.CECount = a.CECount
 	if a.CECount > 0 {
-		c.ceTotal += a.CECount
 		if now-c.lastECEResponse >= c.srtt && c.state == cc.StateOpen {
 			c.lastECEResponse = now
 			c.ccMod.OnEvent(c, cc.EventECE)
@@ -220,7 +219,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 		if deliveredPkt > 0 {
 			c.met.AckBatch.Observe(float64(deliveredPkt))
 		}
-		if rate := rs.DeliveryRate(c.cfg.MSS); rate > 0 {
+		if rate := rs.DeliveryRate(seg.MSS); rate > 0 {
 			c.met.DeliveryRate.Observe(rate.Mbit())
 		}
 	}
@@ -306,7 +305,7 @@ func (c *Conn) updatePacingRateFromCwnd() {
 	if c.cwnd < c.ssthresh/2 {
 		ratio = 2.0
 	}
-	bytesPerRTT := float64(c.cwnd) * float64(c.cfg.MSS)
+	bytesPerRTT := float64(c.cwnd) * float64(seg.MSS)
 	rate := units.Bandwidth(bytesPerRTT * 8 / c.srtt.Seconds() * ratio)
 	c.SetPacingRate(rate)
 }

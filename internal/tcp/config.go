@@ -1,7 +1,9 @@
 // Package tcp implements the simulated TCP sender and receiver endpoints:
 // cwnd/inflight accounting, a SACK scoreboard with dupack-threshold loss
 // detection, RTO, delivery-rate sampling per the kernel's tcp_rate.c, TSO
-// autosizing and internal pacing, and a delayed-ACK receiver. Every CPU-
+// autosizing and internal pacing, and a receiver that ACKs once per GRO
+// bundle: after groFlushGap (90 µs) with no new segment, once groMaxBytes
+// (64 KB) have accumulated, and at once on out-of-order data. Every CPU-
 // visible operation (skb transmission, per-segment work, ACK processing,
 // congestion-control updates, pacing-timer callbacks, RTO handling) is
 // charged to the device's cpumodel.CPU, which is how the paper's low-end
@@ -16,38 +18,33 @@ import (
 	"mobbr/internal/units"
 )
 
+// The stack's fixed parameters: the stock Android kernel defaults the paper
+// measured on.
+const (
+	// initialCwnd is the initial congestion window in packets (RFC 6928).
+	initialCwnd = 10
+	// minRTO and maxRTO clamp the retransmission timeout (Linux defaults).
+	minRTO = 200 * time.Millisecond
+	maxRTO = 60 * time.Second
+	// maxRetries is how many consecutive RTOs (without any forward ACK
+	// progress) the connection tolerates before it is declared dead and
+	// reported through Err — the analogue of tcp_retries2.
+	maxRetries = 15
+	// stallTimeout arms the per-connection watchdog: a connection with
+	// outstanding work but no delivery progress for this long is declared
+	// dead and reported through Err instead of spinning forever.
+	stallTimeout = 30 * time.Second
+	// dupThresh is the SACK/dupack reordering threshold.
+	dupThresh = 3
+)
+
 // Config parameterizes a connection.
 type Config struct {
-	// MSS is the maximum segment size (default seg.MSS).
-	MSS units.DataSize
-	// InitialCwnd is the initial congestion window in packets
-	// (default 10, per RFC 6928).
-	InitialCwnd int
-	// MaxCwnd caps the congestion window in packets; it stands in for
-	// the send-buffer/receive-window limit (default SndBuf/MSS).
-	MaxCwnd int
-	// SndBuf is the socket send buffer (default 256 KB); it bounds
-	// MaxCwnd and is reported by the memory experiment (§7.1.1).
+	// SndBuf is the socket send buffer (default 256 KB); it caps the
+	// congestion window at SndBuf/MSS packets, standing in for the
+	// send-buffer/receive-window limit, and is reported by the memory
+	// experiment (§7.1.1).
 	SndBuf units.DataSize
-	// DelAckEvery is the receiver's ack-every-N policy (default 2).
-	DelAckEvery int
-	// DelAckTimeout is the delayed-ACK timer (default 40 ms).
-	DelAckTimeout time.Duration
-	// MinRTO / MaxRTO clamp the retransmission timeout
-	// (defaults 200 ms / 60 s, per the Linux defaults).
-	MinRTO time.Duration
-	MaxRTO time.Duration
-	// MaxRetries is how many consecutive RTOs (without any forward ACK
-	// progress) the connection tolerates before it is declared dead and
-	// reported through Err — the analogue of tcp_retries2 (default 15).
-	MaxRetries int
-	// StallTimeout arms the per-connection watchdog: if the connection
-	// has outstanding work but makes no delivery progress for this long,
-	// it is declared dead and reported through Err instead of spinning
-	// forever. Default 30 s; negative disables the watchdog.
-	StallTimeout time.Duration
-	// DupThresh is the SACK/dupack reordering threshold (default 3).
-	DupThresh int
 	// Pacing configures the internal pacer. Pacing.Enabled is forced on
 	// when the congestion module wants pacing (BBR), unless
 	// PacingOverride says otherwise.
@@ -63,38 +60,12 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MSS <= 0 {
-		c.MSS = seg.MSS
-	}
-	if c.InitialCwnd <= 0 {
-		c.InitialCwnd = 10
-	}
 	if c.SndBuf <= 0 {
 		c.SndBuf = 256 * units.KB
 	}
-	if c.MaxCwnd <= 0 {
-		c.MaxCwnd = int(c.SndBuf / c.MSS)
-	}
-	if c.DelAckEvery <= 0 {
-		c.DelAckEvery = 2
-	}
-	if c.DelAckTimeout <= 0 {
-		c.DelAckTimeout = 40 * time.Millisecond
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 60 * time.Second
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 15
-	}
-	if c.StallTimeout == 0 {
-		c.StallTimeout = 30 * time.Second
-	}
-	if c.DupThresh <= 0 {
-		c.DupThresh = 3
-	}
 	return c
 }
+
+// maxCwnd is the congestion window cap in packets: the send buffer's worth
+// of full segments.
+func (c *Config) maxCwnd() int { return int(c.SndBuf / seg.MSS) }

@@ -457,7 +457,7 @@ func TestResetRestoresFreshState(t *testing.T) {
 	solo := NewConn(id, h.eng, h.cpu, h.path, Config{}, paced)
 	solo.SetPool(h.segs)
 	solo.SetAggregates(h.agg)
-	solo.SetFlowTable(h.ftab)
+	solo.ftab = h.ftab
 	soloRx := NewReceiver(h.eng, h.path, solo)
 
 	for _, fresh := range []struct {
@@ -498,7 +498,7 @@ func TestRetiredEntryWaitsForParkedBatch(t *testing.T) {
 		return c
 	}
 	a, b := open(0), open(1)
-	mss := int64(a.cfg.MSS)
+	mss := int64(seg.MSS)
 
 	// A sends four segments into a demux that does not know it, so nothing
 	// comes back; then its RTO marks them lost and parks the head for
@@ -531,7 +531,7 @@ func TestRetiredEntryWaitsForParkedBatch(t *testing.T) {
 	// B's transmit job opens a segment and B's RTO condemns it — what
 	// emit and enterLoss do to an entry, without the network in between.
 	q := b.infos.get()
-	q.seq, q.len, q.inFlite = 0, a.cfg.MSS, true
+	q.seq, q.len, q.inFlite = 0, seg.MSS, true
 	b.board.add(q, b.infos)
 	b.sndNxt, b.inflight = mss, 1
 	b.pending++

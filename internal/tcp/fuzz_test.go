@@ -164,9 +164,18 @@ func FuzzScoreboard(f *testing.F) {
 				}
 			}
 
-			aInfl, aLost, aSacked, aAcked, liveBytes := board.audit()
+			aInfl, aLost, liveBytes := board.audit()
 			if int64(aInfl) != inflight {
 				t.Fatalf("inflight: counter %d, board %d", inflight, aInfl)
+			}
+			aSacked, aAcked := 0, 0
+			for i := 0; i < board.liveLen(); i++ {
+				switch p := board.at(i); {
+				case p.acked:
+					aAcked++
+				case p.sacked:
+					aSacked++
+				}
 			}
 			if aInfl+aLost+aSacked+aAcked != board.liveLen() {
 				t.Fatalf("audit classes %d+%d+%d+%d != live %d",
@@ -188,11 +197,11 @@ func FuzzScoreboard(f *testing.F) {
 			}
 			// firstLost and lostPending must agree.
 			if p := board.firstLost(); p != nil {
-				lp := board.lostPending(1)
+				lp := board.lostPendingInto(nil, 1)
 				if len(lp) != 1 || lp[0] != p {
 					t.Fatalf("firstLost/lostPending disagree")
 				}
-			} else if len(board.lostPending(1)) != 0 {
+			} else if len(board.lostPendingInto(nil, 1)) != 0 {
 				t.Fatalf("lostPending nonempty but firstLost nil")
 			}
 			// Per-entry sanity: live seq range ordered and contiguous.

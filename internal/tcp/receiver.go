@@ -44,8 +44,6 @@ type Receiver struct {
 	haveLast   bool
 
 	goodBytes units.DataSize // in-order bytes delivered (goodput)
-	dupPkts   uint64
-	acksSent  uint64
 
 	// Sharded overrides (SetShard): in a sharded run the receiver lives on
 	// a different engine shard than its conn, so packet release and ACK
@@ -111,7 +109,6 @@ func (r *Receiver) OnPacket(pkt *seg.Packet) {
 	case pkt.End() <= r.rcvNxt || r.covered(pkt):
 		// Duplicate (spurious retransmission): ACK immediately so the
 		// sender's scoreboard converges.
-		r.dupPkts++
 		r.sendAck(pkt.SentAt, pkt.Retx)
 	case pkt.Seq <= r.rcvNxt:
 		// In-order (possibly overlapping the edge): advance and pull in
@@ -243,7 +240,6 @@ func (r *Receiver) sendAck(echoSentAt time.Duration, echoRetx bool) {
 			a.Sacks = append(a.Sacks, r.ooo[i])
 		}
 	}
-	r.acksSent++
 	if r.returnAck != nil {
 		r.returnAck(a)
 	} else {
@@ -268,12 +264,6 @@ func (r *Receiver) Reset() {
 
 // GoodBytes returns the in-order bytes delivered so far.
 func (r *Receiver) GoodBytes() units.DataSize { return r.goodBytes }
-
-// DupPackets returns how many duplicate segments arrived.
-func (r *Receiver) DupPackets() uint64 { return r.dupPkts }
-
-// AcksSent returns how many ACKs the receiver generated.
-func (r *Receiver) AcksSent() uint64 { return r.acksSent }
 
 // Demux routes packets arriving at the server to per-connection receivers.
 type Demux struct {

@@ -291,17 +291,14 @@ func (s *scoreboard) undoLost(ip *infoPool) []*pktInfo {
 
 // audit walks the live entries and classifies each into exactly one state,
 // for the invariant checker: in flight, lost awaiting retransmission,
-// SACKed awaiting cumulative ACK, or acked-but-not-yet-popped. It also sums
-// the live byte span.
-func (s *scoreboard) audit() (inflight, lostPending, sacked, acked int, liveBytes int64) {
+// SACKed awaiting cumulative ACK, or acked-but-not-yet-popped; it returns
+// the first two counts. It also sums the live byte span.
+func (s *scoreboard) audit() (inflight, lostPending int, liveBytes int64) {
 	for i := 0; i < s.liveLen(); i++ {
 		p := s.at(i)
 		liveBytes += int64(p.len)
 		switch {
-		case p.acked:
-			acked++
-		case p.sacked:
-			sacked++
+		case p.acked, p.sacked:
 		case p.inFlite:
 			inflight++
 		case p.lost:
@@ -338,9 +335,4 @@ func (s *scoreboard) lostPendingInto(dst []*pktInfo, max int) []*pktInfo {
 		}
 	}
 	return dst
-}
-
-// lostPending returns up to max lost entries in a fresh slice.
-func (s *scoreboard) lostPending(max int) []*pktInfo {
-	return s.lostPendingInto(nil, max)
 }

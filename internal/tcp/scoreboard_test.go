@@ -169,7 +169,7 @@ func TestLostPendingOrderAndLimit(t *testing.T) {
 		e.inFlite = false
 		s.add(e, ip)
 	}
-	got := s.lostPending(3)
+	got := s.lostPendingInto(nil, 3)
 	if len(got) != 3 {
 		t.Fatalf("pending = %d, want 3", len(got))
 	}

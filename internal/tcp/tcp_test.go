@@ -169,7 +169,7 @@ func TestRTOFiresWhenAllAcksLost(t *testing.T) {
 	if h.conn.Stats().Lost == 0 {
 		t.Error("no packets marked lost")
 	}
-	if h.cpu.OpCount(cpumodel.OpRTO) == 0 {
+	if h.cpu.OpCycles(cpumodel.OpRTO) == 0 {
 		t.Error("RTO not charged to CPU")
 	}
 }
@@ -189,7 +189,7 @@ func TestPacingGateSpacesSends(t *testing.T) {
 	if got := h.rx.GoodBytes(); got != 1*units.MB {
 		t.Fatalf("delivered %v, want full 1MB", got)
 	}
-	if h.cpu.OpCount(cpumodel.OpPacingTimer) == 0 {
+	if h.cpu.OpCycles(cpumodel.OpPacingTimer) == 0 {
 		t.Error("no pacing-timer events charged to CPU")
 	}
 }
@@ -199,8 +199,8 @@ func TestUnpacedChargesNoPacingTimers(t *testing.T) {
 	h := newHarness(t, Config{AppBytes: 1 * units.MB}, stub, netem.TC{})
 	h.conn.Start()
 	h.eng.Run(5 * time.Second)
-	if n := h.cpu.OpCount(cpumodel.OpPacingTimer); n != 0 {
-		t.Errorf("unpaced connection charged %d pacing-timer events", n)
+	if n := h.cpu.OpCycles(cpumodel.OpPacingTimer); n != 0 {
+		t.Errorf("unpaced connection charged %v pacing-timer cycles", n)
 	}
 }
 
@@ -210,7 +210,7 @@ func TestPacingOverrideForcesOn(t *testing.T) {
 	h := newHarness(t, Config{AppBytes: 512 * units.KB, PacingOverride: &on}, stub, netem.TC{})
 	h.conn.Start()
 	h.eng.Run(5 * time.Second)
-	if h.cpu.OpCount(cpumodel.OpPacingTimer) == 0 {
+	if h.cpu.OpCycles(cpumodel.OpPacingTimer) == 0 {
 		t.Error("forced pacing produced no pacing-timer events")
 	}
 }
@@ -224,8 +224,8 @@ func TestPacingOverrideForcesOff(t *testing.T) {
 	if got := h.rx.GoodBytes(); got != 1*units.MB {
 		t.Fatalf("pacing-off transfer incomplete: %v", got)
 	}
-	if n := h.cpu.OpCount(cpumodel.OpPacingTimer); n != 0 {
-		t.Errorf("pacing disabled but %d timer events charged", n)
+	if n := h.cpu.OpCycles(cpumodel.OpPacingTimer); n != 0 {
+		t.Errorf("pacing disabled but %v timer cycles charged", n)
 	}
 }
 
@@ -383,7 +383,7 @@ func TestGROCoalescesAcks(t *testing.T) {
 	h.conn.Start()
 	h.eng.Run(5 * time.Second)
 	pkts := uint64(1*units.MB/seg.MSS) + 1
-	acks := h.rx.AcksSent()
+	acks := uint64(stub.acks)
 	// GRO acknowledges whole bundles: far fewer ACKs than packets, but
 	// at least one per 64KB of data.
 	if acks >= pkts/2 {
@@ -400,7 +400,7 @@ func TestCPUChargesAllOps(t *testing.T) {
 	h.conn.Start()
 	h.eng.Run(5 * time.Second)
 	for _, op := range []cpumodel.Op{cpumodel.OpSegXmit, cpumodel.OpSKBXmit, cpumodel.OpAckProcess, cpumodel.OpPacingTimer} {
-		if h.cpu.OpCount(op) == 0 {
+		if h.cpu.OpCycles(op) == 0 {
 			t.Errorf("no %v operations charged", op)
 		}
 	}
@@ -453,8 +453,14 @@ func TestReceiverReassemblyExhaustive(t *testing.T) {
 	if rx.GoodBytes() != 10000 {
 		t.Fatalf("duplicate inflated goodput to %v", rx.GoodBytes())
 	}
-	if rx.DupPackets() != 1 {
-		t.Errorf("dup packets = %d, want 1", rx.DupPackets())
+	// ...and is acknowledged at once, while the sender still has it in
+	// flight: the ACK reaches the sender after one return-path delay.
+	eng.Run(time.Second)
+	acks := stub.acks
+	rx.OnPacket(&seg.Packet{Flow: 7, Seq: 3000, Len: 1000, SentAt: time.Microsecond})
+	eng.Run(2 * time.Second)
+	if stub.acks != acks+1 {
+		t.Errorf("duplicate drew %d ACKs, want 1", stub.acks-acks)
 	}
 }
 
@@ -499,7 +505,11 @@ func TestCEMarksCounted(t *testing.T) {
 	if h.rx.GoodBytes() != 2*units.MB {
 		t.Fatal("transfer incomplete")
 	}
-	if h.conn.Stats().CEMarks == 0 {
+	var echoed int64
+	for _, rs := range stub.samples {
+		echoed += rs.CECount
+	}
+	if echoed == 0 {
 		t.Error("no CE marks observed despite AQM threshold")
 	}
 }

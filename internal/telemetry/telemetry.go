@@ -129,9 +129,6 @@ func NewBus(eng *sim.Engine, maxEvents int) *Bus {
 	return &Bus{eng: eng, max: maxEvents}
 }
 
-// Enabled reports whether the bus is collecting (non-nil).
-func (b *Bus) Enabled() bool { return b != nil }
-
 // Emit records e at the current virtual time. Safe on a nil bus (no-op).
 func (b *Bus) Emit(e Event) {
 	if b == nil {

@@ -33,9 +33,6 @@ func TestBusStampsVirtualTime(t *testing.T) {
 	if got := bus.Filter(KindTCPState); len(got) != 1 || got[0].New != "loss" {
 		t.Errorf("Filter(KindTCPState) = %v", got)
 	}
-	if !bus.Enabled() {
-		t.Error("non-nil bus reports disabled")
-	}
 }
 
 // TestBusCapDrops holds the cap to exact counts wherever it falls in the
@@ -82,7 +79,7 @@ func TestNilReceiversZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("disabled telemetry allocated %.1f allocs/op, want 0", allocs)
 	}
-	if bus.Events() != nil || bus.Dropped() != 0 || bus.Enabled() {
+	if bus.Events() != nil || bus.Dropped() != 0 {
 		t.Error("nil bus accessors not inert")
 	}
 	if r.Histogram("z", nil) != nil || r.Snapshot() != nil {

@@ -1,13 +1,12 @@
 // Package tuner searches for the optimal pacing stride — the §7.1.2
 // question the paper leaves open: the best stride "will depend on at least
 // the network conditions and the mobile device configuration". The tuner
-// treats the simulator as the objective function: it sweeps or hill-climbs
-// over strides, scoring goodput with an optional RTT guard so the search
+// treats the simulator as the objective function: it hill-climbs over
+// strides, scoring goodput with an optional RTT guard so the search
 // does not wander into bufferbloat (which raw goodput would tolerate).
 package tuner
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -26,9 +25,6 @@ type Trial struct {
 
 // Options configures the search.
 type Options struct {
-	// Candidates are the strides to evaluate in Sweep; the paper's grid
-	// {1,2,5,10,20,50} if empty.
-	Candidates []float64
 	// Seeds per evaluation (default 2).
 	Seeds int
 	// Duration per run (default 3s).
@@ -39,9 +35,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if len(o.Candidates) == 0 {
-		o.Candidates = []float64{1, 2, 5, 10, 20, 50}
-	}
 	if o.Seeds <= 0 {
 		o.Seeds = 2
 	}
@@ -84,44 +77,6 @@ func evaluate(spec core.Spec, stride float64, o Options) (Trial, error) {
 		GoodputMbps: agg.GoodputMbps(),
 		RTTms:       agg.AvgRTT.Mean() / 1e6,
 	}, nil
-}
-
-// Sweep evaluates every candidate stride for spec and returns the best by
-// score. The spec's own Stride field is ignored.
-func Sweep(spec core.Spec, opts Options) (*Result, error) {
-	o := opts.withDefaults()
-	cands := append([]float64(nil), o.Candidates...)
-	sort.Float64s(cands)
-	if cands[0] != 1 {
-		cands = append([]float64{1}, cands...)
-	}
-	res := &Result{}
-	for _, st := range cands {
-		tr, err := evaluate(spec, st, o)
-		if err != nil {
-			return nil, fmt.Errorf("tuner: stride %g: %w", st, err)
-		}
-		res.Trials = append(res.Trials, tr)
-		if st == 1 {
-			res.Baseline = tr
-		}
-	}
-	// Apply the RTT guard relative to the baseline, then pick the best.
-	for i := range res.Trials {
-		t := &res.Trials[i]
-		t.Score = t.GoodputMbps
-		if o.RTTBudget > 0 && res.Baseline.RTTms > 0 &&
-			t.RTTms > res.Baseline.RTTms*o.RTTBudget {
-			t.Score = 0
-		}
-		if t.Score > res.Best.Score {
-			res.Best = *t
-		}
-	}
-	if res.Best.Score == 0 {
-		res.Best = res.Baseline
-	}
-	return res, nil
 }
 
 // HillClimb doubles the stride while the score improves, then refines once
