@@ -193,7 +193,7 @@ func TestEventBudgetTrips(t *testing.T) {
 	}
 }
 
-// TestBlackoutLongerThanRetriesKillsConn: an outage outlasting MaxRetries
+// TestStallReportedNotPanicked: an outage outlasting the 30 s stall watchdog
 // must surface as a per-connection error in the report, not an aborted run.
 func TestStallReportedNotPanicked(t *testing.T) {
 	spec := Spec{
