@@ -19,6 +19,10 @@ func chaosSoak(args []string, stdout, stderr io.Writer) int {
 	if status, ok := parse(fs, args, 0); !ok {
 		return status
 	}
+	if *n < 1 {
+		fmt.Fprintf(stderr, "mobbr: -n must be at least 1, got %d\n", *n)
+		return 2
+	}
 	findings, err := chaos.Explore(chaos.ExploreOpts{N: *n, Seed: *seed, Corpus: *corpus, Log: stderr})
 	if err != nil {
 		return failf(stderr, "%v", err)

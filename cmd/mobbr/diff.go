@@ -37,13 +37,11 @@ func diff(args []string, stdout, stderr io.Writer) int {
 		runs[i] = a
 	}
 	deltas, sum, err := obs.Diff(runs[0], runs[1], obs.DiffOpts{Rel: *rel, RetxAbs: *retxAbs, All: *all})
-	if err == nil {
-		err = obs.WriteDeltas(stdout, deltas)
-	}
 	if err != nil {
 		fmt.Fprintln(stderr, "mobbr:", err)
 		return 2
 	}
+	obs.WriteDeltas(stdout, deltas)
 	if !*quiet && (len(deltas) > 0 || sum.Unmatched > 0 || len(sum.SkippedExps) > 0) {
 		fmt.Fprintf(stdout, "mobbr diff: %d experiment(s), %d cell(s): %d regressed, %d improved",
 			sum.Experiments, sum.Cells, sum.Regressed, sum.Improved)

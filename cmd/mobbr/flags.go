@@ -143,19 +143,26 @@ func checkParallelism(shards, jobs int) (warn string, err error) {
 	return "", nil
 }
 
-// start checks -shards against jobs workers and starts the pprof profiles.
+// start checks -dur and -seeds, and -shards against jobs workers, of run
+// and grid (which report and archive them), and starts the pprof profiles.
 // When ok is true the caller defers stop, which flushes the CPU profile
 // and writes the heap profile, so a failing run still leaves both files
 // whole. Otherwise it returns status: 2 for bad flags, 1 when a profile
 // cannot start.
 func (s *shared) start(jobs int, stderr io.Writer) (stop func(), status int, ok bool) {
-	if s.shards != 0 {
-		if warn, err := checkParallelism(s.shards, jobs); err != nil {
-			fmt.Fprintln(stderr, "mobbr:", err)
-			return nil, 2, false
-		} else if warn != "" {
-			fmt.Fprintln(stderr, "mobbr: warning:", warn)
-		}
+	warn, err := checkParallelism(s.shards, jobs)
+	switch {
+	case s.dur <= 0:
+		err = fmt.Errorf("-dur must be positive, got %v", s.dur)
+	case s.seeds < 1:
+		err = fmt.Errorf("-seeds must be at least 1, got %d", s.seeds)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "mobbr:", err)
+		return nil, 2, false
+	}
+	if warn != "" {
+		fmt.Fprintln(stderr, "mobbr: warning:", warn)
 	}
 	var cpu *os.File
 	if s.cpuProf != "" {

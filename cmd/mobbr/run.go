@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -36,24 +37,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&spec.CC, "cc", "bbr", "congestion control: reno, cubic, bbr, bbr2, or a comma-separated mix assigned round-robin across connections (e.g. bbr,cubic)")
 	fs.IntVar(&spec.Conns, "conns", 1, "parallel connections (iperf3 -P)")
 	fs.Float64Var(&spec.Stride, "stride", 1, "pacing stride (§6.2)")
-	fs.Var(bandwidth{&spec.FixedPacingRate}, "fixed-rate", "pin per-connection pacing `rate`, e.g. 140Mbps")
+	unitFlag(fs, &spec.FixedPacingRate, units.ParseBandwidth, "fixed-rate", "pin per-connection pacing `rate`, e.g. 140Mbps")
 	fs.IntVar(&spec.FixedCwnd, "fixed-cwnd", 0, "pin cwnd in packets (0 = off)")
 	fs.BoolVar(&spec.DisableModel, "no-model", false, "disable the CC's per-ACK model (§5.1.1)")
 	fs.BoolVar(&spec.HardwarePacing, "hw-pacing", false, "offload pacing timers to the NIC (§7.1.4)")
-	fs.Var(dataSize{&spec.SndBuf}, "sndbuf", "per-socket send buffer `size`, e.g. 1MB (default 256KB)")
-	fs.Var(bandwidth{&spec.TC.Rate}, "tc-rate", "router `rate` cap, e.g. 600Mbps")
+	unitFlag(fs, &spec.SndBuf, units.ParseDataSize, "sndbuf", "per-socket send buffer `size`, e.g. 1MB (default 256KB)")
+	unitFlag(fs, &spec.TC.Rate, units.ParseBandwidth, "tc-rate", "router `rate` cap, e.g. 600Mbps")
 	fs.DurationVar(&spec.TC.Delay, "tc-delay", 0, "router added delay")
 	fs.Float64Var(&spec.TC.Loss, "tc-loss", 0, "router random loss fraction")
 	fs.IntVar(&spec.TC.QueuePackets, "tc-queue", 0, "router queue depth in packets")
 	fs.IntVar(&spec.TC.ECNThreshold, "tc-ecn", 0, "router ECN marking threshold in packets (0 = off)")
 	fs.Int64Var(&spec.Seed, "seed", 1, "base RNG seed")
-	fs.Var(dataSize{&wl.ReqSize}, "req-size", "with -app reqrep: request `size`, e.g. 256KB")
-	fs.Var(dataSize{&wl.RespSize}, "resp-size", "with -app: response/ack `size`, e.g. 4KB")
+	unitFlag(fs, &wl.ReqSize, units.ParseDataSize, "req-size", "with -app reqrep: request `size`, e.g. 256KB")
+	unitFlag(fs, &wl.RespSize, units.ParseDataSize, "resp-size", "with -app: response/ack `size`, e.g. 4KB")
 	fs.DurationVar(&wl.Think, "think", 0, "with -app reqrep: mean client think time between requests")
 	fs.DurationVar(&wl.Chunk, "chunk", 0, "with -app stream: media seconds per chunk (default 120ms)")
-	fs.Var(ladder{&wl.Ladder}, "ladder", "with -app stream: comma-separated ABR bitrate ladder `rates`, e.g. 1500Kbps,3Mbps,6Mbps")
+	fs.Func("ladder", "with -app stream: comma-separated ABR bitrate ladder `rates`, e.g. 1500Kbps,3Mbps,6Mbps", func(s string) error {
+		wl.Ladder = nil
+		for _, tok := range strings.Split(s, ",") {
+			r, err := units.ParseBandwidth(strings.TrimSpace(tok))
+			if err != nil {
+				return fmt.Errorf("rung %q: %w", tok, err)
+			}
+			wl.Ladder = append(wl.Ladder, r)
+		}
+		return nil
+	})
 	fs.IntVar(&wl.Startup, "startup", 0, "with -app stream: chunks buffered before playback starts")
-	fs.Var(bandwidth{&wl.DownRate}, "down-rate", "with -app: modeled downlink serialization `rate`, e.g. 100Mbps")
+	unitFlag(fs, &wl.DownRate, units.ParseBandwidth, "down-rate", "with -app: modeled downlink serialization `rate`, e.g. 100Mbps")
 	sh := sharedFlags(fs, 5*time.Second, 1, "dur seeds shards trace metrics profile folded pprof")
 	if status, ok := parse(fs, args, 0); !ok {
 		return status
@@ -95,23 +106,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	spec.Duration, spec.Warmup = sh.dur, sh.dur/5
 	spec.Telemetry = sh.telemetry()
 	spec.Shards = sh.shards
-
 	if *ival > 0 {
-		s := spec
-		s.Interval = *ival
-		res, err := core.Run(s)
-		if err != nil {
-			return failf(stderr, "%v", err)
-		}
-		fmt.Fprintln(stdout, "interval series (CSV):")
-		if err := res.Report.WriteIntervalsCSV(stdout); err != nil {
-			return failf(stderr, "%v", err)
-		}
-		fmt.Fprintln(stdout)
+		// Interval reports are passive: the one run that records them is
+		// the run the report below describes.
+		spec.Interval = *ival
 	}
+
 	agg, err := core.RunSeeds(spec, sh.seeds)
 	if err != nil {
 		return failf(stderr, "%v", err)
+	}
+	if spec.Interval > 0 {
+		fmt.Fprintln(stdout, "interval series (CSV):")
+		if err := agg.Runs[0].Report.WriteIntervalsCSV(stdout); err != nil {
+			return failf(stderr, "%v", err)
+		}
+		fmt.Fprintln(stdout)
 	}
 	printReport(stdout, spec, agg, sh.seeds)
 	if err := sh.writeTelemetry(agg.Runs[len(agg.Runs)-1], "last run", stdout, stderr); err != nil {
@@ -207,51 +217,8 @@ func replaySpec(arg string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// bandwidth, dataSize and ladder are flag values over the units parsers,
-// so a malformed rate or size is a usage error like any other bad flag.
-type (
-	bandwidth struct{ p *units.Bandwidth }
-	dataSize  struct{ p *units.DataSize }
-	ladder    struct{ p *[]units.Bandwidth }
-)
-
-func (b bandwidth) String() string {
-	if b.p == nil || *b.p == 0 {
-		return ""
-	}
-	return b.p.String()
-}
-
-func (b bandwidth) Set(s string) (err error) { *b.p, err = units.ParseBandwidth(s); return err }
-
-func (d dataSize) String() string {
-	if d.p == nil || *d.p == 0 {
-		return ""
-	}
-	return d.p.String()
-}
-
-func (d dataSize) Set(s string) (err error) { *d.p, err = units.ParseDataSize(s); return err }
-
-func (l ladder) String() string {
-	if l.p == nil {
-		return ""
-	}
-	rungs := make([]string, len(*l.p))
-	for i, r := range *l.p {
-		rungs[i] = r.String()
-	}
-	return strings.Join(rungs, ",")
-}
-
-func (l ladder) Set(s string) error {
-	*l.p = nil
-	for _, tok := range strings.Split(s, ",") {
-		r, err := units.ParseBandwidth(strings.TrimSpace(tok))
-		if err != nil {
-			return fmt.Errorf("rung %q: %w", tok, err)
-		}
-		*l.p = append(*l.p, r)
-	}
-	return nil
+// unitFlag registers a flag parsed by one of the units parsers, so a
+// malformed rate or size is a usage error like any other bad flag.
+func unitFlag[T any](fs *flag.FlagSet, p *T, parse func(string) (T, error), name, usage string) {
+	fs.Func(name, usage, func(s string) (err error) { *p, err = parse(s); return err })
 }

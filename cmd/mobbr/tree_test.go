@@ -178,8 +178,11 @@ var allowedClasses = []string{"accessor: ", "fault hook: ", "reference data: ", 
 //	    A keyed composite literal writes its keys, and a write through a
 //	    nested field (cfg.Pacing.Stride = …) writes the outer one.
 //
-// Methods whose name some interface declares, and main, init, Test*,
-// Example*, Fuzz* and Benchmark* are exempt from (a) and (b). Anything else
+// A method is exempt from (a) and (b) when its type satisfies an interface
+// that declares it, matched by name and by parameter and result types
+// written with full package paths (each package is type-checked from
+// export data, so types.Implements cannot match across checks); so are
+// main, init, Test*, Example*, Fuzz* and Benchmark*. Anything else
 // the tree keeps on purpose goes in unreadAllowed with its reason.
 func TestNothingUnread(t *testing.T) {
 	root, pkgs := listTree(t)
@@ -206,18 +209,32 @@ func TestNothingUnread(t *testing.T) {
 	optRead := map[string]bool{}   // fields program code reads outside their withDefaults
 	optSet := map[string]bool{}    // fields program code writes outside their withDefaults
 	options := map[string]bool{}   // keys of types with a withDefaults method
-	// Seeded with error's method and those the errors package finds through
-	// interfaces it declares inside its functions.
-	ifaceMethods := map[string]bool{"Error": true, "Unwrap": true, "Is": true, "As": true}
+	// Every interface the module's packages and their imports declare, as
+	// its methods' keys (see methodKey), seeded with error and the methods
+	// the errors package finds through interfaces inside its functions.
+	ifaces := map[string][]string{}
 	seenIface := map[*types.Interface]bool{}
 	addIface := func(typ types.Type) {
-		if it, ok := typ.Underlying().(*types.Interface); ok && !seenIface[it] {
-			seenIface[it] = true
-			for i := 0; i < it.NumMethods(); i++ {
-				ifaceMethods[it.Method(i).Name()] = true
-			}
+		it, ok := typ.Underlying().(*types.Interface)
+		if !ok || seenIface[it] || it.NumMethods() == 0 {
+			return
 		}
+		seenIface[it] = true
+		keys := make([]string, it.NumMethods())
+		for i := range keys {
+			keys[i] = methodKey(it.Method(i))
+		}
+		sort.Strings(keys)
+		ifaces[strings.Join(keys, "; ")] = keys
 	}
+	seeds, err := (&types.Config{}).Check("seeds", fset, []*ast.File{parseSeeds(t, fset)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range seeds.Scope().Names() {
+		addIface(seeds.Scope().Lookup(name).Type())
+	}
+	var named []*types.Named // non-interface types program files declare
 	seenPkg := map[*types.Package]bool{}
 	var addPkgIfaces func(*types.Package)
 	addPkgIfaces = func(pkg *types.Package) {
@@ -293,6 +310,9 @@ func TestNothingUnread(t *testing.T) {
 			isTest := strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go")
 			if declaredHere && !isTest {
 				collectDecls(f, info, func(obj types.Object, what string, owner types.Object) {
+					if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() && !types.IsInterface(tn.Type()) {
+						named = append(named, tn.Type().(*types.Named))
+					}
 					d := declared{obj: obj, what: what}
 					if owner != nil {
 						d.owner = key(owner)
@@ -330,6 +350,26 @@ func TestNothingUnread(t *testing.T) {
 		}
 	}
 
+	// A method is exempt when a type's method set satisfies an interface
+	// that declares it; a promoted method counts for the type it is
+	// declared on.
+	satisfies := map[string]bool{}
+	for _, typ := range named {
+		ms := types.NewMethodSet(types.NewPointer(typ))
+		have := make(map[string]*types.Func, ms.Len())
+		for i := 0; i < ms.Len(); i++ {
+			fn := ms.At(i).Obj().(*types.Func)
+			have[methodKey(fn)] = fn
+		}
+		for _, keys := range ifaces {
+			if !slices.ContainsFunc(keys, func(k string) bool { return have[k] == nil }) {
+				for _, k := range keys {
+					satisfies[key(have[k].Origin())] = true
+				}
+			}
+		}
+	}
+
 	for name, reason := range unreadAllowed {
 		if !slices.ContainsFunc(allowedClasses, func(class string) bool { return strings.HasPrefix(reason, class) }) {
 			t.Errorf("unreadAllowed[%q] names no class of %q", name, allowedClasses)
@@ -341,7 +381,7 @@ func TestNothingUnread(t *testing.T) {
 		kind, name, _ := strings.Cut(d.what, " ")
 		var faults []string
 		switch {
-		case kind == "method" && ifaceMethods[d.obj.Name()]:
+		case kind == "method" && satisfies[k]:
 		case !usedAny[k] && kind == "field":
 			faults = append(faults, "is never read")
 		case !usedAny[k]:
@@ -380,6 +420,55 @@ func TestNothingUnread(t *testing.T) {
 	if len(decls) == 0 || len(options) == 0 {
 		t.Fatal("found no declarations or options to check")
 	}
+}
+
+// methodKey writes a method as its name and its parameter and result
+// types with full package paths; parameter names do not count, and an
+// unexported name is qualified by its package.
+func methodKey(fn *types.Func) string {
+	var b strings.Builder
+	if !fn.Exported() {
+		b.WriteString(fn.Pkg().Path() + ".")
+	}
+	b.WriteString(fn.Name())
+	sig := fn.Type().(*types.Signature)
+	tuple := func(tu *types.Tuple, variadic bool) {
+		b.WriteByte('(')
+		for i := 0; i < tu.Len(); i++ {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			typ := tu.At(i).Type()
+			if variadic && i == tu.Len()-1 {
+				b.WriteString("...")
+				typ = typ.(*types.Slice).Elem()
+			}
+			b.WriteString(types.TypeString(typ, (*types.Package).Path))
+		}
+		b.WriteByte(')')
+	}
+	tuple(sig.Params(), sig.Variadic())
+	tuple(sig.Results(), false)
+	return b.String()
+}
+
+// parseSeeds parses the interfaces every module satisfies implicitly:
+// error, and the ones errors.Unwrap, errors.Is and errors.As assert.
+func parseSeeds(t *testing.T, fset *token.FileSet) *ast.File {
+	t.Helper()
+	f, err := parser.ParseFile(fset, "seeds.go", `package seeds
+type (
+	e  interface{ Error() string }
+	u  interface{ Unwrap() error }
+	us interface{ Unwrap() []error }
+	is interface{ Is(error) bool }
+	as interface{ As(any) bool }
+)
+`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 func isWithDefaults(name string) bool { return name == "withDefaults" || name == "WithDefaults" }

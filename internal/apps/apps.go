@@ -1,5 +1,5 @@
 // Package apps runs application workloads over the simulated stack via
-// the simnet net.Conn facade: a closed-loop request/response workload
+// simnet's virtual-time sockets: a closed-loop request/response workload
 // (per-request latency histograms) and a chunked live-streaming upload
 // (bitrate ladder, remote playout buffer, rebuffer accounting). Both ride
 // the shared iperf harness — staggered starts, sampling, warmup, pooled

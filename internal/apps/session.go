@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"net"
 	"sort"
 	"time"
 
@@ -23,6 +22,9 @@ type Session struct {
 	dur time.Duration
 	is  *iperf.Session
 	net *simnet.Net
+	// buf is every proc's scratch buffer: the sockets move lengths only and
+	// never read or write its bytes, so one buffer serves them all.
+	buf []byte
 
 	clis []*clientState
 }
@@ -30,7 +32,7 @@ type Session struct {
 // clientState is one connection's application state. All fields are
 // touched only under the simnet baton, so no locking is needed.
 type clientState struct {
-	cl, sv net.Conn
+	cl, sv *simnet.Conn
 
 	// pending frames the byte stream: the client pushes each operation's
 	// size before writing it, the server pops a frame once that many
@@ -67,7 +69,7 @@ func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, icfg iperf.Config
 	}
 	n := simnet.New(eng)
 	pcfg := simnet.PairConfig{DownDelay: path.MinRTT() / 2, DownRate: wl.DownRate}
-	s := &Session{eng: eng, wl: wl, dur: icfg.Duration, is: is, net: n}
+	s := &Session{eng: eng, wl: wl, dur: icfg.Duration, is: is, net: n, buf: make([]byte, ioChunk)}
 	conns, rxs := is.Conns(), is.Receivers()
 	for i := range conns {
 		cl, sv := n.Wrap(conns[i], rxs[i], pcfg)
@@ -110,7 +112,7 @@ func (s *Session) runClient(p *simnet.Proc, st *clientState) {
 // runReqRepClient is the closed request/response loop: upload ReqSize,
 // read the RespSize reply, think, repeat.
 func (s *Session) runReqRepClient(p *simnet.Proc, st *clientState) {
-	buf := make([]byte, ioChunk)
+	buf := s.buf
 	for {
 		t0 := s.eng.Now()
 		st.pending = append(st.pending, int64(s.wl.ReqSize))
@@ -137,7 +139,7 @@ func (s *Session) runReqRepClient(p *simnet.Proc, st *clientState) {
 // to-glass contribution — so a stalled uplink shows up even though capture
 // never stops.
 func (s *Session) runStreamClient(p *simnet.Proc, st *clientState) {
-	buf := make([]byte, ioChunk)
+	buf := s.buf
 	start := s.eng.Now()
 	est := float64(s.wl.Ladder[0]) // throughput EWMA, bits/sec
 	level := 0
@@ -192,7 +194,7 @@ func (s *Session) runStreamClient(p *simnet.Proc, st *clientState) {
 // before it writes, so under the baton a consumed byte always belongs to
 // an already-framed operation.
 func (s *Session) runServer(_ *simnet.Proc, st *clientState) {
-	buf := make([]byte, ioChunk)
+	buf := s.buf
 	var acc int64
 	for {
 		for len(st.pending) > 0 && acc >= st.pending[0] {
@@ -293,15 +295,15 @@ func (v *viewer) onChunk(now time.Duration) {
 	}
 }
 
-// ioChunk sizes the scratch buffers the workload loops push through the
+// ioChunk sizes the scratch buffer the workload loops push through the
 // virtual sockets (payloads are synthetic; only lengths travel).
 const ioChunk = 64 * units.KB
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
 // writeFull pushes exactly n bytes through c, chunked by buf. Returns
-// false on any error (horizon shutdown, transport failure, deadline).
-func writeFull(c net.Conn, buf []byte, n int64) bool {
+// false on any error (horizon shutdown, transport failure).
+func writeFull(c *simnet.Conn, buf []byte, n int64) bool {
 	for n > 0 {
 		b := buf
 		if int64(len(b)) > n {
@@ -317,7 +319,7 @@ func writeFull(c net.Conn, buf []byte, n int64) bool {
 }
 
 // readFull consumes exactly n bytes from c, chunked by buf.
-func readFull(c net.Conn, buf []byte, n int64) bool {
+func readFull(c *simnet.Conn, buf []byte, n int64) bool {
 	for n > 0 {
 		b := buf
 		if int64(len(b)) > n {

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"mobbr/internal/core"
+	"mobbr/internal/device"
 	"mobbr/internal/faults"
 	"mobbr/internal/netem"
 	"mobbr/internal/units"
@@ -66,7 +69,7 @@ func TestRunClassifiesFailures(t *testing.T) {
 	base := core.Spec{CC: "cubic", Conns: 1, Duration: 300 * time.Millisecond}
 
 	ok := Run(base, Budgets{})
-	if !ok.OK {
+	if !ok.OK || ok.Signature() != "ok" {
 		t.Fatalf("healthy spec failed: %+v", ok)
 	}
 
@@ -291,4 +294,109 @@ func replayEntry(e Entry, b Budgets) (Outcome, error) {
 		return Outcome{}, fmt.Errorf("chaos: corpus entry %s: %w", e.Filename(), err)
 	}
 	return Run(spec, b), nil
+}
+
+// TestShrinkClearsEveryKnob: a failing spec with every optional knob set
+// shrinks to one with each knob cleared, still failing with the same
+// signature.
+func TestShrinkClearsEveryKnob(t *testing.T) {
+	on := true
+	spec := core.Spec{
+		Device: device.Pixel6, CPU: device.HighEnd, CC: "cubic", Conns: 3,
+		Mobility: genMobility(rand.New(rand.NewSource(1)), 150*time.Millisecond),
+		Duration: 150 * time.Millisecond, Warmup: 30 * time.Millisecond, Network: core.WiFi,
+		TC:     netem.TC{Delay: time.Millisecond},
+		Stride: 2, PacingOverride: &on, HardwarePacing: true, FixedPacingRate: 200 * units.Mbps,
+		FixedCwnd: 40, DisableModel: true, SndBuf: 512 * units.KB, Interval: 50 * time.Millisecond,
+		DisablePool: true, Seed: 7, MaxEvents: 40_000_000, MaxStall: 1_000_000, MaxWallClock: 20 * time.Second,
+		Inject: core.Inject{Kind: core.InjectCorruptInflight, At: 75 * time.Millisecond},
+	}
+	if err := spec.Validate(); err != nil || spec.Mobility == nil {
+		t.Fatalf("seed spec: %v, mobility %v", err, spec.Mobility)
+	}
+	sig := Run(spec, Budgets{}).Signature()
+	if sig != "violation/inflight/counter" {
+		t.Fatalf("seed spec signature %q", sig)
+	}
+	min := Shrink(spec, Budgets{}, sig)
+	if got := Run(min, Budgets{}).Signature(); got != sig {
+		t.Fatalf("shrunk spec signature %q, want %q", got, sig)
+	}
+	want := core.Spec{CC: "cubic", Conns: 1, Duration: spec.Duration, Warmup: spec.Warmup, Seed: 1, Inject: spec.Inject}
+	if !reflect.DeepEqual(min, want) {
+		t.Errorf("shrunk to\n%+v\nwant every knob cleared:\n%+v", min, want)
+	}
+}
+
+// TestExploreReportsFindings runs the soak over generators that fail: a
+// deterministic failure is shrunk and written to the corpus, a wall-clock
+// failure is written as generated, and a corpus that cannot be written is
+// an error.
+func TestExploreReportsFindings(t *testing.T) {
+	dir := t.TempDir()
+	var log bytes.Buffer
+	bad := func(int64) core.Spec { return junkSpec() }
+	findings, err := explore(ExploreOpts{N: 1, Seed: 5, Corpus: dir, Log: &log}, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 {
+		t.Fatalf("%d findings, want 1", len(findings))
+	}
+	f := findings[0]
+	if f.GenSeed != 5 || f.Outcome.Signature() != "violation/inflight/counter" || f.Spec.Conns != 1 ||
+		f.Repro != core.ReproLine(f.Spec) {
+		t.Errorf("finding = seed %d, %s, conns %d, repro %s", f.GenSeed, f.Outcome.Signature(), f.Spec.Conns, f.Repro)
+	}
+	if f.Path != filepath.Join(dir, "violation-inflight-counter-seed5.json") {
+		t.Errorf("corpus path %q", f.Path)
+	}
+	if _, err := os.Stat(f.Path); err != nil {
+		t.Error(err)
+	}
+	for _, line := range []string{
+		"chaos: seed 5: violation/inflight/counter — shrinking\n",
+		"chaos: seed 5: minimized reproducer written to " + f.Path + "\n",
+		"chaos: 1 specs explored (seeds 5..5), 1 findings\n",
+	} {
+		if !strings.Contains(log.String(), line) {
+			t.Errorf("log lacks %q:\n%s", line, log.String())
+		}
+	}
+
+	log.Reset()
+	slow := func(int64) core.Spec {
+		s := junkSpec()
+		s.Inject, s.MaxWallClock = core.Inject{}, time.Nanosecond
+		return s
+	}
+	findings, err = explore(ExploreOpts{N: 1, Seed: 1, Corpus: dir, Log: &log}, slow)
+	if err != nil || len(findings) != 1 {
+		t.Fatalf("wall-clock generator: %d findings, err %v", len(findings), err)
+	}
+	if f := findings[0]; !core.InfraFailure(f.Outcome.Class) || !reflect.DeepEqual(f.Spec, slow(1)) ||
+		f.Path != filepath.Join(dir, f.Outcome.Class+"-seed1.json") {
+		t.Errorf("wall-clock finding %s was shrunk or misfiled at %q: %+v", f.Outcome.Signature(), f.Path, f.Spec)
+	}
+	if !strings.Contains(log.String(), "(infra-class, not shrunk)") {
+		t.Errorf("log lacks the infra-class line:\n%s", log.String())
+	}
+
+	blocker := filepath.Join(dir, "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := explore(ExploreOpts{N: 1, Seed: 1, Corpus: filepath.Join(blocker, "corpus")}, bad); err == nil ||
+		!strings.Contains(err.Error(), "chaos: corpus dir: ") {
+		t.Errorf("corpus under a regular file: err %v", err)
+	}
+	// The entry's file name taken by a directory.
+	if _, err := explore(ExploreOpts{N: 1, Seed: 1, Corpus: filepath.Dir(f.Path)}, func(int64) core.Spec {
+		if err := os.Mkdir(filepath.Join(dir, "violation-inflight-counter-seed1.json"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return junkSpec()
+	}); err == nil || !strings.Contains(err.Error(), "chaos: writing corpus entry: ") {
+		t.Errorf("entry name taken by a directory: err %v", err)
+	}
 }

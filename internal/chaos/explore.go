@@ -9,9 +9,9 @@ import (
 
 // ExploreOpts configures one soak window.
 type ExploreOpts struct {
-	// N is the number of generator seeds to try (0 = 25).
+	// N is the number of generator seeds to try.
 	N int
-	// Seed is the window's first generator seed (0 = 1); the window is
+	// Seed is the window's first generator seed; the window is
 	// [Seed, Seed+N). Pinning it makes a soak fully reproducible.
 	Seed int64
 	// Corpus, when set, receives a minimized entry per finding.
@@ -40,13 +40,10 @@ type Finding struct {
 // generate, run under budgets, and shrink every deterministic failure to a
 // minimal reproducer. It returns all findings; an error means the corpus
 // could not be written, not that a spec failed.
-func Explore(o ExploreOpts) ([]Finding, error) {
-	if o.N <= 0 {
-		o.N = 25
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
+func Explore(o ExploreOpts) ([]Finding, error) { return explore(o, Generate) }
+
+// explore is Explore over the specs generate draws for each seed.
+func explore(o ExploreOpts, generate func(seed int64) core.Spec) ([]Finding, error) {
 	logf := func(format string, args ...any) {
 		if o.Log != nil {
 			fmt.Fprintf(o.Log, "chaos: "+format+"\n", args...)
@@ -55,7 +52,7 @@ func Explore(o ExploreOpts) ([]Finding, error) {
 	var findings []Finding
 	for i := 0; i < o.N; i++ {
 		seed := o.Seed + int64(i)
-		spec := Generate(seed)
+		spec := generate(seed)
 		out := Run(spec, Budgets{})
 		if out.OK {
 			continue

@@ -406,9 +406,6 @@ func (k *Checker) auditConn(a tcp.Audit) {
 	}
 }
 
-// Violations returns what has been caught so far.
-func (k *Checker) Violations() []*Violation { return k.violations }
-
 // Err returns nil when every audit passed, or the aggregated *Error.
 func (k *Checker) Err() error {
 	if len(k.violations) == 0 {

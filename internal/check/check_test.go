@@ -136,7 +136,11 @@ func TestViolationCapStopsTicking(t *testing.T) {
 	k.Watch(&stubAudit{a})
 	k.Start()
 	eng.Run(time.Second)
-	if n := len(k.Violations()); n > maxViolations {
+	var ce *Error
+	if !errors.As(k.Err(), &ce) {
+		t.Fatalf("err = %v, want *Error", k.Err())
+	}
+	if n := len(ce.Violations); n > maxViolations {
 		t.Fatalf("collected %d violations, cap is %d", n, maxViolations)
 	}
 }

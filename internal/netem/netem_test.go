@@ -168,8 +168,7 @@ func TestPathInterHopDropCounted(t *testing.T) {
 	if path.TotalDrops() == 0 {
 		t.Error("expected drops at the slow second hop")
 	}
-	st := path.Stats()
-	if st[1].DropsQueue == 0 {
+	if path.Hop(1).Stats().DropsQueue == 0 {
 		t.Error("second hop should report queue drops")
 	}
 }

@@ -292,9 +292,9 @@ func (c *cellAcc) delta(exp string, cell Cell, opts DiffOpts) Delta {
 
 // WriteDeltas renders the deltas as a per-cell table. It prints nothing
 // when deltas is empty, so a self-diff produces empty output.
-func WriteDeltas(w io.Writer, deltas []Delta) error {
+func WriteDeltas(w io.Writer, deltas []Delta) {
 	if len(deltas) == 0 {
-		return nil
+		return
 	}
 	fmt.Fprintf(w, "%-10s %-32s %4s %22s %8s %16s %14s %18s %s\n",
 		"exp", "cell", "pts", "goodput Mbps (A→B)", "Δ%", "retx (A→B)", "pace% (A→B)", "req p99 ms (A→B)", "verdict")
@@ -337,5 +337,4 @@ func WriteDeltas(w io.Writer, deltas []Delta) error {
 		fmt.Fprintf(w, "%-10s %-32s %4d %10.1f → %-10.1f %8s %7.0f → %-7.0f %14s %18s %s%s\n",
 			d.Exp, d.Cell, d.Points, d.GoodA, d.GoodB, pct, d.RetxA, d.RetxB, pace, lat, verdict, extra)
 	}
-	return nil
 }

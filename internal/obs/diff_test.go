@@ -53,9 +53,7 @@ func TestDiffSelfIsEmpty(t *testing.T) {
 		t.Fatalf("summary: %+v", sum)
 	}
 	var b strings.Builder
-	if err := WriteDeltas(&b, deltas); err != nil {
-		t.Fatal(err)
-	}
+	WriteDeltas(&b, deltas)
 	if b.Len() != 0 {
 		t.Fatalf("self-diff printed output:\n%s", b.String())
 	}
@@ -79,9 +77,7 @@ func TestDiffGoodputRegression(t *testing.T) {
 		t.Fatalf("means: %v → %v", d.GoodA, d.GoodB)
 	}
 	var out strings.Builder
-	if err := WriteDeltas(&out, deltas); err != nil {
-		t.Fatal(err)
-	}
+	WriteDeltas(&out, deltas)
 	if !strings.Contains(out.String(), "REGRESSED (goodput)") {
 		t.Fatalf("table:\n%s", out.String())
 	}
@@ -237,5 +233,56 @@ func TestDiffAllMode(t *testing.T) {
 	WriteDeltas(&out, deltas)
 	if !strings.Contains(out.String(), "ok") {
 		t.Fatalf("table:\n%s", out.String())
+	}
+}
+
+// TestDiffVerdicts: one archive pair whose cells each end in a different
+// verdict, with the pacing, request-latency and flow-churn columns filled;
+// an experiment only the candidate holds is skipped.
+func TestDiffVerdicts(t *testing.T) {
+	rec := func(i int, cc string, m Metrics, f *Failure) PointRecord {
+		return PointRecord{I: i, Label: cc, Spec: specJSON("pixel4", "low", cc, "ethernet"), Metrics: m, Failure: f}
+	}
+	runOf := func(exp string, pts ...PointRecord) *Run {
+		return &Run{Manifest: Manifest{V: Version, Exp: exp, Points: len(pts)}, Points: pts}
+	}
+	full := Metrics{GoodputMbps: 100, GoodputCI: 1, Retransmits: 100, Profiled: true, PacingShare: 0.2,
+		AppKind: "reqrep", LatP99ms: 5, FlowsStarted: 10, FCTP99ms: 7}
+	worse, retx, better := full, full, full
+	worse.GoodputMbps, worse.Retransmits = 50, 1000
+	retx.Retransmits = 1000
+	better.GoodputMbps = 200
+	boom := &Failure{Class: "panic", Msg: "boom"}
+	a := archiveOf(runOf("fig2", rec(0, "both", full, nil), rec(1, "retx", full, nil),
+		rec(2, "better", full, nil), rec(3, "healed", Metrics{}, boom)))
+	b := archiveOf(runOf("fig2", rec(0, "both", worse, nil), rec(1, "retx", retx, nil),
+		rec(2, "better", better, nil), rec(3, "healed", full, nil)), runOf("recovery"))
+	deltas, sum, err := Diff(a, b, DiffOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Cells != 4 || sum.Regressed != 2 || sum.Improved != 2 || len(sum.SkippedExps) != 1 || sum.SkippedExps[0] != "recovery" {
+		t.Fatalf("summary %+v", sum)
+	}
+	var out strings.Builder
+	WriteDeltas(&out, deltas)
+	for cc, want := range map[string]string{
+		"both":   "20.0 → 20.0          5.0 → 5.0 REGRESSED (goodput, retx)  [fct p99 7.0 → 7.0 ms]",
+		"retx":   "REGRESSED (retx)  [fct p99",
+		"better": "+100.0",
+		"healed": "0.0 → 0.0               -       0 → 0",
+	} {
+		line := ""
+		for _, l := range strings.Split(out.String(), "\n") {
+			if strings.Contains(l, "/"+cc+"/") {
+				line = l
+			}
+		}
+		if !strings.Contains(line, want) {
+			t.Errorf("%s row lacks %q:\n%s", cc, want, line)
+		}
+	}
+	if n := strings.Count(out.String(), " improved"); n != 2 {
+		t.Errorf("%d improved rows, want 2 (more goodput, fewer failures):\n%s", n, out.String())
 	}
 }

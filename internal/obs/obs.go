@@ -27,6 +27,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -222,49 +223,44 @@ type Run struct {
 func pointFile(i int) string { return fmt.Sprintf("%03d.json", i) }
 
 // WriteRun writes (or atomically replaces) one experiment's archive
-// directory: manifest.json plus points/NNN.json. Any stale points/ content
-// from a previous, differently-shaped run is removed first, so re-archiving
-// never orphans artifacts.
+// directory: manifest.json plus points/NNN.json, each stamped with the
+// codec Version. Any stale points/ content from a previous,
+// differently-shaped run is removed first, so re-archiving never orphans
+// artifacts.
 func WriteRun(dir string, m Manifest, points []PointRecord) error {
-	if m.V == 0 {
-		m.V = Version
-	}
-	if m.V != Version {
-		return fmt.Errorf("obs: manifest version %d, codec is %d", m.V, Version)
-	}
 	if m.Points != len(points) {
 		return fmt.Errorf("obs: manifest declares %d points, got %d records", m.Points, len(points))
 	}
 	pdir := filepath.Join(dir, "points")
-	if err := os.RemoveAll(pdir); err != nil {
-		return fmt.Errorf("obs: clearing %s: %w", pdir, err)
+	err := os.RemoveAll(pdir)
+	if err == nil {
+		err = os.MkdirAll(pdir, 0o755)
 	}
-	if err := os.MkdirAll(pdir, 0o755); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	for i, p := range points {
-		if p.V == 0 {
-			p.V = Version
-		}
+	for i := 0; err == nil && i < len(points); i++ {
+		p := points[i]
 		if p.I != i {
 			return fmt.Errorf("obs: point record %d carries index %d", i, p.I)
 		}
-		data, err := json.MarshalIndent(p, "", " ")
-		if err != nil {
-			return fmt.Errorf("obs: encoding point %d: %w", i, err)
-		}
-		if err := os.WriteFile(filepath.Join(pdir, pointFile(i)), append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
+		p.V = Version
+		err = writeJSON(filepath.Join(pdir, pointFile(i)), p)
 	}
-	data, err := json.MarshalIndent(m, "", " ")
+	if err == nil {
+		m.V = Version
+		err = writeJSON(filepath.Join(dir, "manifest.json"), m)
+	}
 	if err != nil {
-		return fmt.Errorf("obs: encoding manifest: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("obs: %w", err)
+		return fmt.Errorf("obs: writing %s: %w", dir, err)
 	}
 	return nil
+}
+
+// writeJSON writes v to path as indented JSON and a final newline.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", " ")
+	if err == nil {
+		err = os.WriteFile(path, append(data, '\n'), 0o644)
+	}
+	return err
 }
 
 // LoadRun reads one experiment archive directory strictly: unknown fields,
@@ -367,12 +363,9 @@ func LoadArchive(root string) (*Archive, error) {
 // strictUnmarshal decodes JSON rejecting unknown fields, so a drifted
 // archive fails loudly instead of silently dropping data.
 func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	return nil
+	return dec.Decode(v)
 }
 
 // GitDescribe returns `git describe --always --dirty` of the working tree,

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -222,5 +223,110 @@ func TestDigestSnapshot(t *testing.T) {
 	rt := got.Snapshot()
 	if rt.Count != 2 || rt.Quantile(0.99) != 100 {
 		t.Fatalf("digest snapshot round-trip: %+v", rt)
+	}
+}
+
+// TestLoadRejects: an archive whose files disagree with its manifest or
+// with the codec fails to load, and the error names the file.
+func TestLoadRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(dir string) error
+		want   string
+	}{
+		{"manifest is a directory", func(dir string) error {
+			m := filepath.Join(dir, "manifest.json")
+			if err := os.Remove(m); err != nil {
+				return err
+			}
+			return os.Mkdir(m, 0o755)
+		}, "manifest.json: is a directory"},
+		{"no points directory", func(dir string) error {
+			return os.RemoveAll(filepath.Join(dir, "points"))
+		}, "points: no such file or directory"},
+		{"point file misnamed", func(dir string) error {
+			return os.Rename(filepath.Join(dir, "points", "001.json"), filepath.Join(dir, "points", "007.json"))
+		}, "001.json: no such file or directory"},
+		{"corrupt point", func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, "points", "001.json"), []byte("{"), 0o644)
+		}, "points/001.json: unexpected EOF"},
+		{"point version", func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, "points", "001.json"), []byte(`{"v":2,"i":1}`), 0o644)
+		}, "points/001.json: version 2, this tool reads 1"},
+		{"point index", func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, "points", "001.json"), []byte(`{"v":1,"i":0}`), 0o644)
+		}, "points/001.json: carries index 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "fig2")
+			if err := WriteRun(dir, testManifest("fig2", 2), testPoints(2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.mutate(dir); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadRun(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("LoadRun: err %v, want %q", err, tc.want)
+			}
+			// The run as an archive, and a root holding it, fail the same way.
+			for _, root := range []string{dir, filepath.Dir(dir)} {
+				if _, err := LoadArchive(root); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("LoadArchive(%s): err %v, want %q", root, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestLoadArchiveSkipsStrays: files and directories without a manifest
+// beside the runs are not runs.
+func TestLoadArchiveSkipsStrays(t *testing.T) {
+	root := t.TempDir()
+	if err := WriteRun(filepath.Join(root, "fig2"), testManifest("fig2", 1), testPoints(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "notes.txt"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(root, "scratch"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	a, err := LoadArchive(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Order) != 1 || a.Order[0] != "fig2" {
+		t.Errorf("runs %v, want [fig2]", a.Order)
+	}
+}
+
+// TestWriteRunFailures: an archive that cannot be written is an error, not
+// a partial success.
+func TestWriteRunFailures(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteRun(filepath.Join(file, "fig2"), testManifest("fig2", 1), testPoints(1)); err == nil ||
+		!strings.Contains(err.Error(), "obs: writing ") {
+		t.Errorf("archive under a regular file: err %v", err)
+	}
+	pts := testPoints(1)
+	pts[0].Metrics.GoodputMbps = math.NaN()
+	if err := WriteRun(filepath.Join(t.TempDir(), "fig2"), testManifest("fig2", 1), pts); err == nil ||
+		!strings.Contains(err.Error(), "unsupported value: NaN") {
+		t.Errorf("NaN goodput: err %v", err)
+	}
+}
+
+// TestDigestSnapshotEmpty: a registry with no samples archives no digest.
+func TestDigestSnapshotEmpty(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	if d, skipped := DigestSnapshot(reg.Snapshot()); d != nil || skipped != 0 {
+		t.Errorf("empty registry: digest %v, skipped %d", d, skipped)
+	}
+	reg.Histogram("conn0/rtt_ms", []float64{1, 2})
+	if d, skipped := DigestSnapshot(reg.Snapshot()); d != nil || skipped != 0 {
+		t.Errorf("only empty histograms: digest %v, skipped %d", d, skipped)
 	}
 }

@@ -102,3 +102,32 @@ func TestProgressConcurrent(t *testing.T) {
 		t.Fatalf("output:\n%q", buf.String())
 	}
 }
+
+// TestProgressRender renders the status line directly, never from the
+// ticker: failures, the event rate, the ETA and each busy worker show, a
+// shorter line pads over the longer one, and Stop clears it.
+func TestProgressRender(t *testing.T) {
+	var buf syncBuffer
+	p := NewProgress(&buf, time.Hour)
+	p.BeginExperiment("fig4", 4)
+	p.PointStart(0, 0, "cellA")
+	p.PointStart(1, 1, "cellB")
+	p.PointDone(0, 0, 2_000_000, true)
+	p.render()
+	first := buf.String()
+	for _, want := range []string{"\rfig4 1/4 (1 failed) ", "M ev/s", " eta ", " [w1 cellB]"} {
+		if !strings.Contains(first, want) {
+			t.Errorf("status line lacks %q: %q", want, first)
+		}
+	}
+	p.PointDone(1, 1, 0, false)
+	p.render()
+	second := strings.TrimPrefix(buf.String(), first)
+	if !strings.HasPrefix(second, "\rfig4 2/4 (1 failed) ") || strings.Contains(second, "[w") || !strings.HasSuffix(second, " ") {
+		t.Errorf("second line %q: want no busy workers, padded over the first", second)
+	}
+	p.Stop()
+	if !strings.HasSuffix(buf.String(), "\rprogress: fig4 done 2/4 (1 failed) in 0s\n") {
+		t.Errorf("Stop wrote %q", strings.TrimPrefix(buf.String(), first+second))
+	}
+}

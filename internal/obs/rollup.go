@@ -140,10 +140,8 @@ func Rollup(r *Run) []CellRollup {
 // render the mean request-latency p99 and rebuffer share; cells holding
 // flow-churn points the mean FCT p99 and flow-table fast-path share.
 func WriteRollup(w io.Writer, r *Run, cells []CellRollup) error {
-	if _, err := fmt.Fprintf(w, "== rollup %s: %d points, %d cells (seeds=%d dur=%s)\n",
-		r.Manifest.Exp, r.Manifest.Points, len(cells), r.Manifest.Seeds, r.Manifest.Dur); err != nil {
-		return err
-	}
+	fmt.Fprintf(w, "== rollup %s: %d points, %d cells (seeds=%d dur=%s)\n",
+		r.Manifest.Exp, r.Manifest.Points, len(cells), r.Manifest.Seeds, r.Manifest.Dur)
 	hasDigest := false
 	hasApp := false
 	hasFlows := false

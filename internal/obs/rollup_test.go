@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -115,5 +116,41 @@ func TestWriteRollup(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rollup output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestWriteRollupColumns: app and flow-churn cells add their columns, a
+// cell without them prints dashes there, skipped digests are noted, and a
+// point whose spec does not parse lands in the zero cell.
+func TestWriteRollupColumns(t *testing.T) {
+	pts := []PointRecord{
+		{I: 0, Label: "app", Spec: specJSON("pixel4", "low", "bbr", "wifi"),
+			Metrics: Metrics{GoodputMbps: 10, AppKind: "stream", LatP99ms: 12, RebufferPct: 1.5}},
+		{I: 1, Label: "churn", Spec: specJSON("pixel4", "low", "bbr", "ethernet"),
+			Metrics: Metrics{GoodputMbps: 20, FlowsStarted: 5, FCTP99ms: 30, FastPathShare: 0.9}, DigestSkipped: 2},
+		{I: 2, Label: "garbled", Spec: []byte(`{"device":`), Metrics: Metrics{GoodputMbps: 30}},
+	}
+	r := &Run{Manifest: Manifest{V: Version, Exp: "apps", Points: len(pts), Seeds: 1, Dur: "1s"}, Points: pts}
+	var b strings.Builder
+	if err := WriteRollup(&b, r, Rollup(r)); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"req p99 ms  rbuf% fct p99 ms  fast%\n",
+		"-/-/-/-",
+		"pixel4/low/bbr/wifi                 1    0      10.0      10.0      10.0         0       -       12.0   1.50          -      -\n",
+		"-      -       30.0   90.0  (2 digest histograms skipped: mismatched bounds)\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("rollup lacks %q:\n%s", want, b.String())
+		}
+	}
+	if err := WriteRollup(failWriter{}, r, Rollup(r)); err == nil {
+		t.Error("a failed write returned no error")
 	}
 }

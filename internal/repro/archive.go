@@ -35,11 +35,9 @@ type ArchiveOpts struct {
 // run (the -rollup view uses it without writing anything). Points carry the
 // exact defaulted spec (core.EncodeSpec), the measured row, the
 // deterministic engine event total, and — when the row still holds an
-// in-memory metrics sample — the per-instrument histogram digest.
+// in-memory metrics sample — the per-instrument histogram digest. rows are
+// RunExperimentResilient's, one per point.
 func BuildExperimentRun(e Experiment, rows []Row, o ArchiveOpts) (*obs.Run, error) {
-	if len(rows) != len(e.Points) {
-		return nil, fmt.Errorf("repro: archive %s: %d rows for %d points", e.ID, len(rows), len(e.Points))
-	}
 	pts := make([]obs.PointRecord, len(rows))
 	dur := o.Dur
 	var events uint64

@@ -160,4 +160,10 @@ func TestRecoveryTime(t *testing.T) {
 	if ok || pre != 100 || rec != dur-faultEnd {
 		t.Errorf("got pre=%v rec=%v ok=%v, want 100/5s/false", pre, rec, ok)
 	}
+
+	// No interval ends before the fault starts: no baseline, censored.
+	pre, rec, ok = recoveryTime(mk(10, 10, 10), warmup, 500*time.Millisecond, time.Second, 3*time.Second)
+	if ok || pre != 0 || rec != 2*time.Second {
+		t.Errorf("got pre=%v rec=%v ok=%v, want 0/2s/false", pre, rec, ok)
+	}
 }

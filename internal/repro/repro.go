@@ -332,7 +332,7 @@ func Memory() Experiment {
 }
 
 // Apps is the application-workload grid: instead of bulk iperf uploads,
-// every point drives an application over the virtual-time net.Conn facade
+// every point drives an application over simnet's virtual-time sockets
 // (internal/simnet + internal/apps) — closed-loop request/response clients
 // and an ABR-video-like chunked stream — and reports request-latency
 // quantiles and rebuffering alongside goodput. The paper measures bulk

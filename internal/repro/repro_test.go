@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mobbr/internal/obs"
 )
 
 func TestAllExperimentsWellFormed(t *testing.T) {
@@ -148,5 +150,45 @@ func TestPacingOverridesAreDistinctPointers(t *testing.T) {
 	}
 	if onCount != 3 || offCount != 3 {
 		t.Errorf("fig4 pacing split = %d on / %d off, want 3/3", onCount, offCount)
+	}
+}
+
+// TestByIDResolvesExtraGrids: the grids kept out of All resolve by id.
+func TestByIDResolvesExtraGrids(t *testing.T) {
+	for _, id := range []string{"scale", "recovery", "calibrate"} {
+		e, err := ByID(id)
+		if err != nil || e.ID != id || len(e.Points) == 0 {
+			t.Errorf("ByID(%q) = %q with %d points, err %v", id, e.ID, len(e.Points), err)
+		}
+	}
+}
+
+// TestPrintColumns: rows that ran an app or the flow-churn workload add
+// their columns, a row that did not prints dashes there, and a failed row
+// names its class, rule and attempts.
+func TestPrintColumns(t *testing.T) {
+	e := Experiment{ID: "cols", Title: "printed columns", Points: []Point{
+		{Label: "app", PaperMbps: 140}, {Label: "churn"}, {Label: "bulk"}, {Label: "broken"},
+	}}
+	rows := []Row{
+		{Point: e.Points[0], Metrics: obs.Metrics{GoodputMbps: 100, Profiled: true, PacingShare: 0.25,
+			AppKind: "reqrep", Requests: 12, LatP50ms: 1, LatP90ms: 2, LatP99ms: 3, RebufferPct: 0.5}},
+		{Point: e.Points[1], Metrics: obs.Metrics{GoodputMbps: 50, FlowsStarted: 9, FlowsCompleted: 8,
+			FlowsPeakLive: 4, FCTP50ms: 5, FCTP99ms: 6, FastPathShare: 0.75}},
+		{Point: e.Points[2], Metrics: obs.Metrics{GoodputMbps: 10}},
+		{Point: e.Points[3], Failure: &obs.Failure{Class: "violation", Rule: "inflight/counter", Attempts: 2}},
+	}
+	var b strings.Builder
+	Print(&b, e, rows)
+	for _, want := range []string{
+		"  pace%     app    reqs   p50 ms   p90 ms   p99 ms  rbuf%    flows     done     peak  fct50 ms  fct99 ms  fast%\n",
+		"      140",
+		"  25.0  reqrep      12      1.0      2.0      3.0   0.50        -        -        -         -         -      -\n",
+		"   0.0       -       -        -        -        -      -        9        8        4       5.0       6.0   75.0\n",
+		"broken                               FAILED violation (inflight/counter) after 2 attempts\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("table lacks %q:\n%s", want, b.String())
+		}
 	}
 }

@@ -27,7 +27,7 @@ import (
 type RunOpts struct {
 	// Dur is the simulated transfer time per run (default DefaultDuration).
 	Dur time.Duration
-	// Seeds is the seed count per point (default DefaultSeeds).
+	// Seeds is the seed count per point, at least 1.
 	Seeds int
 	// Telemetry is applied to every run.
 	Telemetry telemetry.Config
@@ -59,9 +59,6 @@ type RunOpts struct {
 func (o RunOpts) withDefaults() RunOpts {
 	if o.Dur <= 0 {
 		o.Dur = DefaultDuration
-	}
-	if o.Seeds <= 0 {
-		o.Seeds = DefaultSeeds
 	}
 	return o
 }
@@ -321,23 +318,18 @@ func openJournal(path string, e Experiment, opts RunOpts, keep int64) (*journalW
 	if err != nil {
 		return nil, fmt.Errorf("repro: journal %s: %w", path, err)
 	}
-	if err := f.Truncate(keep); err != nil {
+	err = f.Truncate(keep)
+	if err == nil && keep == 0 {
+		var data []byte
+		if data, err = json.Marshal(headerFor(e, opts)); err == nil {
+			_, err = f.Write(append(data, '\n'))
+		}
+	}
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("repro: journal %s: %w", path, err)
 	}
-	jw := &journalWriter{f: f}
-	if keep == 0 {
-		data, err := json.Marshal(headerFor(e, opts))
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		if _, err := f.Write(append(data, '\n')); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("repro: journal %s: %w", path, err)
-		}
-	}
-	return jw, nil
+	return &journalWriter{f: f}, nil
 }
 
 func (jw *journalWriter) append(ent journalEntry) error {

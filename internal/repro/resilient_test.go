@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -402,5 +403,86 @@ func TestResilientRetriesInfraOnly(t *testing.T) {
 	}
 	if f := rows[0].Failure; f == nil || f.Attempts != 1 {
 		t.Errorf("deterministic violation retried: %+v", f)
+	}
+}
+
+// TestJournalRejects resumes a two-point grid from journals written by the
+// test: a missing or empty journal starts fresh, a malformed final line
+// re-runs its point, and a journal that is unreadable, has a bad header,
+// or names a point the grid does not hold fails the resume.
+func TestJournalRejects(t *testing.T) {
+	e := Experiment{ID: "j", Title: "journal test", Points: []Point{
+		{Label: "a", Spec: core.Spec{CC: "cubic", Conns: 1}},
+		{Label: "b", Spec: core.Spec{CC: "reno", Conns: 1}},
+	}}
+	opts := RunOpts{Dur: 100 * time.Millisecond, Seeds: 1, Workers: 1, Resume: true}
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.jsonl")
+	if _, err := RunExperimentResilient(e, RunOpts{Dur: opts.Dur, Seeds: 1, Workers: 1, Journal: full}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n") // header, a, b, ""
+	for _, tc := range []struct {
+		name    string
+		journal string // written before the resume; "-" writes none
+		want    string // error fragment; "" means the resume completes
+	}{
+		{"missing", "-", ""},
+		{"empty", "", ""},
+		{"final line malformed", lines[0] + lines[1] + "{\"i\":1,\n", ""},
+		{"bad header", "{\n", "bad header"},
+		{"index out of range", lines[0] + `{"i":5,"label":"a"}` + "\n", "entry 0: point index 5 out of range"},
+		{"label mismatch", lines[0] + `{"i":1,"label":"a"}` + "\n", `entry 0: label "a" does not match point 1 ("b")`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := opts
+			o.Journal = filepath.Join(t.TempDir(), "j.jsonl")
+			if tc.journal != "-" {
+				if err := os.WriteFile(o.Journal, []byte(tc.journal), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rows, err := RunExperimentResilient(e, o)
+			if tc.want != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err %v, want %q", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 2 || rows[0].Failure != nil || rows[1].Failure != nil || rows[1].GoodputMbps <= 0 {
+				t.Fatalf("rows %+v", rows)
+			}
+			if got, err := os.ReadFile(o.Journal); err != nil || string(got) != string(data) {
+				t.Errorf("journal after resume:\n%s\nwant the uninterrupted run's:\n%s", got, data)
+			}
+		})
+	}
+	for _, tc := range []struct{ name, journal, want string }{
+		{"journal is a directory", dir, "is a directory"},
+		{"journal in a missing directory", filepath.Join(dir, "missing", "j.jsonl"), "no such file or directory"},
+	} {
+		o := opts
+		o.Journal = tc.journal
+		if _, err := RunExperimentResilient(e, o); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		o := opts
+		o.Journal, o.Resume = "/dev/full", false
+		if _, err := RunExperimentResilient(e, o); err == nil || !strings.Contains(err.Error(), "repro: journal /dev/full: ") {
+			t.Errorf("unwritable journal: err %v", err)
+		}
+	}
+	jw := &journalWriter{}
+	if err := jw.append(journalEntry{Row: Row{Metrics: obs.Metrics{GoodputMbps: math.NaN()}}}); err == nil {
+		t.Error("a row that cannot encode was journaled")
 	}
 }

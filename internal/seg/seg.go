@@ -47,9 +47,6 @@ type SackBlock struct {
 	Start, End int64
 }
 
-// Len returns the block length in bytes.
-func (b SackBlock) Len() int64 { return b.End - b.Start }
-
 // Ack is an acknowledgment flowing from receiver to sender.
 type Ack struct {
 	// Flow identifies the connection.

@@ -9,13 +9,6 @@ func TestPacketEnd(t *testing.T) {
 	}
 }
 
-func TestSackBlockLen(t *testing.T) {
-	b := SackBlock{Start: 100, End: 350}
-	if b.Len() != 250 {
-		t.Errorf("Len() = %d, want 250", b.Len())
-	}
-}
-
 func TestMSSIsEthernetPayload(t *testing.T) {
 	// 1500-byte MTU minus 40 bytes of IPv4+TCP headers.
 	if MSS != 1460 {

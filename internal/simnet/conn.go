@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"io"
 	"net"
 	"time"
@@ -9,12 +8,6 @@ import (
 	"mobbr/internal/tcp"
 	"mobbr/internal/units"
 )
-
-// addr is the synthetic net.Addr of a simulated endpoint.
-type addr string
-
-func (a addr) Network() string { return "sim" }
-func (a addr) String() string  { return string(a) }
 
 // PairConfig parameterizes the modelled server→client return stream. The
 // testbed's heavy direction is the phone's uplink, which rides the full
@@ -61,22 +54,19 @@ type pair struct {
 	cliRead, cliWrite, srvRead *waiter
 }
 
-// Conn is one endpoint of a simulated connection. It implements net.Conn
-// with all timing in virtual time; payload bytes are synthetic (only
-// lengths travel, as everywhere in the simulator). Each endpoint must be
-// driven from proc context (inside a Net.Go body), one blocking reader
-// and writer at a time; Close may be called from any proc.
+// Conn is one endpoint of a simulated connection: blocking Read, Write and
+// Close with all timing in virtual time and io/net error values (io.EOF,
+// net.ErrClosed); payload bytes are synthetic (only lengths travel, as
+// everywhere in the simulator). Each endpoint must be driven from proc
+// context (inside a Net.Go body), one blocking reader and writer at a
+// time; Close may be called from any proc.
 type Conn struct {
 	p      *pair
 	server bool
-	// Absolute virtual-time deadlines (-1 = none).
-	rdl, wdl time.Duration
 }
 
-var _ net.Conn = (*Conn)(nil)
-
 // Wrap couples an existing stream-mode tcp.Conn and its Receiver into a
-// (client, server) net.Conn pair. The tcp.Conn must have SetStream called
+// (client, server) endpoint pair. The tcp.Conn must have SetStream called
 // already (the iperf harness does this for Config.Stream sessions); Wrap
 // installs the pair as its stream-event sink and the receiver's delivery
 // listener.
@@ -84,7 +74,7 @@ func (n *Net) Wrap(tc *tcp.Conn, rx *tcp.Receiver, cfg PairConfig) (client, serv
 	pr := &pair{n: n, tc: tc, rx: rx, cfg: cfg, finAt: -1}
 	tc.SetStreamEvents(pr)
 	rx.SetDeliveryListener(func() { n.fire(pr.srvRead, nil) })
-	return &Conn{p: pr, rdl: -1, wdl: -1}, &Conn{p: pr, server: true, rdl: -1, wdl: -1}
+	return &Conn{p: pr}, &Conn{p: pr, server: true}
 }
 
 // StreamWritable implements tcp.StreamEvents: room reopened for the client's
@@ -104,45 +94,8 @@ func (pr *pair) StreamFailed(err error) {
 	pr.n.fire(pr.srvRead, err)
 }
 
-// vtime converts a net.Conn deadline to absolute virtual time (-1 = none).
-func vtime(t time.Time) time.Duration {
-	if t.IsZero() {
-		return -1
-	}
-	return t.Sub(epoch)
-}
-
-// SetDeadline implements net.Conn in virtual time.
-func (c *Conn) SetDeadline(t time.Time) error {
-	c.rdl, c.wdl = vtime(t), vtime(t)
-	return nil
-}
-
-// SetReadDeadline implements net.Conn in virtual time.
-func (c *Conn) SetReadDeadline(t time.Time) error { c.rdl = vtime(t); return nil }
-
-// SetWriteDeadline implements net.Conn in virtual time.
-func (c *Conn) SetWriteDeadline(t time.Time) error { c.wdl = vtime(t); return nil }
-
-// LocalAddr implements net.Conn.
-func (c *Conn) LocalAddr() net.Addr {
-	if c.server {
-		return addr(fmt.Sprintf("server:%d", c.p.tc.ID()))
-	}
-	return addr(fmt.Sprintf("phone:%d", c.p.tc.ID()))
-}
-
-// RemoteAddr implements net.Conn.
-func (c *Conn) RemoteAddr() net.Addr {
-	if c.server {
-		return addr(fmt.Sprintf("phone:%d", c.p.tc.ID()))
-	}
-	return addr(fmt.Sprintf("server:%d", c.p.tc.ID()))
-}
-
-// Read implements net.Conn: it blocks in virtual time until bytes are
-// readable, EOF (peer half-closed and everything consumed), a deadline,
-// an error, or Shutdown.
+// Read blocks in virtual time until bytes are readable, EOF (peer
+// half-closed and everything consumed), a transport error, or Shutdown.
 func (c *Conn) Read(b []byte) (int, error) {
 	p := c.p
 	n := p.n
@@ -168,9 +121,8 @@ func (c *Conn) Read(b []byte) (int, error) {
 			if p.upErr != nil {
 				return 0, p.upErr
 			}
-			w := n.running.arm()
-			p.srvRead = w
-			err := n.wait(w, c.rdl)
+			p.srvRead = n.running.arm()
+			err := n.running.park()
 			p.srvRead = nil
 			if err != nil {
 				return 0, err
@@ -194,9 +146,8 @@ func (c *Conn) Read(b []byte) (int, error) {
 		if p.upErr != nil {
 			return 0, p.upErr
 		}
-		w := n.running.arm()
-		p.cliRead = w
-		err := n.wait(w, c.rdl)
+		p.cliRead = n.running.arm()
+		err := n.running.park()
 		p.cliRead = nil
 		if err != nil {
 			return 0, err
@@ -204,10 +155,10 @@ func (c *Conn) Read(b []byte) (int, error) {
 	}
 }
 
-// Write implements net.Conn. The client side pushes bytes into the
-// simulated uplink stack and blocks (in virtual time) on send-buffer
-// backpressure; the server side schedules the response onto the modelled
-// return stream and never blocks.
+// Write on the client side pushes bytes into the simulated uplink stack
+// and blocks (in virtual time) on send-buffer backpressure; on the server
+// side it schedules the response onto the modelled return stream and
+// never blocks.
 func (c *Conn) Write(b []byte) (int, error) {
 	p := c.p
 	n := p.n
@@ -262,9 +213,8 @@ func (c *Conn) Write(b []byte) (int, error) {
 		if nn > 0 {
 			continue
 		}
-		w := n.running.arm()
-		p.cliWrite = w
-		err = n.wait(w, c.wdl)
+		p.cliWrite = n.running.arm()
+		err = n.running.park()
 		p.cliWrite = nil
 		if err != nil {
 			return total, err
@@ -289,10 +239,10 @@ func respArrive(arg any) {
 	p.n.fire(p.cliRead, nil)
 }
 
-// Close implements net.Conn: half-close both directions, begin the
-// transport's graceful teardown (client side), and unblock any parked
-// operations on this endpoint with net.ErrClosed. Idempotent and safe
-// from any proc, concurrently with reads and writes.
+// Close half-closes both directions, begins the transport's graceful
+// teardown (client side), and unblocks any parked operations on this
+// endpoint with net.ErrClosed. Idempotent and safe from any proc,
+// concurrently with reads and writes.
 func (c *Conn) Close() error {
 	p := c.p
 	n := p.n

@@ -1,8 +1,8 @@
-// Package simnet exposes the deterministic simulator behind a net-shaped
-// API: Wrap returns net.Conn implementations whose Read, Write
-// and deadline semantics run entirely in virtual time, so any Go-writable
-// workload (request/response clients, streaming uploaders) can drive the
-// simulated TCP stack without knowing it is simulated.
+// Package simnet exposes the deterministic simulator behind a socket-shaped
+// API: Wrap returns connection endpoints whose blocking Read, Write and
+// Close run entirely in virtual time, so Go-written workloads
+// (request/response clients, streaming uploaders) drive the simulated TCP
+// stack as ordinary blocking code.
 //
 // Determinism contract: application code runs on real goroutines, but a
 // baton handoff guarantees exactly one logical thread is ever runnable —
@@ -16,7 +16,6 @@ package simnet
 
 import (
 	"errors"
-	"os"
 	"time"
 
 	"mobbr/internal/sim"
@@ -24,10 +23,6 @@ import (
 
 // ErrClosed is returned by blocking operations after Shutdown.
 var ErrClosed = errors.New("simnet: network closed")
-
-// epoch anchors virtual time zero for the time.Time-based net.Conn
-// deadline API: virtual t maps to epoch.Add(t).
-var epoch = time.Unix(0, 0)
 
 // Net owns the procs of one simulated network and the baton that
 // serializes them against the engine.
@@ -46,10 +41,6 @@ func New(eng *sim.Engine) *Net {
 	return &Net{eng: eng, parked: make(chan struct{})}
 }
 
-// Now returns the current virtual time as a wall-clock value anchored at
-// the Unix epoch (the inverse of the deadline mapping).
-func (n *Net) Now() time.Time { return epoch.Add(n.eng.Now()) }
-
 // Proc is one logical application thread. It runs on its own goroutine
 // but only while it holds the baton; all its blocking operations park it
 // back into the engine's event order.
@@ -61,23 +52,22 @@ type Proc struct {
 
 	// w is the proc's one waiter, re-armed by every blocking operation: a
 	// proc blocks in at most one operation at a time, and the operation
-	// unregisters w and stops its timer before the proc can block again,
-	// so nothing stale can reach the next use. The callbacks are cached
-	// for the same reason the transport caches its timer callbacks — a
-	// blocking op then allocates nothing.
-	w          waiter
-	resumeFn   func() // resume this proc (engine context)
-	deadlineFn func() // fire w with os.ErrDeadlineExceeded
-	sleepFn    func() // fire w with nil
+	// unregisters w (and Sleep stops its timer) before the proc can block
+	// again, so nothing stale can reach the next use. The callbacks are
+	// cached for the same reason the transport caches its timer callbacks —
+	// a blocking op then allocates nothing.
+	w        waiter
+	resumeFn func() // resume this proc (engine context)
+	sleepFn  func() // fire w with nil
 }
 
 // waiter is one parked blocking operation. fired guards against double
-// wakes (data and deadline landing on the same instant).
+// wakes: a wake fired from proc context is deferred one zero-delay event,
+// and a transport failure can fire the same waiter before that event runs.
 type waiter struct {
 	p     *Proc
 	err   error
 	fired bool
-	timer sim.Timer
 }
 
 // Go spawns a proc that first runs at start of virtual time. fn must
@@ -87,7 +77,6 @@ func (n *Net) Go(start time.Duration, fn func(p *Proc)) *Proc {
 	p := &Proc{n: n, wake: make(chan struct{})}
 	p.w.p = p
 	p.resumeFn = func() { n.resume(p) }
-	p.deadlineFn = func() { n.fire(&p.w, os.ErrDeadlineExceeded) }
 	p.sleepFn = func() { n.fire(&p.w, nil) }
 	n.procs = append(n.procs, p)
 	go func() {
@@ -102,11 +91,9 @@ func (n *Net) Go(start time.Duration, fn func(p *Proc)) *Proc {
 
 // resume hands the baton to p and blocks until p parks or exits. It runs
 // in engine context (an engine event, or the Shutdown loop after the
-// engine has stopped).
+// engine has stopped). p has not exited: it is a proc's first event, the
+// proc parked on a fired waiter, or Shutdown's next live proc.
 func (n *Net) resume(p *Proc) {
-	if p.exited {
-		return
-	}
 	n.running = p
 	p.wake <- struct{}{}
 	<-n.parked
@@ -116,7 +103,7 @@ func (n *Net) resume(p *Proc) {
 // arm readies the proc's waiter for its next blocking operation.
 func (p *Proc) arm() *waiter {
 	w := &p.w
-	w.err, w.fired, w.timer = nil, false, sim.Timer{}
+	w.err, w.fired = nil, false
 	return w
 }
 
@@ -147,49 +134,27 @@ func (n *Net) fire(w *waiter, err error) {
 	}
 }
 
-// wait parks the calling proc on w until fired, optionally bounded by an
-// absolute virtual-time deadline (<0 = none). A deadline expiry returns
-// os.ErrDeadlineExceeded, matching net.Conn semantics.
-func (n *Net) wait(w *waiter, deadline time.Duration) error {
-	if deadline >= 0 {
-		d := deadline - n.eng.Now()
-		if d < 0 {
-			d = 0
-		}
-		w.timer = n.eng.Schedule(d, w.p.deadlineFn)
-	}
-	err := w.p.park()
-	w.timer.Stop()
-	return err
-}
-
 // Sleep parks p for d of virtual time. It returns ErrClosed when woken by
 // Shutdown instead.
 func (n *Net) Sleep(p *Proc, d time.Duration) error {
 	if n.closed {
 		return ErrClosed
 	}
-	if d < 0 {
-		d = 0
-	}
-	w := p.arm()
-	w.timer = n.eng.Schedule(d, p.sleepFn)
+	p.arm()
+	t := n.eng.Schedule(d, p.sleepFn)
 	err := p.park()
-	w.timer.Stop()
+	t.Stop()
 	return err
 }
 
 // Shutdown closes the network after the engine's run horizon: every
-// parked (or never-started) proc is woken with ErrClosed, repeatedly, in
-// spawn order, until all have exited. Blocking operations check the
-// closed flag first and fail fast, so procs unwind without scheduling
-// further work. Deterministic and idempotent.
+// parked (or never-started) proc is woken with ErrClosed, in spawn order,
+// until all have exited. Blocking operations check the closed flag first
+// and fail fast, so a woken proc cannot park again: each wake ends with
+// its proc exited. Deterministic and idempotent.
 func (n *Net) Shutdown() {
 	n.closed = true
-	for guard := 0; ; guard++ {
-		if guard > 1_000_000 {
-			panic("simnet: Shutdown: procs refuse to exit")
-		}
+	for {
 		var live *Proc
 		for _, p := range n.procs {
 			if !p.exited {

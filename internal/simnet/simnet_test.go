@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"os"
 	"testing"
 	"time"
 
@@ -69,7 +68,7 @@ func fastTC() netem.TC {
 }
 
 // sendAll / recvN drive a conn from inside a proc, returning progress.
-func sendAll(c net.Conn, total int) (int, error) {
+func sendAll(c *Conn, total int) (int, error) {
 	buf := make([]byte, 32*1024)
 	sent := 0
 	for sent < total {
@@ -86,7 +85,7 @@ func sendAll(c net.Conn, total int) (int, error) {
 	return sent, nil
 }
 
-func recvN(c net.Conn, total int) (int, error) {
+func recvN(c *Conn, total int) (int, error) {
 	buf := make([]byte, 32*1024)
 	got := 0
 	for got < total {
@@ -99,7 +98,7 @@ func recvN(c net.Conn, total int) (int, error) {
 	return got, nil
 }
 
-func recvUntilEOF(c net.Conn) (int, error) {
+func recvUntilEOF(c *Conn) (int, error) {
 	buf := make([]byte, 32*1024)
 	got := 0
 	for {
@@ -190,60 +189,6 @@ func TestClientCloseEndsUpload(t *testing.T) {
 	}
 }
 
-// TestReadDeadline pins net.Conn deadline semantics in virtual time: a
-// read with no data errors with os.ErrDeadlineExceeded exactly at the
-// deadline instant.
-func TestReadDeadline(t *testing.T) {
-	n, eng := newTestNet(t, tcp.Config{}, fastTC())
-	var gotErr error
-	var at time.Duration
-	n.Go(0, func(p *Proc) {
-		c, _, err := n.dial(p)
-		if err != nil {
-			gotErr = err
-			return
-		}
-		c.SetReadDeadline(n.Now().Add(50 * time.Millisecond))
-		_, gotErr = c.Read(make([]byte, 1))
-		at = eng.Now()
-	})
-	eng.Run(time.Second)
-	n.Shutdown()
-	if !errors.Is(gotErr, os.ErrDeadlineExceeded) {
-		t.Fatalf("read err = %v, want ErrDeadlineExceeded", gotErr)
-	}
-	// The deadline was set after Dial's simulated handshake.
-	if want := n.path.MinRTT() + 50*time.Millisecond; at != want {
-		t.Errorf("deadline fired at %v, want %v", at, want)
-	}
-}
-
-// TestWriteDeadline drives the send buffer into backpressure over a slow
-// path and checks the blocked write times out with partial progress.
-func TestWriteDeadline(t *testing.T) {
-	n, eng := newTestNet(t, tcp.Config{SndBuf: 32 * units.KB},
-		netem.TC{Rate: units.Mbps, Delay: 5 * time.Millisecond})
-	var sent int
-	var gotErr error
-	n.Go(0, func(p *Proc) {
-		c, _, err := n.dial(p)
-		if err != nil {
-			gotErr = err
-			return
-		}
-		c.SetWriteDeadline(n.Now().Add(30 * time.Millisecond))
-		sent, gotErr = sendAll(c, 4*1024*1024)
-	})
-	eng.Run(time.Second)
-	n.Shutdown()
-	if !errors.Is(gotErr, os.ErrDeadlineExceeded) {
-		t.Fatalf("write err = %v, want ErrDeadlineExceeded", gotErr)
-	}
-	if sent <= 0 || sent >= 4*1024*1024 {
-		t.Errorf("sent = %d, want partial progress", sent)
-	}
-}
-
 // TestConcurrentClose has one proc parked in Read while two others race
 // Close on the same endpoint: the reader unblocks with net.ErrClosed and
 // the duplicate Close is a no-op.
@@ -251,7 +196,7 @@ func TestConcurrentClose(t *testing.T) {
 	n, eng := newTestNet(t, tcp.Config{}, fastTC())
 	var readErr error
 	var closeErrs [2]error
-	var c net.Conn
+	var c *Conn
 	n.Go(0, func(p *Proc) {
 		var err error
 		c, _, err = n.dial(p)
@@ -279,7 +224,7 @@ func TestConcurrentClose(t *testing.T) {
 
 // TestShutdownUnblocks parks procs in a client Read, a server Read and a
 // Sleep with no traffic at all; Shutdown must unwind every one of them with
-// ErrClosed.
+// ErrClosed, and every operation after that fails with ErrClosed too.
 func TestShutdownUnblocks(t *testing.T) {
 	n, eng := newTestNet(t, tcp.Config{}, fastTC())
 	errs := make([]error, 3)
@@ -293,12 +238,20 @@ func TestShutdownUnblocks(t *testing.T) {
 			_, errs[0] = srv.Read(make([]byte, 1))
 		})
 		_, errs[1] = c.Read(make([]byte, 1))
+		// Every later operation fails fast instead of parking again.
+		_, e1 := c.Read(make([]byte, 1))
+		_, e2 := c.Write(make([]byte, 1))
+		_, e3 := srv.Write(make([]byte, 1))
+		errs = append(errs, e1, e2, e3, n.Sleep(p, time.Millisecond))
 	})
 	n.Go(0, func(p *Proc) {
 		errs[2] = n.Sleep(p, time.Hour)
 	})
 	eng.Run(100 * time.Millisecond)
 	n.Shutdown()
+	if len(errs) != 7 {
+		t.Fatalf("%d errors recorded, want 7", len(errs))
+	}
 	for i, err := range errs {
 		if !errors.Is(err, ErrClosed) {
 			t.Errorf("proc %d err = %v, want ErrClosed", i, err)
@@ -306,6 +259,108 @@ func TestShutdownUnblocks(t *testing.T) {
 	}
 	if !n.closed {
 		t.Errorf("network not closed after Shutdown")
+	}
+}
+
+// TestClosedEndpointFailsFast: after Close, an endpoint's operations fail
+// with net.ErrClosed without blocking, a second Close is a no-op, and an
+// empty server write writes nothing.
+func TestClosedEndpointFailsFast(t *testing.T) {
+	n, eng := newTestNet(t, tcp.Config{}, fastTC())
+	var errs []error
+	n.Go(0, func(p *Proc) {
+		c, srv, err := n.dial(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf := make([]byte, 1)
+		if m, err := srv.Write(nil); m != 0 || err != nil {
+			t.Errorf("empty server write = %d, %v", m, err)
+		}
+		errs = append(errs, srv.Close(), srv.Close(), c.Close(), c.Close())
+		_, e1 := srv.Read(buf)
+		_, e2 := srv.Write(buf)
+		_, e3 := c.Read(buf)
+		_, e4 := c.Write(buf)
+		errs = append(errs, e1, e2, e3, e4)
+	})
+	eng.Run(time.Second)
+	n.Shutdown()
+	want := []error{nil, nil, nil, nil, net.ErrClosed, net.ErrClosed, net.ErrClosed, net.ErrClosed}
+	if len(errs) != len(want) {
+		t.Fatalf("errors %v, want %v", errs, want)
+	}
+	for i := range want {
+		if errs[i] != want[i] {
+			t.Errorf("errors %v, want %v", errs, want)
+			break
+		}
+	}
+}
+
+// TestFailedStreamFailsFast: once the transport declares the connection
+// dead, both endpoints' reads and the client's writes return its error
+// without blocking.
+func TestFailedStreamFailsFast(t *testing.T) {
+	n, eng := newTestNet(t, tcp.Config{}, fastTC())
+	errDead := errors.New("transport failed")
+	var errs []error
+	n.Go(0, func(p *Proc) {
+		c, srv, err := n.dial(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		eng.Schedule(0, func() { c.p.StreamFailed(errDead) })
+		if err := n.Sleep(p, time.Millisecond); err != nil {
+			t.Error(err)
+			return
+		}
+		buf := make([]byte, 1)
+		_, e1 := c.Read(buf)
+		_, e2 := srv.Read(buf)
+		_, e3 := c.Write(buf)
+		errs = append(errs, e1, e2, e3)
+	})
+	eng.Run(time.Second)
+	n.Shutdown()
+	if len(errs) != 3 || errs[0] != errDead || errs[1] != errDead || errs[2] != errDead {
+		t.Errorf("errors %v, want the transport's error three times", errs)
+	}
+}
+
+// TestPipelinedResponsesArriveInOrder keeps responses queued on a slow
+// return stream while earlier ones arrive, so the queue compacts in place;
+// the client still reads every byte, then EOF.
+func TestPipelinedResponsesArriveInOrder(t *testing.T) {
+	n, eng := newTestNet(t, tcp.Config{}, fastTC())
+	n.pair.DownRate = 8 * units.Mbps // one byte per microsecond
+	got := -1
+	var cliErr error
+	n.Go(0, func(p *Proc) {
+		c, srv, err := n.dial(p)
+		if err != nil {
+			cliErr = err
+			return
+		}
+		n.Go(0, func(p *Proc) {
+			srv.Write(make([]byte, 100))
+			srv.Write(make([]byte, 200))
+			// The first response has arrived and the second has not.
+			n.Sleep(p, n.pair.DownDelay+150*time.Microsecond)
+			if pending := srv.p.respPending(); pending != 1 || srv.p.respHead != 1 {
+				t.Errorf("%d responses in flight behind head %d, want 1 behind 1", pending, srv.p.respHead)
+			}
+			srv.Write(make([]byte, 300))
+			srv.Close()
+		})
+		got, cliErr = recvUntilEOF(c)
+	})
+	eng.Run(time.Second)
+	n.Shutdown()
+	if cliErr != nil || got != 600 {
+		t.Errorf("client read %d bytes, err %v; want 600, nil", got, cliErr)
 	}
 }
 
@@ -334,29 +389,30 @@ func TestSleepOrder(t *testing.T) {
 	}
 }
 
-// TestWaiterReuseSameInstant guards the per-proc waiter's reuse. A response
-// and the read deadline land on the same virtual instant, in either order;
-// whichever loses must not reach the proc's next blocking operation, which
-// re-arms the same waiter inside the winner's event: the follow-up Sleep has
-// to last its full duration and return nil.
+// TestWaiterReuseSameInstant guards the per-proc waiter's reuse. A wake
+// fired from proc context is deferred one zero-delay event, so a transport
+// failure at the same instant can fire the same waiter again before the
+// proc runs. Here the server's Close wakes the client's parked Read with
+// EOF (the data wake) and the transport fails at that instant, in either
+// order. Whichever loses must not reach the proc's next blocking
+// operation, which re-arms the same waiter: the follow-up Sleep has to
+// last its full duration and return nil.
 func TestWaiterReuseSameInstant(t *testing.T) {
 	const (
-		writeAt = 50 * time.Millisecond
+		closeAt = 50 * time.Millisecond
 		nap     = 10 * time.Millisecond
-		resp    = 512
 	)
+	errDead := errors.New("transport failed")
 	for _, dataFirst := range []bool{false, true} {
-		name := "deadline first"
+		name := "failure first"
 		if dataFirst {
 			name = "data first"
 		}
 		t.Run(name, func(t *testing.T) {
 			n, eng := newTestNet(t, tcp.Config{}, fastTC())
-			land := writeAt + n.pair.DownDelay // response arrival = read deadline
 			var (
-				srvErr, readErr, napErr, lateErr error
-				readN, lateN                     int
-				readAt, napAt                    time.Duration
+				readErr, napErr error
+				readAt, napAt   time.Duration
 			)
 			n.Go(0, func(p *Proc) {
 				c, srv, err := n.dial(p)
@@ -364,53 +420,42 @@ func TestWaiterReuseSameInstant(t *testing.T) {
 					readErr = err
 					return
 				}
-				n.Go(0, func(p *Proc) {
-					if srvErr = n.Sleep(p, writeAt-eng.Now()); srvErr != nil {
-						return
-					}
-					_, srvErr = srv.Write(make([]byte, resp))
-				})
-				if dataFirst {
-					// Arm the deadline after the server has scheduled the
-					// response, so the delivery holds the lower sequence.
-					if readErr = n.Sleep(p, writeAt+time.Millisecond-eng.Now()); readErr != nil {
-						return
-					}
+				fail := func() { c.p.StreamFailed(errDead) }
+				if !dataFirst {
+					// Queued now, so it runs at closeAt before the server.
+					eng.Schedule(closeAt-eng.Now(), fail)
 				}
-				buf := make([]byte, resp)
-				c.SetReadDeadline(epoch.Add(land))
-				readN, readErr = c.Read(buf)
+				n.Go(0, func(p *Proc) {
+					if n.Sleep(p, closeAt-eng.Now()) != nil {
+						return
+					}
+					if dataFirst {
+						// Queued behind nothing but ahead of the deferred
+						// wake that Close schedules.
+						eng.Schedule(0, fail)
+					}
+					srv.Close()
+				})
+				_, readErr = c.Read(make([]byte, 1))
 				readAt = eng.Now()
 				napErr = n.Sleep(p, nap)
 				napAt = eng.Now()
-				if !dataFirst {
-					c.SetReadDeadline(time.Time{})
-					lateN, lateErr = c.Read(buf)
-				}
 			})
 			eng.Run(time.Second)
 			n.Shutdown()
-			if srvErr != nil {
-				t.Fatalf("server: %v", srvErr)
+			if readAt != closeAt {
+				t.Fatalf("read returned at %v, want the shared instant %v", readAt, closeAt)
 			}
-			if readAt != land {
-				t.Fatalf("read returned at %v, want the shared instant %v", readAt, land)
-			}
+			want := errDead
 			if dataFirst {
-				if readErr != nil || readN != resp {
-					t.Errorf("read = %d, %v; want %d, nil (data won the tie)", readN, readErr, resp)
-				}
-			} else {
-				if !errors.Is(readErr, os.ErrDeadlineExceeded) {
-					t.Errorf("read err = %v, want ErrDeadlineExceeded (deadline won the tie)", readErr)
-				}
-				if lateErr != nil || lateN != resp {
-					t.Errorf("read after the nap = %d, %v; want %d, nil", lateN, lateErr, resp)
-				}
+				want = io.EOF
 			}
-			if napErr != nil || napAt != land+nap {
+			if readErr != want {
+				t.Errorf("read err = %v, want %v", readErr, want)
+			}
+			if napErr != nil || napAt != closeAt+nap {
 				t.Errorf("follow-up Sleep woke at %v with %v, want %v with nil: the tie's loser reached the reused waiter",
-					napAt, napErr, land+nap)
+					napAt, napErr, closeAt+nap)
 			}
 		})
 	}

@@ -69,9 +69,6 @@ func (w *WindowedMax) subwinUpdate(t uint64, s minmaxSample) float64 {
 // Get returns the current windowed maximum without adding a sample.
 func (w *WindowedMax) Get() float64 { return w.samples[0].v }
 
-// Reset forgets all samples.
-func (w *WindowedMax) Reset() { w.samples = [3]minmaxSample{} }
-
 // WindowedMin tracks the minimum of a signal over a sliding time window
 // (e.g. BBR's 10-second min_rtt filter). Unlike WindowedMax it keeps only
 // the single best sample, matching how tcp_bbr.c tracks min_rtt with a
@@ -100,6 +97,3 @@ func (m *WindowedMin) Update(t uint64, v float64) float64 {
 
 // Get returns the current minimum (0 if no samples).
 func (m *WindowedMin) Get() float64 { return m.v }
-
-// Reset forgets the held sample.
-func (m *WindowedMin) Reset() { *m = WindowedMin{window: m.window} }

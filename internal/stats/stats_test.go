@@ -183,21 +183,6 @@ func TestWindowedMinZeroValueSample(t *testing.T) {
 	}
 }
 
-func TestWindowedFiltersReset(t *testing.T) {
-	w := NewWindowedMax(10)
-	w.Update(0, 9)
-	w.Reset()
-	if w.Get() != 0 {
-		t.Error("Reset should clear max")
-	}
-	m := NewWindowedMin(10)
-	m.Update(0, 9)
-	m.Reset()
-	if m.Get() != 0 {
-		t.Error("Reset should clear min")
-	}
-}
-
 func TestWindowedMinTracksTrueMinWithinWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewWindowedMin(1 << 62) // effectively infinite window

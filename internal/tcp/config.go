@@ -26,13 +26,9 @@ const (
 	// minRTO and maxRTO clamp the retransmission timeout (Linux defaults).
 	minRTO = 200 * time.Millisecond
 	maxRTO = 60 * time.Second
-	// maxRetries is how many consecutive RTOs (without any forward ACK
-	// progress) the connection tolerates before it is declared dead and
-	// reported through Err — the analogue of tcp_retries2.
-	maxRetries = 15
 	// stallTimeout arms the per-connection watchdog: a connection with
 	// outstanding work but no delivery progress for this long is declared
-	// dead and reported through Err instead of spinning forever.
+	// dead and reported through Stats().Failed instead of spinning forever.
 	stallTimeout = 30 * time.Second
 	// dupThresh is the SACK/dupack reordering threshold.
 	dupThresh = 3

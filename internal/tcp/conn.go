@@ -93,7 +93,7 @@ type Conn struct {
 	// everything is acknowledged). A bulk source is a stream written up
 	// front (see open); SetStream empties it for an application that pushes
 	// bytes with StreamWrite and half-closes with CloseStream — the
-	// byte-stream surface the simnet net.Conn facade drives.
+	// byte-stream surface simnet's virtual-time sockets drive.
 	streamTotal  int64
 	streamEnd    int64
 	closing      bool
@@ -395,11 +395,6 @@ func (c *Conn) Stop() {
 	c.pacingTimer.Stop()
 	c.watchdog.Stop()
 }
-
-// Err returns the reason the connection was declared dead (RTO retries
-// exhausted, watchdog stall), or nil while it is healthy. A dead connection
-// has stopped transmitting; the failure is reported, never panicked.
-func (c *Conn) Err() error { return c.failedErr }
 
 // fail declares the connection dead: it records the reason and halts all
 // activity. Idempotent.
@@ -971,7 +966,10 @@ func (c *Conn) pacingExpired() {
 	}
 }
 
-// rto returns the current retransmission timeout with backoff.
+// rto returns the current retransmission timeout with backoff. The stall
+// watchdog bounds the shift: every ACK and send re-arms the timer, so a
+// timeout longer than stallTimeout never fires (the watchdog fails the
+// connection first) and rtoBackoff stays below 9.
 func (c *Conn) rto() time.Duration {
 	rto := c.srtt + 4*c.rttvar
 	if rto < minRTO {
@@ -999,20 +997,14 @@ func (c *Conn) onRTOTimer() {
 
 // enterLoss is tcp_enter_loss: everything unsacked is marked lost, the
 // congestion module is told, and the head is retransmitted. Consecutive
-// timeouts back the RTO off exponentially (rto() shifts by rtoBackoff) up to
-// maxRetries, after which the connection is declared dead — reported, never
-// panicked. Under total loss the stall watchdog fails the connection first,
-// at about the seventh timeout.
+// timeouts back the RTO off exponentially (rto() shifts by rtoBackoff).
+// There is no retry limit: under total loss the stall watchdog declares
+// the connection dead, at about the seventh timeout.
 func (c *Conn) enterLoss() {
 	if !c.land() {
 		return
 	}
 	c.rtoBackoff++
-	if c.rtoBackoff > maxRetries {
-		c.fail(fmt.Errorf("tcp: conn %d gave up after %d consecutive RTOs (rto=%v inflight=%d sndUna=%d)",
-			c.id, maxRetries, c.rto(), c.inflight, c.sndUna))
-		return
-	}
 	// F-RTO: snapshot cwnd/ssthresh at the first timeout of a backoff run
 	// so a later ACK of an original (non-retransmitted) packet can prove
 	// the timeout spurious and undo the collapse.
