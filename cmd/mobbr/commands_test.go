@@ -145,6 +145,8 @@ func TestGridAndDiff(t *testing.T) {
 		{[]string{"-exp", "trace", "-trace-file", filepath.Join(dir, "missing.csv")}, 1, "mobbr: mobility: open "},
 		{[]string{"-exp", "trace", "-trace-preset", "flying"}, 1, `mobbr: mobility: unknown preset "flying"`},
 		{[]string{"-exp", "trace", "-trace-file", longTrace(t)}, 1, `mobbr: mobility: resampling "long" at 100ms yields`},
+		{[]string{"-exp", "trace", "-trace-file", csvTrace(t, "one", "0,10000,76,0.0\n"), "-seeds", "1", "-dur", "100ms"}, 1,
+			`mobbr: mobility: trace "one" covers no time`},
 		{[]string{"-exp", "fig4", "-j", "-1"}, 2, "-j must be at least 0"},
 		{[]string{"-exp", "fig4", "-seeds", "0"}, 2, "mobbr: -seeds must be at least 1, got 0\n"},
 		{[]string{"-exp", "fig4", "-cpuprofile", filepath.Join(dir, "missing", "cpu.pprof")}, 1, "mobbr: open "},
@@ -179,8 +181,14 @@ func TestFiguresErrors(t *testing.T) {
 // longTrace writes a two-sample dataset trace too long to resample onto
 // the replay's tick.
 func longTrace(t *testing.T) string {
-	path := filepath.Join(t.TempDir(), "long.csv")
-	data := "timestamp_ms,dl_bitrate_kbps,rtt_ms,loss\n0,10000,76,0\n100000000000,10000,76,0\n"
+	return csvTrace(t, "long", "0,10000,76,0\n100000000000,10000,76,0\n")
+}
+
+// csvTrace writes a dataset trace named name whose rows follow the
+// bundled Irish 4G header.
+func csvTrace(t *testing.T, name, rows string) string {
+	path := filepath.Join(t.TempDir(), name+".csv")
+	data := "timestamp_ms,dl_bitrate_kbps,rtt_ms,loss\n" + rows
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +239,19 @@ func TestRunCommand(t *testing.T) {
 	expect(t, 0, []string{"bbr,cubic conns=2", "  jain index ", "  per-conn ", "cycle profile (last run):",
 		"metrics (last run):", "engine self-metrics (last run):"}, nil,
 		"-cc", "bbr,cubic", "-conns", "2", "-dur", "200ms", "-profile", "-metrics")
+
+	// Device, config and network tokens are case-insensitive, and lte and
+	// mmwave name the cellular networks.
+	for _, tc := range []struct {
+		args []string
+		spec string
+	}{
+		{[]string{"-device", "Pixel6", "-config", "HIGH"}, "Pixel 6/High-End bbr conns=1 net=ethernet, "},
+		{[]string{"-network", "lte"}, "Pixel 4/Low-End bbr conns=1 net=cellular, "},
+		{[]string{"-network", "mmwave"}, "Pixel 4/Low-End bbr conns=1 net=5g, "},
+	} {
+		expect(t, 0, []string{tc.spec}, nil, append(tc.args, "-dur", "100ms")...)
+	}
 
 	plain, _ := expect(t, 0, nil, nil, "-dur", "300ms")
 	withSeries, _ := expect(t, 0, []string{"interval series (CSV):\nstart_s,end_s,"}, nil, "-dur", "300ms", "-interval", "100ms")

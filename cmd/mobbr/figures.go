@@ -27,14 +27,15 @@ type figure struct {
 // as terminal bar charts and adds a trace replay's goodput over time.
 func figures(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("figures", "[flags]", "Draws Figures 2a, 4 and 8 and a commute trace replay as terminal charts.", stderr)
-	sh := sharedFlags(fs, 3*time.Second, 0, "dur j trace-source")
+	sh := sharedFlags(fs, 3*time.Second, 1, "dur j trace-source")
 	if status, ok := parse(fs, args, 0); !ok {
 		return status
 	}
-	if _, err := checkParallelism(1, sh.jobs); err != nil {
-		fmt.Fprintln(stderr, "mobbr:", err)
-		return 2
+	stop, status, ok := sh.start(sh.jobs, stderr)
+	if !ok {
+		return status
 	}
+	defer stop()
 	lowEnd := func(s core.Spec) bool { return s.CPU == device.LowEnd }
 	figs := []figure{
 		{"Figure 2a — Pixel 4 Low-End, Ethernet", repro.Figure2(), lowEnd, 400,

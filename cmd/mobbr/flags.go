@@ -70,9 +70,10 @@ type shared struct {
 
 // sharedFlags registers on fs the shared flags in names, a space-separated
 // list of: dur seeds j progress shards trace-source trace metrics profile
-// folded pprof. dur and seeds give those two flags' defaults.
+// folded pprof. dur and seeds give those two flags' defaults; seeds, and
+// one shard, also stand when their flag is not registered.
 func sharedFlags(fs *flag.FlagSet, dur time.Duration, seeds int, names string) *shared {
-	s := &shared{}
+	s := &shared{seeds: seeds, shards: 1}
 	want := strings.Fields(names)
 	has := func(name string) bool { return slices.Contains(want, name) }
 	if has("dur") {
@@ -143,8 +144,8 @@ func checkParallelism(shards, jobs int) (warn string, err error) {
 	return "", nil
 }
 
-// start checks -dur and -seeds, and -shards against jobs workers, of run
-// and grid (which report and archive them), and starts the pprof profiles.
+// start checks -dur and -seeds, and -shards against jobs workers, of run,
+// grid and figures, and starts the pprof profiles.
 // When ok is true the caller defers stop, which flushes the CPU profile
 // and writes the heap profile, so a failing run still leaves both files
 // whole. Otherwise it returns status: 2 for bad flags, 1 when a profile

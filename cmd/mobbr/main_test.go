@@ -317,4 +317,14 @@ func TestFiguresDraws(t *testing.T) {
 	if !strings.Contains(stderr.String(), "-j must be at least 0") {
 		t.Errorf("figures -j -3 stderr = %q", stderr.String())
 	}
+	for _, dur := range []string{"0", "-1s"} {
+		stdout.Reset()
+		stderr.Reset()
+		if status := dispatch([]string{"figures", "-dur", dur}, &stdout, &stderr); status != 2 {
+			t.Errorf("figures -dur %s: exit %d, want 2", dur, status)
+		}
+		if !strings.HasPrefix(stderr.String(), "mobbr: -dur must be positive, got ") {
+			t.Errorf("figures -dur %s stderr = %q", dur, stderr.String())
+		}
+	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"mobbr/internal/apps"
 	"mobbr/internal/core"
-	"mobbr/internal/device"
 	"mobbr/internal/units"
 )
 
@@ -82,20 +81,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return replaySpec(*runSpec, stdout, stderr)
 	}
 
-	on, off := true, false
-	var known bool
-	if spec.Device, known = map[string]device.Model{"pixel4": device.Pixel4, "pixel6": device.Pixel6}[strings.ToLower(*devName)]; !known {
+	// Tokens are the spec codec's, case-insensitive; lte and mmwave name
+	// the cellular networks too.
+	token := func(s string) []byte { return []byte(strings.ToLower(s)) }
+	if spec.Device.UnmarshalText(token(*devName)) != nil {
 		return failf(stderr, "unknown device %q", *devName)
 	}
-	cpus := map[string]device.Config{"low": device.LowEnd, "mid": device.MidEnd, "high": device.HighEnd, "default": device.Default}
-	if spec.CPU, known = cpus[strings.ToLower(*cfgName)]; !known {
+	if spec.CPU.UnmarshalText(token(*cfgName)) != nil {
 		return failf(stderr, "unknown CPU config %q", *cfgName)
 	}
-	nets := map[string]core.Network{"ethernet": core.Ethernet, "wifi": core.WiFi, "cellular": core.Cellular,
-		"lte": core.Cellular, "5g": core.Cellular5G, "mmwave": core.Cellular5G}
-	if spec.Network, known = nets[strings.ToLower(*netName)]; !known {
+	if alias, ok := map[string]core.Network{"lte": core.Cellular, "mmwave": core.Cellular5G}[strings.ToLower(*netName)]; ok {
+		spec.Network = alias
+	} else if spec.Network.UnmarshalText(token(*netName)) != nil {
 		return failf(stderr, "unknown network %q", *netName)
 	}
+	on, off := true, false
+	var known bool
 	if spec.PacingOverride, known = map[string]*bool{"auto": nil, "on": &on, "off": &off}[strings.ToLower(*pacing)]; !known {
 		return failf(stderr, "pacing must be auto, on or off")
 	}

@@ -308,7 +308,7 @@ func TestShrinkClearsEveryKnob(t *testing.T) {
 		TC:     netem.TC{Delay: time.Millisecond},
 		Stride: 2, PacingOverride: &on, HardwarePacing: true, FixedPacingRate: 200 * units.Mbps,
 		FixedCwnd: 40, DisableModel: true, SndBuf: 512 * units.KB, Interval: 50 * time.Millisecond,
-		DisablePool: true, Seed: 7, MaxEvents: 40_000_000, MaxStall: 1_000_000, MaxWallClock: 20 * time.Second,
+		Seed: 7, MaxEvents: 40_000_000, MaxStall: 1_000_000, MaxWallClock: 20 * time.Second,
 		Inject: core.Inject{Kind: core.InjectCorruptInflight, At: 75 * time.Millisecond},
 	}
 	if err := spec.Validate(); err != nil || spec.Mobility == nil {

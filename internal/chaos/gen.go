@@ -15,18 +15,15 @@ import (
 	"mobbr/internal/units"
 )
 
-// The generator's draw tables. Every entry is a value Spec.Validate
-// accepts, so generated specs are valid by construction — a finding is
-// always a simulator bug (or budget blowout), never a malformed input.
-var (
-	genDevices  = []device.Model{device.Pixel4, device.Pixel6}
-	genCPUs     = []device.Config{device.LowEnd, device.MidEnd, device.HighEnd, device.Default}
-	genNetworks = []core.Network{core.Ethernet, core.WiFi, core.Cellular, core.Cellular5G}
-	genCCs      = []string{
-		"cubic", "bbr", "bbr2", "reno",
-		"bbr,cubic", "bbr2,cubic", "bbr,reno", "bbr,bbr2",
-	}
-)
+// genCCs is the generator's congestion-control draw table. Every entry,
+// like every device, CPU configuration and network drawn from their
+// tables' counts, is a value Spec.Validate accepts, so generated specs are
+// valid by construction — a finding is always a simulator bug (or budget
+// blowout), never a malformed input.
+var genCCs = []string{
+	"cubic", "bbr", "bbr2", "reno",
+	"bbr,cubic", "bbr2,cubic", "bbr,reno", "bbr,bbr2",
+}
 
 // Generate derives one valid scenario spec from the generator seed. The
 // same seed always yields the same spec (the draw order is fixed), so a
@@ -35,9 +32,9 @@ func Generate(seed int64) core.Spec {
 	rng := rand.New(rand.NewSource(seed))
 	dur := time.Duration(300+rng.Intn(501)) * time.Millisecond
 	spec := core.Spec{
-		Device:   genDevices[rng.Intn(len(genDevices))],
-		CPU:      genCPUs[rng.Intn(len(genCPUs))],
-		Network:  genNetworks[rng.Intn(len(genNetworks))],
+		Device:   device.Model(rng.Intn(device.Models)),
+		CPU:      device.Config(rng.Intn(device.Configs)),
+		Network:  core.Network(rng.Intn(core.Networks)),
 		CC:       genCCs[rng.Intn(len(genCCs))],
 		Conns:    1 + rng.Intn(8),
 		Duration: dur,

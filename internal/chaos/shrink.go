@@ -178,9 +178,6 @@ func clearKnobs(s core.Spec) []core.Spec {
 	if s.Interval != 0 {
 		add(func(c *core.Spec) { c.Interval = 0 })
 	}
-	if s.DisablePool {
-		add(func(c *core.Spec) { c.DisablePool = false })
-	}
 	return out
 }
 

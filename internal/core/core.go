@@ -51,20 +51,49 @@ const (
 	Cellular5G
 )
 
-// String returns the network name.
+// networks is the testbed table, indexed by Network: each medium's token
+// (its name in reports, in the spec codec and on the command line) and
+// the preset that builds its path.
+var networks = [...]struct {
+	token string
+	path  func(*sim.Engine, netem.TC) (*netem.Path, error)
+}{
+	Ethernet: {"ethernet", netem.EthernetLAN},
+	WiFi: {"wifi", func(eng *sim.Engine, tc netem.TC) (*netem.Path, error) {
+		path, mod, err := netem.WiFiLAN(eng, tc)
+		if err == nil {
+			mod.Start()
+		}
+		return path, err
+	}},
+	Cellular:   {"cellular", netem.CellularLTE},
+	Cellular5G: {"5g", netem.Cellular5G},
+}
+
+// Networks counts the testbed networks: the valid values run from 0 up
+// to it.
+const Networks = len(networks)
+
+// String returns the network's token, or "unknown".
 func (n Network) String() string {
-	switch n {
-	case Ethernet:
-		return "ethernet"
-	case WiFi:
-		return "wifi"
-	case Cellular:
-		return "cellular"
-	case Cellular5G:
-		return "5g"
-	default:
+	if uint(n) >= uint(Networks) {
 		return "unknown"
 	}
+	return networks[n].token
+}
+
+// MarshalText returns the network's token, or "unknown".
+func (n Network) MarshalText() ([]byte, error) { return []byte(n.String()), nil }
+
+// UnmarshalText sets n to the network whose token is text.
+func (n *Network) UnmarshalText(text []byte) error {
+	for i := range networks {
+		if networks[i].token == string(text) {
+			*n = Network(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown network token %q", text)
 }
 
 // Spec describes one experiment.
@@ -137,10 +166,6 @@ type Spec struct {
 	// connection's bookkeeping is audited throughout the run and Run
 	// returns a structured error when an invariant is violated.
 	Check bool
-	// DisablePool turns off the run-private packet/ACK recycler and
-	// allocates every segment fresh from the heap. It exists for the
-	// pooled-vs-fresh differential tests; production runs always pool.
-	DisablePool bool
 	// MaxEvents bounds the simulator events one run may process
 	// (0 = default 200M). Exceeding it fails the run with a budget error
 	// naming the last-scheduled event time.
@@ -172,7 +197,7 @@ type Spec struct {
 	// runs serial; values above 2 clamp to 2 (the bulk topology has two
 	// hosts). Workloads bound to one engine — churn (Flows), application
 	// workloads, mobility traces, fault schedules (which may shrink the
-	// lookahead mid-run), and DisablePool test runs — fall back to serial.
+	// lookahead mid-run) — fall back to serial.
 	// Deliberately absent from the spec wire form: it selects an execution
 	// strategy, not an experiment, so archived rows compare equal across
 	// shard counts.
@@ -183,7 +208,7 @@ type Spec struct {
 // (Shards asks for it and no serial-only feature is in play).
 func (s Spec) sharded() bool {
 	return s.Shards > 1 && s.Flows == nil && s.Workload.Kind == "" &&
-		s.Mobility == nil && s.Faults.Empty() && !s.DisablePool
+		s.Mobility == nil && s.Faults.Empty()
 }
 
 // Inject kinds. Each is a deliberate harness fault fired at Inject.At of
@@ -271,9 +296,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("core: unknown congestion control %q", name)
 		}
 	}
-	switch s.Network {
-	case Ethernet, WiFi, Cellular, Cellular5G:
-	default:
+	if uint(s.Network) >= uint(Networks) {
 		return fmt.Errorf("core: unknown network %d", int(s.Network))
 	}
 	if s.Duration < 0 {
@@ -326,9 +349,6 @@ func (s Spec) Validate() error {
 	}
 	if err := s.Inject.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
-	}
-	if s.Inject.Kind == InjectLeakPacket && s.DisablePool {
-		return fmt.Errorf("core: inject %q needs the packet pool (DisablePool is set)", s.Inject.Kind)
 	}
 	if s.Shards < 0 {
 		return fmt.Errorf("core: negative shard count %d", s.Shards)
@@ -415,7 +435,12 @@ const maxIntervalReports = 1_000_000
 // Run executes one experiment. It validates the spec, enforces the event
 // and wall-clock budgets, and — when spec.Check is set — fails with a
 // structured invariant-violation error instead of returning corrupt data.
-func Run(spec Spec) (*Result, error) {
+func Run(spec Spec) (*Result, error) { return run(spec, true) }
+
+// run is Run with the run-private packet/ACK recycler switchable: unpooled
+// runs allocate every segment fresh from the heap, for the pooled-vs-fresh
+// differential test, on serial specs only.
+func run(spec Spec, pooled bool) (*Result, error) {
 	spec = spec.withDefaults()
 	// Every failure path returns a *RunError wrapping the defaulted spec,
 	// so the error text always ends with a one-command repro line.
@@ -511,26 +536,7 @@ func Run(spec Spec) (*Result, error) {
 		})
 	}
 
-	var (
-		path *netem.Path
-		err  error
-	)
-	switch spec.Network {
-	case Ethernet:
-		path, err = netem.EthernetLAN(eng, spec.TC)
-	case WiFi:
-		var mod *netem.WiFiModulator
-		path, mod, err = netem.WiFiLAN(eng, spec.TC)
-		if err == nil {
-			mod.Start()
-		}
-	case Cellular:
-		path, err = netem.CellularLTE(eng, spec.TC)
-	case Cellular5G:
-		path, err = netem.Cellular5G(eng, spec.TC)
-	default:
-		return nil, fmt.Errorf("core: unknown network %d", spec.Network)
-	}
+	path, err := networks[spec.Network].path(eng, spec.TC)
 	if err != nil {
 		return nil, fail(fmt.Errorf("core: %w", err))
 	}
@@ -578,7 +584,7 @@ func Run(spec Spec) (*Result, error) {
 	// receiver only recycles) and splice freelists back at every barrier.
 	var pool *seg.Pool
 	var ps *seg.PoolSet
-	if !spec.DisablePool {
+	if pooled {
 		if se != nil {
 			ps = seg.NewPoolSet(2, 0, 1)
 			pool = ps.Arena(0)

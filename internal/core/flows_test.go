@@ -128,8 +128,11 @@ func TestFlowsTombstonedAcks(t *testing.T) {
 
 // TestFlowsSpecJSONRoundTrip proves the churn config survives the spec
 // codec field-for-field and encodes deterministically.
-func TestFlowsSpecJSONRoundTrip(t *testing.T) {
-	spec := Spec{
+func TestFlowsSpecJSONRoundTrip(t *testing.T) { checkRoundTrip(t, flowsSpec()) }
+
+// flowsSpec sets every churn config field.
+func flowsSpec() Spec {
+	return Spec{
 		Device:   device.Pixel6,
 		CPU:      device.MidEnd,
 		CC:       "bbr",
@@ -150,24 +153,6 @@ func TestFlowsSpecJSONRoundTrip(t *testing.T) {
 			FlowTableSlots:   256,
 			OffloadThreshold: 16,
 		},
-	}
-	data, err := EncodeSpec(spec)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := DecodeSpec(data)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, spec) {
-		t.Fatalf("round trip diverged:\n got  %+v\n want %+v", got, spec)
-	}
-	again, err := EncodeSpec(got)
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if string(again) != string(data) {
-		t.Fatalf("re-encode diverged:\n first  %s\n second %s", data, again)
 	}
 }
 

@@ -47,8 +47,8 @@ func TestCheckerCatchesPoolLeak(t *testing.T) {
 
 // TestPooledRunMatchesFresh is the pooled-vs-fresh differential: recycling
 // memory must not change a single measured number. The two runs share the
-// spec except for DisablePool; everything except the pool census itself must
-// be deeply equal.
+// spec, one with the recycler and one without; everything except the pool
+// census itself must be deeply equal.
 func TestPooledRunMatchesFresh(t *testing.T) {
 	base := Spec{
 		Device:   device.Pixel4,
@@ -69,14 +69,12 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pooled run: %v", err)
 	}
-	fresh := base
-	fresh.DisablePool = true
-	unpooled, err := Run(fresh)
+	unpooled, err := run(base, false)
 	if err != nil {
 		t.Fatalf("fresh run: %v", err)
 	}
 	if unpooled.Report.Pool != (seg.PoolStats{}) {
-		t.Fatalf("DisablePool run still has pool stats: %+v", unpooled.Report.Pool)
+		t.Fatalf("unpooled run still has pool stats: %+v", unpooled.Report.Pool)
 	}
 	a, b := *pooled.Report, *unpooled.Report
 	a.Pool, b.Pool = seg.PoolStats{}, seg.PoolStats{}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mobbr/internal/apps"
 	"mobbr/internal/check"
 	"mobbr/internal/device"
 	"mobbr/internal/faults"
@@ -18,7 +19,8 @@ func TestSpecValidate(t *testing.T) {
 	base := Spec{CC: "bbr", Duration: time.Second}
 	for _, good := range []Spec{
 		base,
-		{CC: "bbr"}, // zero duration means the default
+		{CC: "bbr"},             // zero duration means the default
+		{Duration: time.Second}, // empty CC means cubic
 		{CC: "bbr", Duration: time.Second, Interval: time.Microsecond}, // 1,000,000 reports
 	} {
 		if err := good.Validate(); err != nil {
@@ -35,14 +37,25 @@ func TestSpecValidate(t *testing.T) {
 		{"cc in list", func(s *Spec) { s.CC = "bbr,vegas" }},
 		{"network", func(s *Spec) { s.Network = Network(99) }},
 		{"warmup", func(s *Spec) { s.Warmup = 2 * time.Second }},
+		{"negative warmup", func(s *Spec) { s.Warmup = -time.Millisecond }},
 		{"interval", func(s *Spec) { s.Interval = -time.Second }},
 		{"negative duration", func(s *Spec) { s.Duration = -time.Second }},
 		{"interval too fine", func(s *Spec) { s.Interval = time.Nanosecond }},
 		{"interval too fine for default duration", func(s *Spec) { s.Duration, s.Interval = 0, 9*time.Microsecond }},
 		{"stride", func(s *Spec) { s.Stride = -1 }},
+		{"fixed cwnd", func(s *Spec) { s.FixedCwnd = -1 }},
+		{"fixed pacing rate", func(s *Spec) { s.FixedPacingRate = -units.Mbps }},
+		{"send buffer", func(s *Spec) { s.SndBuf = -units.KB }},
+		{"workload", func(s *Spec) { s.Workload = apps.Workload{Kind: "bogus"} }},
+		{"inject kind", func(s *Spec) { s.Inject = Inject{Kind: "meteor"} }},
+		{"inject time", func(s *Spec) { s.Inject = Inject{Kind: InjectPanic, At: -time.Millisecond} }},
 		{"tc loss", func(s *Spec) { s.TC = netem.TC{Loss: 1.5} }},
 		{"fault", func(s *Spec) {
 			s.Faults = faults.Schedule{Events: []faults.Event{faults.Blackout{Duration: -time.Second}}}
+		}},
+		{"mobility with faults", func(s *Spec) {
+			s.Mobility = mobilitySpec(t).Mobility
+			s.Faults = faults.Schedule{Events: []faults.Event{faults.Blackout{Duration: time.Millisecond}}}
 		}},
 	}
 	for _, tc := range bad {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mobbr/internal/device"
+	"mobbr/internal/faults"
 	"mobbr/internal/iperf"
 	"mobbr/internal/seg"
 	"mobbr/internal/telemetry"
@@ -167,18 +168,21 @@ func TestShardedClamp(t *testing.T) {
 	}
 }
 
-// TestShardedSerialFallback: features bound to a single engine must silently
-// run serial even when Shards is set — same results as Shards=0.
+// TestShardedSerialFallback: features bound to a single engine, here a fault
+// schedule, must silently run serial even when Shards is set — same results
+// as Shards=0.
 func TestShardedSerialFallback(t *testing.T) {
 	spec := shardBase()
-	spec.DisablePool = true
+	spec.Faults = faults.Schedule{Events: []faults.Event{
+		faults.DelaySpike{Start: 200 * time.Millisecond, Duration: 100 * time.Millisecond, Extra: 5 * time.Millisecond},
+	}}
 	serial, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Shards = 2
 	if spec.sharded() {
-		t.Fatal("DisablePool spec should not report sharded")
+		t.Fatal("spec with a fault schedule should not report sharded")
 	}
 	fallback, err := Run(spec)
 	if err != nil {

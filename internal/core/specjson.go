@@ -31,52 +31,14 @@ import (
 // jdur is a time.Duration that encodes as its Go string form.
 type jdur time.Duration
 
-// MarshalJSON implements json.Marshaler.
-func (d jdur) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
+// MarshalText implements encoding.TextMarshaler.
+func (d jdur) MarshalText() ([]byte, error) { return []byte(time.Duration(d).String()), nil }
 
-// UnmarshalJSON implements json.Unmarshaler.
-func (d *jdur) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return fmt.Errorf("duration must be a string like %q: %w", "250ms", err)
-	}
-	v, err := time.ParseDuration(s)
-	if err != nil {
-		return err
-	}
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (d *jdur) UnmarshalText(text []byte) error {
+	v, err := time.ParseDuration(string(text))
 	*d = jdur(v)
-	return nil
-}
-
-// Token tables shared with the CLI flag vocabulary.
-var (
-	deviceTokens = map[string]device.Model{"pixel4": device.Pixel4, "pixel6": device.Pixel6}
-	cpuTokens    = map[string]device.Config{
-		"low": device.LowEnd, "mid": device.MidEnd, "high": device.HighEnd, "default": device.Default,
-	}
-	networkTokens = map[string]Network{
-		"ethernet": Ethernet, "wifi": WiFi, "cellular": Cellular, "5g": Cellular5G,
-	}
-)
-
-func deviceToken(m device.Model) string {
-	for tok, v := range deviceTokens {
-		if v == m {
-			return tok
-		}
-	}
-	return fmt.Sprintf("unknown(%d)", int(m))
-}
-
-func cpuToken(c device.Config) string {
-	for tok, v := range cpuTokens {
-		if v == c {
-			return tok
-		}
-	}
-	return fmt.Sprintf("unknown(%d)", int(c))
+	return err
 }
 
 // tcWire mirrors netem.TC.
@@ -214,73 +176,51 @@ type workloadWire struct {
 	DownBps   int64   `json:"down_rate_bps,omitempty"`
 }
 
-// flowsWire mirrors flows.Config. Absent from the wire (nil pointer)
-// means the fixed connection set, so every pre-churn corpus entry and
-// journal replays unchanged.
-type flowsWire struct {
-	ArrivalRate      float64 `json:"arrival_rate,omitempty"`
-	MaxLive          int     `json:"max_live,omitempty"`
-	InitialFlows     int     `json:"initial_flows,omitempty"`
-	MiceBytes        int64   `json:"mice_bytes,omitempty"`
-	MiceSigma        float64 `json:"mice_sigma,omitempty"`
-	ElephantShare    float64 `json:"elephant_share,omitempty"`
-	ParetoAlpha      float64 `json:"pareto_alpha,omitempty"`
-	ElephantMinBytes int64   `json:"elephant_min_bytes,omitempty"`
-	MaxFlowBytes     int64   `json:"max_flow_bytes,omitempty"`
-	FlowTableSlots   int     `json:"flow_table_slots,omitempty"`
-	OffloadThreshold int     `json:"offload_threshold,omitempty"`
-}
-
-// telemetryWire mirrors telemetry.Config.
-type telemetryWire struct {
-	Trace     bool `json:"trace,omitempty"`
-	Metrics   bool `json:"metrics,omitempty"`
-	Profile   bool `json:"profile,omitempty"`
-	MaxEvents int  `json:"max_events,omitempty"`
-}
-
-// specWire is the full Spec wire form.
+// specWire is the full Spec wire form. The enums encode as their tokens
+// (MarshalText); flows.Config and telemetry.Config, which hold only
+// numbers and bools, carry their own json tags. Absent flows means the
+// fixed connection set, so every pre-churn corpus entry and journal
+// replays unchanged.
 type specWire struct {
-	Device          string         `json:"device"`
-	CPU             string         `json:"cpu"`
-	CC              string         `json:"cc"`
-	Conns           int            `json:"conns"`
-	Duration        jdur           `json:"duration,omitempty"`
-	Warmup          jdur           `json:"warmup,omitempty"`
-	Network         string         `json:"network"`
-	TC              *tcWire        `json:"tc,omitempty"`
-	Pacing          *bool          `json:"pacing,omitempty"`
-	Stride          float64        `json:"stride,omitempty"`
-	HardwarePacing  bool           `json:"hw_pacing,omitempty"`
-	FixedPacingBps  int64          `json:"fixed_pacing_bps,omitempty"`
-	FixedCwnd       int            `json:"fixed_cwnd,omitempty"`
-	DisableModel    bool           `json:"disable_model,omitempty"`
-	Interval        jdur           `json:"interval,omitempty"`
-	SndBufBytes     int64          `json:"sndbuf_bytes,omitempty"`
-	Seed            int64          `json:"seed,omitempty"`
-	Faults          *scheduleWire  `json:"faults,omitempty"`
-	Mobility        *mobilityWire  `json:"mobility,omitempty"`
-	Check           bool           `json:"check,omitempty"`
-	DisablePool     bool           `json:"disable_pool,omitempty"`
-	MaxEvents       uint64         `json:"max_events,omitempty"`
-	MaxWallClockStr jdur           `json:"max_wall_clock,omitempty"`
-	MaxStall        uint64         `json:"max_stall,omitempty"`
-	Inject          *injectWire    `json:"inject,omitempty"`
-	Telemetry       *telemetryWire `json:"telemetry,omitempty"`
-	Workload        *workloadWire  `json:"workload,omitempty"`
-	Flows           *flowsWire     `json:"flows,omitempty"`
+	Device          device.Model      `json:"device"`
+	CPU             device.Config     `json:"cpu"`
+	CC              string            `json:"cc"`
+	Conns           int               `json:"conns"`
+	Duration        jdur              `json:"duration,omitempty"`
+	Warmup          jdur              `json:"warmup,omitempty"`
+	Network         Network           `json:"network"`
+	TC              *tcWire           `json:"tc,omitempty"`
+	Pacing          *bool             `json:"pacing,omitempty"`
+	Stride          float64           `json:"stride,omitempty"`
+	HardwarePacing  bool              `json:"hw_pacing,omitempty"`
+	FixedPacingBps  int64             `json:"fixed_pacing_bps,omitempty"`
+	FixedCwnd       int               `json:"fixed_cwnd,omitempty"`
+	DisableModel    bool              `json:"disable_model,omitempty"`
+	Interval        jdur              `json:"interval,omitempty"`
+	SndBufBytes     int64             `json:"sndbuf_bytes,omitempty"`
+	Seed            int64             `json:"seed,omitempty"`
+	Faults          *scheduleWire     `json:"faults,omitempty"`
+	Mobility        *mobilityWire     `json:"mobility,omitempty"`
+	Check           bool              `json:"check,omitempty"`
+	MaxEvents       uint64            `json:"max_events,omitempty"`
+	MaxWallClockStr jdur              `json:"max_wall_clock,omitempty"`
+	MaxStall        uint64            `json:"max_stall,omitempty"`
+	Inject          *injectWire       `json:"inject,omitempty"`
+	Telemetry       *telemetry.Config `json:"telemetry,omitempty"`
+	Workload        *workloadWire     `json:"workload,omitempty"`
+	Flows           *flows.Config     `json:"flows,omitempty"`
 }
 
 // EncodeSpec renders the spec as compact, round-trippable JSON.
 func EncodeSpec(s Spec) ([]byte, error) {
 	w := specWire{
-		Device:          deviceToken(s.Device),
-		CPU:             cpuToken(s.CPU),
+		Device:          s.Device,
+		CPU:             s.CPU,
 		CC:              s.CC,
 		Conns:           s.Conns,
 		Duration:        jdur(s.Duration),
 		Warmup:          jdur(s.Warmup),
-		Network:         s.Network.String(),
+		Network:         s.Network,
 		Pacing:          s.PacingOverride,
 		Stride:          s.Stride,
 		HardwarePacing:  s.HardwarePacing,
@@ -291,10 +231,10 @@ func EncodeSpec(s Spec) ([]byte, error) {
 		SndBufBytes:     int64(s.SndBuf),
 		Seed:            s.Seed,
 		Check:           s.Check,
-		DisablePool:     s.DisablePool,
 		MaxEvents:       s.MaxEvents,
 		MaxWallClockStr: jdur(s.MaxWallClock),
 		MaxStall:        s.MaxStall,
+		Flows:           s.Flows,
 	}
 	if tc := (tcWire{
 		RateBps: int64(s.TC.Rate), Delay: jdur(s.TC.Delay), Loss: s.TC.Loss,
@@ -303,7 +243,7 @@ func EncodeSpec(s Spec) ([]byte, error) {
 	}); !tc.zero() {
 		w.TC = &tc
 	}
-	if !s.Faults.Empty() {
+	if !s.Faults.Empty() || s.Faults.Hop != 0 {
 		sw := scheduleWire{Hop: s.Faults.Hop}
 		for _, ev := range s.Faults.Events {
 			ew, err := encodeEvent(ev)
@@ -334,14 +274,11 @@ func EncodeSpec(s Spec) ([]byte, error) {
 		}
 		w.Mobility = &mw
 	}
-	if s.Inject.Kind != "" {
+	if s.Inject != (Inject{}) {
 		w.Inject = &injectWire{Kind: s.Inject.Kind, At: jdur(s.Inject.At)}
 	}
-	if s.Telemetry != (telemetry.Config{}) {
-		w.Telemetry = &telemetryWire{
-			Trace: s.Telemetry.Trace, Metrics: s.Telemetry.Metrics,
-			Profile: s.Telemetry.Profile, MaxEvents: s.Telemetry.MaxEvents,
-		}
+	if tel := s.Telemetry; tel != (telemetry.Config{}) {
+		w.Telemetry = &tel
 	}
 	if s.Workload.Kind != "" {
 		ww := workloadWire{
@@ -358,21 +295,6 @@ func EncodeSpec(s Spec) ([]byte, error) {
 		}
 		w.Workload = &ww
 	}
-	if s.Flows != nil {
-		w.Flows = &flowsWire{
-			ArrivalRate:      s.Flows.ArrivalRate,
-			MaxLive:          s.Flows.MaxLive,
-			InitialFlows:     s.Flows.InitialFlows,
-			MiceBytes:        int64(s.Flows.MiceBytes),
-			MiceSigma:        s.Flows.MiceSigma,
-			ElephantShare:    s.Flows.ElephantShare,
-			ParetoAlpha:      s.Flows.ParetoAlpha,
-			ElephantMinBytes: int64(s.Flows.ElephantMinBytes),
-			MaxFlowBytes:     int64(s.Flows.MaxFlowBytes),
-			FlowTableSlots:   s.Flows.FlowTableSlots,
-			OffloadThreshold: s.Flows.OffloadThreshold,
-		}
-	}
 	return json.Marshal(w)
 }
 
@@ -381,30 +303,22 @@ func EncodeSpec(s Spec) ([]byte, error) {
 func DecodeSpec(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var w specWire
+	// An absent or null token leaves its out-of-range sentinel in place.
+	w := specWire{Device: -1, CPU: -1, Network: -1}
 	if err := dec.Decode(&w); err != nil {
 		return Spec{}, fmt.Errorf("core: decoding spec: %w", err)
 	}
-	dev, ok := deviceTokens[w.Device]
-	if !ok {
-		return Spec{}, fmt.Errorf("core: unknown device token %q", w.Device)
-	}
-	cfg, ok := cpuTokens[w.CPU]
-	if !ok {
-		return Spec{}, fmt.Errorf("core: unknown cpu token %q", w.CPU)
-	}
-	network, ok := networkTokens[w.Network]
-	if !ok {
-		return Spec{}, fmt.Errorf("core: unknown network token %q", w.Network)
+	if w.Device < 0 || w.CPU < 0 || w.Network < 0 {
+		return Spec{}, fmt.Errorf("core: spec lacks a device, cpu or network token")
 	}
 	s := Spec{
-		Device:          dev,
-		CPU:             cfg,
+		Device:          w.Device,
+		CPU:             w.CPU,
 		CC:              w.CC,
 		Conns:           w.Conns,
 		Duration:        time.Duration(w.Duration),
 		Warmup:          time.Duration(w.Warmup),
-		Network:         network,
+		Network:         w.Network,
 		PacingOverride:  w.Pacing,
 		Stride:          w.Stride,
 		HardwarePacing:  w.HardwarePacing,
@@ -415,10 +329,10 @@ func DecodeSpec(data []byte) (Spec, error) {
 		SndBuf:          units.DataSize(w.SndBufBytes),
 		Seed:            w.Seed,
 		Check:           w.Check,
-		DisablePool:     w.DisablePool,
 		MaxEvents:       w.MaxEvents,
 		MaxWallClock:    time.Duration(w.MaxWallClockStr),
 		MaxStall:        w.MaxStall,
+		Flows:           w.Flows,
 	}
 	if w.TC != nil {
 		s.TC = netem.TC{
@@ -462,10 +376,7 @@ func DecodeSpec(data []byte) (Spec, error) {
 		s.Inject = Inject{Kind: w.Inject.Kind, At: time.Duration(w.Inject.At)}
 	}
 	if w.Telemetry != nil {
-		s.Telemetry = telemetry.Config{
-			Trace: w.Telemetry.Trace, Metrics: w.Telemetry.Metrics,
-			Profile: w.Telemetry.Profile, MaxEvents: w.Telemetry.MaxEvents,
-		}
+		s.Telemetry = *w.Telemetry
 	}
 	if w.Workload != nil {
 		s.Workload = apps.Workload{
@@ -479,21 +390,6 @@ func DecodeSpec(data []byte) (Spec, error) {
 		}
 		for _, r := range w.Workload.LadderBps {
 			s.Workload.Ladder = append(s.Workload.Ladder, units.Bandwidth(r))
-		}
-	}
-	if w.Flows != nil {
-		s.Flows = &flows.Config{
-			ArrivalRate:      w.Flows.ArrivalRate,
-			MaxLive:          w.Flows.MaxLive,
-			InitialFlows:     w.Flows.InitialFlows,
-			MiceBytes:        units.DataSize(w.Flows.MiceBytes),
-			MiceSigma:        w.Flows.MiceSigma,
-			ElephantShare:    w.Flows.ElephantShare,
-			ParetoAlpha:      w.Flows.ParetoAlpha,
-			ElephantMinBytes: units.DataSize(w.Flows.ElephantMinBytes),
-			MaxFlowBytes:     units.DataSize(w.Flows.MaxFlowBytes),
-			FlowTableSlots:   w.Flows.FlowTableSlots,
-			OffloadThreshold: w.Flows.OffloadThreshold,
 		}
 	}
 	return s, nil

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,9 +20,39 @@ import (
 
 // TestSpecJSONRoundTrip proves every behavior-affecting field survives
 // encode → decode, including the typed fault schedule.
-func TestSpecJSONRoundTrip(t *testing.T) {
+func TestSpecJSONRoundTrip(t *testing.T) { checkRoundTrip(t, fullSpec()) }
+
+// checkRoundTrip proves spec survives encode → decode deep-equal and
+// re-encodes to the same bytes (corpus diffs, journal hashing), and
+// returns its encoding.
+func checkRoundTrip(tb testing.TB, spec Spec) []byte {
+	tb.Helper()
+	data, err := EncodeSpec(spec)
+	if err != nil {
+		tb.Fatalf("encode: %v", err)
+	}
+	got, err := DecodeSpec(data)
+	if err != nil {
+		tb.Fatalf("decode %s: %v", data, err)
+	}
+	if !reflect.DeepEqual(got, spec) {
+		tb.Fatalf("round trip of %s diverged:\n got  %#v\n want %#v", data, got, spec)
+	}
+	again, err := EncodeSpec(got)
+	if err != nil {
+		tb.Fatalf("re-encode: %v", err)
+	}
+	if string(again) != string(data) {
+		tb.Fatalf("re-encode diverged:\n first  %s\n second %s", data, again)
+	}
+	return data
+}
+
+// fullSpec sets every behavior-affecting field the fixed connection set
+// takes, with one fault event of each kind.
+func fullSpec() Spec {
 	on := true
-	spec := Spec{
+	return Spec{
 		Device:          device.Pixel6,
 		CPU:             device.MidEnd,
 		CC:              "bbr,cubic",
@@ -51,25 +85,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		MaxStall:     1000,
 		Inject:       Inject{Kind: InjectCorruptInflight, At: 400 * time.Millisecond},
 	}
-	data, err := EncodeSpec(spec)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := DecodeSpec(data)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, spec) {
-		t.Fatalf("round trip diverged:\n got  %+v\n want %+v", got, spec)
-	}
-	// Encoding must be deterministic (corpus diffs, journal hashing).
-	again, err := EncodeSpec(got)
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if string(again) != string(data) {
-		t.Fatalf("re-encode diverged:\n first  %s\n second %s", data, again)
-	}
 }
 
 // TestSpecJSONWorkloadRoundTrip proves both app workload kinds survive
@@ -77,25 +92,8 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 // block decodes to the iperf default — old corpus entries and journals
 // replay unchanged.
 func TestSpecJSONWorkloadRoundTrip(t *testing.T) {
-	for _, wl := range []apps.Workload{
-		{Kind: apps.KindReqRep, ReqSize: 48 * units.KB, RespSize: 2 * units.KB, Think: 25 * time.Millisecond},
-		{Kind: apps.KindStream, Chunk: 200 * time.Millisecond,
-			Ladder:  []units.Bandwidth{2 * units.Mbps, 8 * units.Mbps},
-			Startup: 3, RespSize: 256, DownRate: 40 * units.Mbps},
-	} {
-		spec := Spec{Device: device.Pixel4, CPU: device.LowEnd, CC: "bbr", Conns: 2,
-			Network: Ethernet, Seed: 5, Workload: wl}
-		data, err := EncodeSpec(spec)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", wl.Kind, err)
-		}
-		got, err := DecodeSpec(data)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", wl.Kind, err)
-		}
-		if !reflect.DeepEqual(got, spec) {
-			t.Fatalf("%s: round trip diverged:\n got  %+v\n want %+v", wl.Kind, got, spec)
-		}
+	for _, spec := range workloadSpecs() {
+		checkRoundTrip(t, spec)
 	}
 
 	// Back-compat: a pre-workload wire form (no "workload" key) must decode
@@ -118,35 +116,36 @@ func TestSpecJSONWorkloadRoundTrip(t *testing.T) {
 	}
 }
 
+// workloadSpecs holds one spec of each app workload kind, every field set.
+func workloadSpecs() []Spec {
+	var specs []Spec
+	for _, wl := range []apps.Workload{
+		{Kind: apps.KindReqRep, ReqSize: 48 * units.KB, RespSize: 2 * units.KB, Think: 25 * time.Millisecond},
+		{Kind: apps.KindStream, Chunk: 200 * time.Millisecond,
+			Ladder:  []units.Bandwidth{2 * units.Mbps, 8 * units.Mbps},
+			Startup: 3, RespSize: 256, DownRate: 40 * units.Mbps},
+	} {
+		specs = append(specs, Spec{Device: device.Pixel4, CPU: device.LowEnd, CC: "bbr", Conns: 2,
+			Network: Ethernet, Seed: 5, Workload: wl})
+	}
+	return specs
+}
+
 // TestSpecJSONMobilityRoundTrip proves a synthesized mobility trace
-// recompiles to the identical schedule on decode.
-func TestSpecJSONMobilityRoundTrip(t *testing.T) {
+// recompiles to the identical schedule and segments on decode.
+func TestSpecJSONMobilityRoundTrip(t *testing.T) { checkRoundTrip(t, mobilitySpec(t)) }
+
+// mobilitySpec replays a synthesized driving trace.
+func mobilitySpec(tb testing.TB) Spec {
 	tr, err := mobility.Synthesize(mobility.Driving, 3*time.Second, 100*time.Millisecond, 7)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	c, err := mobility.Compile(tr, mobility.CompileOptions{Hop: 0, OtherRTT: 30 * time.Millisecond})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	spec := Spec{CC: "bbr", Conns: 1, Network: Cellular, Duration: tr.Duration(), Mobility: c, Seed: 3}
-	data, err := EncodeSpec(spec)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := DecodeSpec(data)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.Mobility == nil {
-		t.Fatal("mobility lost in round trip")
-	}
-	if !reflect.DeepEqual(got.Mobility.Schedule, c.Schedule) {
-		t.Fatalf("recompiled schedule diverged")
-	}
-	if !reflect.DeepEqual(got.Mobility.Segments, c.Segments) {
-		t.Fatalf("recompiled segments diverged")
-	}
+	return Spec{CC: "bbr", Conns: 1, Network: Cellular, Duration: tr.Duration(), Mobility: c, Seed: 3}
 }
 
 // TestSpecJSONStrict proves unknown fields and bad tokens fail loudly.
@@ -174,6 +173,21 @@ func TestSpecJSONStrict(t *testing.T) {
 	}
 }
 
+// TestNetworkTokens: every network round-trips through its token, an
+// invalid one prints and encodes as "unknown", and an unknown token is
+// refused.
+func TestNetworkTokens(t *testing.T) {
+	for n := Network(-1); n <= Network(Networks); n++ {
+		text, _ := n.MarshalText()
+		var back Network
+		err := back.UnmarshalText(text)
+		if valid := uint(n) < uint(Networks); valid != (err == nil) || valid && back != n ||
+			!valid && (string(text) != "unknown" || n.String() != "unknown") {
+			t.Errorf("network %d: token %q decodes to %d, %v", n, text, back, err)
+		}
+	}
+}
+
 // TestReproLineRuns proves the repro line's embedded JSON decodes back to
 // a runnable spec.
 func TestReproLineRuns(t *testing.T) {
@@ -195,4 +209,45 @@ func TestReproLineRuns(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatalf("repro payload does not validate: %v", err)
 	}
+}
+
+// FuzzDecodeSpec feeds DecodeSpec arbitrary bytes: the spec JSON arrives
+// from outside the program (repro lines, corpus entries, archives). It
+// must never panic, and whatever it accepts must round-trip: re-encoded,
+// it decodes deep-equal and encodes to the same bytes again.
+func FuzzDecodeSpec(f *testing.F) {
+	entries, err := filepath.Glob(filepath.Join("..", "chaos", "testdata", "corpus", "*.json"))
+	if err != nil || len(entries) == 0 {
+		f.Fatalf("chaos corpus: %v, %d entries", err, len(entries))
+	}
+	for _, name := range entries {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var entry struct{ Spec json.RawMessage }
+		if err := json.Unmarshal(raw, &entry); err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		f.Add([]byte(entry.Spec))
+	}
+	specs := append([]Spec{fullSpec(), mobilitySpec(f), flowsSpec()}, workloadSpecs()...)
+	for _, spec := range specs {
+		data := checkRoundTrip(f, spec)
+		f.Add(data)
+		// Truncated and mistyped variants steer the fuzzer at the errors.
+		f.Add(data[:len(data)/2])
+		f.Add(bytes.Replace(data, []byte(`"conns":`), []byte(`"conns":"`), 1))
+		f.Add(bytes.Replace(data, []byte(`"ms"`), []byte(`"parsecs"`), 1))
+	}
+	f.Add([]byte(`{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"network":"ethernet","flows":{"max_live":-1}}`))
+	f.Add([]byte(`{"device":null,"cpu":"low","cc":"bbr","conns":1,"network":"ethernet"}`))
+	f.Add([]byte(`{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"network":"ethernet","faults":{"hop":2,"events":[]}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := DecodeSpec(data)
+		if err != nil {
+			return
+		}
+		checkRoundTrip(t, spec)
+	})
 }

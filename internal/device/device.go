@@ -24,16 +24,43 @@ const (
 	Pixel6
 )
 
-// String returns the phone name.
-func (m Model) String() string {
-	switch m {
-	case Pixel4:
-		return "Pixel 4"
-	case Pixel6:
-		return "Pixel 6"
-	default:
-		return "unknown"
-	}
+// models is the phone table, indexed by Model: each phone's token (its
+// spelling in the spec codec and on the command line, kept as bytes so
+// MarshalText need not allocate), display name and CPU description.
+var models = [...]struct {
+	token []byte
+	name  string
+	spec  Spec
+}{
+	// Snapdragon 855: 4×A55 + 3+1×A76.
+	Pixel4: {[]byte("pixel4"), "Pixel 4", Spec{
+		LittleIPC: 0.55,
+		BigIPC:    1.00,
+		LittleFreqs: []float64{
+			576e6, 748.8e6, 998.4e6, 1209.6e6, 1440e6, 1612.8e6, 1785.6e6,
+		},
+		BigFreqs: []float64{
+			825.6e6, 1171.2e6, 1612.8e6, 2092.8e6, 2419.2e6, 2841.6e6,
+		},
+		SustainedCapHz: 1.35e9,
+	}},
+	// Google Tensor: 4×A55 + 2×A76 + 2×X1. The X1 cluster is folded into
+	// BigFreqs. The paper's Figure 3 shows the Pixel 6 at 300 MHz roughly
+	// matching the Pixel 4 at 576 MHz, so the Tensor A55 cluster (newer
+	// kernel, larger caches, system-level cache) retires netstack work at
+	// nearly twice the per-cycle rate.
+	Pixel6: {[]byte("pixel6"), "Pixel 6", Spec{
+		LittleIPC: 1.00,
+		BigIPC:    1.20,
+		LittleFreqs: []float64{
+			300e6, 574e6, 738e6, 930e6, 1098e6, 1197e6, 1328e6,
+			1491e6, 1598e6, 1704e6, 1803e6,
+		},
+		BigFreqs: []float64{
+			500e6, 851e6, 1277e6, 1703e6, 2049e6, 2450e6, 2802e6,
+		},
+		SustainedCapHz: 1.2e9,
+	}},
 }
 
 // Config is a Table 1 CPU configuration.
@@ -51,39 +78,97 @@ const (
 	Default
 )
 
-// String returns the configuration name.
-func (c Config) String() string {
-	switch c {
-	case LowEnd:
-		return "Low-End"
-	case MidEnd:
-		return "Mid-End"
-	case HighEnd:
-		return "High-End"
-	case Default:
-		return "Default"
-	default:
+// configs is the Table 1 table, indexed by Config: each configuration's
+// token and display name.
+var configs = [...]struct {
+	token []byte
+	name  string
+}{
+	LowEnd:  {[]byte("low"), "Low-End"},
+	MidEnd:  {[]byte("mid"), "Mid-End"},
+	HighEnd: {[]byte("high"), "High-End"},
+	Default: {[]byte("default"), "Default"},
+}
+
+// Models and Configs count the phones and the configurations: the valid
+// values run from 0 up to the count.
+const (
+	Models  = len(models)
+	Configs = len(configs)
+)
+
+// String returns the phone name.
+func (m Model) String() string {
+	if m.Valid() != nil {
 		return "unknown"
 	}
+	return models[m].name
+}
+
+// String returns the configuration name.
+func (c Config) String() string {
+	if c.Valid() != nil {
+		return "unknown"
+	}
+	return configs[c].name
 }
 
 // Valid reports whether the model is a known phone. Callers validate specs
 // with this before Lookup, whose panic is then a programmer error.
 func (m Model) Valid() error {
-	switch m {
-	case Pixel4, Pixel6:
-		return nil
+	if uint(m) >= uint(Models) {
+		return fmt.Errorf("device: unknown model %d", int(m))
 	}
-	return fmt.Errorf("device: unknown model %d", int(m))
+	return nil
 }
 
 // Valid reports whether the configuration is one of Table 1's.
 func (c Config) Valid() error {
-	switch c {
-	case LowEnd, MidEnd, HighEnd, Default:
-		return nil
+	if uint(c) >= uint(Configs) {
+		return fmt.Errorf("device: unknown CPU configuration %d", int(c))
 	}
-	return fmt.Errorf("device: unknown CPU configuration %d", int(c))
+	return nil
+}
+
+// MarshalText returns the phone's token, or "unknown(N)" for an invalid
+// model, so an invalid spec still encodes into its repro line. Callers
+// must not modify the result.
+func (m Model) MarshalText() ([]byte, error) {
+	if m.Valid() != nil {
+		return fmt.Appendf(nil, "unknown(%d)", int(m)), nil
+	}
+	return models[m].token, nil
+}
+
+// MarshalText returns the configuration's token, or "unknown(N)". Callers
+// must not modify the result.
+func (c Config) MarshalText() ([]byte, error) {
+	if c.Valid() != nil {
+		return fmt.Appendf(nil, "unknown(%d)", int(c)), nil
+	}
+	return configs[c].token, nil
+}
+
+// UnmarshalText sets m to the phone whose token is text.
+func (m *Model) UnmarshalText(text []byte) error {
+	for i := range models {
+		if string(models[i].token) == string(text) {
+			*m = Model(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("device: unknown device token %q", text)
+}
+
+// UnmarshalText sets c to the configuration whose token is text.
+func (c *Config) UnmarshalText(text []byte) error {
+	for i := range configs {
+		if string(configs[i].token) == string(text) {
+			*c = Config(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("device: unknown cpu token %q", text)
 }
 
 // Spec holds a phone's CPU description.
@@ -99,45 +184,9 @@ type Spec struct {
 	SustainedCapHz float64
 }
 
-// Lookup returns the spec for a phone model.
-func Lookup(m Model) Spec {
-	switch m {
-	case Pixel4:
-		// Snapdragon 855: 4×A55 + 3+1×A76.
-		return Spec{
-			LittleIPC: 0.55,
-			BigIPC:    1.00,
-			LittleFreqs: []float64{
-				576e6, 748.8e6, 998.4e6, 1209.6e6, 1440e6, 1612.8e6, 1785.6e6,
-			},
-			BigFreqs: []float64{
-				825.6e6, 1171.2e6, 1612.8e6, 2092.8e6, 2419.2e6, 2841.6e6,
-			},
-			SustainedCapHz: 1.35e9,
-		}
-	case Pixel6:
-		// Google Tensor: 4×A55 + 2×A76 + 2×X1. The X1 cluster is
-		// folded into BigFreqs.
-		// The paper's Figure 3 shows the Pixel 6 at 300 MHz roughly
-		// matching the Pixel 4 at 576 MHz, so the Tensor A55 cluster
-		// (newer kernel, larger caches, system-level cache) retires
-		// netstack work at nearly twice the per-cycle rate.
-		return Spec{
-			LittleIPC: 1.00,
-			BigIPC:    1.20,
-			LittleFreqs: []float64{
-				300e6, 574e6, 738e6, 930e6, 1098e6, 1197e6, 1328e6,
-				1491e6, 1598e6, 1704e6, 1803e6,
-			},
-			BigFreqs: []float64{
-				500e6, 851e6, 1277e6, 1703e6, 2049e6, 2450e6, 2802e6,
-			},
-			SustainedCapHz: 1.2e9,
-		}
-	default:
-		panic(fmt.Sprintf("device: unknown model %d", m))
-	}
-}
+// Lookup returns the spec for a phone model; it panics on an invalid one.
+// The frequency tables are shared: callers read them and never write.
+func Lookup(m Model) Spec { return models[m].spec }
 
 // OperatingPoint returns the pinned operating point for a fixed
 // configuration, per Table 1. It panics for Default, which is dynamic.

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -122,5 +123,33 @@ func TestConfigsAndStrings(t *testing.T) {
 	}
 	if Pixel4.String() != "Pixel 4" || Pixel6.String() != "Pixel 6" {
 		t.Error("model names wrong")
+	}
+}
+
+// TestTokens: every phone and configuration round-trips through its token,
+// an invalid value encodes as unknown(N) and prints as unknown, and an
+// unknown token is refused.
+func TestTokens(t *testing.T) {
+	for m := Model(-1); m <= Model(Models); m++ {
+		text, _ := m.MarshalText()
+		var back Model
+		err := back.UnmarshalText(text)
+		if valid := m.Valid() == nil; valid != (err == nil) || valid && back != m {
+			t.Errorf("model %d: token %q decodes to %d, %v", m, text, back, err)
+		}
+		if m.Valid() != nil && (string(text) != fmt.Sprintf("unknown(%d)", m) || m.String() != "unknown") {
+			t.Errorf("invalid model %d: token %q, name %q", m, text, m)
+		}
+	}
+	for c := Config(-1); c <= Config(Configs); c++ {
+		text, _ := c.MarshalText()
+		var back Config
+		err := back.UnmarshalText(text)
+		if valid := c.Valid() == nil; valid != (err == nil) || valid && back != c {
+			t.Errorf("config %d: token %q decodes to %d, %v", c, text, back, err)
+		}
+		if c.Valid() != nil && (string(text) != fmt.Sprintf("unknown(%d)", c) || c.String() != "unknown") {
+			t.Errorf("invalid config %d: token %q, name %q", c, text, c)
+		}
 	}
 }

@@ -27,33 +27,33 @@ type Config struct {
 	// flows per second (default 1000). Arrivals are independent of
 	// completions — under overload the live set saturates at MaxLive and
 	// excess arrivals are rejected, like a listen-backlog drop.
-	ArrivalRate float64
+	ArrivalRate float64 `json:"arrival_rate,omitempty"`
 	// MaxLive caps concurrent flows (default 10000). An arrival beyond
 	// the cap is counted in Stats.Rejected and dropped.
-	MaxLive int
+	MaxLive int `json:"max_live,omitempty"`
 	// InitialFlows starts this many flows at t=0 (clamped to MaxLive),
 	// so steady-state concurrency is reached without waiting for the
 	// arrival process to fill the live set (default 0).
-	InitialFlows int
+	InitialFlows int `json:"initial_flows,omitempty"`
 	// MiceBytes / MiceSigma shape the mice: flow sizes are lognormal,
 	// MiceBytes × exp(MiceSigma·N(0,1)) (defaults 20 KB, σ 1.0).
-	MiceBytes units.DataSize
-	MiceSigma float64
+	MiceBytes units.DataSize `json:"mice_bytes,omitempty"`
+	MiceSigma float64        `json:"mice_sigma,omitempty"`
 	// ElephantShare is the probability a flow is an elephant
 	// (default 0.05); elephants draw from a bounded Pareto with shape
 	// ParetoAlpha (default 1.3) starting at ElephantMinBytes
 	// (default 1 MB), capped at MaxFlowBytes (default 64 MB).
-	ElephantShare    float64
-	ParetoAlpha      float64
-	ElephantMinBytes units.DataSize
-	MaxFlowBytes     units.DataSize
+	ElephantShare    float64        `json:"elephant_share,omitempty"`
+	ParetoAlpha      float64        `json:"pareto_alpha,omitempty"`
+	ElephantMinBytes units.DataSize `json:"elephant_min_bytes,omitempty"`
+	MaxFlowBytes     units.DataSize `json:"max_flow_bytes,omitempty"`
 	// FlowTableSlots / OffloadThreshold parameterize the
 	// fast-path/slow-path flow-table cost model charged per arriving ACK
 	// (cpumodel.FlowTable): fast-path capacity (default 1024) and the
 	// lookup count after which a flow is offloaded (default 32 — mice
 	// complete before they amortize an offload, elephants do not).
-	FlowTableSlots   int
-	OffloadThreshold int
+	FlowTableSlots   int `json:"flow_table_slots,omitempty"`
+	OffloadThreshold int `json:"offload_threshold,omitempty"`
 }
 
 // WithDefaults fills zero fields.

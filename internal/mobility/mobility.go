@@ -52,8 +52,8 @@ type Trace struct {
 // memory downstream (the compiler emits O(samples) events).
 const maxSamples = 1 << 20
 
-// Validate rejects malformed traces: empty, non-monotone time, negative or
-// non-finite rates, loss outside [0, 1].
+// Validate rejects malformed traces: empty, covering no time, non-monotone
+// time, negative or non-finite rates, loss outside [0, 1].
 func (tr Trace) Validate() error {
 	if len(tr.Samples) == 0 {
 		return fmt.Errorf("mobility: trace %q has no samples", tr.Name)
@@ -81,6 +81,9 @@ func (tr Trace) Validate() error {
 		if math.IsNaN(s.Loss) || s.Loss < 0 || s.Loss > 1 {
 			return fmt.Errorf("mobility: trace %q sample %d loss %v out of [0,1]", tr.Name, i, s.Loss)
 		}
+	}
+	if tr.Duration() == 0 {
+		return fmt.Errorf("mobility: trace %q covers no time (one sample at 0 and no tick)", tr.Name)
 	}
 	return nil
 }

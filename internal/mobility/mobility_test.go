@@ -163,6 +163,24 @@ func TestParseCSVErrors(t *testing.T) {
 	}
 }
 
+// TestNoDurationRejected: a lone sample with no tick covers no time, so
+// parsing, resampling and compiling all refuse it instead of replaying a
+// commute whose only segment is empty.
+func TestNoDurationRejected(t *testing.T) {
+	const want = `trace "one" covers no time`
+	_, err := ParseCSV("one", strings.NewReader("timestamp_ms,dl_bitrate_kbps,rtt_ms,loss\n0,10000,76,0.0\n"))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ParseCSV: %v, want %q", err, want)
+	}
+	one := Trace{Name: "one", Samples: []Sample{{Rate: 10 * units.Mbps, RTT: 76 * time.Millisecond}}}
+	if _, err := one.Resample(100 * time.Millisecond); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Resample: %v, want %q", err, want)
+	}
+	if _, err := Compile(one, CompileOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Compile: %v, want %q", err, want)
+	}
+}
+
 func TestParseJSONLErrors(t *testing.T) {
 	cases := []struct{ name, in string }{
 		{"not json", "hello\n"},
@@ -361,7 +379,10 @@ func TestCompileTrailingOutage(t *testing.T) {
 }
 
 func TestCompileRejectsBadOptions(t *testing.T) {
-	tr := Trace{Name: "t", Samples: []Sample{{T: 0, Rate: units.Mbps}}}
+	tr := Trace{Name: "t", Tick: time.Second, Samples: []Sample{{T: 0, Rate: units.Mbps}}}
+	if _, err := Compile(tr, CompileOptions{}); err != nil {
+		t.Fatalf("Compile rejected the trace itself: %v", err)
+	}
 	for _, opt := range []CompileOptions{
 		{Hop: -1},
 		{RateHysteresis: -0.1},

@@ -256,13 +256,13 @@ func (b *Bus) Filter(k Kind) []Event {
 // disables everything (the hot path pays only nil-checks).
 type Config struct {
 	// Trace enables the structured event bus (and KindSample recording).
-	Trace bool
+	Trace bool `json:"trace,omitempty"`
 	// Metrics enables the metrics registry and engine self-metrics.
-	Metrics bool
+	Metrics bool `json:"metrics,omitempty"`
 	// Profile enables cycle attribution by op × core × phase.
-	Profile bool
+	Profile bool `json:"profile,omitempty"`
 	// MaxEvents caps the event buffer (0 = DefaultMaxEvents).
-	MaxEvents int
+	MaxEvents int `json:"max_events,omitempty"`
 }
 
 // Any reports whether any subsystem is enabled.
