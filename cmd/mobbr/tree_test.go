@@ -105,6 +105,8 @@ func TestPackageMap(t *testing.T) {
 		"internal/repro": {"cmd/mobbr", "bench"},
 		"internal/obs":   {"cmd/mobbr", "bench", "internal/repro"},
 		"internal/chaos": {"cmd/mobbr"},
+		// The goroutine baton stays only for the benchmark's handoff metric.
+		"internal/simnet": {"bench"},
 	}
 	seen := 0
 	for _, p := range pkgs {
@@ -139,7 +141,7 @@ var unreadAllowed = map[string]string{
 	"internal/cc/bbr/bbr.go: New":                         "accessor: builds the module the registry builds, for the cc, cctest and tcp tests",
 	"internal/cc/bbr/bbr.go: BBR.BtlBw":                   "accessor: the bandwidth filter BBR paces from, read by the master-module tests",
 	"internal/cc/bbrv2/bbrv2.go: New":                     "accessor: builds the module the registry builds, for the cctest scratch tests",
-	"internal/cc/cubic/cubic.go: New":                     "accessor: builds the module the registry builds, for the cc, cctest, apps and simnet tests",
+	"internal/cc/cubic/cubic.go: New":                     "accessor: builds the module the registry builds, for the cc, cctest and apps tests",
 	"internal/cc/reno/reno.go: New":                       "accessor: builds the module the registry builds, for the cctest scratch tests",
 	"internal/cpumodel/cpu.go: CPU.OpCycles":              "accessor: the per-op cycle totals Breakdown reports, read by the tcp tests",
 	"internal/flows/session.go: Session.Pool":             "accessor: the churn session's conn pool, read by the tcp recycle tests",

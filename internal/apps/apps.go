@@ -1,7 +1,8 @@
-// Package apps runs application workloads over the simulated stack via
-// simnet's virtual-time sockets: a closed-loop request/response workload
-// (per-request latency histograms) and a chunked live-streaming upload
-// (bitrate ladder, remote playout buffer, rebuffer accounting). Both ride
+// Package apps runs application workloads over the simulated stack as
+// engine callbacks on each connection's stream events: a closed-loop
+// request/response workload (per-request latency histograms) and a chunked
+// live-streaming upload (bitrate ladder, remote playout buffer, rebuffer
+// accounting). Both ride
 // the shared iperf harness — staggered starts, sampling, warmup, pooled
 // reclaim — so the paper's bulk upload becomes one workload among three,
 // and the pacing-stride sensitivity finally shows up in application
@@ -154,12 +155,6 @@ func (s *Stats) LatP(p float64) float64 { return stats.Percentile(s.LatMs, p) }
 
 // merge folds o into s (multi-seed aggregation); LatMs is re-sorted.
 func (s *Stats) merge(o *Stats) {
-	if o == nil {
-		return
-	}
-	if s.Kind == "" {
-		s.Kind = o.Kind
-	}
 	s.Completed += o.Completed
 	s.Canceled += o.Canceled
 	s.LatMs = append(s.LatMs, o.LatMs...)

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -9,79 +8,101 @@ import (
 	"mobbr/internal/iperf"
 	"mobbr/internal/netem"
 	"mobbr/internal/sim"
-	"mobbr/internal/simnet"
+	"mobbr/internal/tcp"
 	"mobbr/internal/units"
 )
 
-// Session drives one application workload over an iperf harness session:
-// every harness connection gets a (client, server) virtual-socket pair and
-// a pair of simnet procs running the workload's closed loop.
+// Session drives one application workload over an iperf harness session.
+// Every harness connection gets a client record that is its stream-event
+// sink and its receiver's delivery listener, so the closed loop runs as
+// engine callbacks: no goroutine, no channel.
 type Session struct {
 	eng *sim.Engine
 	wl  Workload
 	dur time.Duration
 	is  *iperf.Session
-	net *simnet.Net
-	// buf is every proc's scratch buffer: the sockets move lengths only and
-	// never read or write its bytes, so one buffer serves them all.
-	buf []byte
+	// downDelay is the modelled return stream's one-way latency: half the
+	// path's no-load RTT.
+	downDelay time.Duration
 
-	clis []*clientState
+	clis []*client
 }
 
-// clientState is one connection's application state. All fields are
-// touched only under the simnet baton, so no locking is needed.
-type clientState struct {
-	cl, sv *simnet.Conn
+// phase is where a client is in its closed loop.
+type phase uint8
 
-	// pending frames the byte stream: the client pushes each operation's
-	// size before writing it, the server pops a frame once that many
-	// bytes have been consumed and sends the response.
-	pending []int64
+const (
+	phaseIdle  phase = iota // start event not run yet
+	phaseWait               // thinking (reqrep) or waiting for capture (stream)
+	phaseWrite              // offering the operation to the send buffer
+	phaseRead               // written; waiting for the response
+	phaseDone               // the transport failed; the client has stopped
+)
+
+// client is one connection's application state: the uplink writer, the
+// server that frames the byte stream and answers each operation, and the
+// modelled server→client return stream. The heavy direction rides the full
+// simulated TCP stack; responses ride a delay/rate model (the paper's
+// return path carries only ACK-scale traffic).
+type client struct {
+	s     *Session
+	tc    *tcp.Conn
+	rx    *tcp.Receiver
+	phase phase
+
+	// The operation in flight: size bytes, started at t0. opLeft is what
+	// is not yet cut into pieces, pieceLeft what StreamWrite has not yet
+	// accepted of the current piece.
+	size, opLeft, pieceLeft int64
+	t0                      time.Duration
+
+	// served is how many delivered bytes the server has already answered;
+	// it answers the operation once size more have arrived.
+	served int64
+	// Return stream: each response piece serializes behind the previous
+	// at DownRate (respBusyUntil), then arrives downDelay later. pieces
+	// counts those still in flight; the last one completes the operation.
+	respBusyUntil time.Duration
+	pieces        int
 
 	completed, canceled int64
 	lat                 []float64 // ms per completed operation
 
-	// KindStream only.
+	// KindStream only. Chunk k is captured at readyAt = start+k·Chunk.
 	v         *viewer
+	readyAt   time.Duration
+	est       float64 // throughput EWMA, bits/sec
+	level     int     // ladder rung of the chunk in flight
 	levelBits float64 // Σ chosen ladder bitrate over completed chunks
 	switches  int64
 }
 
 // New assembles a workload session. The iperf config is forced into
 // stream-source mode; everything else (conns, duration, stagger, telemetry,
-// pool) is honoured as for a bulk run.
+// pool) is honoured as for a bulk run. The workload must have passed
+// Validate (core.Spec.Validate runs it).
 func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, icfg iperf.Config, wl Workload) (*Session, error) {
 	wl = wl.WithDefaults()
-	if err := wl.Validate(); err != nil {
-		return nil, err
-	}
-	if wl.Kind == "" {
-		return nil, fmt.Errorf("apps: empty workload kind (run iperf directly)")
-	}
-	if icfg.Duration <= 0 {
-		icfg.Duration = 10 * time.Second // match the iperf default
-	}
 	icfg.Stream = true
 	is, err := iperf.New(eng, cpu, path, icfg)
 	if err != nil {
 		return nil, err
 	}
-	n := simnet.New(eng)
-	pcfg := simnet.PairConfig{DownDelay: path.MinRTT() / 2, DownRate: wl.DownRate}
-	s := &Session{eng: eng, wl: wl, dur: icfg.Duration, is: is, net: n, buf: make([]byte, ioChunk)}
+	s := &Session{eng: eng, wl: wl, dur: icfg.Duration, is: is, downDelay: path.MinRTT() / 2}
 	conns, rxs := is.Conns(), is.Receivers()
-	for i := range conns {
-		cl, sv := n.Wrap(conns[i], rxs[i], pcfg)
-		st := &clientState{cl: cl, sv: sv}
+	for i, tc := range conns {
+		c := &client{s: s, tc: tc, rx: rxs[i]}
 		if wl.Kind == KindStream {
-			st.v = &viewer{chunk: wl.Chunk, startup: wl.Startup}
+			c.v = &viewer{chunk: wl.Chunk, startup: wl.Startup}
+			c.est = float64(wl.Ladder[0])
+			c.readyAt = eng.Now() + tc.StartDelay() // chunk 0 is captured at the start
 		}
-		s.clis = append(s.clis, st)
-		// The client proc starts with its transport's staggered kick; the
-		// server proc parks immediately on an empty receive stream.
-		n.Go(conns[i].StartDelay(), func(p *simnet.Proc) { s.runClient(p, st) })
-		n.Go(0, func(p *simnet.Proc) { s.runServer(p, st) })
+		tc.SetStreamEvents(c)
+		rxs[i].SetDeliveryListener(c.delivered)
+		s.clis = append(s.clis, c)
+		// The client's first operation starts with its transport's
+		// staggered kick, queued before the kick itself.
+		eng.ScheduleP(tc.StartDelay(), clientWake, c)
 	}
 	return s, nil
 }
@@ -91,143 +112,199 @@ func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, icfg iperf.Config
 func (s *Session) Iperf() *iperf.Session { return s.is }
 
 // Run executes the workload to the run horizon and returns the transport
-// report plus the application stats. Procs still mid-operation at the
-// horizon are unwound (counted as canceled) before the harness collects.
+// report plus the application stats.
 func (s *Session) Run() (*iperf.Report, *Stats) {
 	s.is.Start()
 	s.eng.Run(s.dur)
-	s.net.Shutdown()
 	rep := s.is.Finish()
 	return rep, s.collect()
 }
 
-func (s *Session) runClient(p *simnet.Proc, st *clientState) {
+// clientWake is the shared callback for a client's start and for the end
+// of its think or capture wait: the next operation begins.
+func clientWake(arg any) { arg.(*client).next() }
+
+// next begins the client's next operation. A stream client first picks the
+// chunk's ladder rung. If the transport has failed meanwhile, the write
+// fails at once and the operation is canceled.
+func (c *client) next() {
+	s := c.s
 	if s.wl.Kind == KindStream {
-		s.runStreamClient(p, st)
+		c.pickLevel()
+		c.size = int64(float64(s.wl.Ladder[c.level]) * s.wl.Chunk.Seconds() / 8)
+		if c.size < 1 {
+			c.size = 1
+		}
 	} else {
-		s.runReqRepClient(p, st)
+		c.size = int64(s.wl.ReqSize)
+	}
+	c.t0 = s.eng.Now()
+	c.opLeft, c.pieceLeft = c.size, 0
+	c.phase = phaseWrite
+	c.pump()
+}
+
+// pickLevel is the ABR step: the highest rung at or below 80% of the
+// estimated throughput, moving at most one rung per chunk.
+func (c *client) pickLevel() {
+	want := 0
+	for i, r := range c.s.wl.Ladder {
+		if float64(r) <= 0.8*c.est {
+			want = i
+		}
+	}
+	if want > c.level+1 {
+		want = c.level + 1
+	} else if want < c.level-1 {
+		want = c.level - 1
+	}
+	if want != c.level {
+		c.switches++
+		c.level = want
 	}
 }
 
-// runReqRepClient is the closed request/response loop: upload ReqSize,
-// read the RespSize reply, think, repeat.
-func (s *Session) runReqRepClient(p *simnet.Proc, st *clientState) {
-	buf := s.buf
-	for {
-		t0 := s.eng.Now()
-		st.pending = append(st.pending, int64(s.wl.ReqSize))
-		if !writeFull(st.cl, buf, int64(s.wl.ReqSize)) ||
-			!readFull(st.cl, buf, int64(s.wl.RespSize)) {
-			st.canceled++
+// pump offers the operation to the send buffer in pieces of at most
+// ioChunk, re-offering each piece until it is fully accepted; when the
+// buffer is full it returns and StreamWritable resumes it. Every
+// StreamWrite runs the transport's send path, so the piece sizes are part
+// of the event order.
+func (c *client) pump() {
+	for c.opLeft > 0 || c.pieceLeft > 0 {
+		if c.pieceLeft == 0 {
+			c.pieceLeft = min(c.opLeft, ioChunk)
+			c.opLeft -= c.pieceLeft
+		}
+		n, err := c.tc.StreamWrite(c.pieceLeft)
+		if err != nil {
+			c.canceled++
+			c.phase = phaseDone
 			return
 		}
-		st.completed++
-		st.lat = append(st.lat, ms(s.eng.Now()-t0))
+		if n == 0 {
+			return
+		}
+		c.pieceLeft -= n
+	}
+	c.phase = phaseRead
+}
+
+// StreamWritable implements tcp.StreamEvents: ACKs reopened buffer room.
+func (c *client) StreamWritable() {
+	if c.phase == phaseWrite {
+		c.pump()
+	}
+}
+
+// StreamDrained implements tcp.StreamEvents. The stream is never closed,
+// so it never drains.
+func (c *client) StreamDrained() {}
+
+// StreamFailed implements tcp.StreamEvents: the operation in flight is
+// canceled and the client stops. A client in its think or capture wait
+// finds out when the wait ends and its next write fails.
+func (c *client) StreamFailed(error) {
+	if c.phase == phaseWrite || c.phase == phaseRead {
+		c.canceled++
+		c.phase = phaseDone
+	}
+}
+
+// delivered is the receiver's delivery listener: once every byte of the
+// operation has arrived, the server answers it.
+func (c *client) delivered() {
+	if c.phase != phaseRead || int64(c.rx.GoodBytes())-c.served < c.size {
+		return
+	}
+	c.served += c.size
+	s := c.s
+	now := s.eng.Now()
+	for left := int64(s.wl.RespSize); left > 0; {
+		piece := min(left, ioChunk)
+		left -= piece
+		start := max(c.respBusyUntil, now)
+		var tx time.Duration
+		if s.wl.DownRate > 0 {
+			tx = s.wl.DownRate.TimeToSend(units.DataSize(piece))
+		}
+		c.respBusyUntil = start + tx
+		c.pieces++
+		s.eng.SchedulePAt(start+tx+s.downDelay, respArrive, c)
+	}
+}
+
+// respArrive is the shared callback for one response piece's arrival. The
+// last piece completes the operation.
+func respArrive(arg any) {
+	c := arg.(*client)
+	c.pieces--
+	if c.pieces == 0 && c.phase == phaseRead {
+		c.complete()
+	}
+}
+
+// complete records the finished operation and moves on: a reqrep client
+// thinks for a jittered Think, a stream client waits for the next capture
+// instant. Without a wait the next operation starts at once.
+func (c *client) complete() {
+	s := c.s
+	now := s.eng.Now()
+	c.completed++
+	if s.wl.Kind == KindStream {
+		// Latency is capture→acknowledgement — the stream's glass-to-glass
+		// contribution — so a stalled uplink shows up even though capture
+		// never stops.
+		c.lat = append(c.lat, ms(now-c.readyAt))
+		c.levelBits += float64(s.wl.Ladder[c.level])
+		if up := now - c.t0; up > 0 {
+			meas := float64(c.size*8) / up.Seconds()
+			c.est = 0.7*c.est + 0.3*meas
+		}
+		c.v.onChunk(now)
+		c.readyAt += s.wl.Chunk
+		if c.readyAt > now {
+			c.wait(c.readyAt - now)
+			return
+		}
+	} else {
+		c.lat = append(c.lat, ms(now-c.t0))
 		if s.wl.Think > 0 {
 			// Uniform jitter in [Think/2, 3·Think/2) so clients desynchronize.
-			d := s.wl.Think/2 + time.Duration(s.eng.Rand().Int63n(int64(s.wl.Think)))
-			if s.net.Sleep(p, d) != nil {
-				return // horizon hit between requests: nothing in flight
-			}
-		}
-	}
-}
-
-// runStreamClient is the live chunked uploader: chunk k is captured at
-// start+k·Chunk, encoded at the ABR-chosen ladder rung, uploaded and
-// acknowledged. Latency is capture→acknowledgement — the stream's glass-
-// to-glass contribution — so a stalled uplink shows up even though capture
-// never stops.
-func (s *Session) runStreamClient(p *simnet.Proc, st *clientState) {
-	buf := s.buf
-	start := s.eng.Now()
-	est := float64(s.wl.Ladder[0]) // throughput EWMA, bits/sec
-	level := 0
-	for k := 0; ; k++ {
-		readyAt := start + time.Duration(k)*s.wl.Chunk
-		if now := s.eng.Now(); readyAt > now {
-			if s.net.Sleep(p, readyAt-now) != nil {
-				return // horizon hit before the next capture
-			}
-		}
-		// ABR: highest rung at or below 80% of estimated throughput,
-		// moving at most one rung per chunk.
-		want := 0
-		for i, r := range s.wl.Ladder {
-			if float64(r) <= 0.8*est {
-				want = i
-			}
-		}
-		if want > level+1 {
-			want = level + 1
-		} else if want < level-1 {
-			want = level - 1
-		}
-		if want != level {
-			st.switches++
-			level = want
-		}
-		size := int64(float64(s.wl.Ladder[level]) * s.wl.Chunk.Seconds() / 8)
-		if size < 1 {
-			size = 1
-		}
-		st.pending = append(st.pending, size)
-		t0 := s.eng.Now()
-		if !writeFull(st.cl, buf, size) || !readFull(st.cl, buf, int64(s.wl.RespSize)) {
-			st.canceled++
-			return
-		}
-		now := s.eng.Now()
-		st.completed++
-		st.lat = append(st.lat, ms(now-readyAt))
-		st.levelBits += float64(s.wl.Ladder[level])
-		if up := now - t0; up > 0 {
-			meas := float64(size*8) / up.Seconds()
-			est = 0.7*est + 0.3*meas
-		}
-		st.v.onChunk(now)
-	}
-}
-
-// runServer consumes the uplink byte stream and answers one RespSize
-// response per framed operation. The frame queue is pushed by the client
-// before it writes, so under the baton a consumed byte always belongs to
-// an already-framed operation.
-func (s *Session) runServer(_ *simnet.Proc, st *clientState) {
-	buf := s.buf
-	var acc int64
-	for {
-		for len(st.pending) > 0 && acc >= st.pending[0] {
-			acc -= st.pending[0]
-			st.pending = st.pending[1:]
-			if !writeFull(st.sv, buf, int64(s.wl.RespSize)) {
-				return
-			}
-		}
-		n, err := st.sv.Read(buf)
-		acc += int64(n)
-		if err != nil {
+			c.wait(s.wl.Think/2 + time.Duration(s.eng.Rand().Int63n(int64(s.wl.Think))))
 			return
 		}
 	}
+	c.next()
+}
+
+// wait parks the client for d of virtual time.
+func (c *client) wait(d time.Duration) {
+	c.phase = phaseWait
+	c.s.eng.ScheduleP(d, clientWake, c)
 }
 
 // collect finalizes the viewers at the run horizon and folds all clients
-// into one Stats.
+// into one Stats. An operation in flight at the horizon is canceled, and
+// so is the first operation of a client whose start fell past it; a client
+// in its think or capture wait has nothing in flight.
 func (s *Session) collect() *Stats {
 	out := &Stats{Kind: s.wl.Kind}
 	var levelBits float64
-	for _, st := range s.clis {
-		out.Completed += st.completed
-		out.Canceled += st.canceled
-		out.LatMs = append(out.LatMs, st.lat...)
-		out.Switches += st.switches
-		levelBits += st.levelBits
-		if st.v != nil {
-			st.v.advance(s.dur)
-			out.Stalls += st.v.stalls
-			out.PlayMs += st.v.playMs
-			out.StallMs += st.v.stallMs
+	for _, c := range s.clis {
+		switch c.phase {
+		case phaseIdle, phaseWrite, phaseRead:
+			c.canceled++
+		}
+		out.Completed += c.completed
+		out.Canceled += c.canceled
+		out.LatMs = append(out.LatMs, c.lat...)
+		out.Switches += c.switches
+		levelBits += c.levelBits
+		if c.v != nil {
+			c.v.advance(s.dur)
+			out.Stalls += c.v.stalls
+			out.PlayMs += c.v.playMs
+			out.StallMs += c.v.stallMs
 		}
 	}
 	sort.Float64s(out.LatMs)
@@ -295,41 +372,8 @@ func (v *viewer) onChunk(now time.Duration) {
 	}
 }
 
-// ioChunk sizes the scratch buffer the workload loops push through the
-// virtual sockets (payloads are synthetic; only lengths travel).
-const ioChunk = 64 * units.KB
+// ioChunk is the most an application hands the transport in one write,
+// and the size of one response piece on the return stream.
+const ioChunk = int64(64 * units.KB)
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
-
-// writeFull pushes exactly n bytes through c, chunked by buf. Returns
-// false on any error (horizon shutdown, transport failure).
-func writeFull(c *simnet.Conn, buf []byte, n int64) bool {
-	for n > 0 {
-		b := buf
-		if int64(len(b)) > n {
-			b = b[:n]
-		}
-		m, err := c.Write(b)
-		n -= int64(m)
-		if err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// readFull consumes exactly n bytes from c, chunked by buf.
-func readFull(c *simnet.Conn, buf []byte, n int64) bool {
-	for n > 0 {
-		b := buf
-		if int64(len(b)) > n {
-			b = b[:n]
-		}
-		m, err := c.Read(b)
-		n -= int64(m)
-		if err != nil {
-			return false
-		}
-	}
-	return true
-}

@@ -141,7 +141,7 @@ type Spec struct {
 	// Workload selects the application driving each connection. The zero
 	// value (empty Kind) is the paper's iPerf bulk upload; "reqrep" and
 	// "stream" run closed-loop request/response and chunked live-upload
-	// clients over the simnet facade, reporting per-operation latency
+	// clients as engine callbacks, reporting per-operation latency
 	// quantiles and rebuffer ratios in Result.App.
 	Workload apps.Workload
 	// Flows, when set, replaces the fixed connection set with the churn

@@ -16,6 +16,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"reflect"
+	"strings"
 	"time"
 
 	"mobbr/internal/apps"
@@ -298,14 +301,79 @@ func EncodeSpec(s Spec) ([]byte, error) {
 	return json.Marshal(w)
 }
 
+// canonicalKeys walks the JSON value dec is at, which Decode accepted as a
+// t, and rejects an object key that is not exactly the name the encoder
+// writes for one of the struct's fields, or that its object repeats.
+// encoding/json matches keys case-insensitively, Unicode folds included,
+// and keeps the last of a repeated key, so either would let two repro lines
+// name one spec. Decode accepted the data, so its tokens are well-formed.
+func canonicalKeys(dec *json.Decoder, t reflect.Type) error {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	tok, _ := dec.Token()
+	switch tok {
+	case json.Delim('{'):
+		seen := map[string]bool{}
+		for dec.More() {
+			tok, _ = dec.Token()
+			key := tok.(string)
+			f, ok := wireField(t, key)
+			if !ok {
+				return fmt.Errorf("key %q is not spelled as the encoder spells it", key)
+			}
+			if seen[key] {
+				return fmt.Errorf("repeated key %q", key)
+			}
+			seen[key] = true
+			if err := canonicalKeys(dec, f.Type); err != nil {
+				return err
+			}
+		}
+	case json.Delim('['):
+		for dec.More() {
+			if err := canonicalKeys(dec, t.Elem()); err != nil {
+				return err
+			}
+		}
+	default:
+		return nil
+	}
+	dec.Token() // the closing delimiter
+	return nil
+}
+
+// wireField returns the field of struct type t that the encoder writes as
+// key: its json tag name, or its Go name when the tag gives none.
+func wireField(t reflect.Type, key string) (reflect.StructField, bool) {
+	for i := 0; t.Kind() == reflect.Struct && i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "" {
+			name = f.Name
+		}
+		if f.IsExported() && name == key {
+			return f, true
+		}
+	}
+	return reflect.StructField{}, false
+}
+
 // DecodeSpec parses EncodeSpec's output back into a Spec, recompiling any
-// mobility trace. Unknown fields and tokens are errors.
+// mobility trace. Unknown fields and tokens are errors, and so are keys
+// spelled other than the encoder spells them and data after the object.
 func DecodeSpec(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	// An absent or null token leaves its out-of-range sentinel in place.
 	w := specWire{Device: -1, CPU: -1, Network: -1}
 	if err := dec.Decode(&w); err != nil {
+		return Spec{}, fmt.Errorf("core: decoding spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("core: decoding spec: data after the spec object")
+	}
+	if err := canonicalKeys(json.NewDecoder(bytes.NewReader(data)), reflect.TypeOf(w)); err != nil {
 		return Spec{}, fmt.Errorf("core: decoding spec: %w", err)
 	}
 	if w.Device < 0 || w.CPU < 0 || w.Network < 0 {

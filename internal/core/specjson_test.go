@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -159,6 +160,14 @@ func TestSpecJSONStrict(t *testing.T) {
 		{"bad network", `{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"network":"6g"}`, "network token"},
 		{"bad event kind", `{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"network":"ethernet","faults":{"events":[{"kind":"meteor"}]}}`, "event kind"},
 		{"bad duration", `{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"network":"ethernet","duration":"fast"}`, "duration"},
+		{"mixed-case key", `{"device":"pixel4","Cpu":"low","cc":"bbr","conns":1,"network":"ethernet"}`, `key "Cpu"`},
+		{"folded key", `{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"network":"ethernet","ſeed":3}`, `key "ſeed"`},
+		{"nested mixed-case key", `{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"network":"ethernet","workload":{"Kind":"reqrep"}}`, `key "Kind"`},
+		{"untagged field's key", `{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"network":"ethernet","faults":{"events":[{"kind":"burst-loss","ge":{"pgoodtobad":0.1}}]}}`, `key "pgoodtobad"`},
+		{"repeated key", `{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"conns":2,"network":"ethernet"}`, `repeated key "conns"`},
+		{"repeated nested key", `{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"network":"ethernet","tc":{"loss":0.1,"loss":0.2}}`, `repeated key "loss"`},
+		{"saved fuzz input", fuzzInput(t, "de26c43d7d45c9f5"), `key "deviCe"`},
+		{"trailing data", fuzzInput(t, "7160ac6fee7fbe4f"), "data after the spec object"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,6 +180,24 @@ func TestSpecJSONStrict(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fuzzInput returns the one []byte value of a saved FuzzDecodeSpec input.
+func fuzzInput(t *testing.T, name string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeSpec", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "[]byte(")
+	if !ok {
+		t.Fatalf("%s: no []byte value", name)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return s
 }
 
 // TestNetworkTokens: every network round-trips through its token, an
@@ -243,11 +270,86 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add([]byte(`{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"network":"ethernet","flows":{"max_live":-1}}`))
 	f.Add([]byte(`{"device":null,"cpu":"low","cc":"bbr","conns":1,"network":"ethernet"}`))
 	f.Add([]byte(`{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"network":"ethernet","faults":{"hop":2,"events":[]}}`))
+	f.Add([]byte(`{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"CONNS":2,"network":"ethernet"}`))
+	f.Add([]byte(`{"device":"pixel4","cpu":"low","cc":"bbr","conns":1,"conns":2,"network":"ethernet"}`))
+	names := map[string]bool{}
+	wireNames(reflect.TypeOf(specWire{}), names)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := DecodeSpec(data)
 		if err != nil {
 			return
 		}
 		checkRoundTrip(t, spec)
+		// Accepted input uses only keys the encoder writes, each once per
+		// object: dropping repeats in a generic decode loses no token.
+		var generic any
+		if err := json.Unmarshal(data, &generic); err != nil {
+			t.Fatalf("accepted %q is not JSON: %v", data, err)
+		}
+		for _, key := range objectKeys(generic, nil) {
+			if !names[key] {
+				t.Fatalf("accepted %q with key %q, which no wire field is named", data, key)
+			}
+		}
+		again, _ := json.Marshal(generic)
+		if n, m := jsonTokens(t, data), jsonTokens(t, again); n != m {
+			t.Fatalf("accepted %q with a repeated key (%d tokens, %d without repeats)", data, n, m)
+		}
 	})
+}
+
+// wireNames adds to names every key the encoder can write for t: each
+// reachable struct field's json tag name, or its Go name when untagged.
+func wireNames(t reflect.Type, names map[string]bool) {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Array:
+		wireNames(t.Elem(), names)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if name == "" {
+				name = f.Name
+			}
+			names[name] = true
+			wireNames(f.Type, names)
+		}
+	}
+}
+
+// objectKeys appends every object key in a generic JSON value.
+func objectKeys(v any, keys []string) []string {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, e := range v {
+			keys = objectKeys(e, append(keys, k))
+		}
+	case []any:
+		for _, e := range v {
+			keys = objectKeys(e, keys)
+		}
+	}
+	return keys
+}
+
+// jsonTokens counts the tokens of the first JSON value in data.
+func jsonTokens(t *testing.T, data []byte) int {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	n, depth := 0, 0
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("tokens of %q: %v", data, err)
+		}
+		n++
+		switch tok {
+		case json.Delim('{'), json.Delim('['):
+			depth++
+		case json.Delim('}'), json.Delim(']'):
+			depth--
+		}
+		if depth == 0 {
+			return n
+		}
+	}
 }

@@ -48,10 +48,11 @@ type Config struct {
 	// experiments (e.g. BBR vs Cubic sharing a bottleneck).
 	CCMix []cc.Factory
 	// Stream builds every connection in stream-source mode: no bulk
-	// source runs; an application layer (internal/apps over simnet)
-	// pushes bytes with StreamWrite instead. The harness — staggered
-	// starts, sampling, intervals, warmup, reclaim, Collect — is shared
-	// unchanged, making iperf's bulk upload just one workload behind it.
+	// source runs; an application layer (internal/apps) pushes bytes with
+	// StreamWrite from its stream-event callbacks instead. The harness —
+	// staggered starts, sampling, intervals, warmup, reclaim, Collect — is
+	// shared unchanged, making iperf's bulk upload just one workload behind
+	// it.
 	Stream bool
 	// AppCPU, when set, is the application core charged the per-byte
 	// sendmsg copy (see device.NewCPUs). nil skips the copy cost.
@@ -146,8 +147,8 @@ func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg Config) (*Ses
 		return nil, fmt.Errorf("iperf: Config.CC or Config.CCMix is required")
 	}
 	if cfg.Shard != nil && cfg.Stream {
-		// Stream mode hands the send side to application goroutines via the
-		// simnet baton; that handoff is built around one engine.
+		// Stream mode hands the send side to the apps layer, whose server
+		// and return-stream model sit on the sender's engine.
 		return nil, fmt.Errorf("iperf: sharded runs do not support stream mode")
 	}
 	s := &Session{eng: eng, cpu: cpu, path: path, cfg: cfg, agg: &tcp.AggStats{}}

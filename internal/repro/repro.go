@@ -332,8 +332,8 @@ func Memory() Experiment {
 }
 
 // Apps is the application-workload grid: instead of bulk iperf uploads,
-// every point drives an application over simnet's virtual-time sockets
-// (internal/simnet + internal/apps) — closed-loop request/response clients
+// every point drives an application over each connection (internal/apps)
+// — closed-loop request/response clients
 // and an ABR-video-like chunked stream — and reports request-latency
 // quantiles and rebuffering alongside goodput. The paper measures bulk
 // transfer; this grid asks the follow-up question its §6 CPU findings
@@ -381,6 +381,8 @@ func Apps() Experiment {
 		s.Workload = apps.Workload{Kind: apps.KindStream}
 		pts = append(pts, Point{Label: "stream Low-End/bbr 10x", Spec: s})
 	}
+	// The title predates the apps layer's callback rewrite; it is printed
+	// and archived, so it keeps its wording.
 	return Experiment{ID: "apps", Title: "Application workloads over simnet: request latency and rebuffering", Points: pts}
 }
 

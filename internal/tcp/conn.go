@@ -89,14 +89,12 @@ type Conn struct {
 
 	// The send source is a byte stream: streamTotal is the write offset so
 	// far; streamEnd is the offset at CloseStream (-1 while the stream is
-	// open); closing marks a graceful Close in progress (stop once
-	// everything is acknowledged). A bulk source is a stream written up
-	// front (see open); SetStream empties it for an application that pushes
-	// bytes with StreamWrite and half-closes with CloseStream — the
-	// byte-stream surface simnet's virtual-time sockets drive.
+	// open). A bulk source is a stream written up front (see open);
+	// SetStream empties it for an application that pushes bytes with
+	// StreamWrite and half-closes with CloseStream — the byte-stream
+	// surface the flows and apps layers drive.
 	streamTotal  int64
 	streamEnd    int64
-	closing      bool
 	drainedFired bool
 	kicked       bool // Start's kick has run; writes may transmit
 	events       StreamEvents
@@ -445,7 +443,7 @@ func (c *Conn) SetStreamEvents(h StreamEvents) { c.events = h }
 // acknowledged. Zero once the stream is closed or the connection is done,
 // and always for an endless source.
 func (c *Conn) StreamRoom() int64 {
-	if c.done || c.closing || c.streamEnd >= 0 {
+	if c.done || c.streamEnd >= 0 {
 		return 0
 	}
 	room := int64(c.cfg.SndBuf) - (c.streamTotal - c.sndUna)
@@ -463,7 +461,7 @@ func (c *Conn) StreamWrite(n int64) (int64, error) {
 	if c.failedErr != nil {
 		return 0, c.failedErr
 	}
-	if c.done || c.closing || c.streamEnd >= 0 {
+	if c.done || c.streamEnd >= 0 {
 		return 0, fmt.Errorf("tcp: conn %d: write on closed stream", c.id)
 	}
 	if n <= 0 {
@@ -494,29 +492,8 @@ func (c *Conn) CloseStream() int64 {
 	return c.streamEnd
 }
 
-// Close begins a graceful teardown: CloseStream plus a deferred Stop —
-// timers keep running until the last written byte is acknowledged (the FIN
-// retransmits like data), then the connection stops. An endless source
-// never drains, so it stops immediately. Idempotent and safe at any point
-// in the connection's life, including before Start and concurrently with
-// recovery.
-func (c *Conn) Close() {
-	if c.done || c.closing {
-		return
-	}
-	if c.streamTotal == unbounded {
-		c.Stop()
-		return
-	}
-	c.closing = true
-	c.CloseStream()
-	if c.drainedFired {
-		c.Stop()
-	}
-}
-
 // maybeDrained fires the drained hook (once) when a closed stream has been
-// fully acknowledged, and completes a pending graceful Close.
+// fully acknowledged.
 func (c *Conn) maybeDrained() {
 	if c.streamEnd < 0 || c.drainedFired || c.sndUna < c.streamEnd {
 		return
@@ -524,9 +501,6 @@ func (c *Conn) maybeDrained() {
 	c.drainedFired = true
 	if c.events != nil {
 		c.events.StreamDrained()
-	}
-	if c.closing {
-		c.Stop()
 	}
 }
 

@@ -151,8 +151,9 @@ func TestCwndRestartAfterIdle(t *testing.T) {
 // --- stream-source mode hardening -------------------------------------------
 
 // streamDriver feeds a stream-mode connection from engine context the way
-// the simnet facade does: write as room frees (the writable callback),
-// half-close when everything is buffered, and record drain/failure.
+// the flows and apps layers do: write as room frees (the writable
+// callback), half-close when everything is buffered, and record
+// drain/failure.
 type streamDriver struct {
 	c              *Conn
 	total, written int64
@@ -193,8 +194,7 @@ func (d *streamDriver) pump() {
 }
 
 // TestStreamTransferDrains: a stream-mode source must deliver exactly the
-// written bytes, fire the drain callback once everything is acked, and
-// survive repeated Close calls afterwards.
+// written bytes and fire the drain callback once everything is acked.
 func TestStreamTransferDrains(t *testing.T) {
 	stub := &stubCC{cwnd: 64}
 	h := newHarness(t, Config{}, stub, netem.TC{})
@@ -212,13 +212,12 @@ func TestStreamTransferDrains(t *testing.T) {
 	if err := h.conn.Stats().Failed; err != nil {
 		t.Errorf("clean stream transfer failed the conn: %v", err)
 	}
-	h.conn.Close()
-	h.conn.Close() // idempotent
 }
 
 // TestStreamCloseIdempotent: CloseStream must return a stable end offset,
-// writes after it must fail, and Close before drain must tear down once
-// the FIN point is acknowledged — per-transaction open/close safety.
+// writes after it must fail, and a stream closed before it drained must
+// report drained once the FIN point is acknowledged — per-transaction
+// open/close safety.
 func TestStreamCloseIdempotent(t *testing.T) {
 	stub := &stubCC{cwnd: 64}
 	h := newHarness(t, Config{}, stub, netem.TC{})
@@ -235,8 +234,6 @@ func TestStreamCloseIdempotent(t *testing.T) {
 		if _, err := h.conn.StreamWrite(1); err == nil {
 			t.Error("StreamWrite after CloseStream succeeded")
 		}
-		h.conn.Close()
-		h.conn.Close()
 	})
 	h.eng.Run(5 * time.Second)
 	if got, want := h.rx.GoodBytes(), units.DataSize(d.written); got != want {
@@ -269,7 +266,7 @@ func TestStreamFailureSurfaced(t *testing.T) {
 
 // TestPerTransactionChurn: repeated short open/transfer/close cycles over
 // one shared path and demux — the request/response pattern — must deliver
-// every transaction in full with no leaks, stalls, or double-close issues.
+// every transaction in full with no leaks, stalls, or double-stop issues.
 func TestPerTransactionChurn(t *testing.T) {
 	eng := sim.New(1)
 	cpu := cpumodel.NewCPU(eng, cpumodel.DefaultCosts(), 5e9)
@@ -296,8 +293,8 @@ func TestPerTransactionChurn(t *testing.T) {
 		if !d.drained {
 			t.Fatalf("transaction %d never drained", i)
 		}
-		conn.Close()
-		conn.Close() // double-close per transaction must be safe
+		conn.Stop()
+		conn.Stop() // double-stop per transaction must be safe
 		if err := conn.Stats().Failed; err != nil {
 			t.Fatalf("transaction %d failed: %v", i, err)
 		}

@@ -54,7 +54,7 @@ type Receiver struct {
 	returnAck func(*seg.Ack)
 
 	// onDelivery, when set, fires after OnPacket whenever rcvNxt advanced —
-	// the receive-side readable notification the simnet facade consumes.
+	// the receive-side readable notification the apps layer consumes.
 	onDelivery func()
 }
 
