@@ -238,10 +238,8 @@ func TestLifecycle(t *testing.T) {
 			completed: 1, lat: []float64{73.255529}, processed: 1368},
 		{name: "horizon in capture wait", wl: stream(time.Second), conns: 1, dur: 900 * time.Millisecond,
 			completed: 1, lat: []float64{61.31249}, processed: 977},
-		{name: "reqrep starts past the horizon", wl: reqrep(0), conns: 4, dur: time.Microsecond,
-			canceled: 4},
-		{name: "stream starts past the horizon", wl: stream(0), conns: 4, dur: time.Microsecond,
-			canceled: 4},
+		{name: "reqrep starts past the horizon", wl: reqrep(0), conns: 4, dur: time.Microsecond},
+		{name: "stream starts past the horizon", wl: stream(0), conns: 4, dur: time.Microsecond},
 		// 200 KiB at 8 Mbps is four pieces (three of 64 KiB), each queued
 		// behind the last: the response takes 204.8 ms to serialize.
 		{name: "pieced response", wl: Workload{Kind: KindReqRep, RespSize: 200 * units.KB, DownRate: 8 * units.Mbps}, conns: 1, dur: time.Second,

@@ -28,11 +28,12 @@ type Session struct {
 	clis []*client
 }
 
-// phase is where a client is in its closed loop.
+// phase is where a client is in its closed loop. The zero value is idle:
+// the client's start event has not run yet.
 type phase uint8
 
 const (
-	phaseIdle  phase = iota // start event not run yet
+	_          phase = iota // idle
 	phaseWait               // thinking (reqrep) or waiting for capture (stream)
 	phaseWrite              // offering the operation to the send buffer
 	phaseRead               // written; waiting for the response
@@ -284,15 +285,14 @@ func (c *client) wait(d time.Duration) {
 }
 
 // collect finalizes the viewers at the run horizon and folds all clients
-// into one Stats. An operation in flight at the horizon is canceled, and
-// so is the first operation of a client whose start fell past it; a client
+// into one Stats. An operation in flight at the horizon is canceled; a
+// client whose start fell past the horizon never began one, and a client
 // in its think or capture wait has nothing in flight.
 func (s *Session) collect() *Stats {
 	out := &Stats{Kind: s.wl.Kind}
 	var levelBits float64
 	for _, c := range s.clis {
-		switch c.phase {
-		case phaseIdle, phaseWrite, phaseRead:
+		if c.phase == phaseWrite || c.phase == phaseRead {
 			c.canceled++
 		}
 		out.Completed += c.completed

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	"mobbr/internal/apps"
 	"mobbr/internal/device"
@@ -117,9 +116,11 @@ func TestMinRunAllocs(t *testing.T) {
 // keeps, on the benchmark's observed run (lossy four-CC mix, checker and all
 // three telemetry planes on). Like TestSteadyStateAllocs it runs the spec
 // for T and 3T and charges the difference in allocated bytes to the
-// difference in kept events. An event is written into the log once, so the
-// figure is its size plus the steady-state allocations of the run around
-// it; a log that re-copies itself as it grows pays several times the size.
+// difference in kept events. An event is written into the log once, as a
+// variable-length record, so the figure is the record's size plus the
+// steady-state allocations of the run around it; a log that re-copies
+// itself as it grows, or stores 88-byte Event structs, pays several times
+// the budget. Measured 14.4 B (94.8 B with a log of Event structs).
 func TestObservedRunBytesPerEvent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime changes allocation sizes")
@@ -144,11 +145,11 @@ func TestObservedRunBytesPerEvent(t *testing.T) {
 	short, shortEvents := run(T)
 	long, longEvents := run(3 * T)
 	per := (float64(long) - float64(short)) / float64(longEvents-shortEvents)
-	budget := 2 * float64(unsafe.Sizeof(telemetry.Event{}))
-	t.Logf("%.1f bytes per kept event (T=%v: %d B, %d events; 3T: %d B, %d events), budget %.0f",
+	const budget = 32
+	t.Logf("%.1f bytes per kept event (T=%v: %d B, %d events; 3T: %d B, %d events), budget %d",
 		per, T, short, shortEvents, long, longEvents, budget)
 	if per > budget {
-		t.Errorf("the observed run allocates %.1f bytes per kept event, budget %.0f (two events' size)", per, budget)
+		t.Errorf("the observed run allocates %.1f bytes per kept event, budget %d", per, budget)
 	}
 }
 

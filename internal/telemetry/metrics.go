@@ -84,11 +84,8 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	var cum uint64
 	for i, c := range s.Counts {
 		cum += c
-		if cum >= target {
-			if i < len(s.Bounds) {
-				return s.Bounds[i]
-			}
-			return s.Max
+		if cum >= target && i < len(s.Bounds) {
+			return s.Bounds[i]
 		}
 	}
 	return s.Max

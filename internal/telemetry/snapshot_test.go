@@ -99,6 +99,16 @@ func TestMergeHistogramSnapshots(t *testing.T) {
 	if got.Count != m.Count {
 		t.Fatalf("dst changed on rejected merge: %+v", got)
 	}
+	if msg := bm.Error(); !strings.Contains(msg, "[2 20]") || !strings.Contains(msg, "[1 10]") {
+		t.Fatalf("mismatch error %q does not name both layouts", msg)
+	}
+	if _, err := MergeHistogramSnapshots(m, mk([]float64{1}, 3)); !errors.As(err, &bm) {
+		t.Fatalf("bounds of another length merged with error %v", err)
+	}
+	// An empty src leaves dst as it is.
+	if got, err := MergeHistogramSnapshots(m, HistogramSnapshot{}); err != nil || got.Count != m.Count || got.Max != m.Max {
+		t.Fatalf("merging an empty snapshot gave %+v, %v", got, err)
+	}
 }
 
 // TestMergedHistogramSkipsMismatchedBounds: the digest's cross-connection

@@ -19,9 +19,11 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"mobbr/internal/sim"
@@ -97,26 +99,53 @@ type Event struct {
 // memory; overflow increments Dropped instead of growing.
 const DefaultMaxEvents = 1 << 21
 
-// Chunk capacities of the bus log: the first chunk holds firstChunkEvents,
-// each next one twice its predecessor, up to maxChunkEvents (about 360 KB).
+// Chunk sizes of the bus log: the first chunk holds firstChunkBytes, each
+// next one twice its predecessor, up to maxChunkBytes. No record is longer
+// than maxRecordBytes: kind, mask, a 10-byte time delta, a 10-byte conn,
+// two label indexes of at most 5 bytes and four 8-byte values.
 const (
-	firstChunkEvents = 64
-	maxChunkEvents   = 4096
+	firstChunkBytes = 4 << 10
+	maxChunkBytes   = 64 << 10
+	maxRecordBytes  = 64
 )
+
+// Presence bits of a record's mask byte: which of Old, New and the four
+// values the record carries.
+const (
+	hasOld byte = 1 << iota
+	hasNew
+	hasValue
+	hasV2
+	hasV3
+	hasV4
+)
+
+// valueBits names the presence bit of Value, V2, V3 and V4, in that order.
+var valueBits = [4]byte{hasValue, hasV2, hasV3, hasV4}
+
+// labelsHint sizes a bus's label table once: a run's labels are a few state
+// and mode names.
+const labelsHint = 64
 
 // Bus collects events from every instrumented layer of one run. A nil *Bus
 // is the disabled state: Emit on nil is a no-op, so call sites need no
 // enabled-check beyond the pointer they already hold.
 //
-// The log is a list of chunks that are filled in order and never copied: a
-// full chunk stays where it is and the next event opens a new one, so an
-// event is written once however long the run, where one growing slice
-// would copy it again at every re-allocation.
+// The log is a list of byte chunks holding one variable-length record per
+// event, filled in order and never copied: a record that does not fit in
+// the last chunk opens the next one. A record is the kind byte, a mask of
+// the fields present, the uvarint time since the previous record (wrapping
+// uint64 arithmetic), the zigzag-varint Conn, a uvarint index into the
+// label table for a non-empty Old and New, and the raw 8 bytes of each
+// value whose bits are non-zero, so every float round-trips exactly.
 type Bus struct {
 	eng     *sim.Engine
 	max     int
-	chunks  [][]Event
-	n       int // events kept, over all chunks
+	chunks  [][]byte
+	n       int           // events kept, over all chunks
+	last    time.Duration // At of the newest kept event
+	labels  []string
+	labelIx map[string]uint64
 	dropped uint64
 }
 
@@ -126,7 +155,8 @@ func NewBus(eng *sim.Engine, maxEvents int) *Bus {
 	if maxEvents <= 0 {
 		maxEvents = DefaultMaxEvents
 	}
-	return &Bus{eng: eng, max: maxEvents}
+	return &Bus{eng: eng, max: maxEvents,
+		labels: make([]string, 0, labelsHint), labelIx: make(map[string]uint64, labelsHint)}
 }
 
 // Emit records e at the current virtual time. Safe on a nil bus (no-op).
@@ -138,32 +168,104 @@ func (b *Bus) Emit(e Event) {
 		b.dropped++
 		return
 	}
-	e.At = b.eng.Now()
-	last := len(b.chunks) - 1
-	if last < 0 || len(b.chunks[last]) == cap(b.chunks[last]) {
-		size := firstChunkEvents
-		if last >= 0 {
-			size = min(2*cap(b.chunks[last]), maxChunkEvents)
+	now := b.eng.Now()
+	var buf [maxRecordBytes]byte
+	rec := append(buf[:0], byte(e.Kind), 0)
+	rec = binary.AppendUvarint(rec, uint64(now)-uint64(b.last))
+	rec = binary.AppendVarint(rec, int64(e.Conn))
+	if e.Old != "" {
+		rec[1] |= hasOld
+		rec = binary.AppendUvarint(rec, b.label(e.Old))
+	}
+	if e.New != "" {
+		rec[1] |= hasNew
+		rec = binary.AppendUvarint(rec, b.label(e.New))
+	}
+	for i, v := range [4]float64{e.Value, e.V2, e.V3, e.V4} {
+		if bits := math.Float64bits(v); bits != 0 {
+			rec[1] |= valueBits[i]
+			rec = binary.LittleEndian.AppendUint64(rec, bits)
 		}
-		b.chunks = append(b.chunks, make([]Event, 0, size))
+	}
+	last := len(b.chunks) - 1
+	if last < 0 || len(rec) > cap(b.chunks[last])-len(b.chunks[last]) {
+		size := firstChunkBytes
+		if last >= 0 {
+			size = min(2*cap(b.chunks[last]), maxChunkBytes)
+		}
+		b.chunks = append(b.chunks, make([]byte, 0, size))
 		last++
 	}
-	b.chunks[last] = append(b.chunks[last], e)
+	b.chunks[last] = append(b.chunks[last], rec...)
+	b.last = now
 	b.n++
 }
 
-// Events returns a copy of every recorded event in emission order (which is
-// also non-decreasing virtual-time order, since the engine clock never goes
-// backwards). It copies the whole log into one exactly-sized slice; only
-// tests call it — exporters walk the log through WriteJSONL and Filter.
+// label returns s's index in the label table, adding it if it is new.
+func (b *Bus) label(s string) uint64 {
+	ix, ok := b.labelIx[s]
+	if !ok {
+		ix = uint64(len(b.labels))
+		b.labels = append(b.labels, s)
+		b.labelIx[s] = ix
+	}
+	return ix
+}
+
+// each decodes the log in emission order (which is also non-decreasing
+// virtual-time order, since the engine clock never goes backwards) and
+// calls fn with every event until fn returns false.
+func (b *Bus) each(fn func(e *Event) bool) {
+	var (
+		at time.Duration
+		e  Event // one record for the whole walk: fn must not keep &e
+	)
+	for _, c := range b.chunks {
+		for len(c) > 0 {
+			e = Event{Kind: Kind(c[0])}
+			mask := c[1]
+			delta, n := binary.Uvarint(c[2:])
+			c = c[2+n:]
+			at += time.Duration(delta)
+			e.At = at
+			conn, n := binary.Varint(c)
+			c = c[n:]
+			e.Conn = int(conn)
+			if mask&hasOld != 0 {
+				ix, n := binary.Uvarint(c)
+				c = c[n:]
+				e.Old = b.labels[ix]
+			}
+			if mask&hasNew != 0 {
+				ix, n := binary.Uvarint(c)
+				c = c[n:]
+				e.New = b.labels[ix]
+			}
+			for i, v := range [4]*float64{&e.Value, &e.V2, &e.V3, &e.V4} {
+				if mask&valueBits[i] != 0 {
+					*v = math.Float64frombits(binary.LittleEndian.Uint64(c))
+					c = c[8:]
+				}
+			}
+			if !fn(&e) {
+				return
+			}
+		}
+	}
+}
+
+// Events returns a copy of every recorded event in emission order, in one
+// exactly-sized slice; only tests call it — exporters walk the log through
+// WriteJSONL and Filter.
 func (b *Bus) Events() []Event {
 	if b == nil {
 		return nil
 	}
 	out := make([]Event, 0, b.n)
-	for _, c := range b.chunks {
-		out = append(out, c...)
-	}
+	b.each(func(e *Event) bool {
+		out = append(out, *e)
+		return true
+	})
 	return out
 }
 
@@ -206,33 +308,31 @@ func (b *Bus) WriteJSONL(w io.Writer) error {
 	var (
 		buf bytes.Buffer
 		je  jsonEvent
+		err error
 	)
 	enc := json.NewEncoder(&buf)
 	i := 0
-	for _, c := range b.chunks {
-		for j := range c {
-			e := &c[j]
-			je = jsonEvent{
-				TNs: int64(e.At), Kind: e.Kind.String(), Conn: e.Conn,
-				Old: e.Old, New: e.New,
-				V: e.Value, V2: e.V2, V3: e.V3, V4: e.V4,
-			}
-			if err := enc.Encode(&je); err != nil {
-				return fmt.Errorf("telemetry: marshal event %d: %w", i, err)
-			}
-			i++
-			if buf.Len() >= jsonlFlushBytes {
-				if _, err := w.Write(buf.Bytes()); err != nil {
-					return err
-				}
-				buf.Reset()
-			}
+	b.each(func(e *Event) bool {
+		je = jsonEvent{
+			TNs: int64(e.At), Kind: e.Kind.String(), Conn: e.Conn,
+			Old: e.Old, New: e.New,
+			V: e.Value, V2: e.V2, V3: e.V3, V4: e.V4,
 		}
+		if err = enc.Encode(&je); err != nil {
+			err = fmt.Errorf("telemetry: marshal event %d: %w", i, err)
+			return false
+		}
+		i++
+		if buf.Len() >= jsonlFlushBytes {
+			_, err = w.Write(buf.Bytes())
+			buf.Reset()
+		}
+		return err == nil
+	})
+	if err != nil || buf.Len() == 0 {
+		return err
 	}
-	if buf.Len() == 0 {
-		return nil
-	}
-	_, err := w.Write(buf.Bytes())
+	_, err = w.Write(buf.Bytes())
 	return err
 }
 
@@ -242,13 +342,12 @@ func (b *Bus) Filter(k Kind) []Event {
 		return nil
 	}
 	var out []Event
-	for _, c := range b.chunks {
-		for _, e := range c {
-			if e.Kind == k {
-				out = append(out, e)
-			}
+	b.each(func(e *Event) bool {
+		if e.Kind == k {
+			out = append(out, *e)
 		}
-	}
+		return true
+	})
 	return out
 }
 

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -36,10 +38,13 @@ func TestBusStampsVirtualTime(t *testing.T) {
 }
 
 // TestBusCapDrops holds the cap to exact counts wherever it falls in the
-// chunked log: inside the first chunk, exactly on a chunk boundary (64, and
-// 64+128) and inside a later chunk. An event past the cap allocates nothing.
+// chunked log: inside the first chunk, exactly where the first chunk is full,
+// one past it (which opens the second chunk) and inside a later chunk. These
+// records are 4 B for event 0, whose value is +0 and so not stored, and 12 B
+// for each later one, so 342 events fill the first 4 KiB chunk to the byte.
+// An event past the cap allocates nothing.
 func TestBusCapDrops(t *testing.T) {
-	for _, limit := range []int{2, 64, 100, 192, 1000} {
+	for _, limit := range []int{2, 100, 342, 343, 1000} {
 		eng := sim.New(1)
 		bus := NewBus(eng, limit)
 		const emitted = 1500
@@ -54,6 +59,12 @@ func TestBusCapDrops(t *testing.T) {
 			if e.Value != float64(i) {
 				t.Fatalf("cap %d: event %d carries value %v; the first %d emitted must be kept in order", limit, i, e.Value, limit)
 			}
+		}
+		switch first := len(bus.chunks[0]); {
+		case limit == 342 && (len(bus.chunks) != 1 || first != firstChunkBytes):
+			t.Errorf("cap 342: %d chunks, the first holding %d B; want one full %d B chunk", len(bus.chunks), first, firstChunkBytes)
+		case limit == 343 && (len(bus.chunks) != 2 || first != firstChunkBytes || len(bus.chunks[1]) != 12):
+			t.Errorf("cap 343: %d chunks; want the first full and the second holding one 12 B record", len(bus.chunks))
 		}
 		if allocs := testing.AllocsPerRun(100, func() { bus.Emit(Event{Kind: KindRTO}) }); allocs != 0 {
 			t.Errorf("cap %d: an event past the cap allocated %.1f objects", limit, allocs)
@@ -79,8 +90,11 @@ func TestNilReceiversZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("disabled telemetry allocated %.1f allocs/op, want 0", allocs)
 	}
-	if bus.Events() != nil || bus.Dropped() != 0 {
+	if bus.Events() != nil || bus.Filter(KindRTO) != nil || bus.Dropped() != 0 {
 		t.Error("nil bus accessors not inert")
+	}
+	if p.CoreTotal("net") != 0 || p.Share("net", "x") != 0 || p.PhaseShare("net", "run", "x") != 0 {
+		t.Error("nil profile accessors not zero")
 	}
 	if r.Histogram("z", nil) != nil || r.Snapshot() != nil {
 		t.Error("nil registry should hand out nil instruments")
@@ -99,27 +113,51 @@ func TestNilReceiversZeroAlloc(t *testing.T) {
 // TestWriteJSONLMatchesMarshal holds the buffered encoder to the wire form
 // it replaced — json.Marshal of each event plus a newline — with strings
 // that need escaping and floats at both ends of the formatter. The event
-// counts sit on both sides of the log's first two chunk boundaries (64 and
-// 64+128); the largest runs past the doubling chunks into capped ones and
-// crosses several flush chunks, and the writer must see those chunks, not
-// one Write per event. Events and Filter must walk the log in emission
-// order.
+// counts sit on both sides of the log's first two chunk boundaries: the
+// count whose last record closes a chunk (found by a probe run, as records
+// vary in length) and the count that opens the next one. The largest runs
+// past the doubling chunks into capped ones and crosses several flush
+// chunks, and the writer must see those chunks, not one Write per event.
+// Events and Filter must walk the log in emission order.
 // (The allocation side is budgeted in core.TestSteadyStateAllocsJSONL,
 // which can skip itself under -race.)
 func TestWriteJSONLMatchesMarshal(t *testing.T) {
 	labels := []string{"", "STARTUP", `<a href="x">&</a>`, "tab\there", "µs/é\u2028"}
-	for _, events := range []int{0, 1, 63, 64, 65, 192, 193, 3*maxChunkEvents + 1} {
+	// run emits events and returns the bus with the indexes of the events
+	// that opened a chunk.
+	run := func(events int) (*Bus, []int) {
 		eng := sim.New(1)
 		bus := NewBus(eng, 0)
+		var opened []int
 		for i := 0; i < events; i++ {
 			i := i
 			eng.Schedule(time.Duration(i)*time.Microsecond, func() {
+				chunks := len(bus.chunks)
 				bus.Emit(Event{Kind: Kind(i % int(numKinds)), Conn: i%9 - 1,
 					Old: labels[i%len(labels)], New: labels[(i/3)%len(labels)],
 					Value: float64(i) / 7, V2: 1e21 * float64(i%2), V3: 1e-7 * float64(i%3), V4: float64(i % 4)})
+				if len(bus.chunks) > chunks {
+					opened = append(opened, i)
+				}
 			})
 		}
 		eng.Run(time.Second)
+		return bus, opened
+	}
+	// Event opened[c] is the first in chunk c, so the first c chunks hold
+	// opened[c] events.
+	_, opened := run(1000)
+	big := 20*maxChunkBytes/maxRecordBytes + 1
+	for _, events := range []int{0, 1, 63, opened[1], opened[1] + 1, opened[2], opened[2] + 1, big} {
+		bus, _ := run(events)
+		for c := 1; c <= 2; c++ {
+			if events == opened[c] && len(bus.chunks) != c || events == opened[c]+1 && len(bus.chunks) != c+1 {
+				t.Fatalf("%d events fill %d chunks; the first %d hold %d events", events, len(bus.chunks), c, opened[c])
+			}
+		}
+		if events == big && cap(bus.chunks[len(bus.chunks)-2]) != maxChunkBytes {
+			t.Fatalf("%d events never reached a %d B chunk", events, maxChunkBytes)
+		}
 
 		evs := bus.Events()
 		if len(evs) != events || cap(evs) != events {
@@ -164,6 +202,63 @@ func TestWriteJSONLMatchesMarshal(t *testing.T) {
 				events, want.Len(), got.writes, got.largest, jsonlFlushBytes)
 		}
 	}
+}
+
+// TestWritersReturnWriteErrors holds every text and JSONL writer to
+// returning its io.Writer's error, wherever the failing Write falls, and
+// every nil receiver's writer to writing nothing.
+func TestWritersReturnWriteErrors(t *testing.T) {
+	p := NewProfile()
+	p.Add("net", "pacing_timer", 100)
+	r := NewRegistry()
+	r.Histogram("gap_ms", []float64{1}).Observe(3)
+	bus := NewBus(sim.New(1), 0)
+	bus.Emit(Event{Kind: KindRTO})
+	var (
+		nilProfile *Profile
+		nilSnap    *Snapshot
+		nilStats   *EngineStats
+		nilBus     *Bus
+	)
+	for _, tc := range []struct {
+		name   string
+		write  func(io.Writer) error
+		writes int // Write calls that succeed before one fails
+	}{
+		{"Profile.WriteTable header", p.WriteTable, 0},
+		{"Profile.WriteTable row", p.WriteTable, 1},
+		{"Profile.WriteFolded", p.WriteFolded, 0},
+		{"Snapshot.Write", r.Snapshot().Write, 0},
+		{"EngineStats.Write", (&EngineStats{}).Write, 0},
+		{"Bus.WriteJSONL", bus.WriteJSONL, 0},
+	} {
+		w := &failingWriter{ok: tc.writes}
+		if err := tc.write(w); !errors.Is(err, errWriteFailed) {
+			t.Errorf("%s after %d good writes returned %v, want the writer's error", tc.name, tc.writes, err)
+		}
+	}
+	for name, write := range map[string]func(io.Writer) error{
+		"Profile.WriteTable": nilProfile.WriteTable, "Profile.WriteFolded": nilProfile.WriteFolded,
+		"Snapshot.Write": nilSnap.Write, "EngineStats.Write": nilStats.Write, "Bus.WriteJSONL": nilBus.WriteJSONL,
+	} {
+		w := &failingWriter{}
+		if err := write(w); err != nil || w.calls != 0 {
+			t.Errorf("nil %s returned %v after %d writes, want nil and none", name, err, w.calls)
+		}
+	}
+}
+
+var errWriteFailed = errors.New("write failed")
+
+// failingWriter accepts ok Write calls and fails every later one.
+type failingWriter struct{ ok, calls int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	if w.calls > w.ok {
+		return 0, errWriteFailed
+	}
+	return len(p), nil
 }
 
 // countingWriter records what it is given, in how many Write calls, and
@@ -243,6 +338,12 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	if got := h.Quantile(1); got != 500 {
 		t.Errorf("p100 = %v, want max 500 (overflow bucket)", got)
 	}
+	if got := h.Quantile(0); got != 10 {
+		t.Errorf("p0 = %v, want the first sample's bucket bound 10", got)
+	}
+	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
+		t.Errorf("p50 of an empty histogram = %v, want 0", got)
+	}
 }
 
 func TestRegistrySnapshotAndWrite(t *testing.T) {
@@ -303,6 +404,9 @@ func TestProfileSharesAndOutput(t *testing.T) {
 	}
 	if got := p.PhaseShare("net", "during", "pacing_timer"); got != 1 {
 		t.Errorf("during pacing share = %v, want 1", got)
+	}
+	if p.Share("gpu", "pacing_timer") != 0 || p.PhaseShare("net", "after", "pacing_timer") != 0 {
+		t.Error("a core or phase with no cycles must have share 0")
 	}
 
 	var tbl bytes.Buffer
