@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -74,10 +75,6 @@ func TestGridAndDiff(t *testing.T) {
 		t.Errorf("resumed tables differ from the first run's:\n%s\nvs\n%s", a, b)
 	}
 	expect(t, 0, []string{"== fig4: "}, nil, append(fig4, "-force-stride", "50", "-archive", forced)...)
-	// Shards on one worker per CPU oversubscribe any machine: a warning,
-	// not an error.
-	expect(t, 0, []string{"== fig4: "}, []string{"mobbr: warning: -shards 2 × "},
-		"grid", "-exp", "fig4", "-dur", "100ms", "-seeds", "1", "-j", "0", "-shards", "2")
 	traced := filepath.Join(dir, "traced")
 	expect(t, 0, []string{"== trace: ", "bbr Low-End"}, nil,
 		"grid", "-exp", "trace", "-dur", "100ms", "-seeds", "1", "-j", "1", "-archive", traced)
@@ -210,7 +207,11 @@ func TestRunCommand(t *testing.T) {
 	if err := os.WriteFile(specFile, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fromFile, _ := expect(t, 0, []string{": ok\n", "  goodput "}, nil, "-run-spec", "@"+specFile)
+	fromFile, _ := expect(t, 0, []string{" cubic conns=2 ", ", 1×200ms runs\n  goodput "}, nil, "-run-spec", "@"+specFile)
+	// A replayed spec takes run's path, so -seeds and the telemetry flags
+	// apply to it.
+	expect(t, 0, []string{", 2×200ms runs\n", "  goodput ", `{"t_ns":`, "metrics (last run):"}, nil,
+		"-run-spec", "@"+specFile, "-seeds", "2", "-trace", "-", "-metrics")
 
 	stdin, err := os.Open(specFile)
 	if err != nil {
@@ -226,7 +227,7 @@ func TestRunCommand(t *testing.T) {
 	}
 	expect(t, 1, nil, []string{"mobbr: core: decoding spec: "}, "-run-spec", `{"cc":`)
 	expect(t, 1, nil, []string{"mobbr: reading spec: open "}, "-run-spec", "@"+filepath.Join(dir, "missing.json"))
-	expect(t, 1, nil, []string{"mobbr: run failed:\ninvariant check failed "}, "-run-spec",
+	expect(t, 1, nil, []string{"invariant check failed ", "\nrepro: go run ./cmd/mobbr -run-spec "}, "-run-spec",
 		`{"device":"pixel4","cpu":"low","cc":"cubic","conns":1,"duration":"150ms","network":"ethernet","check":true,"inject":{"kind":"corrupt-inflight","at":"75ms"}}`)
 
 	expect(t, 0, []string{"  app stream ", "  rebuffer ", "  latency "}, nil,
@@ -307,7 +308,35 @@ func TestRunCommand(t *testing.T) {
 	} {
 		expect(t, 1, nil, []string{tc.stderr}, tc.args...)
 	}
-	expect(t, 2, nil, []string{"-shards must be at least 1"}, "-shards", "0")
+	expect(t, 2, nil, []string{"flag provided but not defined: -shards"}, "-shards", "2")
 	expect(t, 2, nil, []string{"mobbr: -dur must be positive, got 0s\n"}, "-dur", "0")
 	expect(t, 2, nil, []string{`mobbr: unknown command "bogus"`}, "bogus")
+}
+
+// TestFailedRunKeepsTrace replays the chaos corpus's corrupt-inflight
+// failure with a trace: the run exits 1 and still writes its event log,
+// which holds the checker's violation events.
+func TestFailedRunKeepsTrace(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "chaos", "testdata", "corpus", "violation-inflight-counter-seed0.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entry struct {
+		Spec json.RawMessage `json:"spec"`
+	}
+	if err := json.Unmarshal(data, &entry); err != nil {
+		t.Fatal(err)
+	}
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	expect(t, 1, nil, []string{"invariant check failed "}, "-run-spec", string(entry.Spec), "-trace", trace)
+	got, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(got, []byte(`"kind":"violation"`)) {
+		t.Errorf("the failed run's trace holds no violation event:\n%s", got)
+	}
+	// A trace that cannot be written is reported beside the run's failure.
+	expect(t, 1, nil, []string{"mobbr: writing trace: open ", "invariant check failed "},
+		"-run-spec", string(entry.Spec), "-trace", filepath.Join(t.TempDir(), "missing", "trace.jsonl"))
 }

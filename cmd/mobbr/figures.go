@@ -31,7 +31,7 @@ func figures(args []string, stdout, stderr io.Writer) int {
 	if status, ok := parse(fs, args, 0); !ok {
 		return status
 	}
-	stop, status, ok := sh.start(sh.jobs, stderr)
+	stop, status, ok := sh.start(stderr)
 	if !ok {
 		return status
 	}

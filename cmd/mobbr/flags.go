@@ -58,7 +58,7 @@ func failf(stderr io.Writer, format string, args ...any) int {
 type shared struct {
 	dur              time.Duration
 	seeds            int
-	jobs, shards     int
+	jobs             int
 	progress         bool
 	trFile, trPreset string
 	trSeed           int64
@@ -69,11 +69,11 @@ type shared struct {
 }
 
 // sharedFlags registers on fs the shared flags in names, a space-separated
-// list of: dur seeds j progress shards trace-source trace metrics profile
-// folded pprof. dur and seeds give those two flags' defaults; seeds, and
-// one shard, also stand when their flag is not registered.
+// list of: dur seeds j progress trace-source trace metrics profile folded
+// pprof. dur and seeds give those two flags' defaults; seeds also stands
+// when its flag is not registered.
 func sharedFlags(fs *flag.FlagSet, dur time.Duration, seeds int, names string) *shared {
-	s := &shared{seeds: seeds, shards: 1}
+	s := &shared{seeds: seeds}
 	want := strings.Fields(names)
 	has := func(name string) bool { return slices.Contains(want, name) }
 	if has("dur") {
@@ -87,9 +87,6 @@ func sharedFlags(fs *flag.FlagSet, dur time.Duration, seeds int, names string) *
 	}
 	if has("progress") {
 		fs.BoolVar(&s.progress, "progress", false, "live stderr progress: per-worker current point, done/failed, events/sec, ETA")
-	}
-	if has("shards") {
-		fs.IntVar(&s.shards, "shards", 1, "engine shards per run: split sender and receiver hosts across cores (conservative lookahead sync); results are identical at any -shards")
 	}
 	if has("trace-source") {
 		fs.StringVar(&s.trFile, "trace-file", "", "trace replay: replay the dataset trace (.csv, .jsonl) in `FILE`")
@@ -121,37 +118,22 @@ func (s *shared) telemetry() telemetry.Config {
 	return telemetry.Config{Trace: s.traceTo != "", Metrics: s.metrics, Profile: s.profile || s.folded != ""}
 }
 
-// checkParallelism validates the -shards/-j pair. Both knobs multiply:
-// every in-flight grid point drives its own shard set, so asking for more
-// shard goroutines than the scheduler has processors oversubscribes and the
-// lock-step windows serialize anyway — legal, but worth a warning.
-func checkParallelism(shards, jobs int) (warn string, err error) {
-	if shards < 1 {
-		return "", fmt.Errorf("-shards must be at least 1, got %d", shards)
-	}
+// checkParallelism validates -j, the grid points run in parallel.
+func checkParallelism(jobs int) error {
 	if jobs < 0 {
-		return "", fmt.Errorf("-j must be at least 0 (0 = one per CPU), got %d", jobs)
+		return fmt.Errorf("-j must be at least 0 (0 = one per CPU), got %d", jobs)
 	}
-	procs := runtime.GOMAXPROCS(0)
-	effJobs := jobs
-	if effJobs == 0 {
-		effJobs = procs
-	}
-	if shards > 1 && shards*effJobs > procs {
-		return fmt.Sprintf("-shards %d × %d workers wants %d goroutines but GOMAXPROCS is %d; shard windows will contend",
-			shards, effJobs, shards*effJobs, procs), nil
-	}
-	return "", nil
+	return nil
 }
 
-// start checks -dur and -seeds, and -shards against jobs workers, of run,
-// grid and figures, and starts the pprof profiles.
+// start checks -dur, -seeds and -j of run, grid and figures, and starts the
+// pprof profiles.
 // When ok is true the caller defers stop, which flushes the CPU profile
 // and writes the heap profile, so a failing run still leaves both files
 // whole. Otherwise it returns status: 2 for bad flags, 1 when a profile
 // cannot start.
-func (s *shared) start(jobs int, stderr io.Writer) (stop func(), status int, ok bool) {
-	warn, err := checkParallelism(s.shards, jobs)
+func (s *shared) start(stderr io.Writer) (stop func(), status int, ok bool) {
+	err := checkParallelism(s.jobs)
 	switch {
 	case s.dur <= 0:
 		err = fmt.Errorf("-dur must be positive, got %v", s.dur)
@@ -161,9 +143,6 @@ func (s *shared) start(jobs int, stderr io.Writer) (stop func(), status int, ok 
 	if err != nil {
 		fmt.Fprintln(stderr, "mobbr:", err)
 		return nil, 2, false
-	}
-	if warn != "" {
-		fmt.Fprintln(stderr, "mobbr: warning:", warn)
 	}
 	var cpu *os.File
 	if s.cpuProf != "" {

@@ -27,11 +27,11 @@ func grid(args []string, stdout, stderr io.Writer) int {
 	archiveDir := fs.String("archive", "", "write a run archive (manifest + per-point artifacts) under `DIR`/<exp-id>/; compare archives with mobbr diff")
 	rollup := fs.Bool("rollup", false, "print the per-cell (device×cpu×cc×network) rollup after each experiment table")
 	forceStride := fs.Float64("force-stride", 0, "override every point's pacing stride (deliberate perturbation for mobbr diff demos)")
-	sh := sharedFlags(fs, repro.DefaultDuration, repro.DefaultSeeds, "dur seeds j progress shards trace-source trace metrics profile pprof")
+	sh := sharedFlags(fs, repro.DefaultDuration, repro.DefaultSeeds, "dur seeds j progress trace-source trace metrics profile pprof")
 	if status, ok := parse(fs, args, 0); !ok {
 		return status
 	}
-	stop, status, ok := sh.start(sh.jobs, stderr)
+	stop, status, ok := sh.start(stderr)
 	if !ok {
 		return status
 	}
@@ -75,7 +75,7 @@ func grid(args []string, stdout, stderr io.Writer) int {
 	}
 	g := gridRun{
 		opts: repro.RunOpts{
-			Dur: sh.dur, Seeds: sh.seeds, Workers: sh.jobs, Shards: sh.shards, Telemetry: sh.telemetry(),
+			Dur: sh.dur, Seeds: sh.seeds, Workers: sh.jobs, Telemetry: sh.telemetry(),
 			Journal: *journal, Resume: *resume, Retries: *retries,
 		},
 		archiveDir: *archiveDir, rollup: *rollup, progress: sh.progress,

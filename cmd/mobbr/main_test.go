@@ -6,10 +6,10 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -66,7 +66,7 @@ func TestReproLineRuns(t *testing.T) {
 	if status := dispatch(args, &stdout, &stderr); status != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", status, stderr.String())
 	}
-	if want := spec.String() + ": ok\n  goodput "; !strings.HasPrefix(stdout.String(), want) {
+	if want := fmt.Sprintf("%s, 1×%v runs\n  goodput ", spec, spec.Duration); !strings.HasPrefix(stdout.String(), want) {
 		t.Errorf("stdout lacks the report header %q:\n%s", want, stdout.String())
 	}
 }
@@ -252,40 +252,23 @@ func TestFailuresAreLoud(t *testing.T) {
 }
 
 func TestCheckParallelism(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
 	cases := []struct {
-		name     string
-		shards   int
-		jobs     int
-		wantErr  string
-		wantWarn bool
+		name    string
+		jobs    int
+		wantErr string
 	}{
-		{name: "serial default", shards: 1, jobs: 0},
-		{name: "serial explicit jobs", shards: 1, jobs: 4},
-		{name: "zero shards", shards: 0, jobs: 1, wantErr: "-shards must be at least 1"},
-		{name: "negative shards", shards: -2, jobs: 1, wantErr: "-shards must be at least 1"},
-		{name: "negative jobs", shards: 2, jobs: -1, wantErr: "-j must be at least 0"},
-		// 2 shards on a single worker fits any multi-core box.
-		{name: "sharded one worker", shards: 2, jobs: 1, wantWarn: procs < 2},
-		// shards × effective workers beyond GOMAXPROCS must warn: jobs=0
-		// means one worker per CPU, so any shards > 1 oversubscribes.
-		{name: "sharded default jobs oversubscribes", shards: 2, jobs: 0, wantWarn: true},
-		{name: "sharded explicit oversubscription", shards: 4, jobs: procs, wantWarn: true},
+		{name: "serial default", jobs: 0},
+		{name: "serial explicit jobs", jobs: 4},
+		{name: "negative jobs", jobs: -1, wantErr: "-j must be at least 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			warn, err := checkParallelism(tc.shards, tc.jobs)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
-				}
-				return
-			}
-			if err != nil {
+			err := checkParallelism(tc.jobs)
+			if tc.wantErr == "" && err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
-			if (warn != "") != tc.wantWarn {
-				t.Errorf("warn = %q, wantWarn = %v (GOMAXPROCS %d)", warn, tc.wantWarn, procs)
+			if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -13,8 +14,8 @@ import (
 	"mobbr/internal/units"
 )
 
-// run runs one experiment from flags and prints an iPerf3-style report, or
-// with -run-spec replays one exact spec from a failure's repro line.
+// run runs one experiment, built from flags or, with -run-spec, replayed
+// from a failure's repro line, and prints an iPerf3-style report.
 //
 //	mobbr run -cc cubic -device pixel6 -network wifi -dur 10s
 //	mobbr run -cc bbr -config default -conns 20 -stride 5
@@ -32,7 +33,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pacing := fs.String("pacing", "auto", "pacing: auto, on, off")
 	appKind := fs.String("app", "", "application workload instead of bulk upload: reqrep, stream")
 	ival := fs.Duration("interval", 0, "print iperf3-style interval reports (e.g. 1s); needs -seeds 1")
-	runSpec := fs.String("run-spec", "", "run this exact spec JSON (as printed in repro lines; @FILE or - reads a file or stdin)")
+	runSpec := fs.String("run-spec", "", "run this exact spec JSON (as printed in repro lines; @FILE or - reads a file or stdin); -seeds, -interval and the telemetry flags still apply")
 	fs.StringVar(&spec.CC, "cc", "bbr", "congestion control: reno, cubic, bbr, bbr2, or a comma-separated mix assigned round-robin across connections (e.g. bbr,cubic)")
 	fs.IntVar(&spec.Conns, "conns", 1, "parallel connections (iperf3 -P)")
 	fs.Float64Var(&spec.Stride, "stride", 1, "pacing stride (§6.2)")
@@ -64,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	fs.IntVar(&wl.Startup, "startup", 0, "with -app stream: chunks buffered before playback starts")
 	unitFlag(fs, &wl.DownRate, units.ParseBandwidth, "down-rate", "with -app: modeled downlink serialization `rate`, e.g. 100Mbps")
-	sh := sharedFlags(fs, 5*time.Second, 1, "dur seeds shards trace metrics profile folded pprof")
+	sh := sharedFlags(fs, 5*time.Second, 1, "dur seeds trace metrics profile folded pprof")
 	if status, ok := parse(fs, args, 0); !ok {
 		return status
 	}
@@ -72,41 +73,47 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "mobbr: -interval prints one run's series and needs -seeds 1, got -seeds %d\n", sh.seeds)
 		return 2
 	}
-	stop, status, ok := sh.start(1, stderr)
+	stop, status, ok := sh.start(stderr)
 	if !ok {
 		return status
 	}
 	defer stop()
 	if *runSpec != "" {
-		return replaySpec(*runSpec, stdout, stderr)
+		var err error
+		if spec, err = readSpec(*runSpec); err != nil {
+			return failf(stderr, "%v", err)
+		}
+	} else {
+		// Tokens are the spec codec's, case-insensitive; lte and mmwave
+		// name the cellular networks too.
+		token := func(s string) []byte { return []byte(strings.ToLower(s)) }
+		if spec.Device.UnmarshalText(token(*devName)) != nil {
+			return failf(stderr, "unknown device %q", *devName)
+		}
+		if spec.CPU.UnmarshalText(token(*cfgName)) != nil {
+			return failf(stderr, "unknown CPU config %q", *cfgName)
+		}
+		if alias, ok := map[string]core.Network{"lte": core.Cellular, "mmwave": core.Cellular5G}[strings.ToLower(*netName)]; ok {
+			spec.Network = alias
+		} else if spec.Network.UnmarshalText(token(*netName)) != nil {
+			return failf(stderr, "unknown network %q", *netName)
+		}
+		on, off := true, false
+		var known bool
+		if spec.PacingOverride, known = map[string]*bool{"auto": nil, "on": &on, "off": &off}[strings.ToLower(*pacing)]; !known {
+			return failf(stderr, "pacing must be auto, on or off")
+		}
+		if *appKind != "" {
+			wl.Kind = strings.ToLower(*appKind)
+			spec.Workload = wl
+		}
+		spec.Duration, spec.Warmup = sh.dur, sh.dur/5
 	}
-
-	// Tokens are the spec codec's, case-insensitive; lte and mmwave name
-	// the cellular networks too.
-	token := func(s string) []byte { return []byte(strings.ToLower(s)) }
-	if spec.Device.UnmarshalText(token(*devName)) != nil {
-		return failf(stderr, "unknown device %q", *devName)
-	}
-	if spec.CPU.UnmarshalText(token(*cfgName)) != nil {
-		return failf(stderr, "unknown CPU config %q", *cfgName)
-	}
-	if alias, ok := map[string]core.Network{"lte": core.Cellular, "mmwave": core.Cellular5G}[strings.ToLower(*netName)]; ok {
-		spec.Network = alias
-	} else if spec.Network.UnmarshalText(token(*netName)) != nil {
-		return failf(stderr, "unknown network %q", *netName)
-	}
-	on, off := true, false
-	var known bool
-	if spec.PacingOverride, known = map[string]*bool{"auto": nil, "on": &on, "off": &off}[strings.ToLower(*pacing)]; !known {
-		return failf(stderr, "pacing must be auto, on or off")
-	}
-	if *appKind != "" {
-		wl.Kind = strings.ToLower(*appKind)
-		spec.Workload = wl
-	}
-	spec.Duration, spec.Warmup = sh.dur, sh.dur/5
-	spec.Telemetry = sh.telemetry()
-	spec.Shards = sh.shards
+	// A replayed spec keeps what it collected; the flags add to it.
+	tel := sh.telemetry()
+	spec.Telemetry.Trace = spec.Telemetry.Trace || tel.Trace
+	spec.Telemetry.Metrics = spec.Telemetry.Metrics || tel.Metrics
+	spec.Telemetry.Profile = spec.Telemetry.Profile || tel.Profile
 	if *ival > 0 {
 		// Interval reports are passive: the one run that records them is
 		// the run the report below describes.
@@ -115,6 +122,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	agg, err := core.RunSeeds(spec, sh.seeds)
 	if err != nil {
+		// A failed run keeps its trace, which holds the checker's
+		// violation events.
+		var re *core.RunError
+		if errors.As(err, &re) {
+			if werr := sh.writeTelemetry(&core.Result{Events: re.Events}, "failed run", stdout, stderr); werr != nil {
+				fmt.Fprintf(stderr, "mobbr: %v\n", werr)
+			}
+		}
 		return failf(stderr, "%v", err)
 	}
 	if spec.Interval > 0 {
@@ -186,10 +201,9 @@ func printReport(w io.Writer, spec core.Spec, agg *core.Aggregate, seeds int) {
 	}
 }
 
-// replaySpec replays one exact spec from a failure's repro line and prints
-// a short report. It returns 1 when the failure reproduced or the spec did
-// not parse; the error text carries its own repro line.
-func replaySpec(arg string, stdout, stderr io.Writer) int {
+// readSpec decodes the -run-spec argument: spec JSON as a repro line
+// prints it, or @FILE, or - for stdin.
+func readSpec(arg string) (core.Spec, error) {
 	data := []byte(arg)
 	var err error
 	switch {
@@ -199,23 +213,9 @@ func replaySpec(arg string, stdout, stderr io.Writer) int {
 		data, err = os.ReadFile(arg[1:])
 	}
 	if err != nil {
-		return failf(stderr, "reading spec: %v", err)
+		return core.Spec{}, fmt.Errorf("reading spec: %w", err)
 	}
-	spec, err := core.DecodeSpec(data)
-	if err != nil {
-		return failf(stderr, "%v", err)
-	}
-	res, err := core.Run(spec)
-	if err != nil {
-		return failf(stderr, "run failed:\n%v", err)
-	}
-	r := res.Report
-	fmt.Fprintf(stdout, "%s: ok\n", spec)
-	fmt.Fprintf(stdout, "  goodput      %8.1f Mbps\n", r.Goodput.Mbit())
-	fmt.Fprintf(stdout, "  avg rtt      %8.2f ms\n", float64(r.AvgRTT)/1e6)
-	fmt.Fprintf(stdout, "  retransmits  %8d\n", r.Retransmits)
-	fmt.Fprintf(stdout, "  cpu util     %8.0f %%\n", r.CPUUtil*100)
-	return 0
+	return core.DecodeSpec(data)
 }
 
 // unitFlag registers a flag parsed by one of the units parsers, so a

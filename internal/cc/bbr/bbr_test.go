@@ -59,7 +59,7 @@ func TestStartupExitsOnPlateau(t *testing.T) {
 	b.Init(f)
 	// Constant delivery rate: after ~3 rounds of no growth STARTUP ends.
 	drive(b, f, 400, 2*time.Millisecond, 50*units.Mbps)
-	if !b.FullPipe() {
+	if !b.FullPipe {
 		t.Fatal("full pipe never declared on a plateaued rate")
 	}
 	if b.Mode() == Startup {
@@ -122,8 +122,8 @@ func TestMinRTTTracksDecrease(t *testing.T) {
 	b.Init(f)
 	drive(b, f, 100, 5*time.Millisecond, 50*units.Mbps)
 	drive(b, f, 100, 2*time.Millisecond, 50*units.Mbps)
-	if b.MinRTTEstimate() != 2*time.Millisecond {
-		t.Errorf("min rtt = %v, want 2ms", b.MinRTTEstimate())
+	if b.MinRTT != 2*time.Millisecond {
+		t.Errorf("min rtt = %v, want 2ms", b.MinRTT)
 	}
 }
 
@@ -147,8 +147,8 @@ func TestProbeRTTEntryAfterWindowExpiry(t *testing.T) {
 	// cwnd collapses to the floor.
 	rs = f.Ack(2, 3*time.Millisecond, 50*units.Mbps)
 	b.OnAck(f, rs)
-	if f.CwndPkts > minCwndPackets {
-		t.Errorf("cwnd = %d in PROBE_RTT, want <= %d", f.CwndPkts, minCwndPackets)
+	if f.CwndPkts > MinCwndPackets {
+		t.Errorf("cwnd = %d in PROBE_RTT, want <= %d", f.CwndPkts, MinCwndPackets)
 	}
 	// Drain inflight, dwell 200ms + a round, then it exits.
 	f.Inflight = 2
@@ -160,7 +160,7 @@ func TestProbeRTTEntryAfterWindowExpiry(t *testing.T) {
 	if b.Mode() == ProbeRTT {
 		t.Error("never exited PROBE_RTT")
 	}
-	if f.CwndPkts <= minCwndPackets {
+	if f.CwndPkts <= MinCwndPackets {
 		t.Error("cwnd not restored after PROBE_RTT")
 	}
 }
@@ -220,9 +220,3 @@ func TestModeString(t *testing.T) {
 		}
 	}
 }
-
-// MinRTTEstimate returns BBR's propagation-delay estimate.
-func (b *BBR) MinRTTEstimate() time.Duration { return b.minRTT }
-
-// FullPipe reports whether startup declared the pipe full.
-func (b *BBR) FullPipe() bool { return b.fullPipe }

@@ -12,9 +12,8 @@ import (
 	"time"
 
 	"mobbr/internal/cc"
+	"mobbr/internal/cc/bbr"
 	"mobbr/internal/slab"
-	"mobbr/internal/stats"
-	"mobbr/internal/units"
 )
 
 // Phase is the v2 PROBE_BW sub-state.
@@ -44,45 +43,10 @@ func (p Phase) String() string {
 	}
 }
 
-// Mode is the top-level state, as in v1.
-type Mode int
-
-// Top-level modes.
+// BBRv2 constants (from the alpha defaults); the rest are v1's model's.
 const (
-	Startup Mode = iota
-	Drain
-	ProbeBW
-	ProbeRTT
-)
-
-// String returns the mode name.
-func (m Mode) String() string {
-	switch m {
-	case Startup:
-		return "STARTUP"
-	case Drain:
-		return "DRAIN"
-	case ProbeBW:
-		return "PROBE_BW"
-	case ProbeRTT:
-		return "PROBE_RTT"
-	default:
-		return "?"
-	}
-}
-
-// BBRv2 constants (from the alpha defaults).
-const (
-	highGain         = 2.773 // 2/ln2 adjusted down in v2
-	drainGain        = 1.0 / highGain
-	cwndGainDefault  = 2.0
-	bwWindowRounds   = 10
-	minRTTWindow     = 10 * time.Second
-	probeRTTDuration = 200 * time.Millisecond
-	minCwndPackets   = 4
-	fullBWThresh     = 1.25
-	fullBWCount      = 3
-	pacingMargin     = 0.99
+	highGain  = 2.773 // 2/ln2 adjusted down in v2
+	drainGain = 1.0 / highGain
 	// lossThresh is the per-round loss rate that signals "too much"
 	// (bbr_loss_thresh = 2%).
 	lossThresh = 0.02
@@ -112,30 +76,12 @@ const (
 var pacingGainDown = 0.9
 var pacingGainUp = 1.25
 
-// BBRv2 is one connection's BBR v2 state.
+// BBRv2 is one connection's BBR v2 state: v1's model, and the alpha's
+// loss-bounded state machine around it.
 type BBRv2 struct {
-	mode  Mode
+	bbr.Model
+	mode  bbr.Mode
 	phase Phase
-
-	// minRTTWindow is the propagation-delay filter length (see the v1
-	// package for why it is configurable).
-	minRTTWindow time.Duration
-
-	bwFilter   stats.WindowedMax
-	roundCount uint64
-	nextRTTDel int64
-	roundStart bool
-
-	minRTT      time.Duration
-	minRTTStamp time.Duration
-
-	probeRTTDoneAt time.Duration
-	probeRTTRound  int64
-	priorCwnd      int
-
-	fullBW    float64
-	fullBWCnt int
-	fullPipe  bool
 
 	pacingGain float64
 	cwndGain   float64
@@ -163,28 +109,19 @@ const unbounded = 1 << 30
 
 // New returns a fresh BBRv2 instance.
 func New() *BBRv2 {
-	b := fresh(minRTTWindow)
+	b := fresh(bbr.NewModel())
 	return &b
 }
 
-// fresh is the state of a new module with the given min-RTT window: all New
-// builds, and all Init keeps.
-func fresh(window time.Duration) BBRv2 {
+// fresh is the state of a new module around the model m: all New and
+// Factory build, and, with m started over, all Init keeps.
+func fresh(m bbr.Model) BBRv2 {
 	return BBRv2{
-		minRTTWindow: window,
-		bwFilter:     stats.NewWindowedMax(bwWindowRounds),
-		pacingGain:   highGain,
-		cwndGain:     highGain,
-		inflightHi:   unbounded,
-		inflightLo:   unbounded,
-	}
-}
-
-// SetMinRTTWindow overrides the 10-second min-RTT filter window for short
-// simulated runs.
-func (b *BBRv2) SetMinRTTWindow(d time.Duration) {
-	if d > 0 {
-		b.minRTTWindow = d
+		Model:      m,
+		pacingGain: highGain,
+		cwndGain:   highGain,
+		inflightHi: unbounded,
+		inflightLo: unbounded,
 	}
 }
 
@@ -194,7 +131,7 @@ func Factory() cc.Factory {
 	var mods slab.Slab[BBRv2]
 	return func() cc.CongestionControl {
 		b := mods.Next()
-		*b = fresh(minRTTWindow)
+		*b = fresh(bbr.NewModel())
 		return b
 	}
 }
@@ -209,7 +146,7 @@ func (b *BBRv2) WantsPacing() bool { return true }
 func (b *BBRv2) AckCost() float64 { return ackCost }
 
 // Mode returns the top-level mode (for tests).
-func (b *BBRv2) Mode() Mode { return b.mode }
+func (b *BBRv2) Mode() bbr.Mode { return b.mode }
 
 // CurrentPhase returns the PROBE_BW sub-phase (for tests).
 func (b *BBRv2) CurrentPhase() Phase { return b.phase }
@@ -229,7 +166,7 @@ var probeBWLabels = [...]string{
 // label is the externally visible state: the mode, with the sub-phase
 // appended while cycling PROBE_BW (e.g. "PROBE_BW/CRUISE").
 func (b *BBRv2) label() string {
-	if b.mode != ProbeBW {
+	if b.mode != bbr.ProbeBW {
 		return b.mode.String()
 	}
 	if uint(b.phase) < uint(len(probeBWLabels)) {
@@ -255,81 +192,29 @@ func (b *BBRv2) observe(mutate func()) {
 // Init implements cc.CongestionControl: everything but the configured
 // min-RTT window starts over, the mode listener included.
 func (b *BBRv2) Init(conn cc.Conn) {
-	*b = fresh(b.minRTTWindow)
-	rtt := conn.SRTT()
-	if rtt <= 0 {
-		rtt = time.Millisecond
-	}
-	bw := float64(conn.Cwnd()) * float64(conn.MSS()) / rtt.Seconds()
-	conn.SetPacingRate(units.Bandwidth(bw * 8 * highGain))
-}
-
-func (b *BBRv2) bdpPackets(conn cc.Conn, gain float64) int {
-	bw := b.bwFilter.Get()
-	if bw == 0 || b.minRTT <= 0 {
-		return conn.Cwnd()
-	}
-	// Quantization budget, as in v1: three send quanta of headroom.
-	n := int(bw*b.minRTT.Seconds()/float64(conn.MSS())*gain+0.5) + 3*tsoSegsGoal(conn)
-	if n < minCwndPackets {
-		n = minCwndPackets
-	}
-	return n
-}
-
-// tsoSegsGoal mirrors bbr_tso_segs_goal (see the v1 package).
-func tsoSegsGoal(conn cc.Conn) int {
-	bytes := float64(conn.PacingRate()) / 8 * 1e-3
-	segs := int(bytes / float64(conn.MSS()))
-	if segs < 2 {
-		segs = 2
-	}
-	if max := int(64 * 1024 / conn.MSS()); segs > max {
-		segs = max
-	}
-	return segs
+	*b = fresh(b.Model)
+	b.Model.Init(conn, highGain)
 }
 
 // OnAck implements cc.CongestionControl.
 func (b *BBRv2) OnAck(conn cc.Conn, rs *cc.RateSample) {
-	b.updateRound(conn, rs)
-	b.updateBandwidth(conn, rs)
-	b.updateLossModel(conn, rs)
-	b.checkFullPipe(conn, rs)
-	b.checkDrain(conn)
-	b.updateProbePhases(conn, rs)
-	b.updateMinRTT(conn, rs)
-	b.setPacingRate(conn)
-	b.setCwnd(conn, rs)
-}
-
-func (b *BBRv2) updateRound(conn cc.Conn, rs *cc.RateSample) {
 	b.roundLost += rs.Losses
 	b.roundDelivered += rs.AckedSacked
 	b.roundCE += rs.CECount
-	if rs.PriorDelivered >= b.nextRTTDel {
-		b.nextRTTDel = conn.Delivered()
-		b.roundCount++
-		b.roundStart = true
-	} else {
-		b.roundStart = false
-	}
-}
-
-func (b *BBRv2) updateBandwidth(conn cc.Conn, rs *cc.RateSample) {
-	if !rs.Valid() {
-		return
-	}
-	rate := float64(units.DataSize(rs.Delivered)*conn.MSS()) / rs.Interval.Seconds()
-	if !rs.IsAppLimited || rate >= b.bwFilter.Get() {
-		b.bwFilter.Update(b.roundCount, rate)
-	}
+	b.UpdateBandwidth(conn, rs)
+	b.updateLossModel(conn, rs)
+	b.CheckFullPipe(rs)
+	b.checkDrain(conn)
+	b.updateProbePhases(conn, rs)
+	b.checkProbeRTT(conn, rs)
+	b.SetPacingRate(conn, b.pacingGain)
+	b.setCwnd(conn, rs)
 }
 
 // updateLossModel adjusts inflight_hi/lo from per-round loss rates: the
 // core v2 addition.
 func (b *BBRv2) updateLossModel(conn cc.Conn, rs *cc.RateSample) {
-	if !b.roundStart {
+	if !b.RoundStart {
 		return
 	}
 	total := b.roundDelivered + b.roundLost
@@ -348,18 +233,18 @@ func (b *BBRv2) updateLossModel(conn cc.Conn, rs *cc.RateSample) {
 	if lossy {
 		// Learn/shrink the ceiling from what was in flight.
 		hi := int(float64(rs.PriorInFlight) * beta)
-		if hi < minCwndPackets {
-			hi = minCwndPackets
+		if hi < bbr.MinCwndPackets {
+			hi = bbr.MinCwndPackets
 		}
 		if hi < b.inflightHi || b.inflightHi == unbounded {
 			b.inflightHi = hi
 		}
 		b.inflightLo = hi
-		if b.mode == ProbeBW && b.phase == PhaseUp {
+		if b.mode == bbr.ProbeBW && b.phase == PhaseUp {
 			b.observe(func() { b.enterPhase(conn, PhaseDown) })
 		}
-		if b.mode == Startup {
-			b.fullPipe = true // excessive startup loss ends STARTUP
+		if b.mode == bbr.Startup {
+			b.FullPipe = true // excessive startup loss ends STARTUP
 		}
 	} else if b.inflightLo != unbounded {
 		// Decay the short-term bound once losses stop.
@@ -372,8 +257,8 @@ func (b *BBRv2) updateLossModel(conn cc.Conn, rs *cc.RateSample) {
 	// (bbr2_ecn_cut), steering inflight below the marking point.
 	if b.ecnAlpha > 0.01 && b.inflightLo != unbounded {
 		cut := int(float64(b.inflightLo) * (1 - b.ecnAlpha*ecnFactor))
-		if cut < minCwndPackets {
-			cut = minCwndPackets
+		if cut < bbr.MinCwndPackets {
+			cut = bbr.MinCwndPackets
 		}
 		if cut < b.inflightLo {
 			b.inflightLo = cut
@@ -384,37 +269,23 @@ func (b *BBRv2) updateLossModel(conn cc.Conn, rs *cc.RateSample) {
 	b.roundCE = 0
 }
 
-func (b *BBRv2) checkFullPipe(conn cc.Conn, rs *cc.RateSample) {
-	if b.fullPipe || !b.roundStart || rs.IsAppLimited {
-		return
-	}
-	bw := b.bwFilter.Get()
-	if bw >= b.fullBW*fullBWThresh {
-		b.fullBW = bw
-		b.fullBWCnt = 0
-		return
-	}
-	b.fullBWCnt++
-	if b.fullBWCnt >= fullBWCount {
-		b.fullPipe = true
-	}
-}
-
 func (b *BBRv2) checkDrain(conn cc.Conn) {
-	if b.mode == Startup && b.fullPipe {
+	if b.mode == bbr.Startup && b.FullPipe {
 		b.observe(func() {
-			b.mode = Drain
+			b.mode = bbr.Drain
 			b.pacingGain = drainGain
 			b.cwndGain = highGain
 		})
 	}
-	if b.mode == Drain && conn.PacketsInFlight() <= b.bdpPackets(conn, 1.0) {
-		b.observe(func() {
-			b.mode = ProbeBW
-			b.cwndGain = cwndGainDefault
-			b.enterPhase(conn, PhaseDown)
-		})
+	if b.mode == bbr.Drain && conn.PacketsInFlight() <= b.BDPPackets(conn, 1.0) {
+		b.observe(func() { b.enterProbeBW(conn) })
 	}
+}
+
+func (b *BBRv2) enterProbeBW(conn cc.Conn) {
+	b.mode = bbr.ProbeBW
+	b.cwndGain = bbr.CwndGain
+	b.enterPhase(conn, PhaseDown)
 }
 
 func (b *BBRv2) enterPhase(conn cc.Conn, p Phase) {
@@ -430,14 +301,14 @@ func (b *BBRv2) enterPhase(conn cc.Conn, p Phase) {
 	case PhaseRefill:
 		b.pacingGain = 1.0
 		b.inflightLo = unbounded
-		b.refillRound = b.roundCount
+		b.refillRound = b.RoundCount
 	case PhaseUp:
 		b.pacingGain = pacingGainUp
 	}
 }
 
 func (b *BBRv2) updateProbePhases(conn cc.Conn, rs *cc.RateSample) {
-	if b.mode != ProbeBW {
+	if b.mode != bbr.ProbeBW {
 		return
 	}
 	now := conn.Now()
@@ -453,7 +324,7 @@ func (b *BBRv2) updateProbePhases(conn cc.Conn, rs *cc.RateSample) {
 		}
 	case PhaseRefill:
 		// One round of refilling the pipe, then probe up.
-		if b.roundCount > b.refillRound {
+		if b.RoundCount > b.refillRound {
 			b.observe(func() { b.enterPhase(conn, PhaseUp) })
 		}
 	case PhaseUp:
@@ -461,7 +332,7 @@ func (b *BBRv2) updateProbePhases(conn cc.Conn, rs *cc.RateSample) {
 		// down in updateLossModel).
 		if b.inflightHi != unbounded && rs.PriorInFlight >= b.inflightHi {
 			b.observe(func() { b.enterPhase(conn, PhaseDown) })
-		} else if b.minRTT > 0 && rs.PriorInFlight >= b.bdpPackets(conn, 1.25) {
+		} else if b.MinRTT > 0 && rs.PriorInFlight >= b.BDPPackets(conn, 1.25) {
 			b.observe(func() { b.enterPhase(conn, PhaseDown) })
 		}
 	}
@@ -470,7 +341,7 @@ func (b *BBRv2) updateProbePhases(conn cc.Conn, rs *cc.RateSample) {
 // targetInflight is the CRUISE operating point: the BDP bounded by
 // inflight_hi with headroom and by inflight_lo.
 func (b *BBRv2) targetInflight(conn cc.Conn) int {
-	t := b.bdpPackets(conn, 1.0)
+	t := b.BDPPackets(conn, 1.0)
 	if b.inflightHi != unbounded {
 		if hi := int(float64(b.inflightHi) * headroom); t > hi {
 			t = hi
@@ -479,78 +350,48 @@ func (b *BBRv2) targetInflight(conn cc.Conn) int {
 	if b.inflightLo != unbounded && t > b.inflightLo {
 		t = b.inflightLo
 	}
-	if t < minCwndPackets {
-		t = minCwndPackets
+	if t < bbr.MinCwndPackets {
+		t = bbr.MinCwndPackets
 	}
 	return t
 }
 
-func (b *BBRv2) updateMinRTT(conn cc.Conn, rs *cc.RateSample) {
-	now := conn.Now()
-	expired := b.minRTT > 0 && now-b.minRTTStamp > b.minRTTWindow
-	if rs.RTT > 0 && (b.minRTT == 0 || rs.RTT <= b.minRTT || expired) {
-		b.minRTT = rs.RTT
-		b.minRTTStamp = now
-	}
-	if expired && b.mode != ProbeRTT && b.fullPipe {
+// checkProbeRTT enters PROBE_RTT when the min-RTT estimate has gone stale
+// and returns to PROBE_BW once the model's dwell at half a BDP is done.
+func (b *BBRv2) checkProbeRTT(conn cc.Conn, rs *cc.RateSample) {
+	if b.UpdateMinRTT(conn, rs) && b.mode != bbr.ProbeRTT && b.FullPipe {
 		b.observe(func() {
-			b.mode = ProbeRTT
-			b.priorCwnd = conn.Cwnd()
-			b.probeRTTDoneAt = 0
+			b.mode = bbr.ProbeRTT
+			b.EnterProbeRTT(conn)
 			b.pacingGain = 1.0
 		})
 	}
-	if b.mode == ProbeRTT {
-		if b.probeRTTDoneAt == 0 && conn.PacketsInFlight() <= b.probeRTTCwnd(conn) {
-			b.probeRTTDoneAt = now + probeRTTDuration
-			b.probeRTTRound = conn.Delivered()
-		}
-		if b.probeRTTDoneAt != 0 && now > b.probeRTTDoneAt && conn.Delivered() > b.probeRTTRound {
-			b.minRTTStamp = now
-			if conn.Cwnd() < b.priorCwnd {
-				conn.SetCwnd(b.priorCwnd)
-			}
-			b.observe(func() {
-				b.mode = ProbeBW
-				b.cwndGain = cwndGainDefault
-				b.enterPhase(conn, PhaseDown)
-			})
-		}
+	if b.mode == bbr.ProbeRTT && b.ProbeRTTDone(conn, b.probeRTTCwnd(conn)) {
+		b.observe(func() { b.enterProbeBW(conn) })
 	}
 }
 
 // probeRTTCwnd: v2 drains to half the BDP rather than 4 packets.
 func (b *BBRv2) probeRTTCwnd(conn cc.Conn) int {
-	n := b.bdpPackets(conn, 0.5)
-	if n < minCwndPackets {
-		n = minCwndPackets
+	n := b.BDPPackets(conn, 0.5)
+	if n < bbr.MinCwndPackets {
+		n = bbr.MinCwndPackets
 	}
 	return n
 }
 
-func (b *BBRv2) setPacingRate(conn cc.Conn) {
-	bw := b.bwFilter.Get()
-	if bw == 0 {
-		return
-	}
-	rate := units.Bandwidth(bw * 8 * b.pacingGain * pacingMargin)
-	if b.fullPipe || rate > conn.PacingRate() {
-		conn.SetPacingRate(rate)
-	}
-}
-
 func (b *BBRv2) setCwnd(conn cc.Conn, rs *cc.RateSample) {
-	if b.mode == ProbeRTT {
+	if b.mode == bbr.ProbeRTT {
 		if w := b.probeRTTCwnd(conn); conn.Cwnd() > w {
 			conn.SetCwnd(w)
 		}
 		return
 	}
-	target := b.bdpPackets(conn, b.cwndGain)
+	target := b.BDPPackets(conn, b.cwndGain)
 	// Apply the loss-learned bounds.
 	if b.inflightHi != unbounded {
 		bound := b.inflightHi
-		if b.mode == ProbeBW && b.phase == PhaseCruise {
+		if b.mode == bbr.ProbeBW && b.phase == PhaseCruise {
 			bound = int(float64(b.inflightHi) * headroom)
 		}
 		if target > bound {
@@ -560,33 +401,5 @@ func (b *BBRv2) setCwnd(conn cc.Conn, rs *cc.RateSample) {
 	if b.inflightLo != unbounded && target > b.inflightLo {
 		target = b.inflightLo
 	}
-	cwnd := conn.Cwnd()
-	acked := int(rs.AckedSacked)
-	if b.fullPipe {
-		if cwnd+acked < target {
-			cwnd += acked
-		} else {
-			cwnd = target
-		}
-	} else {
-		cwnd += acked
-	}
-	if cwnd < minCwndPackets {
-		cwnd = minCwndPackets
-	}
-	conn.SetCwnd(cwnd)
-}
-
-// OnEvent implements cc.CongestionControl.
-func (b *BBRv2) OnEvent(conn cc.Conn, ev cc.Event) {
-	switch ev {
-	case cc.EventEnterLoss:
-		b.priorCwnd = conn.Cwnd()
-	case cc.EventExitRecovery:
-		if b.priorCwnd > conn.Cwnd() {
-			conn.SetCwnd(b.priorCwnd)
-		}
-	case cc.EventEnterRecovery:
-		// Loss reaction happens per-round in updateLossModel.
-	}
+	b.GrowCwnd(conn, rs, target)
 }

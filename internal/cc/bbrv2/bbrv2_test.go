@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mobbr/internal/cc"
+	"mobbr/internal/cc/bbr"
 	"mobbr/internal/cc/cctest"
 	"mobbr/internal/units"
 )
@@ -35,7 +36,7 @@ func TestStartupToProbeBW(t *testing.T) {
 	b := New()
 	b.Init(f)
 	drive(b, f, 1000, 2*time.Millisecond, 50*units.Mbps)
-	if b.Mode() != ProbeBW {
+	if b.Mode() != bbr.ProbeBW {
 		t.Fatalf("mode = %v, want ProbeBW", b.Mode())
 	}
 }
@@ -132,7 +133,7 @@ func TestProbePhaseCycle(t *testing.T) {
 	b := New()
 	b.Init(f)
 	drive(b, f, 1000, 2*time.Millisecond, 50*units.Mbps)
-	if b.Mode() != ProbeBW {
+	if b.Mode() != bbr.ProbeBW {
 		t.Fatalf("mode = %v", b.Mode())
 	}
 	seen := map[Phase]bool{}
@@ -188,12 +189,12 @@ func TestExcessStartupLossEndsStartup(t *testing.T) {
 	f.Inflight = 30
 	b := New()
 	b.Init(f)
-	for i := 0; i < 200 && !b.fullPipe; i++ {
+	for i := 0; i < 200 && !b.FullPipe; i++ {
 		rs := f.Ack(2, 2*time.Millisecond, 400*units.Mbps)
 		rs.Losses = 2
 		b.OnAck(f, rs)
 	}
-	if !b.fullPipe {
+	if !b.FullPipe {
 		t.Error("startup did not end under heavy loss")
 	}
 }
@@ -225,11 +226,11 @@ func TestPhaseString(t *testing.T) {
 // requires that building one allocates nothing.
 func TestLabelTable(t *testing.T) {
 	b := New()
-	for _, m := range []Mode{Startup, Drain, ProbeBW, ProbeRTT} {
+	for _, m := range []bbr.Mode{bbr.Startup, bbr.Drain, bbr.ProbeBW, bbr.ProbeRTT} {
 		for _, p := range []Phase{PhaseDown, PhaseCruise, PhaseRefill, PhaseUp, Phase(7)} {
 			b.mode, b.phase = m, p
 			want := m.String()
-			if m == ProbeBW {
+			if m == bbr.ProbeBW {
 				want += "/" + p.String()
 			}
 			if got := b.label(); got != want {
@@ -237,7 +238,7 @@ func TestLabelTable(t *testing.T) {
 			}
 		}
 	}
-	b.mode, b.phase = ProbeBW, PhaseCruise
+	b.mode, b.phase = bbr.ProbeBW, PhaseCruise
 	if allocs := testing.AllocsPerRun(100, func() { _ = b.label() }); allocs != 0 {
 		t.Errorf("label allocated %.1f objects", allocs)
 	}

@@ -443,8 +443,10 @@ func Run(spec Spec) (*Result, error) { return run(spec, true) }
 func run(spec Spec, pooled bool) (*Result, error) {
 	spec = spec.withDefaults()
 	// Every failure path returns a *RunError wrapping the defaulted spec,
-	// so the error text always ends with a one-command repro line.
-	fail := func(err error) error { return &RunError{Spec: spec, Err: err} }
+	// so the error text always ends with a one-command repro line, and the
+	// event log so far once there is one.
+	var bus *telemetry.Bus
+	fail := func(err error) error { return &RunError{Spec: spec, Err: err, Events: bus} }
 	if err := spec.Validate(); err != nil {
 		return nil, fail(err)
 	}
@@ -464,11 +466,8 @@ func run(spec Spec, pooled bool) (*Result, error) {
 			inner := factory
 			factory = func() cc.CongestionControl {
 				m := inner()
-				switch b := m.(type) {
-				case *bbr.BBR:
-					b.SetMinRTTWindow(w)
-				case *bbrv2.BBRv2:
-					b.SetMinRTTWindow(w)
+				if b, ok := m.(interface{ SetMinRTTWindow(time.Duration) }); ok {
+					b.SetMinRTTWindow(w) // either BBR's model
 				}
 				return m
 			}
@@ -510,7 +509,6 @@ func run(spec Spec, pooled bool) (*Result, error) {
 	// Observability: each layer is built only when asked for, and a nil
 	// bus/registry/profile keeps every instrumentation site a no-op.
 	tel := spec.Telemetry
-	var bus *telemetry.Bus
 	if tel.Trace {
 		bus = telemetry.NewBus(eng, tel.MaxEvents)
 	}

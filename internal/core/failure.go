@@ -5,6 +5,7 @@ import (
 
 	"mobbr/internal/check"
 	"mobbr/internal/sim"
+	"mobbr/internal/telemetry"
 )
 
 // Failure classes. Every run failure maps to exactly one stable class; the
@@ -36,6 +37,9 @@ type RunError struct {
 	Spec Spec
 	// Err is the underlying failure.
 	Err error
+	// Events is the run's event log up to the failure, nil unless the
+	// spec asked for a trace: a checker trip's violation events are in it.
+	Events *telemetry.Bus
 }
 
 // Error implements error.

@@ -53,10 +53,10 @@ func (s *sampler) tick() {
 // a sample builds no string. The phase is appended in every mode, as the
 // sample has always shown it.
 var bbr2Modes = [4][4]string{
-	bbrv2.Startup:  {"STARTUP/DOWN", "STARTUP/CRUISE", "STARTUP/REFILL", "STARTUP/UP"},
-	bbrv2.Drain:    {"DRAIN/DOWN", "DRAIN/CRUISE", "DRAIN/REFILL", "DRAIN/UP"},
-	bbrv2.ProbeBW:  {"PROBE_BW/DOWN", "PROBE_BW/CRUISE", "PROBE_BW/REFILL", "PROBE_BW/UP"},
-	bbrv2.ProbeRTT: {"PROBE_RTT/DOWN", "PROBE_RTT/CRUISE", "PROBE_RTT/REFILL", "PROBE_RTT/UP"},
+	bbr.Startup:  {"STARTUP/DOWN", "STARTUP/CRUISE", "STARTUP/REFILL", "STARTUP/UP"},
+	bbr.Drain:    {"DRAIN/DOWN", "DRAIN/CRUISE", "DRAIN/REFILL", "DRAIN/UP"},
+	bbr.ProbeBW:  {"PROBE_BW/DOWN", "PROBE_BW/CRUISE", "PROBE_BW/REFILL", "PROBE_BW/UP"},
+	bbr.ProbeRTT: {"PROBE_RTT/DOWN", "PROBE_RTT/CRUISE", "PROBE_RTT/REFILL", "PROBE_RTT/UP"},
 }
 
 // ccMode extracts the state-machine mode from BBR-family modules, looking

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mobbr/internal/cc/bbr"
 	"mobbr/internal/cc/bbrv2"
 	"mobbr/internal/cpumodel"
 	"mobbr/internal/device"
@@ -92,7 +93,7 @@ func TestSampleModeUnderMasterModule(t *testing.T) {
 func TestBBR2ModeLabels(t *testing.T) {
 	for m := range bbr2Modes {
 		for p, got := range bbr2Modes[m] {
-			if want := bbrv2.Mode(m).String() + "/" + bbrv2.Phase(p).String(); got != want {
+			if want := bbr.Mode(m).String() + "/" + bbrv2.Phase(p).String(); got != want {
 				t.Errorf("bbr2Modes[%d][%d] = %q, want %q", m, p, got, want)
 			}
 		}

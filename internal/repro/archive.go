@@ -42,9 +42,7 @@ func BuildExperimentRun(e Experiment, rows []Row, o ArchiveOpts) (*obs.Run, erro
 	dur := o.Dur
 	var events uint64
 	for i, r := range rows {
-		// Shards is deliberately 0: the wire form excludes it anyway, so an
-		// archive written by a sharded grid is byte-identical to a serial one.
-		ps := pointSpec(e.Points[i], o.Dur, o.Telemetry, 0)
+		ps := pointSpec(e.Points[i], o.Dur, o.Telemetry)
 		spec, err := core.EncodeSpec(ps)
 		if err != nil {
 			return nil, fmt.Errorf("repro: archive %s/%s: %w", e.ID, e.Points[i].Label, err)

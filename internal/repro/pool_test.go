@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -105,6 +106,38 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Errorf("%s point %d: sample report differs between -j 1 and -j 8", e.ID, i)
 			}
 		}
+	}
+}
+
+// TestShardedGridMatchesSerial is the grid-scale differential of the
+// sharded engine, which grids no longer offer but core.Spec.Shards still
+// selects: every experiment in the registry, run serial and with every
+// point's spec asking for two shards, must produce deeply equal rows.
+// Points with serial-only features (churn, app workloads, mobility, faults)
+// exercise the fallback path and must also match.
+func TestShardedGridMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid differential is long")
+	}
+	// A short duration keeps it affordable: every point runs twice.
+	opts := RunOpts{Dur: 60 * time.Millisecond, Seeds: 1, Workers: 1}
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			serial := runGrid(t, e, opts)
+			e.Points = slices.Clone(e.Points)
+			for i := range e.Points {
+				e.Points[i].Spec.Shards = 2
+			}
+			s, h := stripSample(serial), stripSample(runGrid(t, e, opts))
+			for i := range s {
+				h[i].Point.Spec.Shards = 0 // the one input that differs
+				if !reflect.DeepEqual(s[i], h[i]) {
+					t.Errorf("point %q differs:\nserial:  %+v\nsharded: %+v",
+						e.Points[i].Label, s[i], h[i])
+				}
+			}
+		})
 	}
 }
 

@@ -383,7 +383,7 @@ func Apps() Experiment {
 	}
 	// The title predates the apps layer's callback rewrite; it is printed
 	// and archived, so it keeps its wording.
-	return Experiment{ID: "apps", Title: "Application workloads over simnet: request latency and rebuffering", Points: pts}
+	return Experiment{ID: "apps", Title: "Application workloads: request latency and rebuffering", Points: pts}
 }
 
 // Scale is the million-flow data path grid: open-loop Poisson flow churn

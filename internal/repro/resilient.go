@@ -49,11 +49,6 @@ type RunOpts struct {
 	// progress reporting). Journal-resumed points report PointDone without a
 	// preceding PointStart. Never influences execution.
 	Progress Observer
-	// Shards splits each eligible run across engine shards
-	// (core.Spec.Shards); results and journal entries are identical to a
-	// serial run's, so a journal written with one shard count resumes
-	// cleanly under another.
-	Shards int
 }
 
 func (o RunOpts) withDefaults() RunOpts {
@@ -147,7 +142,7 @@ const retryBackoff = 100 * time.Millisecond
 // runPointResilient runs one point to a Row, retrying infra-class failures
 // with doubling backoff and folding any terminal failure into Row.Failure.
 func runPointResilient(p Point, opts RunOpts) Row {
-	spec := pointSpec(p, opts.Dur, opts.Telemetry, opts.Shards)
+	spec := pointSpec(p, opts.Dur, opts.Telemetry)
 	backoff := retryBackoff
 	for attempt := 1; ; attempt++ {
 		row, err := runPointAttempt(p, spec, opts.Seeds)

@@ -56,17 +56,14 @@ type Observer interface {
 // pointSpec is the one place a grid point's spec is finalized for a run, so
 // the runner, a journal resume and the archive agree exactly. A point that
 // pins its own Duration (recovery's fault timeline, a trace's length) keeps
-// it and its warm-up; every other point takes the grid's. shards requests
-// intra-run engine sharding; specs with serial-only features ignore it
-// (core.Spec.sharded), and it never reaches the spec wire form.
-func pointSpec(p Point, dur time.Duration, tel telemetry.Config, shards int) core.Spec {
+// it and its warm-up; every other point takes the grid's.
+func pointSpec(p Point, dur time.Duration, tel telemetry.Config) core.Spec {
 	spec := p.Spec
 	if spec.Duration == 0 {
 		spec.Duration = dur
 		spec.Warmup = dur / 5
 	}
 	spec.Telemetry = tel
-	spec.Shards = shards
 	return spec
 }
 
