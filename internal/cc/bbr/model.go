@@ -272,10 +272,10 @@ func (m *Model) GrowCwnd(conn cc.Conn, rs *cc.RateSample, target int) {
 	conn.SetCwnd(cwnd)
 }
 
-// OnEvent implements cc.CongestionControl. Neither version takes loss
-// events as a congestion signal (v1 ignores loss and ECN; v2 reacts per
-// round from its own accounting); both preserve cwnd across RTO episodes
-// (bbr_undo_cwnd-style).
+// OnEvent is both versions' cc.CongestionControl.OnEvent. Neither takes
+// loss events as a congestion signal (v1 ignores loss and ECN; v2 reacts
+// per round from its own accounting); both preserve cwnd across RTO
+// episodes (bbr_undo_cwnd-style).
 func (m *Model) OnEvent(conn cc.Conn, ev cc.Event) {
 	switch ev {
 	case cc.EventEnterLoss:

@@ -467,7 +467,7 @@ func run(spec Spec, pooled bool) (*Result, error) {
 			factory = func() cc.CongestionControl {
 				m := inner()
 				if b, ok := m.(interface{ SetMinRTTWindow(time.Duration) }); ok {
-					b.SetMinRTTWindow(w) // either BBR's model
+					b.SetMinRTTWindow(w) // both BBRs, through their shared model
 				}
 				return m
 			}
