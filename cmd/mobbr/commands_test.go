@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -81,15 +82,41 @@ func TestGridAndDiff(t *testing.T) {
 	observed := slices.Clip(append(fig4, "-metrics", "-profile", "-journal", filepath.Join(dir, "observed.jsonl")))
 	expect(t, 0, []string{"== fig4: ", "metrics (Default pacing-off, last seed):", "cycle profile (Default pacing-off, last seed):"}, nil,
 		append(observed, "-archive", filepath.Join(dir, "observed"))...)
-	// A resumed point has no in-memory run, so there is nothing to print.
-	out, _ := expect(t, 0, []string{"== fig4: "}, nil, append(observed, "-resume")...)
+	// A resumed point has no in-memory run, so its telemetry block is not
+	// re-printed, and stderr says so; its archived record is the journal's.
+	out, _ := expect(t, 0, []string{"== fig4: "},
+		[]string{"mobbr: Default pacing-off was resumed from the journal: its last-seed telemetry block is not re-printed (the archive keeps its digest)\n"},
+		append(observed, "-resume", "-archive", filepath.Join(dir, "observed2"))...)
 	if strings.Contains(out, "metrics (") || strings.Contains(out, "cycle profile (") {
 		t.Errorf("a fully resumed grid printed telemetry:\n%s", out)
 	}
-	if data, err := os.ReadFile(filepath.Join(dir, "observed", "fig4", "points", "000.json")); err != nil ||
-		!strings.Contains(string(data), `"digest": {`) || !strings.Contains(string(data), `"max_pending": `) {
-		t.Errorf("a metrics run archived no digest or queue depth (err %v):\n%s", err, data)
+	for i := range 6 {
+		name := filepath.Join("fig4", "points", fmt.Sprintf("%03d.json", i))
+		a, errA := os.ReadFile(filepath.Join(dir, "observed", name))
+		b, errB := os.ReadFile(filepath.Join(dir, "observed2", name))
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Errorf("%s differs between the first and the resumed archive (err %v, %v):\n%s\nvs\n%s", name, errA, errB, a, b)
+		}
+		if !strings.Contains(string(a), `"digest": {`) || !strings.Contains(string(a), `"max_pending": `) {
+			t.Errorf("a metrics run archived no digest or queue depth in %s:\n%s", name, a)
+		}
 	}
+	if out, errOut := expect(t, 0, nil, nil, "diff", filepath.Join(dir, "observed"), filepath.Join(dir, "observed2")); out != "" || errOut != "" {
+		t.Errorf("diff of the first and the resumed archive printed stdout %q, stderr %q; want nothing", out, errOut)
+	}
+	// An archive that lost its digests fails the diff against one that kept them.
+	lost, err := obs.LoadRun(filepath.Join(dir, "observed", "fig4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range lost.Points {
+		lost.Points[i].Digest = nil
+	}
+	if err := obs.WriteRun(filepath.Join(dir, "lost", "fig4"), lost.Manifest, lost.Points); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, 1, []string{"mobbr diff: 1 experiment(s), 3 cell(s): 0 regressed, 0 improved, 6 point(s) with a histogram digest on one side only\n"},
+		nil, "diff", filepath.Join(dir, "observed"), filepath.Join(dir, "lost"))
 	if status := dispatch(append(fig4, "-rollup"), failWriter{}, io.Discard); status != 1 {
 		t.Errorf("grid -rollup into a failing stdout: exit %d, want 1", status)
 	}

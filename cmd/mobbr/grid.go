@@ -111,6 +111,9 @@ func (g gridRun) runAll(exps []repro.Experiment, stdout, stderr io.Writer) int {
 		last = rows[len(rows)-1]
 	}
 	if g.opts.Telemetry.Any() {
+		if last.Sample == nil && last.Failure == nil {
+			fmt.Fprintf(stderr, "mobbr: %s was resumed from the journal: its last-seed telemetry block is not re-printed (the archive keeps its digest)\n", last.Point.Label)
+		}
 		if err := g.out.writeTelemetry(last.Sample, last.Point.Label+", last seed", stdout, stderr); err != nil {
 			return failf(stderr, "%v", err)
 		}

@@ -93,6 +93,9 @@ type DiffSummary struct {
 	Improved    int
 	// Unmatched counts points present on one side only.
 	Unmatched int
+	// OneSidedDigests counts aligned, unfailed points whose histogram
+	// digest one run lost although both recorded metrics; it gates.
+	OneSidedDigests int
 	// SkippedExps lists experiment ids present in only one archive.
 	SkippedExps []string
 }
@@ -120,6 +123,12 @@ func Diff(a, b *Archive, opts DiffOpts) ([]Delta, DiffSummary, error) {
 		sum.Experiments++
 		pairs, unmatched := alignPoints(ra, rb)
 		sum.Unmatched += unmatched
+		for _, pr := range pairs {
+			if ra.Manifest.Metrics && rb.Manifest.Metrics && pr.a.Failure == nil && pr.b.Failure == nil &&
+				(len(pr.a.Digest) == 0) != (len(pr.b.Digest) == 0) {
+				sum.OneSidedDigests++
+			}
+		}
 		for _, d := range diffRun(exp, pairs, opts) {
 			sum.Cells++
 			if d.Regressed() {

@@ -21,9 +21,11 @@
 //	    ...
 //
 // Per-point artifacts contain only deterministic fields (measurements,
-// spec JSON, contained failures, engine event totals), so re-archiving the
-// same grid — including a journal-resumed one — reproduces them
-// byte-identically. Wall-clock timing lives in the manifest only.
+// spec JSON, contained failures, engine event totals, histogram digests).
+// The grid runner builds each point's record once, when the point
+// finishes, and its checkpoint journal line is that record, so a
+// journal-resumed grid archives byte-identically to an uninterrupted one.
+// Wall-clock timing lives in the manifest only.
 package obs
 
 import (
@@ -79,11 +81,10 @@ type Manifest struct {
 
 // Metrics is the measured outcome of one grid point — the union of the
 // fields the standard, recovery and trace experiments report, with
-// omitempty on the experiment-specific ones. repro.Row embeds it, so the
+// omitempty on the experiment-specific ones. PointRecord embeds it, so the
 // table printers, the checkpoint journal and the archive all read one
-// struct. All fields are JSON numbers; Go's float64 round-trips exactly
-// through encoding/json, so a journal-resumed row prints byte-identically
-// to the original.
+// struct. Go's float64 round-trips exactly through encoding/json, so a
+// journal-resumed row prints byte-identically to the original.
 type Metrics struct {
 	// GoodputMbps and GoodputCI are the seed-mean and 95% CI half-width
 	// (recovery points: of the pre-fault goodput over [warmup, fault start)).
@@ -179,7 +180,19 @@ type HistDigest struct {
 	P99    float64   `json:"p99"`
 }
 
-// PointRecord is the per-grid-point artifact.
+// Segment summarizes one trace segment for one trace-replay point; which
+// segment is positional (the spec's Mobility.Segments).
+type Segment struct {
+	// GoodputMbps is the seed-mean goodput across the segment's intervals.
+	GoodputMbps float64 `json:"goodput_mbps"`
+	// RTTms is the seed-mean smoothed RTT across the segment's intervals.
+	RTTms float64 `json:"rtt_ms"`
+	// Retransmits is the seed-mean retransmission count in the segment.
+	Retransmits float64 `json:"retransmits"`
+}
+
+// PointRecord is the per-grid-point artifact, and the grid runner's
+// checkpoint journal line (in compact form) for the same point.
 type PointRecord struct {
 	// V is the codec version (Version).
 	V int `json:"v"`
@@ -192,10 +205,13 @@ type PointRecord struct {
 	// aligns on (modulo deliberate knob perturbations).
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Metrics is the measured outcome (zero when Failure is set).
-	Metrics Metrics `json:"metrics"`
+	Metrics `json:"metrics"`
 	// Events is the simulator events executed for this point across its
 	// seeds (deterministic).
 	Events uint64 `json:"events,omitempty"`
+	// Segments is the per-segment breakdown of a trace-replay point,
+	// parallel to the spec's Mobility.Segments; nil for every other point.
+	Segments []Segment `json:"segments,omitempty"`
 	// MaxPending is the engine queue high-water mark of the last seed when
 	// engine self-metrics were collected (deterministic). Stopped timers
 	// awaiting reclaim count; rescheduled ones count once.
@@ -204,9 +220,8 @@ type PointRecord struct {
 	// failed under the resilient runner.
 	Failure *Failure `json:"failure,omitempty"`
 	// Digest holds the point's telemetry histogram digest (last seed),
-	// keyed by instrument, when metrics telemetry was enabled for an
-	// in-process run (journal-resumed points have no in-memory sample and
-	// therefore no digest).
+	// keyed by instrument, when metrics telemetry was enabled. It is folded
+	// when the point finishes, so a journal-resumed point carries it too.
 	Digest map[string]HistDigest `json:"digest,omitempty"`
 	// DigestSkipped counts histograms dropped from Digest because their
 	// bucket bounds did not match their instrument's.
@@ -388,9 +403,6 @@ var gitDescribe = sync.OnceValue(func() string {
 // histograms dropped for mismatched bucket bounds.
 func DigestSnapshot(s *telemetry.Snapshot) (map[string]HistDigest, int) {
 	merged, skipped := s.HistogramDigest()
-	if len(merged) == 0 {
-		return nil, skipped
-	}
 	out := make(map[string]HistDigest, len(merged))
 	for name, h := range merged {
 		if h.Count == 0 {

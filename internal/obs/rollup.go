@@ -41,9 +41,6 @@ func (c Cell) String() string {
 // on internal/core is required here. Points without a spec (or with an
 // unparsable one) land in the zero Cell.
 func CellOf(spec json.RawMessage) Cell {
-	if len(spec) == 0 {
-		return Cell{}
-	}
 	var c Cell
 	if err := json.Unmarshal(spec, &c); err != nil {
 		return Cell{}
@@ -111,13 +108,8 @@ func Rollup(r *Run) []CellRollup {
 			cr.FastShares = append(cr.FastShares, p.Metrics.FastPathShare)
 		}
 		cr.DigestSkipped += p.DigestSkipped
-		digestNames := make([]string, 0, len(p.Digest))
-		for name := range p.Digest {
-			digestNames = append(digestNames, name)
-		}
-		sort.Strings(digestNames)
-		for _, name := range digestNames {
-			merged, err := telemetry.MergeHistogramSnapshots(cr.Digest[name], p.Digest[name].Snapshot())
+		for name, d := range p.Digest { // each name merges on its own, so map order cannot show
+			merged, err := telemetry.MergeHistogramSnapshots(cr.Digest[name], d.Snapshot())
 			if err != nil {
 				cr.DigestSkipped++
 				continue

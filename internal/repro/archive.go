@@ -1,17 +1,15 @@
 // Run archiving: the grid runner's finished rows written as an obs run
 // archive — manifest plus one strictly-versioned artifact per grid
 // point — for rollup, live comparison, and `mobbr diff` regression gating.
-// Archives are written wholly after the run from the final rows, so a
-// journal-resumed grid archives byte-identically to an uninterrupted one
-// (modulo the manifest's wall-clock field and digests, which need the
-// in-memory telemetry sample journal resumes no longer have).
+// Each point's artifact is the record the runner built when the point
+// finished and journaled, so a journal-resumed grid archives
+// byte-identically to an uninterrupted one (modulo the manifest's
+// wall-clock and git fields).
 package repro
 
 import (
-	"fmt"
 	"time"
 
-	"mobbr/internal/core"
 	"mobbr/internal/obs"
 	"mobbr/internal/telemetry"
 )
@@ -32,36 +30,17 @@ type ArchiveOpts struct {
 }
 
 // BuildExperimentRun assembles an experiment's rows into an in-memory obs
-// run (the -rollup view uses it without writing anything). Points carry the
-// exact defaulted spec (core.EncodeSpec), the measured row, the
-// deterministic engine event total, and — when the row still holds an
-// in-memory metrics sample — the per-instrument histogram digest. rows are
+// run (the -rollup view uses it without writing anything): each row's
+// record as built by the runner, plus a manifest. rows are
 // RunExperimentResilient's, one per point.
 func BuildExperimentRun(e Experiment, rows []Row, o ArchiveOpts) (*obs.Run, error) {
 	pts := make([]obs.PointRecord, len(rows))
 	dur := o.Dur
 	var events uint64
 	for i, r := range rows {
-		ps := pointSpec(e.Points[i], o.Dur, o.Telemetry)
-		spec, err := core.EncodeSpec(ps)
-		if err != nil {
-			return nil, fmt.Errorf("repro: archive %s/%s: %w", e.ID, e.Points[i].Label, err)
-		}
-		dur = ps.Duration // the point's own when it pins one
-		rec := obs.PointRecord{
-			I: i, Label: e.Points[i].Label, Spec: spec,
-			Metrics: r.Metrics, Events: r.Events, Failure: r.Failure,
-		}
-		if r.Sample != nil {
-			if r.Sample.Report != nil && r.Sample.Report.Metrics != nil {
-				rec.Digest, rec.DigestSkipped = obs.DigestSnapshot(r.Sample.Report.Metrics)
-			}
-			if r.Sample.Engine != nil {
-				rec.MaxPending = r.Sample.Engine.MaxPending
-			}
-		}
+		pts[i] = r.PointRecord
 		events += r.Events
-		pts[i] = rec
+		dur = pointSpec(e.Points[i], o.Dur, o.Telemetry).Duration // the point's own when it pins one
 	}
 	m := obs.Manifest{
 		Exp: e.ID, Title: e.Title, Points: len(pts), Seeds: o.Seeds, Dur: dur.String(),

@@ -38,28 +38,22 @@ func ForEachW(n, workers int, fn func(worker, i int) error) error {
 		workers = n
 	}
 	errs := make([]error, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = runGuarded(0, i, fn)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					errs[i] = runGuarded(w, i, fn)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
+				errs[i] = runGuarded(w, i, fn)
+			}
+		}(w)
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err

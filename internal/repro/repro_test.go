@@ -171,12 +171,12 @@ func TestPrintColumns(t *testing.T) {
 		{Label: "app", PaperMbps: 140}, {Label: "churn"}, {Label: "bulk"}, {Label: "broken"},
 	}}
 	rows := []Row{
-		{Point: e.Points[0], Metrics: obs.Metrics{GoodputMbps: 100, Profiled: true, PacingShare: 0.25,
-			AppKind: "reqrep", Requests: 12, LatP50ms: 1, LatP90ms: 2, LatP99ms: 3, RebufferPct: 0.5}},
-		{Point: e.Points[1], Metrics: obs.Metrics{GoodputMbps: 50, FlowsStarted: 9, FlowsCompleted: 8,
-			FlowsPeakLive: 4, FCTP50ms: 5, FCTP99ms: 6, FastPathShare: 0.75}},
-		{Point: e.Points[2], Metrics: obs.Metrics{GoodputMbps: 10}},
-		{Point: e.Points[3], Failure: &obs.Failure{Class: "violation", Rule: "inflight/counter", Attempts: 2}},
+		{Point: e.Points[0], PointRecord: obs.PointRecord{Metrics: obs.Metrics{GoodputMbps: 100, Profiled: true, PacingShare: 0.25,
+			AppKind: "reqrep", Requests: 12, LatP50ms: 1, LatP90ms: 2, LatP99ms: 3, RebufferPct: 0.5}}},
+		{Point: e.Points[1], PointRecord: obs.PointRecord{Metrics: obs.Metrics{GoodputMbps: 50, FlowsStarted: 9, FlowsCompleted: 8,
+			FlowsPeakLive: 4, FCTP50ms: 5, FCTP99ms: 6, FastPathShare: 0.75}}},
+		{Point: e.Points[2], PointRecord: obs.PointRecord{Metrics: obs.Metrics{GoodputMbps: 10}}},
+		{Point: e.Points[3], PointRecord: obs.PointRecord{Failure: &obs.Failure{Class: "violation", Rule: "inflight/counter", Attempts: 2}}},
 	}
 	var b strings.Builder
 	Print(&b, e, rows)

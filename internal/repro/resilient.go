@@ -1,10 +1,10 @@
 // Fault-tolerant grid execution: one broken point must never cost the rest
 // of a long sweep. The resilient runner contains per-point panics and
 // deadline blowouts into structured failure rows, checkpoints every
-// finished point to a JSONL journal, resumes a killed grid byte-identically
-// from that journal, and retries infra-class failures (wall deadline on a
-// loaded machine) with backoff — never deterministic simulation errors,
-// which would reproduce exactly.
+// finished point's archive record to a JSONL journal, resumes a killed
+// grid from that journal with the same tables and archive, and retries
+// infra-class failures (wall deadline on a loaded machine) with backoff —
+// never deterministic simulation errors, which would reproduce exactly.
 package repro
 
 import (
@@ -34,12 +34,12 @@ type RunOpts struct {
 	// Workers caps the points running in parallel (0 = one per CPU).
 	Workers int
 	// Journal is the JSONL checkpoint path ("" = no journal): a header
-	// line describing the grid, then one entry per finished point, written
-	// as each point completes.
+	// line describing the grid, then each finished point's obs.PointRecord,
+	// written as the point completes.
 	Journal string
-	// Resume skips points already recorded in Journal. The reconstructed
-	// rows print byte-identically to the original run's. A missing journal
-	// file starts fresh.
+	// Resume skips points already recorded in Journal. The records read
+	// back print and archive byte-identically to the original run's. A
+	// missing journal file starts fresh.
 	Resume bool
 	// Retries is how many extra attempts an infra-class failure (wall
 	// deadline) gets before its row records the failure. Deterministic
@@ -78,8 +78,8 @@ func WriteFailures(w io.Writer, e Experiment, rows []Row) int {
 // RunExperimentResilient executes the grid with per-point fault
 // containment: a panic, invariant violation or budget trip in one point
 // becomes that row's Failure while every other point still runs. The
-// returned error reports journal I/O problems only — per-point outcomes,
-// including failures, are in the rows.
+// returned error reports journal I/O and spec encoding problems only —
+// per-point outcomes, including failures, are in the rows.
 func RunExperimentResilient(e Experiment, opts RunOpts) ([]Row, error) {
 	opts = opts.withDefaults()
 	rows := make([]Row, len(e.Points))
@@ -88,15 +88,21 @@ func RunExperimentResilient(e Experiment, opts RunOpts) ([]Row, error) {
 	if opts.Journal != "" {
 		var keep int64
 		if opts.Resume {
-			entries, n, err := readJournal(opts.Journal, e, opts)
-			if err != nil {
-				return nil, err
+			// A missing journal is a fresh start.
+			data, err := os.ReadFile(opts.Journal)
+			var recs []obs.PointRecord
+			if err == nil {
+				recs, keep, err = parseJournal(data, e, opts)
 			}
-			keep = n
-			for _, ent := range entries {
-				rows[ent.I] = ent.Row
-				rows[ent.I].Point = e.Points[ent.I]
-				done[ent.I] = true
+			if err != nil && !os.IsNotExist(err) {
+				return nil, fmt.Errorf("repro: journal %s: %w", opts.Journal, err)
+			}
+			for _, rec := range recs {
+				rows[rec.I] = Row{Point: e.Points[rec.I], PointRecord: rec}
+				if rec.Failure == nil {
+					rows[rec.I].Seeds = max(opts.Seeds, 1)
+				}
+				done[rec.I] = true
 			}
 		}
 		var err error
@@ -121,17 +127,20 @@ func RunExperimentResilient(e Experiment, opts RunOpts) ([]Row, error) {
 		if opts.Progress != nil {
 			opts.Progress.PointStart(w, i, e.Points[i].Label)
 		}
-		rows[i] = runPointResilient(e.Points[i], opts)
+		var err error
+		if rows[i], err = runPointResilient(e.Points[i], i, opts); err != nil {
+			return err
+		}
 		if opts.Progress != nil {
 			opts.Progress.PointDone(w, i, rows[i].Events, rows[i].Failure != nil)
 		}
 		if jw != nil {
-			return jw.append(journalEntry{I: i, Label: e.Points[i].Label, Row: rows[i]})
+			return jw.append(rows[i].PointRecord)
 		}
 		return nil
 	})
 	if err != nil {
-		return rows, fmt.Errorf("repro %s: checkpoint journal: %w", e.ID, err)
+		return rows, fmt.Errorf("repro %s: %w", e.ID, err)
 	}
 	return rows, nil
 }
@@ -139,15 +148,20 @@ func RunExperimentResilient(e Experiment, opts RunOpts) ([]Row, error) {
 // retryBackoff is the first retry's delay; it doubles per attempt.
 const retryBackoff = 100 * time.Millisecond
 
-// runPointResilient runs one point to a Row, retrying infra-class failures
-// with doubling backoff and folding any terminal failure into Row.Failure.
-func runPointResilient(p Point, opts RunOpts) Row {
+// runPointResilient runs grid point i to a Row whose record is complete:
+// the spec is encoded once, up front, and infra-class failures are retried
+// with doubling backoff before a terminal failure folds into Failure. The
+// error is the spec's encoding only.
+func runPointResilient(p Point, i int, opts RunOpts) (row Row, err error) {
 	spec := pointSpec(p, opts.Dur, opts.Telemetry)
+	wire, err := core.EncodeSpec(spec)
+	if err != nil {
+		return Row{}, fmt.Errorf("point %s: %w", p.Label, err)
+	}
 	backoff := retryBackoff
 	for attempt := 1; ; attempt++ {
-		row, err := runPointAttempt(p, spec, opts.Seeds)
-		if err == nil {
-			return row
+		if row, err = runPointAttempt(p, spec, opts.Seeds); err == nil {
+			break
 		}
 		class, rule := classifyPointFailure(err)
 		if core.InfraFailure(class) && attempt <= opts.Retries {
@@ -162,14 +176,17 @@ func runPointResilient(p Point, opts RunOpts) Row {
 			// enough to know it.
 			repro = core.ReproLine(re.Spec)
 		}
-		return Row{Point: p, Failure: &obs.Failure{
+		row = Row{Point: p, PointRecord: obs.PointRecord{Failure: &obs.Failure{
 			Class:    class,
 			Rule:     rule,
 			Msg:      err.Error(),
 			Repro:    repro,
 			Attempts: attempt,
-		}}
+		}}}
+		break
 	}
+	row.V, row.I, row.Label, row.Spec = obs.Version, i, p.Label, wire
+	return row, nil
 }
 
 // runPointAttempt is one guarded execution of a point: a panic anywhere in
@@ -206,8 +223,9 @@ func classifyPointFailure(err error) (class, rule string) {
 	return core.ClassifyFailure(err)
 }
 
-// journalVersion guards the checkpoint format (2: entries embed Row).
-const journalVersion = 2
+// journalVersion guards the checkpoint format (3: each entry is the
+// point's obs.PointRecord, so an obs.Version bump must bump it too).
+const journalVersion = 3
 
 // journalHeader is the journal's first line: enough of the run
 // configuration to refuse resuming under different settings (different
@@ -239,28 +257,13 @@ func headerFor(e Experiment, opts RunOpts) journalHeader {
 	}
 }
 
-// journalEntry is one finished point: its grid index and label (checked
-// against the grid on resume) around the row's own JSON form.
-type journalEntry struct {
-	I     int    `json:"i"`
-	Label string `json:"label"`
-	Row
-}
-
-// readJournal loads and validates an existing journal, returning its
-// entries and the byte length of its valid prefix — where the resumed run
-// appends. A missing or empty file is a fresh start (length 0). Only
-// newline-terminated lines count, so a torn tail (the writer died
-// mid-entry) is dropped and that point re-runs; a malformed line followed
-// by further ones means corruption and fails.
-func readJournal(path string, e Experiment, opts RunOpts) ([]journalEntry, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("repro: journal %s: %w", path, err)
-	}
+// parseJournal returns a journal's point records and the byte length of
+// its valid prefix — where the resumed run appends. Empty data is a fresh
+// start (length 0). Only newline-terminated lines count, so a torn tail
+// (the writer died mid-entry) is dropped and that point re-runs; a
+// malformed line followed by further ones is corruption, as are a record
+// that does not re-encode to its own bytes and a point recorded twice.
+func parseJournal(data []byte, e Experiment, opts RunOpts) ([]obs.PointRecord, int64, error) {
 	data = data[:bytes.LastIndexByte(data, '\n')+1]
 	lines := bytes.SplitAfter(data, []byte("\n"))
 	lines = lines[:len(lines)-1] // SplitAfter leaves an empty tail after the final newline
@@ -269,34 +272,45 @@ func readJournal(path string, e Experiment, opts RunOpts) ([]journalEntry, int64
 	}
 	var hdr journalHeader
 	if err := json.Unmarshal(lines[0], &hdr); err != nil {
-		return nil, 0, fmt.Errorf("repro: journal %s: bad header: %w", path, err)
+		return nil, 0, fmt.Errorf("bad header: %w", err)
 	}
 	if want := headerFor(e, opts); hdr != want {
-		return nil, 0, fmt.Errorf("repro: journal %s was written by a different run configuration (journal %+v, this run %+v)", path, hdr, want)
+		return nil, 0, fmt.Errorf("written by a different run configuration (journal %+v, this run %+v)", hdr, want)
 	}
 	keep := int64(len(lines[0]))
-	var entries []journalEntry
+	recs := make([]obs.PointRecord, 0, len(lines)-1)
+	seen := make([]bool, len(e.Points))
 	for n, line := range lines[1:] {
-		var ent journalEntry
-		if err := json.Unmarshal(line, &ent); err != nil {
+		var rec obs.PointRecord
+		err := json.Unmarshal(line, &rec)
+		if err == nil {
+			var enc []byte
+			if enc, err = json.Marshal(rec); err == nil && !bytes.Equal(enc, line[:len(line)-1]) {
+				err = errors.New("record does not re-encode to its own bytes")
+			}
+		}
+		if err != nil {
 			if n == len(lines)-2 {
 				break // torn final write: re-run that point
 			}
-			return nil, 0, fmt.Errorf("repro: journal %s: entry %d: %w", path, n, err)
+			return nil, 0, fmt.Errorf("entry %d: %w", n, err)
 		}
-		if ent.I < 0 || ent.I >= len(e.Points) {
-			return nil, 0, fmt.Errorf("repro: journal %s: entry %d: point index %d out of range", path, n, ent.I)
+		switch {
+		case rec.I < 0 || rec.I >= len(e.Points):
+			return nil, 0, fmt.Errorf("entry %d: point index %d out of range", n, rec.I)
+		case rec.Label != e.Points[rec.I].Label:
+			return nil, 0, fmt.Errorf("entry %d: label %q does not match point %d (%q)", n, rec.Label, rec.I, e.Points[rec.I].Label)
+		case seen[rec.I]:
+			return nil, 0, fmt.Errorf("entry %d: point %d (%q) is recorded twice", n, rec.I, rec.Label)
 		}
-		if ent.Label != e.Points[ent.I].Label {
-			return nil, 0, fmt.Errorf("repro: journal %s: entry %d: label %q does not match point %d (%q)", path, n, ent.Label, ent.I, e.Points[ent.I].Label)
-		}
-		entries = append(entries, ent)
+		seen[rec.I] = true
+		recs = append(recs, rec)
 		keep += int64(len(line))
 	}
-	return entries, keep, nil
+	return recs, keep, nil
 }
 
-// journalWriter appends entries under a lock (grid points finish on
+// journalWriter appends records under a lock (grid points finish on
 // arbitrary workers). Each entry is one Write call, so a crash tears at
 // most the final line.
 type journalWriter struct {
@@ -305,7 +319,7 @@ type journalWriter struct {
 }
 
 // openJournal opens the checkpoint for appending after its first keep
-// bytes (readJournal's valid prefix), cutting off a torn tail so the next
+// bytes (parseJournal's valid prefix), cutting off a torn tail so the next
 // entry starts on its own line. keep == 0 starts a fresh journal: the file
 // is emptied and a header written.
 func openJournal(path string, e Experiment, opts RunOpts, keep int64) (*journalWriter, error) {
@@ -327,15 +341,17 @@ func openJournal(path string, e Experiment, opts RunOpts, keep int64) (*journalW
 	return &journalWriter{f: f}, nil
 }
 
-func (jw *journalWriter) append(ent journalEntry) error {
-	data, err := json.Marshal(ent)
-	if err != nil {
-		return err
+func (jw *journalWriter) append(rec obs.PointRecord) error {
+	data, err := json.Marshal(rec)
+	if err == nil {
+		jw.mu.Lock()
+		_, err = jw.f.Write(append(data, '\n'))
+		jw.mu.Unlock()
 	}
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	_, err = jw.f.Write(append(data, '\n'))
-	return err
+	if err != nil {
+		return fmt.Errorf("checkpoint journal: %w", err)
+	}
+	return nil
 }
 
 func (jw *journalWriter) close() error { return jw.f.Close() }

@@ -2,16 +2,22 @@ package repro
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"mobbr/internal/core"
+	"mobbr/internal/faults"
 	"mobbr/internal/mobility"
 	"mobbr/internal/obs"
+	"mobbr/internal/telemetry"
 )
 
 // chaosGrid is a small grid with two healthy points and two that fail in
@@ -271,90 +277,110 @@ func TestMobileGridsContainPanic(t *testing.T) {
 
 // TestResumeArchiveInterplay: archiving a journal-resumed grid must produce
 // exactly the same per-point artifacts as archiving the uninterrupted run —
-// no duplicated, missing, or orphaned files — and re-archiving a smaller
-// grid into the same directory must remove the stale artifacts.
+// digests, queue depths, trace segments and failures included, no
+// duplicated, missing, or orphaned files — whichever prefix of the journal
+// survived the kill; and re-archiving a smaller grid into the same
+// directory must remove the stale artifacts.
 func TestResumeArchiveInterplay(t *testing.T) {
-	e := chaosGrid()
-	dir := t.TempDir()
-
-	full := chaosOpts
-	full.Journal = filepath.Join(dir, "full.jsonl")
-	fullRows, err := RunExperimentResilient(e, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	archive := func(root string, e Experiment, rows []Row) {
+	opts := chaosOpts
+	opts.Telemetry = telemetry.Config{Metrics: true}
+	archive := func(root string, e Experiment, rows []Row) map[string][]byte {
 		t.Helper()
-		run, err := BuildExperimentRun(e, rows, ArchiveOpts{Dur: chaosOpts.Dur, Seeds: chaosOpts.Seeds})
+		run, err := BuildExperimentRun(e, rows, ArchiveOpts{Dur: opts.Dur, Seeds: opts.Seeds, Telemetry: opts.Telemetry})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := obs.WriteRun(filepath.Join(root, e.ID), run.Manifest, run.Points); err != nil {
+		pdir := filepath.Join(root, e.ID, "points")
+		if err := obs.WriteRun(filepath.Dir(pdir), run.Manifest, run.Points); err != nil {
 			t.Fatal(err)
 		}
-	}
-	fullDir, resDir := filepath.Join(dir, "runFull"), filepath.Join(dir, "runResumed")
-	archive(fullDir, e, fullRows)
-
-	// Kill the grid after two points, resume, archive the resumed rows.
-	data, err := os.ReadFile(full.Journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	torn := filepath.Join(dir, "torn.jsonl")
-	if err := os.WriteFile(torn, []byte(strings.Join(lines[:3], "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resume := chaosOpts
-	resume.Journal = torn
-	resume.Resume = true
-	resumedRows, err := RunExperimentResilient(e, resume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	archive(resDir, e, resumedRows)
-
-	fullPts := filepath.Join(fullDir, e.ID, "points")
-	resPts := filepath.Join(resDir, e.ID, "points")
-	fullFiles, err := os.ReadDir(fullPts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resFiles, err := os.ReadDir(resPts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fullFiles) != len(e.Points) || len(resFiles) != len(e.Points) {
-		t.Fatalf("artifact counts: full=%d resumed=%d want %d",
-			len(fullFiles), len(resFiles), len(e.Points))
-	}
-	for _, f := range fullFiles {
-		a, err := os.ReadFile(filepath.Join(fullPts, f.Name()))
+		files, err := os.ReadDir(pdir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(filepath.Join(resPts, f.Name()))
+		pts := map[string][]byte{}
+		for _, f := range files {
+			if pts[f.Name()], err = os.ReadFile(filepath.Join(pdir, f.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return pts
+	}
+	for _, e := range []Experiment{chaosGrid(), mobileGrids(t)[1]} {
+		dir := t.TempDir()
+		full := opts
+		full.Journal = filepath.Join(dir, "full.jsonl")
+		fullRows, err := RunExperimentResilient(e, full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s differs between full and resumed archives:\n--- full\n%s--- resumed\n%s",
-				f.Name(), a, b)
+		fullDir := filepath.Join(dir, "runFull")
+		want := archive(fullDir, e, fullRows)
+		if len(want) != len(e.Points) {
+			t.Fatalf("%s: full archive holds %d artifacts, want %d", e.ID, len(want), len(e.Points))
+		}
+		for name, data := range want {
+			failed := strings.Contains(string(data), `"failure": {`)
+			if !failed && (!strings.Contains(string(data), `"digest": {`) || !strings.Contains(string(data), `"max_pending": `)) {
+				t.Errorf("%s/%s: a metrics run archived no digest or queue depth:\n%s", e.ID, name, data)
+			}
+			if e.Compiled != nil && !failed && !strings.Contains(string(data), `"segments": [`) {
+				t.Errorf("%s/%s: a trace point archived no segments:\n%s", e.ID, name, data)
+			}
+		}
+
+		// Kill the grid after every number of finished points, resume,
+		// archive the resumed rows.
+		data, err := os.ReadFile(full.Journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(string(data), "\n") // header, one line per point, ""
+		for kept := 0; kept <= len(e.Points); kept++ {
+			resume := opts
+			resume.Journal = filepath.Join(dir, fmt.Sprintf("cut%d.jsonl", kept))
+			resume.Resume = true
+			if err := os.WriteFile(resume.Journal, []byte(strings.Join(lines[:1+kept], "")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rows, err := RunExperimentResilient(e, resume)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := archive(filepath.Join(dir, fmt.Sprintf("runCut%d", kept)), e, rows)
+			if len(got) != len(want) {
+				t.Fatalf("%s, %d kept: resumed archive holds %d artifacts, want %d", e.ID, kept, len(got), len(want))
+			}
+			for name, a := range want {
+				if b := got[name]; !bytes.Equal(a, b) {
+					t.Errorf("%s, %d kept: %s differs between full and resumed archives:\n--- full\n%s--- resumed\n%s",
+						e.ID, kept, name, a, b)
+				}
+			}
+		}
+
+		// Re-archiving a shrunk grid into the same run directory must not
+		// orphan the old artifacts.
+		small := e
+		small.Points = e.Points[:2]
+		if left := archive(fullDir, small, fullRows[:2]); len(left) != 2 {
+			t.Fatalf("%s: stale artifacts survived re-archive: %d files", e.ID, len(left))
 		}
 	}
+}
 
-	// Re-archiving a shrunk grid into the same run directory must not
-	// orphan the old 002/003 artifacts.
-	small := e
-	small.Points = e.Points[:2]
-	archive(fullDir, small, fullRows[:2])
-	left, err := os.ReadDir(fullPts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 2 {
-		t.Fatalf("stale artifacts survived re-archive: %d files", len(left))
+// unwired is a fault event the spec codec has no wire form for.
+type unwired struct{ faults.Blackout }
+
+// TestUnencodableSpecFailsTheGrid: a point whose spec cannot be encoded
+// has no record to journal or archive, so the grid fails loudly instead of
+// printing a row it cannot keep.
+func TestUnencodableSpecFailsTheGrid(t *testing.T) {
+	s := core.Spec{CC: "cubic", Conns: 1}
+	s.Faults.Events = []faults.Event{unwired{faults.Blackout{Start: 100 * time.Millisecond, Duration: 50 * time.Millisecond}}}
+	e := Experiment{ID: "unwired", Points: []Point{{Label: "no wire form", Spec: s}}}
+	if _, err := RunExperimentResilient(e, chaosOpts); err == nil || !strings.Contains(err.Error(), "repro unwired: point no wire form: core: fault event repro.unwired has no wire form") {
+		t.Fatalf("unencodable spec: err %v", err)
 	}
 }
 
@@ -408,8 +434,9 @@ func TestResilientRetriesInfraOnly(t *testing.T) {
 
 // TestJournalRejects resumes a two-point grid from journals written by the
 // test: a missing or empty journal starts fresh, a malformed final line
-// re-runs its point, and a journal that is unreadable, has a bad header,
-// or names a point the grid does not hold fails the resume.
+// re-runs its point, and a journal that is unreadable, has a bad or older
+// header, holds a record that is not byte-canonical, names a point the grid
+// does not hold, or records one point twice fails the resume.
 func TestJournalRejects(t *testing.T) {
 	e := Experiment{ID: "j", Title: "journal test", Points: []Point{
 		{Label: "a", Spec: core.Spec{CC: "cubic", Conns: 1}},
@@ -426,6 +453,13 @@ func TestJournalRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(string(data), "\n") // header, a, b, ""
+	rec := func(i int, label string) string {
+		data, err := json.Marshal(obs.PointRecord{V: obs.Version, I: i, Label: label})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data) + "\n"
+	}
 	for _, tc := range []struct {
 		name    string
 		journal string // written before the resume; "-" writes none
@@ -435,8 +469,12 @@ func TestJournalRejects(t *testing.T) {
 		{"empty", "", ""},
 		{"final line malformed", lines[0] + lines[1] + "{\"i\":1,\n", ""},
 		{"bad header", "{\n", "bad header"},
-		{"index out of range", lines[0] + `{"i":5,"label":"a"}` + "\n", "entry 0: point index 5 out of range"},
-		{"label mismatch", lines[0] + `{"i":1,"label":"a"}` + "\n", `entry 0: label "a" does not match point 1 ("b")`},
+		{"final line not canonical", lines[0] + lines[1] + `{"i":1,"label":"b"}` + "\n", ""},
+		{"version 2 journal", strings.Replace(lines[0], `"v":3`, `"v":2`, 1), "different run configuration"},
+		{"index out of range", lines[0] + rec(5, "a"), "entry 0: point index 5 out of range"},
+		{"label mismatch", lines[0] + rec(1, "a"), `entry 0: label "a" does not match point 1 ("b")`},
+		{"not canonical", lines[0] + `{"v":1,"i":0,"label":"a"}` + "\n" + lines[2], "entry 0: record does not re-encode to its own bytes"},
+		{"point recorded twice", lines[0] + lines[1] + lines[1] + lines[2], `entry 1: point 0 ("a") is recorded twice`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := opts
@@ -482,7 +520,69 @@ func TestJournalRejects(t *testing.T) {
 		}
 	}
 	jw := &journalWriter{}
-	if err := jw.append(journalEntry{Row: Row{Metrics: obs.Metrics{GoodputMbps: math.NaN()}}}); err == nil {
-		t.Error("a row that cannot encode was journaled")
+	if err := jw.append(obs.PointRecord{Metrics: obs.Metrics{GoodputMbps: math.NaN()}}); err == nil {
+		t.Error("a record that cannot encode was journaled")
 	}
+}
+
+// FuzzJournal: parseJournal over arbitrary bytes never panics, and what it
+// accepts is a prefix of newline-terminated lines — the header, then one
+// line per record that is exactly that record's encoding, no point twice —
+// after which a torn tail changes nothing.
+func FuzzJournal(f *testing.F) {
+	e := Experiment{ID: "j", Title: "journal fuzz", Points: []Point{{Label: "a"}, {Label: "b"}, {Label: "c"}}}
+	opts := RunOpts{Dur: time.Second, Seeds: 1}
+	journal, err := json.Marshal(headerFor(e, opts))
+	if err != nil {
+		f.Fatal(err)
+	}
+	journal = append(journal, '\n')
+	for _, rec := range []obs.PointRecord{
+		{V: obs.Version, I: 1, Label: "b", Spec: json.RawMessage(`{"cc":"bbr","conns":2}`),
+			Metrics: obs.Metrics{GoodputMbps: 12.5, Retransmits: 3}, Events: 42, MaxPending: 7,
+			Segments: []obs.Segment{{GoodputMbps: 1.5, RTTms: 40, Retransmits: 2}},
+			Digest: map[string]obs.HistDigest{"rtt": {Count: 2, Sum: 3, Min: 1, Max: 2,
+				Bounds: []float64{1, 2}, Counts: []uint64{1, 1}, P50: 1, P90: 2, P99: 2}}},
+		{V: obs.Version, I: 0, Label: "a", Failure: &obs.Failure{Class: core.FailPanic, Msg: "panic: boom", Attempts: 1}},
+	} {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		journal = append(append(journal, line...), '\n')
+	}
+	if recs, _, err := parseJournal(journal, e, opts); err != nil || len(recs) != 2 {
+		f.Fatalf("the seed journal reads back as %d records, err %v", len(recs), err)
+	}
+	hdrLen := bytes.IndexByte(journal, '\n') + 1
+	f.Add(journal)
+	f.Add(journal[:len(journal)-9])
+	f.Add(append(slices.Clip(journal), journal[hdrLen:]...)) // every point twice
+	f.Add(journal[:hdrLen])
+	f.Add([]byte("{\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, keep, err := parseJournal(data, e, opts)
+		if err != nil || keep == 0 {
+			return
+		}
+		lines := bytes.SplitAfter(data[:keep], []byte("\n")) // header, records, ""
+		if len(lines) != len(recs)+2 {
+			t.Fatalf("%d records accepted from %d lines", len(recs), len(lines)-1)
+		}
+		seen := map[int]bool{}
+		for k, rec := range recs {
+			enc, err := json.Marshal(rec)
+			if err != nil || !bytes.Equal(append(enc, '\n'), lines[k+1]) {
+				t.Fatalf("entry %d re-encodes to %s (err %v), read from %q", k, enc, err, lines[k+1])
+			}
+			if seen[rec.I] {
+				t.Fatalf("point %d accepted twice", rec.I)
+			}
+			seen[rec.I] = true
+		}
+		torn := append(data[:keep:keep], `{"v":1,"i":2,"lab`...)
+		if again, n, err := parseJournal(torn, e, opts); err != nil || n != keep || !reflect.DeepEqual(again, recs) {
+			t.Fatalf("a torn tail changed the result: %d records, keep %d, err %v", len(again), n, err)
+		}
+	})
 }

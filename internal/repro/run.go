@@ -11,31 +11,26 @@ import (
 	"mobbr/internal/units"
 )
 
-// Row is the measured outcome of one experiment point. Its JSON form is the
-// checkpoint journal's entry payload: every printed field survives a resume,
-// Point and Sample do not (the journal re-attaches Point by index).
+// Row is the measured outcome of one experiment point: its grid Point, the
+// point's archive record, and what only a fresh run holds. The record is
+// built once, when the point finishes; the checkpoint journal writes it
+// and a resume reads it back, so a resumed row prints and archives as the
+// original did.
 type Row struct {
-	Point Point `json:"-"`
-	// Metrics are the measured columns — seed means, 95% CI half-widths and
-	// pooled percentiles — shared verbatim with the run archive. Recovery
-	// points report pre-fault goodput (mean and CI) in GoodputMbps/GoodputCI.
-	obs.Metrics
-	// Events is the total simulator events executed across the point's
-	// seeds. Deterministic per spec+seed.
-	Events uint64 `json:"events,omitempty"`
-	// Seeds is how many seeds the point ran (the denominator of Recovered).
-	Seeds int `json:"seeds,omitempty"`
-	// Segments is the per-segment breakdown of a trace-replay point,
-	// parallel to Point.Spec.Mobility.Segments; nil for every other point.
-	Segments []SegmentRow `json:"segments,omitempty"`
+	Point Point
+	// PointRecord carries the measured columns (obs.Metrics: seed means,
+	// 95% CI half-widths and pooled percentiles; recovery points report
+	// pre-fault goodput in GoodputMbps/GoodputCI), the spec, the event
+	// total, a trace point's segments, the digest and any Failure.
+	obs.PointRecord
+	// Seeds is how many seeds the point ran (the denominator of
+	// Recovered): the aggregate's run count, or for a resumed row the
+	// seed count the journal header binds; 0 on a failed row.
+	Seeds int
 	// Sample is the last seed's full result, carrying the telemetry bus,
 	// profile and engine stats when they were enabled. In-memory only: a
 	// journal-resumed row has none.
-	Sample *core.Result `json:"-"`
-	// Failure is the contained failure of this point (nil on success): the
-	// rest of the grid kept running and this row records what went wrong and
-	// how to reproduce it.
-	Failure *obs.Failure `json:"failure,omitempty"`
+	Sample *core.Result
 }
 
 // Observer receives grid-run lifecycle callbacks (obs.Progress implements
@@ -67,7 +62,8 @@ func pointSpec(p Point, dur time.Duration, tel telemetry.Config) core.Spec {
 	return spec
 }
 
-// rowFromAggregate folds one point's multi-seed aggregate into a Row. What
+// rowFromAggregate folds one point's multi-seed aggregate into a Row, the
+// last seed's histogram digest and queue high-water mark included. What
 // the point carries selects the extra metrics: a fault end time adds the
 // recovery columns, a compiled trace the per-segment breakdown.
 func rowFromAggregate(p Point, agg *core.Aggregate) Row {
@@ -83,8 +79,7 @@ func rowFromAggregate(p Point, agg *core.Aggregate) Row {
 	if sample.Profile != nil {
 		paceShare = sample.Profile.Share("net", "pacing_timer")
 	}
-	row := Row{
-		Point: p,
+	row := Row{Point: p, Seeds: len(agg.Runs), Sample: sample, PointRecord: obs.PointRecord{
 		Metrics: obs.Metrics{
 			GoodputMbps:  agg.Goodput.Mean() / 1e6,
 			GoodputCI:    agg.Goodput.CI95() / 1e6,
@@ -101,8 +96,12 @@ func rowFromAggregate(p Point, agg *core.Aggregate) Row {
 			Profiled:     sample.Profile != nil,
 		},
 		Events: events,
-		Seeds:  len(agg.Runs),
-		Sample: sample,
+	}}
+	if sample.Report.Metrics != nil {
+		row.Digest, row.DigestSkipped = obs.DigestSnapshot(sample.Report.Metrics)
+	}
+	if sample.Engine != nil {
+		row.MaxPending = sample.Engine.MaxPending
 	}
 	if agg.App != nil {
 		row.AppKind = agg.App.Kind
@@ -151,7 +150,7 @@ func Print(w io.Writer, e Experiment, rows []Row) {
 	hasApp := false
 	hasFlows := false
 	for _, r := range rows {
-		if r.Profiled || (r.Sample != nil && r.Sample.Profile != nil) {
+		if r.Profiled {
 			profiled = true
 		}
 		if r.AppKind != "" {

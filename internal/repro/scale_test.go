@@ -2,11 +2,12 @@ package repro
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
-	"mobbr/internal/core"
 	"mobbr/internal/device"
 	"mobbr/internal/flows"
 	"mobbr/internal/obs"
@@ -87,11 +88,13 @@ func TestScaleParallelMatchesSerial(t *testing.T) {
 }
 
 // TestScaleJournalRoundTrip: every flows column survives the journal codec
-// — a resumed grid must print the same table an uninterrupted one did.
+// — the record a resume reads back equals the one the runner wrote, so a
+// resumed grid prints the same table an uninterrupted one did.
 func TestScaleJournalRoundTrip(t *testing.T) {
-	p := Point{Label: "churn pt", Spec: core.Spec{CC: "bbr"}}
-	r := Row{
-		Point: p,
+	e := miniScale()
+	opts := RunOpts{Dur: 300 * time.Millisecond, Seeds: 2, Journal: filepath.Join(t.TempDir(), "j.jsonl")}
+	rec := obs.PointRecord{
+		V: obs.Version, I: 2, Label: e.Points[2].Label, Spec: json.RawMessage(`{"cc":"bbr"}`),
 		Metrics: obs.Metrics{
 			GoodputMbps:    123.4,
 			RTTms:          8.5,
@@ -105,20 +108,27 @@ func TestScaleJournalRoundTrip(t *testing.T) {
 			FastPathShare:  0.703,
 		},
 		Events: 987654,
-		Seeds:  2,
 	}
-	data, err := json.Marshal(journalEntry{I: 3, Label: p.Label, Row: r})
+	jw, err := openJournal(opts.Journal, e, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ent journalEntry
-	if err := json.Unmarshal(data, &ent); err != nil {
+	if err := jw.append(rec); err != nil {
 		t.Fatal(err)
 	}
-	got := ent.Row
-	got.Point = p
-	if ent.I != 3 || ent.Label != p.Label || !reflect.DeepEqual(got, r) {
-		t.Fatalf("journal round trip diverged:\n got  %+v\n want %+v", got, r)
+	if err := jw.close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(opts.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := parseJournal(data, e, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || !reflect.DeepEqual(recs[0], rec) {
+		t.Fatalf("journal round trip diverged:\n got  %+v\n want %+v", recs, rec)
 	}
 }
 

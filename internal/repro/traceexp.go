@@ -9,6 +9,7 @@ import (
 	"mobbr/internal/device"
 	"mobbr/internal/iperf"
 	"mobbr/internal/mobility"
+	"mobbr/internal/obs"
 )
 
 // The trace experiment replays a real (or synthesized) cellular commute —
@@ -112,21 +113,10 @@ func NewTraceExperiment(tr mobility.Trace) (Experiment, error) {
 	}, nil
 }
 
-// SegmentRow summarizes one trace segment for one point; which segment is
-// positional (Spec.Mobility.Segments).
-type SegmentRow struct {
-	// GoodputMbps is the seed-mean goodput across the segment's intervals.
-	GoodputMbps float64 `json:"goodput_mbps"`
-	// RTTms is the seed-mean smoothed RTT across the segment's intervals.
-	RTTms float64 `json:"rtt_ms"`
-	// Retransmits is the seed-mean retransmission count in the segment.
-	Retransmits float64 `json:"retransmits"`
-}
-
 // segmentStats folds one run's interval series into per-segment sums.
 // Intervals are assigned to the segment containing their midpoint.
-func segmentStats(ivals []iperf.Interval, segs []mobility.Segment) []SegmentRow {
-	rows := make([]SegmentRow, len(segs))
+func segmentStats(ivals []iperf.Interval, segs []mobility.Segment) []obs.Segment {
+	rows := make([]obs.Segment, len(segs))
 	counts := make([]int, len(segs))
 	for _, iv := range ivals {
 		mid := iv.Start + (iv.End-iv.Start)/2
@@ -150,8 +140,8 @@ func segmentStats(ivals []iperf.Interval, segs []mobility.Segment) []SegmentRow 
 }
 
 // foldSegments is the seed-mean of segmentStats over a point's runs.
-func foldSegments(runs []*core.Result, segs []mobility.Segment) []SegmentRow {
-	acc := make([]SegmentRow, len(segs))
+func foldSegments(runs []*core.Result, segs []mobility.Segment) []obs.Segment {
+	acc := make([]obs.Segment, len(segs))
 	for _, run := range runs {
 		for j, sr := range segmentStats(run.Report.Intervals, segs) {
 			acc[j].GoodputMbps += sr.GoodputMbps
