@@ -91,9 +91,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 // TestMinRunAllocs pins what every grid point pays before it simulates
 // anything: a 20-connection run of 1 ms of virtual time is build and teardown
-// only (the bench's core.min_run_allocs). Connections are built by the one
-// initialiser the conn pool uses, so a closure per callback or a heap object
-// per scoreboard entry coming back shows here first.
+// only (the bench's core.min_run_allocs). The connections are opened from the
+// run's arena, all twenty slots in one allocation, by the one initialiser the
+// conn pool uses, so a closure per callback, a heap object per scoreboard
+// entry or an allocation per connection coming back shows here first.
 func TestMinRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime changes malloc counts")
@@ -105,10 +106,42 @@ func TestMinRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 220 // measured 150; 448 before connections became one object each
+	const budget = 130 // measured 99; 147 when each connection was allocated alone, 448 before a connection was one object
 	t.Logf("%.0f allocations per minimal run, budget %d", allocs, budget)
 	if allocs > budget {
 		t.Errorf("a 20-connection 1 ms run allocates %.0f objects, budget %d", allocs, budget)
+	}
+}
+
+// TestBulkRunBytes budgets everything a whole unpaced 20-connection bulk run
+// allocates, in bytes: the bench's bulk_linerate spec at 1 simulated second,
+// construction, warm-up and report included. Its largest item is scoreboard
+// entries, which the run's connections draw from the one infoPool of their
+// arena, so its 64-byte slab grows to the peak of what all twenty hold at
+// once. When each connection had an entry slab of its own, each one doubled
+// from 16 to 128 entries for its own peak and the run allocated 533 KB.
+func TestBulkRunBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime changes allocation sizes")
+	}
+	spec := Spec{CPU: device.HighEnd, CC: "cubic", Conns: 20, Network: Ethernet,
+		Duration: time.Second, Seed: 1}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := Run(spec); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run() // lazy one-time initialisation, outside the measurement
+	allocated := run()
+	const budget = 450_000 // measured 408,712 B
+	t.Logf("%d bytes allocated by the run, budget %d", allocated, budget)
+	if allocated > budget {
+		t.Errorf("a 20-connection unpaced bulk run of 1 s allocates %d bytes, budget %d", allocated, budget)
 	}
 }
 

@@ -160,42 +160,40 @@ func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg Config) (*Ses
 	if cfg.AppCPU != nil {
 		cfg.AppCPU.SetPressure(pressure)
 	}
+	// One arena holds the run's connections: their wiring, one allocation
+	// of exactly Conns slots, and the scoreboard entries they share.
+	arena := tcp.NewArena(eng, cpu, cfg.AppCPU, path, cfg.TCP, cfg.Pool, s.agg, nil)
+	arena.SetBus(cfg.Bus)
 	demux := tcp.NewDemux()
-	rxEng, rxPool := eng, cfg.Pool
+	rxPool := cfg.Pool
 	if sh := cfg.Shard; sh != nil {
-		rxEng = sh.Engines.Shard(sh.RxShard)
 		rxPool = sh.Pools.Arena(sh.RxShard)
+		arena.SetShard(sh.Engines.Shard(sh.RxShard), rxPool, sh.Wiring.ReturnAck)
 	}
 	demux.SetPool(rxPool)
 	path.SetPool(cfg.Pool)
+	arena.Reserve(cfg.Conns)
+	s.conns = make([]*tcp.Conn, 0, cfg.Conns)
+	s.rxs = make([]*tcp.Receiver, 0, cfg.Conns)
 	for i := 0; i < cfg.Conns; i++ {
-		tcfg := cfg.TCP
+		var startDelay time.Duration
 		if cfg.Conns > 1 {
-			tcfg.StartDelay = time.Duration(eng.Rand().Int63n(int64(staggerStarts)))
+			startDelay = time.Duration(eng.Rand().Int63n(int64(staggerStarts)))
 		}
 		factory := cfg.CC
 		if len(cfg.CCMix) > 0 {
 			factory = cfg.CCMix[i%len(cfg.CCMix)]
 		}
-		conn := tcp.NewConn(i, eng, cpu, path, tcfg, factory)
-		conn.SetPool(cfg.Pool)
-		conn.SetAggregates(s.agg)
+		pc := arena.Open(i, startDelay, factory)
 		if cfg.Stream {
-			conn.SetStream()
-		}
-		if cfg.AppCPU != nil {
-			conn.SetAppCPU(cfg.AppCPU)
+			pc.Conn.SetStream()
 		}
 		if cfg.Bus != nil || cfg.Metrics != nil {
-			conn.SetTelemetry(cfg.Bus, telemetry.NewConnMetrics(cfg.Metrics, i))
+			pc.Conn.SetTelemetry(telemetry.NewConnMetrics(cfg.Metrics, i))
 		}
-		rx := tcp.NewReceiver(rxEng, path, conn)
-		if sh := cfg.Shard; sh != nil {
-			rx.SetShard(rxPool, sh.Wiring.ReturnAck)
-		}
-		demux.Add(rx)
-		s.conns = append(s.conns, conn)
-		s.rxs = append(s.rxs, rx)
+		demux.Add(pc.Rx)
+		s.conns = append(s.conns, pc.Conn)
+		s.rxs = append(s.rxs, pc.Rx)
 	}
 	if sh := cfg.Shard; sh != nil {
 		// The last hop posts across the shard boundary; packets surface on

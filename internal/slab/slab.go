@@ -50,6 +50,15 @@ func (s *Slab[T]) NextIn(lo, hi int) *T {
 	return v
 }
 
+// Reserve makes the next n values NextIn hands out come from one allocation
+// of exactly n, for an owner that knows its population up front; values left
+// in the current chunk are dropped. A chunk that still holds n is kept.
+func (s *Slab[T]) Reserve(n int) {
+	if len(s.rest) < n {
+		s.rest = make([]T, n)
+	}
+}
+
 // fit returns how many values of the given size a chunk meant for n of them
 // holds: as many as fill the power-of-two size class the n round up to, less
 // the 8-byte type header the allocator puts before a chunk of more than 512

@@ -36,3 +36,20 @@ func TestFit(t *testing.T) {
 		}
 	}
 }
+
+func TestReserve(t *testing.T) {
+	var s Slab[[100]byte]
+	s.Reserve(20)
+	for i := 0; i < 20; i++ {
+		if len(s.rest) != 20-i {
+			t.Fatalf("before value %d the chunk holds %d, want the reserved %d", i, len(s.rest), 20-i)
+		}
+		s.NextIn(8, 256)
+	}
+	s.NextIn(8, 256)
+	left := len(s.rest)
+	s.Reserve(1) // the chunk NextIn just made still holds one
+	if len(s.rest) != left {
+		t.Errorf("Reserve replaced a chunk that still held %d values", left)
+	}
+}

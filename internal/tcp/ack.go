@@ -18,21 +18,21 @@ import (
 func (c *Conn) OnAckArrival(a *seg.Ack) {
 	if c.done {
 		// A stopped connection is still the ACK's sink point.
-		c.pool.PutAck(a)
+		c.arena.pool.PutAck(a)
 		return
 	}
-	costs := c.cpu.Costs()
-	if c.ftab != nil {
+	costs := c.arena.cpu.Costs()
+	if c.arena.ftab != nil {
 		// Flow-table demux: fast-path hit or slow-path walk, with
 		// promotion past the offload threshold (SmartNIC cost model).
-		c.cpu.Submit(cpumodel.OpFlowLookup, c.ftab.LookupCost(c.id), nil)
+		c.arena.cpu.Submit(cpumodel.OpFlowLookup, c.arena.ftab.LookupCost(c.id), nil)
 	}
-	c.cpu.Submit(cpumodel.OpAckProcess, costs.AckProcess, nil)
+	c.arena.cpu.Submit(cpumodel.OpAckProcess, costs.AckProcess, nil)
 	c.pendingAcks.Push(a)
-	if c.agg != nil {
-		c.agg.heldAcks++
+	if c.arena.agg != nil {
+		c.arena.agg.heldAcks++
 	}
-	c.job(c.cpu, cpumodel.OpCCUpdate, c.ccMod.AckCost(), connProcessAck)
+	c.job(c.arena.cpu, cpumodel.OpCCUpdate, c.ccMod.AckCost(), connProcessAck)
 }
 
 // ackScratch is processAck's per-ACK working state: the rate sample handed
@@ -78,14 +78,14 @@ func (c *Conn) deliver(p *pktInfo) {
 // the scoreboard copies the ranges it needs, never the slice.
 func (c *Conn) processAck(a *seg.Ack) {
 	c.pendingAcks.Remove(a)
-	if c.agg != nil {
-		c.agg.heldAcks--
+	if c.arena.agg != nil {
+		c.arena.agg.heldAcks--
 	}
 	if !c.land() {
-		c.pool.PutAck(a)
+		c.arena.pool.PutAck(a)
 		return
 	}
-	now := c.eng.Now()
+	now := c.arena.eng.Now()
 	priorInflight := c.inflight
 	priorUna := c.sndUna
 
@@ -100,7 +100,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 	// Cumulative ACK. Popped entries leave the scoreboard for good, so
 	// each goes back to the entry pool once delivered.
 	if a.CumAck > c.sndUna {
-		for _, p := range c.board.popAcked(a.CumAck, c.infos) {
+		for _, p := range c.board.popAcked(a.CumAck, &c.arena.infos) {
 			if p.sacked {
 				// Already delivered when SACKed; just retire.
 				p.acked = true
@@ -115,7 +115,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 
 	// SACK blocks.
 	for _, b := range a.Sacks {
-		for _, p := range c.board.markSacked(b.Start, b.End, c.infos) {
+		for _, p := range c.board.markSacked(b.Start, b.End, &c.arena.infos) {
 			c.deliver(p)
 		}
 	}
@@ -127,8 +127,8 @@ func (c *Conn) processAck(a *seg.Ack) {
 		// The rtx-queue walk frees one scoreboard entry per covered
 		// packet (tcp_clean_rtx_queue); charge it now — the latency
 		// lands on whatever work queues behind this ACK.
-		c.cpu.Submit(cpumodel.OpAckProcess,
-			float64(deliveredPkt)*c.cpu.Costs().AckPerSeg, nil)
+		c.arena.cpu.Submit(cpumodel.OpAckProcess,
+			float64(deliveredPkt)*c.arena.cpu.Costs().AckPerSeg, nil)
 	}
 
 	// RTT sample (Karn's rule: never from retransmitted segments).
@@ -163,7 +163,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 	if reoWnd > 10*time.Millisecond {
 		reoWnd = 10 * time.Millisecond
 	}
-	newLost := c.board.detectLosses(dupThresh, reoWnd, c.infos)
+	newLost := c.board.detectLosses(dupThresh, reoWnd, &c.arena.infos)
 	for _, p := range newLost {
 		if p.inFlite {
 			p.inFlite = false
@@ -243,7 +243,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 	if a.CumAck > priorUna {
 		c.streamProgress()
 	}
-	c.pool.PutAck(a)
+	c.arena.pool.PutAck(a)
 }
 
 // undoSpuriousRTO restores the pre-timeout cwnd/ssthresh, un-condemns the
@@ -252,7 +252,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 func (c *Conn) undoSpuriousRTO() {
 	c.undoValid = false
 	c.spuriousRTOs++
-	for range c.board.undoLost(c.infos) {
+	for range c.board.undoLost(&c.arena.infos) {
 		c.inflight++
 		c.lostTotal--
 	}
@@ -260,8 +260,8 @@ func (c *Conn) undoSpuriousRTO() {
 		c.SetCwnd(c.undoCwnd)
 	}
 	c.ssthresh = c.undoSsthresh
-	if c.bus != nil {
-		c.bus.Emit(telemetry.Event{
+	if c.arena.bus != nil {
+		c.arena.bus.Emit(telemetry.Event{
 			Kind: telemetry.KindSpuriousRTO, Conn: c.id,
 			Value: float64(c.undoCwnd),
 		})
@@ -274,9 +274,9 @@ func (c *Conn) undoSpuriousRTO() {
 // sample is measured at ACK-processing completion, so CPU queueing delay is
 // part of it — matching how the kernel's srtt inflates under softirq load.
 func (c *Conn) updateRTT(rtt time.Duration) {
-	if c.agg != nil {
-		c.agg.rttSum += rtt
-		c.agg.rttN++
+	if c.arena.agg != nil {
+		c.arena.agg.rttSum += rtt
+		c.arena.agg.rttN++
 	}
 	if c.srtt == 0 {
 		c.srtt = rtt
@@ -289,7 +289,7 @@ func (c *Conn) updateRTT(rtt time.Duration) {
 		c.rttvar = (3*c.rttvar + d) / 4
 		c.srtt = (7*c.srtt + rtt) / 8
 	}
-	c.minRTT.Update(uint64(c.eng.Now()), float64(rtt))
+	c.minRTT.Update(uint64(c.arena.eng.Now()), float64(rtt))
 }
 
 // updatePacingRateFromCwnd maintains sk_pacing_rate for modules that do not

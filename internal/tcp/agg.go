@@ -9,9 +9,9 @@ import (
 // AggStats is a run-wide aggregate counter sink maintained incrementally at
 // delivery and ACK time, so harness sampling (interval reports, warmup
 // snapshots, pool cross-checks) costs O(1) regardless of how many
-// connections are live. One AggStats is shared by every connection of a run;
-// connections opt in with SetAggregates (nil, the default, costs the hot
-// paths only nil-checks).
+// connections are live. One AggStats is shared by every connection of a run
+// through their arena (NewArena's agg; nil, the default, costs the hot paths
+// only nil-checks).
 //
 // The counters are defined to agree exactly — same integers, not just
 // statistically — with the slow O(conns) walks they replace:
@@ -60,7 +60,3 @@ func (a *AggStats) RTTSamples() int64 { return a.rttN }
 // RTTSum returns the running sum behind AvgRTT; with RTTSamples it lets
 // interval reports compute exact windowed RTT means from counter deltas.
 func (a *AggStats) RTTSum() time.Duration { return a.rttSum }
-
-// SetAggregates attaches the shared aggregate counter sink. Call before
-// Start (counters hooked mid-run would disagree with the slow walks).
-func (c *Conn) SetAggregates(a *AggStats) { c.agg = a }

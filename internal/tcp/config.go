@@ -51,8 +51,6 @@ type Config struct {
 	// AppBytes limits the bytes the application writes; 0 means an
 	// unbounded bulk source (iPerf3 default).
 	AppBytes units.DataSize
-	// StartDelay delays the connection's first transmission.
-	StartDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {

@@ -31,18 +31,13 @@ const minRTTWindow = 30 * time.Second
 // phone: it owns the scoreboard, congestion state, pacer and timers, and
 // charges all its work to the device CPU.
 type Conn struct {
-	id  int
-	eng *sim.Engine
-	cpu *cpumodel.CPU
-	// appCPU, when set, executes the tcp_sendmsg payload copy in
-	// process context on the application core, in parallel with the
-	// softirq core's transmit path. nil means the copy is not modelled
-	// (unit tests) — the softirq path alone gates sends.
-	appCPU *cpumodel.CPU
-	path   *netem.Path
-	cfg    Config
-	ccMod  cc.CongestionControl
-	pacer  pacing.Pacer
+	id int
+	// arena is the wiring and memory this connection shares with every
+	// other connection of its run (see Arena).
+	arena      *Arena
+	startDelay time.Duration // delays the first transmission (Arena.Open)
+	ccMod      cc.CongestionControl
+	pacer      pacing.Pacer
 
 	// Sequence space (bytes).
 	sndNxt, sndUna int64
@@ -110,22 +105,14 @@ type Conn struct {
 
 	maxBufOcc units.DataSize
 
-	// Telemetry (nil = disabled, the default): bus receives structured
-	// state/recovery/pacing events; met holds the per-connection
-	// histograms. Hot paths guard every use with a nil-check.
-	bus *telemetry.Bus
+	// met holds the per-connection telemetry histograms (nil = disabled,
+	// the default; the event bus is the arena's). Hot paths guard every
+	// use with a nil-check.
 	met *telemetry.ConnMetrics
 
-	// agg, when set, is the run-wide O(1) aggregate counter sink
-	// (SetAggregates); ftab, when set, is the NIC flow-table cost model
-	// charged per arriving ACK (a ConnPool's slots get it). Both nil by
-	// default.
-	agg  *AggStats
-	ftab *cpumodel.FlowTable
-
-	// home is the pool slot this connection lives in (nil when built by
-	// NewConn). A stopped connection that reaches quiescence while its
-	// slot is in the dying set hands itself back to the pool.
+	// home is the arena slot this connection lives in. A stopped
+	// connection that reaches quiescence while its slot is in a pool's
+	// dying set hands itself back to the pool.
 	home *PooledConn
 
 	// pending counts the calls the connection has scheduled on the engine
@@ -134,13 +121,6 @@ type Conn struct {
 	// once each has landed (see land) on the incarnation that issued it,
 	// never on the next flow to own this object.
 	pending int
-
-	// pool is the run's packet/ACK recycler (nil in unit tests — every
-	// acquire then heap-allocates). infos supplies scoreboard entries and
-	// takes them back as the cumulative ACK retires them: the ConnPool's
-	// shared one, or the connection's own when NewConn built it.
-	pool  *seg.Pool
-	infos *infoPool
 
 	// pendingAcks holds ACKs the network has delivered but the CPU model
 	// has not yet processed (between OnAckArrival and processAck), so they
@@ -194,7 +174,7 @@ func connEmit(v any) {
 // later schedules fn on the engine d from now, counted in pending.
 func (c *Conn) later(d time.Duration, fn func(any)) {
 	c.pending++
-	c.eng.ScheduleP(d, fn, c)
+	c.arena.eng.ScheduleP(d, fn, c)
 }
 
 // job queues fn behind cycles of op on cpu, counted in pending, and returns
@@ -224,28 +204,22 @@ func (c *Conn) land() bool {
 	return true
 }
 
-// soloConn is what NewConn allocates: a connection together with the
-// scoreboard-entry pool that pooled connections share, in one object.
-type soloConn struct {
-	Conn
-	infos infoPool
-}
-
-// NewConn creates a connection with the given flow id. The congestion
-// module is built from factory. Call Start to begin transmitting.
+// NewConn creates a connection with the given flow id, on an arena of its
+// own: NewArena's wiring with no application core, packet pool, aggregate
+// sink or flow table, and one slot. The congestion module is built from
+// factory. Call Start to begin transmitting.
 func NewConn(id int, eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg Config, factory cc.Factory) *Conn {
-	s := &soloConn{}
-	s.Conn = Conn{eng: eng, cpu: cpu, path: path, cfg: cfg.withDefaults(), infos: &s.infos}
-	s.Conn.open(id, factory)
-	return &s.Conn
+	a := NewArena(eng, cpu, nil, path, cfg, nil, nil, nil)
+	a.Reserve(1)
+	return a.Open(id, 0, factory).Conn
 }
 
-// open starts a flow on a connection that holds its wiring (the environment,
-// which outlives every flow the object carries; cfg with its defaults) and
-// at most the congestion module of an earlier flow, and is otherwise zero:
-// the one initialiser behind NewConn, a pool slot's first use and Reset. The
-// factory runs only when there is no module yet; Init re-initialises a kept
-// one to exactly what the factory would have built.
+// open starts a flow on a connection that holds its arena (the environment,
+// which outlives every flow the object carries) and at most the congestion
+// module of an earlier flow, and is otherwise zero: the one initialiser
+// behind a slot's first use and Reset. The factory runs only when there is
+// no module yet; Init re-initialises a kept one to exactly what the factory
+// would have built.
 func (c *Conn) open(id int, factory cc.Factory) {
 	c.id = id
 	if c.ccMod == nil {
@@ -254,17 +228,17 @@ func (c *Conn) open(id int, factory cc.Factory) {
 	c.cwnd = initialCwnd
 	c.ssthresh = 1 << 30
 	c.minRTT = stats.NewWindowedMin(uint64(minRTTWindow))
-	pcfg := c.cfg.Pacing
+	pcfg := c.arena.cfg.Pacing
 	pcfg.Enabled = c.ccMod.WantsPacing()
-	if c.cfg.PacingOverride != nil {
-		pcfg.Enabled = *c.cfg.PacingOverride
+	if c.arena.cfg.PacingOverride != nil {
+		pcfg.Enabled = *c.arena.cfg.PacingOverride
 	}
 	c.pacer.Reset(pcfg)
 	c.ccMod.Init(c)
 	// The bulk source: a stream whose writer wrote AppBytes and closed it,
 	// or one that never ends when AppBytes is 0.
 	c.streamTotal, c.streamEnd = unbounded, -1
-	if n := int64(c.cfg.AppBytes); n > 0 {
+	if n := int64(c.arena.cfg.AppBytes); n > 0 {
 		c.streamTotal, c.streamEnd = n, n
 	}
 }
@@ -273,8 +247,9 @@ func (c *Conn) open(id int, factory cc.Factory) {
 // drains and accepts no writes.
 const unbounded = math.MaxInt64
 
-// SetPool attaches the run's packet/ACK pool. Call before Start.
-func (c *Conn) SetPool(pool *seg.Pool) { c.pool = pool }
+// SetPool attaches the run's packet/ACK pool to the connection's arena, so
+// every connection of the arena uses it. Call before Start.
+func (c *Conn) SetPool(pool *seg.Pool) { c.arena.pool = pool }
 
 // ID returns the flow id.
 func (c *Conn) ID() int { return c.id }
@@ -282,22 +257,17 @@ func (c *Conn) ID() int { return c.id }
 // CC returns the connection's congestion-control module.
 func (c *Conn) CC() cc.CongestionControl { return c.ccMod }
 
-// SetAppCPU attaches the application core that pays the per-byte sendmsg
-// copy cost. Call before Start.
-func (c *Conn) SetAppCPU(cpu *cpumodel.CPU) { c.appCPU = cpu }
-
-// SetTelemetry attaches the event bus and per-connection instruments. Call
-// before Start. Either argument may be nil (that subsystem stays off). The
-// congestion module's state machine, when it implements cc.ModeReporter,
-// reports its transitions onto the bus; the pacer's send-quantum and
+// SetTelemetry attaches the per-connection instruments and, when the arena
+// has an event bus (Arena.SetBus), reports the congestion module's state
+// transitions onto it, if the module implements cc.ModeReporter. Call before
+// Start. met may be nil (no histograms); the pacer's send-quantum and
 // inter-send-gap instruments are wired here too.
-func (c *Conn) SetTelemetry(bus *telemetry.Bus, met *telemetry.ConnMetrics) {
-	c.bus = bus
+func (c *Conn) SetTelemetry(met *telemetry.ConnMetrics) {
 	c.met = met
 	if met != nil {
 		c.pacer.SetInstruments(met.SendQuantum, met.InterSendGap)
 	}
-	if bus != nil {
+	if bus := c.arena.bus; bus != nil {
 		if mr, ok := c.ccMod.(cc.ModeReporter); ok {
 			id := c.id
 			mr.SetModeListener(func(old, new string) {
@@ -313,8 +283,8 @@ func (c *Conn) setState(s cc.State) {
 	if s == c.state {
 		return
 	}
-	if c.bus != nil {
-		c.bus.Emit(telemetry.Event{
+	if c.arena.bus != nil {
+		c.arena.bus.Emit(telemetry.Event{
 			Kind: telemetry.KindTCPState, Conn: c.id,
 			Old: c.state.String(), New: s.String(),
 		})
@@ -322,13 +292,13 @@ func (c *Conn) setState(s cc.State) {
 	c.state = s
 }
 
-// Start schedules the first transmission (after cfg.StartDelay).
+// Start schedules the first transmission (after the start delay).
 func (c *Conn) Start() {
 	if c.started {
 		return
 	}
 	c.started = true
-	c.later(c.cfg.StartDelay, connKick)
+	c.later(c.startDelay, connKick)
 }
 
 // kick is Start's deferred first transmission.
@@ -337,7 +307,7 @@ func (c *Conn) kick() {
 		return
 	}
 	c.kicked = true
-	c.lastProgress = c.eng.Now()
+	c.lastProgress = c.arena.eng.Now()
 	c.armWatchdog()
 	c.appPump()
 	c.trySend()
@@ -352,7 +322,7 @@ const appCopyChunk = 16 * units.KB
 // connection (appBusy guarantees a single outstanding copy), so the
 // completion callback is the shared connAppCopied, not a closure per chunk.
 func (c *Conn) appPump() {
-	if c.appCPU == nil || c.appBusy || c.done {
+	if c.arena.appCPU == nil || c.appBusy || c.done {
 		return
 	}
 	rem := c.streamTotal - c.appCopied
@@ -361,7 +331,7 @@ func (c *Conn) appPump() {
 	}
 	// A sub-MSS tail still copies (it will push as a short segment);
 	// otherwise wait for at least one MSS of room.
-	room := c.cfg.SndBuf - c.buffered - units.DataSize(c.inflight)*seg.MSS
+	room := c.arena.cfg.SndBuf - c.buffered - units.DataSize(c.inflight)*seg.MSS
 	if int64(room) < min(rem, int64(seg.MSS)) {
 		return
 	}
@@ -371,7 +341,7 @@ func (c *Conn) appPump() {
 	}
 	c.appBusy = true
 	c.appChunk = chunk
-	c.job(c.appCPU, cpumodel.OpDataCopy, float64(chunk)*c.cpu.Costs().CopyPerByte, connAppCopied)
+	c.job(c.arena.appCPU, cpumodel.OpDataCopy, float64(chunk)*c.arena.cpu.Costs().CopyPerByte, connAppCopied)
 }
 
 // appCopyDone runs at the app core's completion of one chunk copy.
@@ -401,8 +371,8 @@ func (c *Conn) fail(err error) {
 		return
 	}
 	c.failedErr = err
-	if c.bus != nil {
-		c.bus.Emit(telemetry.Event{Kind: telemetry.KindConnFailed, Conn: c.id, New: err.Error()})
+	if c.arena.bus != nil {
+		c.arena.bus.Emit(telemetry.Event{Kind: telemetry.KindConnFailed, Conn: c.id, New: err.Error()})
 	}
 	c.Stop()
 	if c.events != nil {
@@ -446,7 +416,7 @@ func (c *Conn) StreamRoom() int64 {
 	if c.done || c.streamEnd >= 0 {
 		return 0
 	}
-	room := int64(c.cfg.SndBuf) - (c.streamTotal - c.sndUna)
+	room := int64(c.arena.cfg.SndBuf) - (c.streamTotal - c.sndUna)
 	if room < 0 {
 		room = 0
 	}
@@ -525,7 +495,7 @@ func (c *Conn) streamProgress() {
 
 // StartDelay returns the connection's configured start offset, so stream
 // drivers can align their first write with the staggered kick.
-func (c *Conn) StartDelay() time.Duration { return c.cfg.StartDelay }
+func (c *Conn) StartDelay() time.Duration { return c.startDelay }
 
 // watchdogInterval is how often the stall watchdog re-checks progress.
 const watchdogInterval = 500 * time.Millisecond
@@ -536,7 +506,7 @@ func (c *Conn) armWatchdog() {
 		return
 	}
 	if !c.watchdog.Reschedule(watchdogInterval) {
-		c.watchdog = c.eng.ScheduleP(watchdogInterval, connWatchdog, c)
+		c.watchdog = c.arena.eng.ScheduleP(watchdogInterval, connWatchdog, c)
 	}
 }
 
@@ -547,7 +517,7 @@ func (c *Conn) watchdogCheck() {
 	if c.done {
 		return
 	}
-	idle := c.eng.Now() - c.lastProgress
+	idle := c.arena.eng.Now() - c.lastProgress
 	hasWork := c.inflight > 0 || c.board.firstLost() != nil || c.appBacklogSegs() > 0
 	if hasWork && idle > stallTimeout {
 		c.fail(fmt.Errorf("tcp: conn %d stalled: no delivery progress for %v (inflight=%d cwnd=%d state=%v rto-backoff=%d)",
@@ -560,7 +530,7 @@ func (c *Conn) watchdogCheck() {
 // --- cc.Conn interface -----------------------------------------------------
 
 // Now implements cc.Conn.
-func (c *Conn) Now() time.Duration { return c.eng.Now() }
+func (c *Conn) Now() time.Duration { return c.arena.eng.Now() }
 
 // MSS implements cc.Conn.
 func (c *Conn) MSS() units.DataSize { return seg.MSS }
@@ -573,7 +543,7 @@ func (c *Conn) SetCwnd(pkts int) {
 	if pkts < 1 {
 		pkts = 1
 	}
-	if max := c.cfg.maxCwnd(); pkts > max {
+	if max := c.arena.cfg.maxCwnd(); pkts > max {
 		pkts = max
 	}
 	c.cwnd = pkts
@@ -620,7 +590,7 @@ func (c *Conn) State() cc.State { return c.state }
 func (c *Conn) IsCwndLimited() bool { return c.cwndLimited }
 
 // Rand implements cc.Conn.
-func (c *Conn) Rand() *rand.Rand { return c.eng.Rand() }
+func (c *Conn) Rand() *rand.Rand { return c.arena.eng.Rand() }
 
 // --- send engine ------------------------------------------------------------
 
@@ -628,7 +598,7 @@ func (c *Conn) Rand() *rand.Rand { return c.eng.Rand() }
 // With an app core attached, only bytes already copied into the socket
 // buffer are sendable; otherwise the source is treated as instantaneous.
 func (c *Conn) appBacklogSegs() int {
-	if c.appCPU != nil {
+	if c.arena.appCPU != nil {
 		segs := int(c.buffered / seg.MSS)
 		if segs == 0 && c.buffered > 0 && c.streamTailReady() {
 			segs = 1 // short tail segment
@@ -652,14 +622,14 @@ func (c *Conn) trySend() {
 	if c.xmitBusy || c.done {
 		return
 	}
-	now := c.eng.Now()
+	now := c.arena.eng.Now()
 	if ok, wait := c.pacer.CanSendAt(now); !ok {
 		c.armPacingTimer(wait)
 		return
 	}
 	// TSQ-style backpressure: if the local qdisc is deep, defer rather
 	// than overrun it.
-	if c.path.Hop(0).QueueLen() > devnicHighWatermark {
+	if c.arena.path.Hop(0).QueueLen() > devnicHighWatermark {
 		c.later(250*time.Microsecond, connTrySendLater)
 		return
 	}
@@ -704,17 +674,17 @@ func (c *Conn) trySend() {
 	// so the segmentation/driver work below overlaps the idle gap rather
 	// than extending it.
 	paceFrom := now
-	costs := c.cpu.Costs()
+	costs := c.arena.cpu.Costs()
 	if len(retx) > 0 {
-		c.cpu.Submit(cpumodel.OpRetransmit, float64(len(retx))*costs.Retransmit, nil)
+		c.arena.cpu.Submit(cpumodel.OpRetransmit, float64(len(retx))*costs.Retransmit, nil)
 	}
-	c.cpu.Submit(cpumodel.OpSKBXmit, costs.SKBXmit, nil)
+	c.arena.cpu.Submit(cpumodel.OpSKBXmit, costs.SKBXmit, nil)
 	total := len(retx) + newSegs
 	// Park the batch on the connection; connEmit picks it up at CPU
 	// completion (xmitBusy guarantees a single outstanding job).
 	c.xmitPaceFrom = paceFrom
 	c.xmitNew = newSegs
-	c.job(c.cpu, cpumodel.OpSegXmit, float64(total)*costs.SegXmit, connEmit)
+	c.job(c.arena.cpu, cpumodel.OpSegXmit, float64(total)*costs.SegXmit, connEmit)
 }
 
 // trySendLater is a send attempt that was deferred — a TSQ retry poll, or the
@@ -749,8 +719,8 @@ func (c *Conn) cwndRestartAfterIdle(now time.Duration) {
 		cwnd = restart
 	}
 	if cwnd != c.cwnd {
-		if c.bus != nil {
-			c.bus.Emit(telemetry.Event{
+		if c.arena.bus != nil {
+			c.arena.bus.Emit(telemetry.Event{
 				Kind: telemetry.KindIdleRestart, Conn: c.id,
 				Value: float64(c.cwnd), V2: float64(cwnd),
 			})
@@ -778,7 +748,7 @@ func (c *Conn) markAppLimited() {
 // connection until the job has run.
 func (c *Conn) retire(p *pktInfo) {
 	if !c.xmitBusy {
-		c.infos.put(p)
+		c.arena.infos.put(p)
 		return
 	}
 	p.free = c.retired
@@ -789,7 +759,7 @@ func (c *Conn) retire(p *pktInfo) {
 func (c *Conn) flushRetired() {
 	for p := c.retired; p != nil; {
 		next := p.free
-		c.infos.put(p)
+		c.arena.infos.put(p)
 		p = next
 	}
 	c.retired = nil
@@ -814,7 +784,7 @@ func (c *Conn) emit(paceFrom time.Duration, retx []*pktInfo, newSegs int) {
 	if !c.land() {
 		return
 	}
-	now := c.eng.Now()
+	now := c.arena.eng.Now()
 	if c.inflight == 0 {
 		// packets_out == 0: reset the rate-sample send window
 		// (tcp_rate_skb_sent). This is what makes isolated high-stride
@@ -835,16 +805,16 @@ func (c *Conn) emit(paceFrom time.Duration, retx []*pktInfo, newSegs int) {
 		c.snapshot(p)
 		c.inflight++
 		c.retransTotal++
-		if c.agg != nil {
-			c.agg.retransmits++
+		if c.arena.agg != nil {
+			c.arena.agg.retransmits++
 		}
 		bytes += p.len
 		sent++
-		c.path.Send(c.mkPacket(p))
+		c.arena.path.Send(c.mkPacket(p))
 	}
 	for i := 0; i < newSegs; i++ {
 		l := seg.MSS
-		if c.appCPU != nil {
+		if c.arena.appCPU != nil {
 			if c.buffered < l {
 				if c.buffered == 0 || !c.streamTailReady() {
 					break
@@ -858,16 +828,16 @@ func (c *Conn) emit(paceFrom time.Duration, retx []*pktInfo, newSegs int) {
 		} else if rem < int64(l) {
 			l = units.DataSize(rem)
 		}
-		p := c.infos.get()
+		p := c.arena.infos.get()
 		p.seq, p.len, p.sentAt, p.inFlite = c.sndNxt, l, now, true
 		c.snapshot(p)
-		c.board.add(p, c.infos)
+		c.board.add(p, &c.arena.infos)
 		c.sndNxt += int64(l)
 		c.segsSent++
 		c.inflight++
 		bytes += l
 		sent++
-		c.path.Send(c.mkPacket(p))
+		c.arena.path.Send(c.mkPacket(p))
 	}
 	if sent == 0 {
 		return
@@ -891,7 +861,7 @@ func (c *Conn) emit(paceFrom time.Duration, retx []*pktInfo, newSegs int) {
 }
 
 func (c *Conn) mkPacket(p *pktInfo) *seg.Packet {
-	pkt := c.pool.GetPacket()
+	pkt := c.arena.pool.GetPacket()
 	pkt.Flow = c.id
 	pkt.Seq = p.seq
 	pkt.Len = p.len
@@ -910,7 +880,7 @@ func (c *Conn) armPacingTimer(wait time.Duration) {
 	}
 	c.pacer.TimerArmed()
 	if !c.pacingTimer.Reschedule(wait) {
-		c.pacingTimer = c.eng.ScheduleP(wait, connPacingExpired, c)
+		c.pacingTimer = c.arena.eng.ScheduleP(wait, connPacingExpired, c)
 	}
 }
 
@@ -923,16 +893,16 @@ func (c *Conn) pacingExpired() {
 		c.trySend()
 		return
 	}
-	now := c.eng.Now()
-	done := c.job(c.cpu, cpumodel.OpPacingTimer, c.cpu.Costs().PacingTimer, connTrySendLater)
-	if c.bus != nil || c.met != nil {
+	now := c.arena.eng.Now()
+	done := c.job(c.arena.cpu, cpumodel.OpPacingTimer, c.arena.cpu.Costs().PacingTimer, connTrySendLater)
+	if c.arena.bus != nil || c.met != nil {
 		// Timer slippage: the gate reopened at now, but the expiry
 		// work queues behind whatever the CPU is already doing, so
 		// the send actually runs at done. The delta is the paper's
 		// CPU-contention signal.
 		slip := float64(done-now) / 1e3 // µs
-		if c.bus != nil {
-			c.bus.Emit(telemetry.Event{Kind: telemetry.KindPacingTimer, Conn: c.id, Value: slip})
+		if c.arena.bus != nil {
+			c.arena.bus.Emit(telemetry.Event{Kind: telemetry.KindPacingTimer, Conn: c.id, Value: slip})
 		}
 		if c.met != nil {
 			c.met.TimerSlip.Observe(slip)
@@ -958,7 +928,7 @@ func (c *Conn) rto() time.Duration {
 
 func (c *Conn) armRTO() {
 	if !c.rtoTimer.Reschedule(c.rto()) {
-		c.rtoTimer = c.eng.ScheduleP(c.rto(), connRTOExpired, c)
+		c.rtoTimer = c.arena.eng.ScheduleP(c.rto(), connRTOExpired, c)
 	}
 }
 
@@ -966,7 +936,7 @@ func (c *Conn) onRTOTimer() {
 	if c.done || c.inflight == 0 && c.board.firstLost() == nil {
 		return
 	}
-	c.job(c.cpu, cpumodel.OpRTO, c.cpu.Costs().RTO, connEnterLoss)
+	c.job(c.arena.cpu, cpumodel.OpRTO, c.arena.cpu.Costs().RTO, connEnterLoss)
 }
 
 // enterLoss is tcp_enter_loss: everything unsacked is marked lost, the
@@ -986,9 +956,9 @@ func (c *Conn) enterLoss() {
 		c.undoValid = true
 		c.undoCwnd = c.cwnd
 		c.undoSsthresh = c.ssthresh
-		c.undoAt = c.eng.Now()
+		c.undoAt = c.arena.eng.Now()
 	}
-	newly := c.board.markAllLost(c.infos)
+	newly := c.board.markAllLost(&c.arena.infos)
 	for _, p := range newly {
 		if p.inFlite {
 			p.inFlite = false
@@ -996,8 +966,8 @@ func (c *Conn) enterLoss() {
 		}
 		c.lostTotal++
 	}
-	if c.bus != nil {
-		c.bus.Emit(telemetry.Event{
+	if c.arena.bus != nil {
+		c.arena.bus.Emit(telemetry.Event{
 			Kind: telemetry.KindRTO, Conn: c.id,
 			Value: float64(c.rtoBackoff), V2: float64(len(newly)),
 		})
@@ -1081,7 +1051,7 @@ func (c *Conn) Audit() Audit {
 		LiveBytes:        liveBytes,
 		Cwnd:             c.cwnd,
 		Ssthresh:         c.ssthresh,
-		MaxCwnd:          c.cfg.maxCwnd(),
+		MaxCwnd:          c.arena.cfg.maxCwnd(),
 		PacingRate:       c.pacingRate,
 		HeldAcks:         c.pendingAcks.Len(),
 	}
@@ -1091,10 +1061,10 @@ func (c *Conn) Audit() Audit {
 // pool. The run harness calls it after the engine stops — the processAck
 // events that would have consumed them never fire past the run horizon.
 func (c *Conn) ReclaimAcks() {
-	if c.agg != nil {
-		c.agg.heldAcks -= c.pendingAcks.Len()
+	if c.arena.agg != nil {
+		c.arena.agg.heldAcks -= c.pendingAcks.Len()
 	}
-	c.pendingAcks.Drain(c.pool.PutAck)
+	c.pendingAcks.Drain(c.arena.pool.PutAck)
 }
 
 // ForceQuiesce drops a stopped connection's pending calls after the engine
@@ -1125,27 +1095,25 @@ func (c *Conn) maybeQuiet() {
 }
 
 // Reset re-initializes a stopped, quiescent connection for reuse as a new
-// flow with a fresh id — the churn fast path. What carries over is the
-// wiring (engine, CPUs, path, config, pools, sinks), the stopped timer
-// handles and the buffers' capacity; every other field is zeroed and then
-// rebuilt by open, the same initialiser a new connection runs, so a recycled
-// connection starts exactly as a fresh one does. The congestion module
-// carries over too, as the kernel keeps icsk_ca_priv inline in the socket:
-// open re-runs its Init, which restores the state its factory built. Callers
-// must re-register the new id with the demux and the path's ACK return
-// (Receiver.Reset does the latter) — ids are never reused, so a late event
-// aimed at the old incarnation cannot alias the new one.
+// flow with a fresh id — the churn fast path. What carries over is the arena
+// (engine, CPUs, path, config, pools, sinks), the slot, the instruments, the
+// stopped timer handles and the buffers' capacity; every other field is
+// zeroed and then rebuilt by open, the same initialiser a new connection
+// runs, so a recycled connection starts exactly as a fresh one does. The
+// congestion module carries over too, as the kernel keeps icsk_ca_priv
+// inline in the socket: open re-runs its Init, which restores the state its
+// factory built. Callers must re-register the new id with the demux and the
+// path's ACK return (Receiver.Reset does the latter) — ids are never reused,
+// so a late event aimed at the old incarnation cannot alias the new one.
 func (c *Conn) Reset(id int) {
 	if !c.Quiescent() {
 		panic(fmt.Sprintf("tcp: Reset of non-quiescent conn %d (done=%v pending=%d)", c.id, c.done, c.pending))
 	}
 	// Surviving scoreboard entries (lost/sacked, never cum-acked) go back
 	// to the entry pool.
-	c.board.reset(c.infos)
+	c.board.reset(&c.arena.infos)
 	*c = Conn{
-		eng: c.eng, cpu: c.cpu, appCPU: c.appCPU, path: c.path, cfg: c.cfg,
-		pool: c.pool, infos: c.infos, agg: c.agg, ftab: c.ftab,
-		bus: c.bus, met: c.met, home: c.home,
+		arena: c.arena, met: c.met, home: c.home,
 		pacer:    c.pacer, // Pacer.Reset keeps only the instruments
 		rtoTimer: c.rtoTimer, pacingTimer: c.pacingTimer, watchdog: c.watchdog,
 		board: c.board, xmitRetx: c.xmitRetx[:0], ccMod: c.ccMod,

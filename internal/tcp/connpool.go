@@ -9,21 +9,20 @@ import (
 	"mobbr/internal/netem"
 	"mobbr/internal/seg"
 	"mobbr/internal/sim"
-	"mobbr/internal/slab"
 )
 
-// ConnPool recycles Conn/Receiver pairs across flow churn, modeled on
+// ConnPool is an Arena plus recycling across flow churn, modeled on
 // seg.Pool's leak-audited discipline: every Get is matched by a Put, the
 // pool counts what is outstanding, and a run ends balanced — zero live,
 // zero dying — or the audit says exactly what leaked.
 //
-// A flow is one slot. Slots come from chunks allocated in one piece, and a
-// slot holds everything the flow's two endpoints need by value — the Conn
-// with its pacer, min-RTT filter and small inline scoreboard buffers, the
-// Receiver, the PooledConn handle — while scoreboard entries come from one
-// pool-wide infoPool. A slot also keeps its congestion module, built by the
-// factory for the slot's first flow and re-initialised by Init for each
-// later one. A flow's recycling allocates nothing.
+// A flow is one arena slot, which holds everything the flow's two endpoints
+// need by value — the Conn with its pacer, min-RTT filter and small inline
+// scoreboard buffers, the Receiver, the PooledConn handle — while scoreboard
+// entries come from the arena's one infoPool. A slot also keeps its
+// congestion module, built by the factory for the slot's first flow and
+// re-initialised by Init for each later one. A flow's recycling allocates
+// nothing.
 //
 // Lifecycle state machine (see DESIGN.md "million-flow data path"):
 //
@@ -45,22 +44,9 @@ import (
 // demux map, the path's per-flow ACK table and the invariant checker's
 // history unambiguous under churn.
 type ConnPool struct {
-	eng     *sim.Engine
-	cpu     *cpumodel.CPU
-	appCPU  *cpumodel.CPU
-	path    *netem.Path
-	cfg     Config
-	segPool *seg.Pool
-	agg     *AggStats
-	ftab    *cpumodel.FlowTable
-
-	infos infoPool
-	slots slab.Slab[connSlot]
+	arena *Arena
 	free  []*PooledConn
 	dying []*PooledConn
-
-	// factory is the code pointer of the first factory Get was handed.
-	factory uintptr
 
 	gets, reuses  int
 	puts          int
@@ -68,58 +54,39 @@ type ConnPool struct {
 	outstandingHW int
 }
 
-// PooledConn is one recyclable Conn/Receiver pair: the handle to a pool slot.
-type PooledConn struct {
-	Conn *Conn
-	Rx   *Receiver
-
-	pool     *ConnPool
-	dyingIdx int // index in the pool's dying set, -1 otherwise
-}
-
-// connSlot is the memory behind one PooledConn.
-type connSlot struct {
-	PooledConn
-	conn Conn
-	rx   Receiver
-}
-
-// NewConnPool builds a pool that stamps every connection with the given
-// engine, CPUs, path, transport config, segment pool and (optional)
-// aggregate sink and flow table. appCPU, agg and ftab may be nil.
+// NewConnPool builds a pool on an arena with the given wiring (see
+// NewArena). appCPU, agg and ftab may be nil.
 func NewConnPool(eng *sim.Engine, cpu, appCPU *cpumodel.CPU, path *netem.Path,
 	cfg Config, segPool *seg.Pool, agg *AggStats, ftab *cpumodel.FlowTable) *ConnPool {
-	return &ConnPool{
-		eng: eng, cpu: cpu, appCPU: appCPU, path: path,
-		cfg: cfg.withDefaults(), segPool: segPool, agg: agg, ftab: ftab,
-	}
+	return &ConnPool{arena: NewArena(eng, cpu, appCPU, path, cfg, segPool, agg, ftab)}
 }
 
 // Get returns a connection for a fresh flow id: recycled from the free list
-// when possible, otherwise the next unused slot. Either way the pair runs
-// the initialisers NewConn and NewReceiver run, so the two are
+// when possible, otherwise opened on the arena's next unused slot. Either way
+// the pair runs the initialisers a new pair runs, so the two are
 // indistinguishable to the simulation. The receiver is registered on the
 // path's ACK return; the caller adds it to the demux and configures stream
 // mode and events before Start.
 //
-// factory builds a slot's first congestion module only; a recycled slot
-// re-initialises the module it kept. A pool therefore serves one congestion
-// control, and Get panics when handed a factory other than the first. The
-// check compares code pointers, which the compiler may duplicate when it
-// inlines the function that returns a closure: hand every Get one factory
-// value.
+// factory builds a new slot's congestion module only; a recycled slot
+// re-initialises the module it kept. New slots may take different
+// factories, but Get panics when the slot it would recycle was built by
+// another factory than the one it is handed. The check compares code
+// pointers, which the compiler may duplicate when it inlines the function
+// that returns a closure: hand every Get for one congestion control one
+// factory value.
 func (p *ConnPool) Get(id int, factory cc.Factory) *PooledConn {
-	if fp := reflect.ValueOf(factory).Pointer(); p.factory == 0 {
-		p.factory = fp
-	} else if fp != p.factory {
-		panic(fmt.Sprintf("tcp: ConnPool.Get of conn %d with a second congestion-control factory", id))
+	fp := reflect.ValueOf(factory).Pointer()
+	n := len(p.free)
+	if n > 0 && p.free[n-1].factory != fp {
+		panic(fmt.Sprintf("tcp: ConnPool.Get of conn %d recycles a slot another congestion-control factory built", id))
 	}
 	p.gets++
 	p.outstanding++
 	if p.outstanding > p.outstandingHW {
 		p.outstandingHW = p.outstanding
 	}
-	if n := len(p.free); n > 0 {
+	if n > 0 {
 		pc := p.free[n-1]
 		p.free = p.free[:n-1]
 		p.reuses++
@@ -127,18 +94,9 @@ func (p *ConnPool) Get(id int, factory cc.Factory) *PooledConn {
 		pc.Rx.Reset()
 		return pc
 	}
-	// Chunks of about 8 slots doubling to 256: grown on demand, never sized
-	// to the caller's population.
-	s := p.slots.NextIn(8, 256)
-	s.PooledConn = PooledConn{Conn: &s.conn, Rx: &s.rx, pool: p, dyingIdx: -1}
-	s.conn = Conn{
-		eng: p.eng, cpu: p.cpu, appCPU: p.appCPU, path: p.path, cfg: p.cfg,
-		pool: p.segPool, infos: &p.infos, agg: p.agg, ftab: p.ftab, home: &s.PooledConn,
-	}
-	s.conn.open(id, factory)
-	s.rx = Receiver{eng: p.eng, path: p.path, conn: &s.conn}
-	s.rx.open()
-	return &s.PooledConn
+	pc := p.arena.Open(id, 0, factory)
+	pc.pool, pc.factory = p, fp
+	return pc
 }
 
 // Put releases a finished flow's pair back to the pool: the connection is
@@ -211,7 +169,7 @@ func (s ConnPoolStats) Balanced() bool { return s.Outstanding == 0 && s.Dying ==
 // Stats returns the pool's census.
 func (p *ConnPool) Stats() ConnPoolStats {
 	return ConnPoolStats{
-		Created: p.slots.Issued(), Gets: p.gets, Reuses: p.reuses, Puts: p.puts,
+		Created: p.arena.slots.Issued(), Gets: p.gets, Reuses: p.reuses, Puts: p.puts,
 		Outstanding: p.outstanding, OutstandingHW: p.outstandingHW,
 		Free: len(p.free), Dying: len(p.dying),
 	}

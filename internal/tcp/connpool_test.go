@@ -267,22 +267,32 @@ func TestConnPoolFirstUseAllocs(t *testing.T) {
 	}
 }
 
-// TestConnPoolOneFactory pins the one-factory contract: a slot keeps its
-// congestion module across flows, so a pool cannot serve a second congestion
-// control, and a Get that asks for one panics rather than quietly handing
-// back the first one's module.
+// TestConnPoolOneFactory pins the one-factory rule. A slot keeps its
+// congestion module across flows, so a Get that would recycle a slot another
+// factory built panics rather than quietly handing back that factory's
+// module. The rule binds recycled slots only: a new slot takes whatever
+// factory it is handed, as iperf's pairs of one arena run a CC mix.
 func TestConnPoolOneFactory(t *testing.T) {
 	h := newPoolHarness(t)
-	factory := streamFactory()
-	h.pool.Put(h.pool.Get(0, factory))
-	h.pool.Put(h.pool.Get(1, factory))
+	first, second := streamFactory(), bbr.Factory()
+	a := h.pool.Get(0, first)
+	b := h.pool.Get(1, second) // a new slot: a second factory is fine
+	if _, ok := b.Conn.CC().(*stubCC); ok {
+		t.Fatal("the second factory's slot runs the first factory's module")
+	}
+	h.pool.Put(a)
+	h.pool.Put(b) // recycled first
+	if st := h.pool.Stats(); st.Free != 2 {
+		t.Fatalf("census %+v, want both unstarted pairs free at Put", st)
+	}
+	h.pool.Put(h.pool.Get(2, second)) // recycles b's slot with b's factory
 	defer func() {
 		msg, _ := recover().(string)
-		if want := "tcp: ConnPool.Get of conn 2 with a second congestion-control factory"; msg != want {
+		if want := "tcp: ConnPool.Get of conn 3 recycles a slot another congestion-control factory built"; msg != want {
 			t.Errorf("recovered %q, want %q", msg, want)
 		}
 	}()
-	h.pool.Get(2, bbr.Factory())
+	h.pool.Get(3, first)
 }
 
 func TestConnPoolReclaimDrainsDying(t *testing.T) {
@@ -456,8 +466,7 @@ func TestResetRestoresFreshState(t *testing.T) {
 	}
 	solo := NewConn(id, h.eng, h.cpu, h.path, Config{}, paced)
 	solo.SetPool(h.segs)
-	solo.SetAggregates(h.agg)
-	solo.ftab = h.ftab
+	solo.arena.agg, solo.arena.ftab = h.agg, h.ftab
 	soloRx := NewReceiver(h.eng, h.path, solo)
 
 	for _, fresh := range []struct {
@@ -466,8 +475,8 @@ func TestResetRestoresFreshState(t *testing.T) {
 		rx   *Receiver
 		skip map[string]bool
 	}{
-		// A solo connection has no slot and brings its own entry pool.
-		{"NewConn", solo, soloRx, map[string]bool{"Conn.home": true, "Conn.infos": true, "Receiver.conn": true}},
+		// A solo connection brings an arena of its own, compared below.
+		{"NewConn", solo, soloRx, map[string]bool{"Conn.home": true, "Conn.arena": true, "Receiver.arena": true, "Receiver.conn": true}},
 		{"unused slot", slotFresh.Conn, slotFresh.Rx, map[string]bool{"Conn.home": true, "Receiver.conn": true}},
 	} {
 		t.Run(fresh.name, func(t *testing.T) {
@@ -475,64 +484,89 @@ func TestResetRestoresFreshState(t *testing.T) {
 			sameFreshState(t, "Receiver", reflect.ValueOf(recycled.Rx).Elem(), reflect.ValueOf(fresh.rx).Elem(), fresh.skip)
 		})
 	}
-	if recycled.Conn.home == nil || recycled.Conn.infos == nil || solo.infos == nil || recycled.Rx.conn != recycled.Conn {
+	// The solo arena's wiring equals the pool's; only the memory differs.
+	sameFreshState(t, "Arena", reflect.ValueOf(recycled.Conn.arena).Elem(), reflect.ValueOf(solo.arena).Elem(),
+		map[string]bool{"Arena.infos": true, "Arena.slots": true})
+	if recycled.Conn.home == nil || recycled.Conn.arena != h.pool.arena || solo.arena == recycled.Conn.arena ||
+		recycled.Rx.arena != recycled.Conn.arena || recycled.Rx.conn != recycled.Conn {
 		t.Fatal("skipped wiring fields are not set")
 	}
 }
 
-// TestRetiredEntryWaitsForParkedBatch pins the one place where the pool-wide
-// entry list could leak state between connections. A's transmit job is parked
-// with a lost entry in its retransmission batch; an ACK that was queued ahead
-// of the job cum-acks that entry; B opens a segment and its RTO marks it lost,
-// all before A's job comes off the CPU. If the retired entry had reached the
-// shared list, B would have been handed it, and A's emit — which tells a
-// stale batch entry from a live one by its flags — would retransmit B's
-// sequence number under A's flow id and count it in flight.
+// TestRetiredEntryWaitsForParkedBatch pins the one place where the
+// arena-wide entry list could leak state between connections. A's transmit
+// job is parked with a lost entry in its retransmission batch; an ACK that
+// was queued ahead of the job cum-acks that entry; B opens a segment and its
+// RTO marks it lost, all before A's job comes off the CPU. If the retired
+// entry had reached the shared list, B would have been handed it, and A's
+// emit — which tells a stale batch entry from a live one by its flags —
+// would retransmit B's sequence number under A's flow id and count it in
+// flight. Both of an arena's shapes share entries this way: a pool's
+// recycled slots of one congestion control, and iperf's pairs, never
+// recycled, each with its own module of a CC mix.
 func TestRetiredEntryWaitsForParkedBatch(t *testing.T) {
-	h := newPoolHarness(t)
-	factory := streamFactory()
+	t.Run("pool", func(t *testing.T) {
+		h := newPoolHarness(t)
+		factory := streamFactory()
+		retiredEntryWaits(t, h, h.pool.arena, func(id int) *Conn { return h.pool.Get(id, factory).Conn })
+	})
+	t.Run("iperf", func(t *testing.T) {
+		h := newPoolHarness(t)
+		a := NewArena(h.eng, h.cpu, nil, h.path, Config{}, h.segs, h.agg, nil)
+		a.Reserve(2)
+		mix := []cc.Factory{streamFactory(), bbr.Factory()}
+		retiredEntryWaits(t, h, a, func(id int) *Conn { return a.Open(id, 0, mix[id]).Conn })
+	})
+}
+
+// retiredEntryWaits runs TestRetiredEntryWaitsForParkedBatch on connections 0
+// and 1 that get opens on arena a.
+func retiredEntryWaits(t *testing.T, h *poolHarness, a *Arena, get func(id int) *Conn) {
 	open := func(id int) *Conn {
-		c := h.pool.Get(id, factory).Conn
+		c := get(id)
+		if c.arena != a {
+			t.Fatalf("conn %d is not on the arena under test", id)
+		}
 		c.SetStream()
 		c.SetStreamEvents(streamFuncs{func() {}, func() {}, func(error) {}})
 		return c
 	}
-	a, b := open(0), open(1)
+	a0, b := open(0), open(1)
 	mss := int64(seg.MSS)
 
 	// A sends four segments into a demux that does not know it, so nothing
 	// comes back; then its RTO marks them lost and parks the head for
 	// retransmission behind the CPU.
-	a.Start()
-	a.StreamWrite(4 * mss)
-	for i := 0; a.board.liveLen() < 4 || a.xmitBusy; i++ {
+	a0.Start()
+	a0.StreamWrite(4 * mss)
+	for i := 0; a0.board.liveLen() < 4 || a0.xmitBusy; i++ {
 		if i > 1000 || !h.eng.Step() {
-			t.Fatalf("A never sent its four segments (board %d)", a.board.liveLen())
+			t.Fatalf("A never sent its four segments (board %d)", a0.board.liveLen())
 		}
 	}
-	a.pending++ // what onRTOTimer's job would have counted
-	a.enterLoss()
-	head := a.board.at(0)
-	if !a.xmitBusy || len(a.xmitRetx) != 1 || a.xmitRetx[0] != head {
-		t.Fatalf("A's head is not parked for retransmission (busy=%v batch=%d)", a.xmitBusy, len(a.xmitRetx))
+	a0.pending++ // what onRTOTimer's job would have counted
+	a0.enterLoss()
+	head := a0.board.at(0)
+	if !a0.xmitBusy || len(a0.xmitRetx) != 1 || a0.xmitRetx[0] != head {
+		t.Fatalf("A's head is not parked for retransmission (busy=%v batch=%d)", a0.xmitBusy, len(a0.xmitRetx))
 	}
 
 	// The ACK that was already ahead of the job in the CPU queue.
 	ack := h.segs.GetAck()
-	ack.Flow, ack.CumAck = a.id, mss
-	a.pendingAcks.Push(ack)
+	ack.Flow, ack.CumAck = a0.id, mss
+	a0.pendingAcks.Push(ack)
 	h.agg.heldAcks++
-	a.pending++ // what OnAckArrival's job would have counted
-	a.processAck(ack)
-	if a.board.liveLen() != 3 || !head.acked {
-		t.Fatalf("the ACK did not retire A's head (board %d)", a.board.liveLen())
+	a0.pending++ // what OnAckArrival's job would have counted
+	a0.processAck(ack)
+	if a0.board.liveLen() != 3 || !head.acked {
+		t.Fatalf("the ACK did not retire A's head (board %d)", a0.board.liveLen())
 	}
 
 	// B's transmit job opens a segment and B's RTO condemns it — what
 	// emit and enterLoss do to an entry, without the network in between.
-	q := b.infos.get()
+	q := a.infos.get()
 	q.seq, q.len, q.inFlite = 0, seg.MSS, true
-	b.board.add(q, b.infos)
+	b.board.add(q, &a.infos)
 	b.sndNxt, b.inflight = mss, 1
 	b.pending++
 	b.enterLoss()
@@ -540,21 +574,21 @@ func TestRetiredEntryWaitsForParkedBatch(t *testing.T) {
 		t.Error("B was handed the entry A's parked batch still points at")
 	}
 
-	sentBefore := a.retransTotal
-	connEmit(a)
-	if a.retransTotal != sentBefore {
-		t.Errorf("A retransmitted %d segments from a batch whose only entry was acked", a.retransTotal-sentBefore)
+	sentBefore := a0.retransTotal
+	connEmit(a0)
+	if a0.retransTotal != sentBefore {
+		t.Errorf("A retransmitted %d segments from a batch whose only entry was acked", a0.retransTotal-sentBefore)
 	}
 	if !q.lost || q.inFlite {
 		t.Errorf("B's lost entry was touched: lost=%v inFlite=%v", q.lost, q.inFlite)
 	}
-	for _, c := range []*Conn{a, b} {
+	for _, c := range []*Conn{a0, b} {
 		if au := c.Audit(); au.Inflight != au.BoardInflight {
 			t.Errorf("conn %d: inflight counter %d, scoreboard says %d", c.id, au.Inflight, au.BoardInflight)
 		}
 	}
 	// Once the job has run the entry is anyone's.
-	if a.retired != nil || h.pool.infos.free != head {
-		t.Error("the retired entry did not reach the pool after A's job ran")
+	if a0.retired != nil || a.infos.free != head {
+		t.Error("the retired entry did not reach the arena after A's job ran")
 	}
 }

@@ -129,7 +129,7 @@ func TestCwndRestartAfterIdle(t *testing.T) {
 		t.Fatalf("transfer not drained: inflight %d", c.inflight)
 	}
 	c.cwnd = 64
-	now := c.eng.Now()
+	now := c.arena.eng.Now()
 	c.lastSendAt = now - 4*c.rto() // four RTOs idle
 	c.cwndRestartAfterIdle(now)
 	if c.cwnd >= 64 {

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"fmt"
 	"time"
 
 	"mobbr/internal/netem"
@@ -25,9 +26,8 @@ const (
 // duplicates — with SACK blocks. The server machine is fast and is not
 // charged to the phone's CPU model.
 type Receiver struct {
-	eng  *sim.Engine
-	path *netem.Path
-	conn *Conn
+	arena *Arena // the conn's
+	conn  *Conn
 
 	rcvNxt int64
 	ooo    []seg.SackBlock // disjoint, sorted by Start
@@ -45,14 +45,6 @@ type Receiver struct {
 
 	goodBytes units.DataSize // in-order bytes delivered (goodput)
 
-	// Sharded overrides (SetShard): in a sharded run the receiver lives on
-	// a different engine shard than its conn, so packet release and ACK
-	// acquisition must use the receiver shard's pool arena, and ACK return
-	// must cross back through the shard mailbox instead of scheduling on
-	// the sender's engine. Both nil in serial runs.
-	rxPool    *seg.Pool
-	returnAck func(*seg.Ack)
-
 	// onDelivery, when set, fires after OnPacket whenever rcvNxt advanced —
 	// the receive-side readable notification the apps layer consumes.
 	onDelivery func()
@@ -63,36 +55,30 @@ type Receiver struct {
 // schedule follow-on work.
 func (r *Receiver) SetDeliveryListener(fn func()) { r.onDelivery = fn }
 
-// SetShard moves the receiver's pool traffic to the given arena and its ACK
-// return to returnAck (the cross-shard mailbox). Call once at wiring time;
-// NewReceiver must already have been given the receiver shard's engine.
-func (r *Receiver) SetShard(pool *seg.Pool, returnAck func(*seg.Ack)) {
-	r.rxPool = pool
-	r.returnAck = returnAck
-}
-
 // recvPool returns the pool serving this receiver's acquire/release: the
 // receiver shard's arena when sharded, otherwise the conn's pool.
 func (r *Receiver) recvPool() *seg.Pool {
-	if r.rxPool != nil {
-		return r.rxPool
+	if p := r.arena.rxPool; p != nil {
+		return p
 	}
-	return r.conn.pool
+	return r.arena.pool
 }
 
-// NewReceiver builds the receiving endpoint for conn and registers the
-// connection as its flow's ACK sink on the path's return fast path.
+// NewReceiver returns the receiving endpoint NewConn built with conn, which
+// is registered as its flow's ACK sink on the path's return fast path. eng
+// and path must be the ones conn was built with.
 func NewReceiver(eng *sim.Engine, path *netem.Path, conn *Conn) *Receiver {
-	r := &Receiver{eng: eng, path: path, conn: conn}
-	r.open()
-	return r
+	if a := conn.arena; eng != a.rxEng || path != a.path {
+		panic(fmt.Sprintf("tcp: NewReceiver for conn %d on another engine or path than the conn's", conn.id))
+	}
+	return conn.home.Rx
 }
 
 // open starts receiving the connection's current flow on a receiver that
-// holds its wiring and is otherwise zero: the one initialiser behind
-// NewReceiver, a pool slot's first use and Reset.
+// holds its wiring and is otherwise zero: the one initialiser behind a
+// slot's first use and Reset.
 func (r *Receiver) open() {
-	r.path.RegisterAckSink(r.conn.id, r.conn)
+	r.arena.path.RegisterAckSink(r.conn.id, r.conn)
 }
 
 // OnPacket processes one arriving data segment. This is the packet's sink
@@ -131,10 +117,10 @@ func (r *Receiver) OnPacket(pkt *seg.Packet) {
 	}
 	r.recvPool().PutPacket(pkt)
 	if r.rcvNxt > prevNxt {
-		if r.conn.agg != nil {
+		if agg := r.arena.agg; agg != nil {
 			// The single point goodBytes advances: the aggregate counter
 			// stays integer-identical to Σ Receiver.GoodBytes().
-			r.conn.agg.goodBytes += units.DataSize(r.rcvNxt - prevNxt)
+			agg.goodBytes += units.DataSize(r.rcvNxt - prevNxt)
 		}
 		if r.onDelivery != nil {
 			r.onDelivery()
@@ -200,7 +186,7 @@ func (r *Receiver) mergeContiguous() {
 // the arrival stream pauses.
 func (r *Receiver) armFlush() {
 	if !r.flush.Reschedule(groFlushGap) {
-		r.flush = r.eng.ScheduleP(groFlushGap, rxFlushExpired, r)
+		r.flush = r.arena.rxEng.ScheduleP(groFlushGap, rxFlushExpired, r)
 	}
 }
 
@@ -240,10 +226,10 @@ func (r *Receiver) sendAck(echoSentAt time.Duration, echoRetx bool) {
 			a.Sacks = append(a.Sacks, r.ooo[i])
 		}
 	}
-	if r.returnAck != nil {
-		r.returnAck(a)
+	if ret := r.arena.returnAck; ret != nil {
+		ret(a)
 	} else {
-		r.path.ReturnAckFlow(a)
+		r.arena.path.ReturnAckFlow(a)
 	}
 }
 
@@ -254,11 +240,7 @@ func (r *Receiver) sendAck(echoSentAt time.Duration, echoRetx bool) {
 // return, exactly as for a new receiver.
 func (r *Receiver) Reset() {
 	r.flush.Stop()
-	*r = Receiver{
-		eng: r.eng, path: r.path, conn: r.conn,
-		rxPool: r.rxPool, returnAck: r.returnAck,
-		flush: r.flush, ooo: r.ooo[:0],
-	}
+	*r = Receiver{arena: r.arena, conn: r.conn, flush: r.flush, ooo: r.ooo[:0]}
 	r.open()
 }
 

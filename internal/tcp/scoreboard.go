@@ -36,11 +36,13 @@ type pktInfo struct {
 func (p *pktInfo) end() int64 { return p.seq + int64(p.len) }
 
 // infoPool hands out scoreboard entries: recycled ones first, otherwise a new
-// one from its slab. A ConnPool's connections share one infoPool, so entries
-// retired by one flow serve the next flow on any connection; a connection
-// built by NewConn has its own. A pointer to an entry must therefore not
-// outlive the entry's put: the one holder that spans events, the parked
-// transmit batch, makes Conn.retire keep the entry back until it has run.
+// one from its slab. Every connection of an arena shares the arena's one
+// infoPool — a pool's recycled flows, iperf's parallel connections, the
+// single connection NewConn builds — so an entry one connection retires
+// serves the next segment any of them sends. A pointer to an entry must
+// therefore not outlive the entry's put: the one holder that spans events,
+// the parked transmit batch, makes Conn.retire keep the entry back until it
+// has run.
 //
 // The infoPool also backs the first heap buffers of the scoreboards it
 // serves (see scoreboard.grow and scoreboard.keep), which stay with their

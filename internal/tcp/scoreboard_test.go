@@ -260,7 +260,7 @@ func TestDataPathSizes(t *testing.T) {
 		t.Errorf("scoreboard entry is %d bytes, want 64", n)
 	}
 	var got *seg.Ack
-	r := Receiver{conn: &Conn{}, rxPool: seg.NewPool(), returnAck: func(a *seg.Ack) { got = a }}
+	r := Receiver{conn: &Conn{}, arena: &Arena{rxPool: seg.NewPool(), returnAck: func(a *seg.Ack) { got = a }}}
 	r.ooo = []seg.SackBlock{{Start: 10, End: 20}, {Start: 30, End: 40}, {Start: 50, End: 60}, {Start: 70, End: 80}}
 	r.sendAck(0, false)
 	if len(got.Sacks) != 3 || cap(got.Sacks) != 3 {

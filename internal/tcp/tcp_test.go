@@ -316,7 +316,7 @@ func TestBulkIsStreamWrittenUpFront(t *testing.T) {
 		}
 		h := newHarness(t, cfg, &stubCC{cwnd: 32}, netem.TC{Loss: loss})
 		if appCPU {
-			h.conn.SetAppCPU(cpumodel.NewCPU(h.eng, cpumodel.DefaultCosts(), 1e9))
+			h.conn.arena.appCPU = cpumodel.NewCPU(h.eng, cpumodel.DefaultCosts(), 1e9)
 		}
 		if stream {
 			h.conn.SetStream()
@@ -348,15 +348,27 @@ func TestBulkIsStreamWrittenUpFront(t *testing.T) {
 }
 
 func TestStartDelayHonored(t *testing.T) {
-	stub := &stubCC{cwnd: 10}
-	h := newHarness(t, Config{AppBytes: 64 * units.KB, StartDelay: 100 * time.Millisecond}, stub, netem.TC{})
-	h.conn.Start()
-	h.eng.Run(50 * time.Millisecond)
-	if h.rx.GoodBytes() != 0 {
+	eng := sim.New(1)
+	cpu := cpumodel.NewCPU(eng, cpumodel.DefaultCosts(), 5e9)
+	path, err := netem.EthernetLAN(eng, netem.TC{})
+	if err != nil {
+		t.Fatalf("EthernetLAN: %v", err)
+	}
+	a := NewArena(eng, cpu, nil, path, Config{AppBytes: 64 * units.KB}, nil, nil, nil)
+	pc := a.Open(0, 100*time.Millisecond, func() cc.CongestionControl { return &stubCC{cwnd: 10} })
+	if pc.Conn.StartDelay() != 100*time.Millisecond {
+		t.Fatalf("start delay %v, want 100ms", pc.Conn.StartDelay())
+	}
+	demux := NewDemux()
+	demux.Add(pc.Rx)
+	path.SetReceiver(demux.Handle)
+	pc.Conn.Start()
+	eng.Run(50 * time.Millisecond)
+	if pc.Rx.GoodBytes() != 0 {
 		t.Fatal("data delivered before start delay")
 	}
-	h.eng.Run(2 * time.Second)
-	if h.rx.GoodBytes() != 64*units.KB {
+	eng.Run(2 * time.Second)
+	if pc.Rx.GoodBytes() != 64*units.KB {
 		t.Fatal("transfer incomplete after start delay")
 	}
 }
@@ -512,4 +524,21 @@ func TestCEMarksCounted(t *testing.T) {
 	if echoed == 0 {
 		t.Error("no CE marks observed despite AQM threshold")
 	}
+}
+
+// TestNewReceiverNeedsConnWiring pins that NewReceiver hands back the
+// receiver NewConn built into conn's slot, and refuses an engine or path
+// other than the ones that receiver was wired to.
+func TestNewReceiverNeedsConnWiring(t *testing.T) {
+	h := newHarness(t, Config{}, &stubCC{cwnd: 10}, netem.TC{})
+	if rx := NewReceiver(h.eng, h.path, h.conn); rx != h.rx || rx.conn != h.conn {
+		t.Fatal("NewReceiver built a second receiver for one connection")
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "tcp: NewReceiver for conn 0 on another engine or path than the conn's"; msg != want {
+			t.Errorf("recovered %q, want %q", msg, want)
+		}
+	}()
+	NewReceiver(sim.New(2), h.path, h.conn)
 }

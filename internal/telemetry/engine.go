@@ -23,11 +23,12 @@ type EngineStats struct {
 	WallTime time.Duration
 	// EventsPerSec is Events / WallTime.
 	EventsPerSec float64
-	// HeapAllocs is the number of heap objects allocated during the run
-	// (from runtime.MemStats.Mallocs; includes any background activity in
-	// the process).
+	// HeapAllocs is the number of heap objects the whole process allocated
+	// during the run (runtime.MemStats.Mallocs deltas). It is process-wide:
+	// it counts every goroutine, so while other runs execute in parallel
+	// (grid workers at -j > 1) it includes what they allocated meanwhile.
 	HeapAllocs uint64
-	// AllocsPerSimSec is HeapAllocs per simulated second.
+	// AllocsPerSimSec is HeapAllocs per simulated second, process-wide too.
 	AllocsPerSimSec float64
 	// MaxPending is the engine queue's high-water mark.
 	MaxPending int
@@ -39,7 +40,7 @@ func (s *EngineStats) Write(w io.Writer) error {
 		return nil
 	}
 	_, err := fmt.Fprintf(w,
-		"engine: %d events over %v virtual in %v wall (%.0f events/s), %d heap allocs (%.0f/sim-s), max queue %d\n",
+		"engine: %d events over %v virtual in %v wall (%.0f events/s), %d process-wide heap allocs (%.0f/sim-s), max queue %d\n",
 		s.Events, s.VirtualTime, s.WallTime.Round(time.Microsecond),
 		s.EventsPerSec, s.HeapAllocs, s.AllocsPerSimSec, s.MaxPending)
 	return err
