@@ -179,7 +179,7 @@ var allowedClasses = []string{"accessor: ", "fault hook: ", "reference data: ", 
 //	    or var, or an untagged struct field nothing reads (an assignment,
 //	    op-assignment or ++/-- is a write, not a read);
 //	(b) is referenced or read only by tests: _test.go files do not count as
-//	    readers, except inside Example functions, while bench/ does;
+//	    readers, Example functions included, while bench/ does;
 //	(c) is an option nothing sets or reads: a field of a struct with a
 //	    withDefaults or WithDefaults method that no program code writes
 //	    ("never set") or reads ("never read"), not counting that method.
@@ -336,7 +336,7 @@ func TestNothingUnread(t *testing.T) {
 					return
 				}
 				k := key(u.obj)
-				prog := !isTest || u.inExample
+				prog := !isTest
 				if !u.write {
 					usedAny[k] = true
 					if prog {
@@ -557,7 +557,6 @@ type use struct {
 	obj        types.Object
 	field      bool            // obj is a struct field
 	write      bool            // the reference writes the field and does not read it
-	inExample  bool            // it sits in an Example function
 	defaultsOf *types.TypeName // it sits in this type's withDefaults method
 }
 
@@ -650,7 +649,6 @@ func collectUses(f *ast.File, info *types.Info, report func(use)) {
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		if fn, ok := n.(*ast.FuncDecl); ok {
-			at = use{inExample: fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Example")}
 			if fn.Recv != nil && isWithDefaults(fn.Name.Name) {
 				at.defaultsOf = recvTypeName(info.Defs[fn.Name].(*types.Func))
 			}

@@ -766,9 +766,6 @@ type Aggregate struct {
 	Flows *flows.Stats
 }
 
-// GoodputMbps returns the mean aggregate goodput in Mbps.
-func (a *Aggregate) GoodputMbps() float64 { return a.Goodput.Mean() / 1e6 }
-
 // RunSeeds executes spec across n seeds (1, 2, …, n offsets from
 // spec.Seed) and aggregates the reports.
 func RunSeeds(spec Spec, n int) (*Aggregate, error) {

@@ -11,13 +11,14 @@ import (
 	"mobbr/internal/iperf"
 	"mobbr/internal/netem"
 	"mobbr/internal/sim"
+	"mobbr/internal/slab"
 	"mobbr/internal/stats"
 	"mobbr/internal/tcp"
 	"mobbr/internal/units"
 )
 
-// flow is one live flow's bookkeeping. Records are carved from chunks and
-// recycled through the session's freelist on release. The record is also its
+// flow is one live flow's bookkeeping. Records come from the session's slab
+// and are recycled through its freelist on release. The record is also its
 // connection's stream-event sink, which costs no closure per flow.
 type flow struct {
 	s  *Session
@@ -31,7 +32,8 @@ type flow struct {
 	free    *flow // next record on the session's freelist
 }
 
-// flowChunk is how many flow records one chunk holds.
+// flowChunk is about how many flow records one slab chunk holds: 255 of
+// them fill the 16 KiB size class.
 const flowChunk = 256
 
 // StreamWritable implements tcp.StreamEvents: ACKs reopened buffer room.
@@ -60,9 +62,9 @@ type Session struct {
 
 	nextID int
 	live   []*flow
-	// Flow records: released ones first, then the rest of the newest chunk.
-	freeFlows  *flow
-	spareFlows []flow
+	// Flow records: released ones first, then new ones from the slab.
+	freeFlows *flow
+	newFlows  slab.Slab[flow]
 
 	// onRetire fires with the flow id on every release (completion or
 	// failure) — the invariant checker prunes its per-flow history here.
@@ -107,9 +109,6 @@ func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, icfg iperf.Config
 	fcfg = fcfg.WithDefaults()
 	if icfg.CC == nil {
 		return nil, fmt.Errorf("flows: iperf.Config.CC factory is required")
-	}
-	if icfg.Duration <= 0 {
-		icfg.Duration = 10 * time.Second
 	}
 	s := &Session{
 		eng: eng, cpu: cpu, path: path, icfg: icfg, fcfg: fcfg,
@@ -171,19 +170,15 @@ func (s *Session) drawSize() int64 {
 	return int64(size)
 }
 
-// allocFlow returns a flow record to overwrite: a released one, else the next
-// of a chunk.
+// allocFlow returns a flow record to overwrite: a released one, else a new
+// one. Churn always needs more than a handful, so the slab hands them out in
+// whole chunks from the first.
 func (s *Session) allocFlow() *flow {
 	if f := s.freeFlows; f != nil {
 		s.freeFlows = f.free
 		return f
 	}
-	if len(s.spareFlows) == 0 {
-		s.spareFlows = make([]flow, flowChunk)
-	}
-	f := &s.spareFlows[0]
-	s.spareFlows = s.spareFlows[1:]
-	return f
+	return s.newFlows.NextIn(flowChunk, flowChunk)
 }
 
 // startFlow admits one flow: fresh id, drawn size, pooled conn in stream

@@ -30,11 +30,12 @@ const (
 	staggerStarts = 10 * time.Millisecond
 )
 
-// Config parameterizes one iPerf run.
+// Config parameterizes one iPerf run. New takes Conns and Duration as given:
+// core supplies their defaults (one connection, 10 s).
 type Config struct {
-	// Conns is the number of parallel connections (iperf3 -P).
+	// Conns is the number of parallel connections (iperf3 -P), at least 1.
 	Conns int
-	// Duration is how long the run transmits (iperf3 -t).
+	// Duration is how long the run transmits (iperf3 -t), positive.
 	Duration time.Duration
 	// Warmup excludes the initial ramp from goodput accounting; 0
 	// measures the whole run like iperf3 does.
@@ -137,12 +138,6 @@ type Interval struct {
 // congestion-control factory is a caller input error, returned — not
 // panicked.
 func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg Config) (*Session, error) {
-	if cfg.Conns <= 0 {
-		cfg.Conns = 1
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 10 * time.Second
-	}
 	if cfg.CC == nil && len(cfg.CCMix) == 0 {
 		return nil, fmt.Errorf("iperf: Config.CC or Config.CCMix is required")
 	}

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mobbr/internal/mobility"
 )
 
 func TestForEachRunsEveryIndex(t *testing.T) {
@@ -85,27 +87,63 @@ func stripSample(rows []Row) []Row {
 	return out
 }
 
-// TestParallelMatchesSerial is the tentpole's determinism gate: every
-// experiment's report must be deep-equal at -j 1 and -j 8. Simulations are
-// per-run deterministic, so fanning points across goroutines must not
-// change a single measured value.
+// TestParallelMatchesSerial is the scheduler's determinism gate: each grid
+// run at -j 1 and at -j 8 must give deep-equal rows, sample reports and churn
+// stats. Simulations are per-run deterministic, so fanning points across
+// goroutines must not change a single measured value. Every run carries a
+// private packet/ACK pool, so under `go test -race` (CI runs it) the pooled
+// mobility-trace case also proves pools never cross goroutines.
 func TestParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment grid twice")
+	recovery := func(*testing.T) []Experiment {
+		e := Recovery()
+		e.Points = e.Points[:3] // one CPU config's worth is plenty
+		return []Experiment{e}
 	}
-	dur := 300 * time.Millisecond
-	const seeds = 1
-	for _, e := range All() {
-		serial := runGrid(t, e, RunOpts{Dur: dur, Seeds: seeds, Workers: 1})
-		par := runGrid(t, e, RunOpts{Dur: dur, Seeds: seeds, Workers: 8})
-		if !reflect.DeepEqual(stripSample(serial), stripSample(par)) {
-			t.Errorf("%s: rows differ between -j 1 and -j 8", e.ID)
+	trace := func(t *testing.T) []Experiment {
+		tr, err := mobility.Synthesize(mobility.Train, 2*time.Second, mobility.DefaultTick, 7)
+		if err != nil {
+			t.Fatalf("Synthesize: %v", err)
 		}
-		for i := range serial {
-			if !reflect.DeepEqual(serial[i].Sample.Report, par[i].Sample.Report) {
-				t.Errorf("%s point %d: sample report differs between -j 1 and -j 8", e.ID, i)
+		e, err := NewTraceExperiment(tr)
+		if err != nil {
+			t.Fatalf("NewTraceExperiment: %v", err)
+		}
+		return []Experiment{e}
+	}
+	for _, c := range []struct {
+		name  string
+		long  bool // skipped under -short
+		grids func(*testing.T) []Experiment
+		opts  RunOpts
+		churn bool // every point must start flows
+	}{
+		{"paper", true, func(*testing.T) []Experiment { return All() }, RunOpts{Dur: 300 * time.Millisecond, Seeds: 1}, false},
+		{"recovery", true, recovery, RunOpts{Seeds: 1}, false},
+		{"scale", false, func(*testing.T) []Experiment { return []Experiment{miniScale()} }, RunOpts{Dur: 300 * time.Millisecond, Seeds: 2}, true},
+		{"trace", false, trace, RunOpts{Seeds: 2}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.long && testing.Short() {
+				t.Skip("runs its grids twice")
 			}
-		}
+			for _, e := range c.grids(t) {
+				serial, par := c.opts, c.opts
+				serial.Workers, par.Workers = 1, 8
+				s, p := runGrid(t, e, serial), runGrid(t, e, par)
+				if !reflect.DeepEqual(stripSample(s), stripSample(p)) {
+					t.Errorf("%s: rows differ between -j 1 and -j 8", e.ID)
+				}
+				for i := range s {
+					if !reflect.DeepEqual(s[i].Sample.Report, p[i].Sample.Report) ||
+						!reflect.DeepEqual(s[i].Sample.Flows, p[i].Sample.Flows) {
+						t.Errorf("%s point %d: sample report or churn stats differ between -j 1 and -j 8", e.ID, i)
+					}
+					if c.churn && s[i].FlowsStarted == 0 {
+						t.Errorf("%s point %d: no flows started", e.ID, i)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -138,21 +176,6 @@ func TestShardedGridMatchesSerial(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestParallelRecoveryMatchesSerial covers the recovery grid (interval-series
-// metric, checker armed) the same way.
-func TestParallelRecoveryMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the recovery grid twice")
-	}
-	e := Recovery()
-	e.Points = e.Points[:3] // one CPU config's worth is plenty
-	serial := runGrid(t, e, RunOpts{Seeds: 1, Workers: 1})
-	par := runGrid(t, e, RunOpts{Seeds: 1, Workers: 8})
-	if !reflect.DeepEqual(stripSample(serial), stripSample(par)) {
-		t.Error("recovery rows differ between -j 1 and -j 8")
 	}
 }
 

@@ -61,32 +61,6 @@ func TestScaleInListingNotInAll(t *testing.T) {
 	}
 }
 
-// TestScaleParallelMatchesSerial is the churn grid's determinism gate:
-// flows rows — counters, FCT percentiles, pool census, fast-path share —
-// must be deep-equal at -j 1 and -j 8.
-func TestScaleParallelMatchesSerial(t *testing.T) {
-	e := miniScale()
-	dur := 300 * time.Millisecond
-	serial := runGrid(t, e, RunOpts{Dur: dur, Seeds: 2, Workers: 1})
-	par := runGrid(t, e, RunOpts{Dur: dur, Seeds: 2, Workers: 8})
-	if !reflect.DeepEqual(stripSample(serial), stripSample(par)) {
-		t.Error("rows differ between -j 1 and -j 8")
-	}
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i].Sample.Report, par[i].Sample.Report) {
-			t.Errorf("point %d: sample report differs between -j 1 and -j 8", i)
-		}
-		if !reflect.DeepEqual(serial[i].Sample.Flows, par[i].Sample.Flows) {
-			t.Errorf("point %d: churn stats differ between -j 1 and -j 8", i)
-		}
-	}
-	for i, r := range serial {
-		if r.FlowsStarted == 0 {
-			t.Errorf("point %d: no flows started", i)
-		}
-	}
-}
-
 // TestScaleJournalRoundTrip: every flows column survives the journal codec
 // — the record a resume reads back equals the one the runner wrote, so a
 // resumed grid prints the same table an uninterrupted one did.
